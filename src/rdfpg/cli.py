@@ -13,6 +13,7 @@ Set RDFPG_COLOR=1 to colorize diagnostics.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 import warnings
@@ -61,9 +62,30 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_text(path: str, text: str) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write(text)
+def _write_outputs(outputs: list[tuple[str, str]]) -> None:
+    """Write each (path, text) pair so that a failure leaves no partial output.
+
+    Every text is encoded before any file is touched. Each one then goes to
+    a fresh file next to its target and is renamed over it only once all of
+    them are written, so a failed run creates no file and keeps any existing
+    one intact.
+    """
+    encoded = [(path, text.encode("utf-8")) for path, text in outputs]
+    staged: list[tuple[str, str]] = []
+    try:
+        for path, data in encoded:
+            directory, name = os.path.split(os.path.abspath(path))
+            tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
+            with open(tmp, "xb") as handle:
+                staged.append((tmp, path))
+                handle.write(data)
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:  # files already renamed are gone: nothing to remove
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise
 
 
 def _load_turtle(path: str, skolemize_blanks: bool):
@@ -87,8 +109,10 @@ def _cmd_convert(args) -> int:
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
         report = None
         pg_schema, pg = indep.map_database(graph)
-    _write_text(args.out_pg, serialize_pg(pg))
-    _write_text(args.out_pg_schema, serialize_pg_schema(pg_schema))
+    _write_outputs([
+        (args.out_pg, serialize_pg(pg)),
+        (args.out_pg_schema, serialize_pg_schema(pg_schema)),
+    ])
     print(f"wrote {args.out_pg} and {args.out_pg_schema}")
     if report is None:
         print("input validation: skipped (no schema in this mode)")
@@ -103,14 +127,16 @@ def _cmd_invert(args) -> int:
     if args.mode == "dep":
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))
         schema, graph = dep.invert_database(pg_schema, pg)
-        _write_text(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))
-        _write_text(args.out_rdf_schema, serialize_turtle(rdf_schema_to_triples(schema)))
+        _write_outputs([
+            (args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph))),
+            (args.out_rdf_schema, serialize_turtle(rdf_schema_to_triples(schema))),
+        ])
         print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
     else:
         if args.pg_schema:  # optional cross-check against the generic schema
             parse_pg_schema(_read_text(args.pg_schema))
         graph = indep.invert_graph(pg)
-        _write_text(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))
+        _write_outputs([(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))])
         print(f"wrote {args.out_rdf}")
     return 0
 

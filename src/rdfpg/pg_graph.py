@@ -5,6 +5,11 @@ a set of key-value properties. Values carry an explicit datatype so that a
 string "46" and an integer "46" stay distinguishable; nothing is inferred
 from lexical forms.
 
+A built graph stores each owner's properties once, already in canonical
+order. Its canonical keys and its canonical node and edge orders are
+computed at most once per graph, on first use, and every consumer (the
+validator, the serializers, the inverse mappings, pg_equal) reuses them.
+
 Schemas declare node types, edge types (with fixed endpoint node types) and
 the property types allowed on each. Property types constrain what may appear,
 they do not make properties mandatory.
@@ -15,6 +20,7 @@ from __future__ import annotations
 import itertools
 from collections import Counter, defaultdict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .errors import AmbiguousCanonicalKey
@@ -95,46 +101,73 @@ def type_of_value(value: PgValue) -> PgDatatype:
     return value.datatype
 
 
+def _property_sort_key(item: tuple[str, PgValue]) -> tuple[str, str, str]:
+    key, value = item
+    return (key, value.lexical, value.datatype.token())
+
+
 @dataclass(frozen=True, eq=False)
 class PropertyGraph:
-    """Compare with pg_equal, not ==; internal ids are arbitrary."""
+    """A property graph. Compare with pg_equal, not ==; internal ids are arbitrary.
+
+    `properties_by_owner` maps each node or edge that has properties to its
+    (key, value) pairs in canonical order. Canonical keys and orders are
+    filled in on first use and cached on the instance. The fields never
+    change, so a cache always holds the value they determine, and a graph
+    stays safe to share across threads.
+    """
 
     nodes: frozenset[int]
     edges: frozenset[int]
-    properties: frozenset[int]
     label: Mapping[int, str]
-    prop: Mapping[int, tuple[str, PgValue]]
     ends: Mapping[int, tuple[int, int]]
-    attach: Mapping[int, frozenset[int]]
+    properties_by_owner: Mapping[int, tuple[tuple[str, PgValue], ...]]
+    property_count: int
 
     def is_empty(self) -> bool:
         return not (self.nodes or self.edges)
 
     def properties_of(self, owner: int) -> list[tuple[str, PgValue]]:
-        pids = self.attach.get(owner, frozenset())
-        return sorted(
-            (self.prop[p] for p in pids),
-            key=lambda kv: (kv[0], kv[1].lexical, kv[1].datatype.token()),
-        )
+        return list(self.properties_by_owner.get(owner, ()))
+
+    def _property_keys(self, owner: int) -> tuple:
+        return tuple(map(_property_sort_key, self.properties_by_owner.get(owner, ())))
+
+    @cached_property
+    def _node_keys(self) -> dict[int, tuple]:
+        label = self.label
+        return {n: (label[n], self._property_keys(n)) for n in self.nodes}
+
+    @cached_property
+    def _edge_keys(self) -> dict[int, tuple]:
+        node_keys, label, ends = self._node_keys, self.label, self.ends
+        keys = {}
+        for e in self.edges:
+            src, dst = ends[e]
+            keys[e] = (node_keys[src], label[e], self._property_keys(e), node_keys[dst])
+        return keys
+
+    @cached_property
+    def _node_order(self) -> tuple[int, ...]:
+        keys = self._node_keys
+        return tuple(sorted(self.nodes, key=lambda n: (keys[n], n)))
+
+    @cached_property
+    def _edge_order(self) -> tuple[int, ...]:
+        keys = self._edge_keys
+        return tuple(sorted(self.edges, key=lambda e: (keys[e], e)))
 
     def node_canonical_key(self, n: int) -> tuple:
-        props = tuple(
-            (k, v.lexical, v.datatype.token()) for k, v in self.properties_of(n)
-        )
-        return (self.label[n], props)
+        return self._node_keys[n]
 
     def edge_canonical_key(self, e: int) -> tuple:
-        src, dst = self.ends[e]
-        props = tuple(
-            (k, v.lexical, v.datatype.token()) for k, v in self.properties_of(e)
-        )
-        return (self.node_canonical_key(src), self.label[e], props, self.node_canonical_key(dst))
+        return self._edge_keys[e]
 
     def nodes_sorted(self) -> list[int]:
-        return sorted(self.nodes, key=lambda n: (self.node_canonical_key(n), n))
+        return list(self._node_order)
 
     def edges_sorted(self) -> list[int]:
-        return sorted(self.edges, key=lambda e: (self.edge_canonical_key(e), e))
+        return list(self._edge_order)
 
     def describe(self, element: int) -> str:
         if element in self.nodes:
@@ -186,8 +219,7 @@ class PropertyGraphBuilder:
         self._ids = itertools.count()
         self._nodes: dict[int, str] = {}
         self._edges: dict[int, tuple[str, int, int]] = {}
-        self._props: dict[int, tuple[str, PgValue]] = {}
-        self._attach: dict[int, list[int]] = defaultdict(list)
+        self._props: dict[int, list[tuple[str, PgValue]]] = defaultdict(list)
 
     def add_node(self, label: str) -> int:
         n = next(self._ids)
@@ -201,13 +233,10 @@ class PropertyGraphBuilder:
         self._edges[e] = (label, src, dst)
         return e
 
-    def add_property(self, owner: int, key: str, value: PgValue) -> int:
+    def add_property(self, owner: int, key: str, value: PgValue) -> None:
         if owner not in self._nodes and owner not in self._edges:
             raise ValueError("property owner must be an existing node or edge")
-        p = next(self._ids)
-        self._props[p] = (key, value)
-        self._attach[owner].append(p)
-        return p
+        self._props[owner].append((key, value))
 
     def build(self) -> PropertyGraph:
         labels: dict[int, str] = dict(self._nodes)
@@ -218,11 +247,12 @@ class PropertyGraphBuilder:
         return PropertyGraph(
             nodes=frozenset(self._nodes),
             edges=frozenset(self._edges),
-            properties=frozenset(self._props),
             label=labels,
-            prop=dict(self._props),
             ends=ends,
-            attach={o: frozenset(ps) for o, ps in self._attach.items() if ps},
+            properties_by_owner={
+                o: tuple(sorted(ps, key=_property_sort_key)) for o, ps in self._props.items()
+            },
+            property_count=sum(map(len, self._props.values())),
         )
 
 
@@ -295,43 +325,47 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
         src, dst = schema.ends[et]
         et_by_signature[(schema.label[et], schema.label[src], schema.label[dst])].append(et)
 
-    violations: list[Violation] = []
-
-    for n in graph.nodes_sorted():
-        nt = nt_by_label.get(graph.label[n])
+    properties = graph.properties_by_owner
+    node_violations: dict[int, list[Violation]] = {}
+    for n in graph.nodes:
+        label = graph.label[n]
+        nt = nt_by_label.get(label)
         if nt is None:
-            violations.append(
-                Violation("P1a", graph.describe(n), f"no node type labeled {graph.label[n]!r}")
-            )
+            node_violations[n] = [
+                Violation("P1a", graph.describe(n), f"no node type labeled {label!r}")
+            ]
             continue
-        for key, value in graph.properties_of(n):
-            if key == IRI_PROPERTY_KEY and value.datatype == STRING:
-                continue
-            if (key, value.datatype.token()) not in allowed[nt]:
-                violations.append(
-                    Violation(
-                        "P1b",
-                        graph.describe(n),
-                        f"property {key!r} with type {value.datatype} is not declared "
-                        f"for node type {graph.label[n]!r}",
-                    )
-                )
+        allowed_nt = allowed[nt]
+        found = [
+            Violation(
+                "P1b",
+                graph.describe(n),
+                f"property {key!r} with type {value.datatype} is not declared "
+                f"for node type {label!r}",
+            )
+            for key, value in properties.get(n, ())
+            if (key, value.datatype.token()) not in allowed_nt
+            and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
+        ]
+        if found:
+            node_violations[n] = found
 
-    for e in graph.edges_sorted():
+    edge_violations: dict[int, list[Violation]] = {}
+    for e in graph.edges:
         src, dst = graph.ends[e]
         signature = (graph.label[e], graph.label[src], graph.label[dst])
-        candidates = et_by_signature.get(signature, [])
+        candidates = et_by_signature.get(signature)
         if not candidates:
-            violations.append(
+            edge_violations[e] = [
                 Violation(
                     "P2a",
                     graph.describe(e),
                     f"no edge type labeled {signature[0]!r} from {signature[1]!r} "
                     f"to {signature[2]!r}",
                 )
-            )
+            ]
             continue
-        props = graph.properties_of(e)
+        props = properties.get(e, ())
         best_unmatched: list[tuple[str, PgValue]] | None = None
         for et in candidates:
             unmatched = [
@@ -341,16 +375,29 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
                 best_unmatched = unmatched
             if not unmatched:
                 break
-        for key, value in best_unmatched or []:
-            violations.append(
+        if best_unmatched:
+            edge_violations[e] = [
                 Violation(
                     "P2b",
                     graph.describe(e),
                     f"property {key!r} with type {value.datatype} is not declared "
                     f"for edge type {signature[0]!r}",
                 )
-            )
+                for key, value in best_unmatched
+            ]
 
+    # Report in canonical element order: nodes, then edges, each element's
+    # violations in property order. Only the violators are sorted.
+    violations = [
+        v
+        for n in sorted(node_violations, key=lambda n: (graph.node_canonical_key(n), n))
+        for v in node_violations[n]
+    ]
+    violations += [
+        v
+        for e in sorted(edge_violations, key=lambda e: (graph.edge_canonical_key(e), e))
+        for v in edge_violations[e]
+    ]
     return ValidationReport(tuple(violations))
 
 
@@ -363,12 +410,11 @@ def pg_equal(a: PropertyGraph, b: PropertyGraph) -> bool:
     """
 
     def canonical(graph: PropertyGraph):
-        node_keys = [graph.node_canonical_key(n) for n in graph.nodes]
+        node_keys = graph._node_keys.values()
         dupes = [k for k, c in Counter(node_keys).items() if c > 1]
         if dupes:
             raise AmbiguousCanonicalKey(repr(dupes[0]))
-        edge_keys = Counter(graph.edge_canonical_key(e) for e in graph.edges)
-        return frozenset(node_keys), edge_keys
+        return frozenset(node_keys), Counter(graph._edge_keys.values())
 
     return canonical(a) == canonical(b)
 

@@ -42,14 +42,15 @@ def _properties_payload(items: list[tuple[str, PgValue]]) -> list[dict]:
 
 
 def serialize_pg(graph: PropertyGraph) -> str:
-    node_ids = {n: f"n{i}" for i, n in enumerate(graph.nodes_sorted())}
+    node_order = graph.nodes_sorted()
+    node_ids = {n: f"n{i}" for i, n in enumerate(node_order)}
     nodes = [
         {
             "id": node_ids[n],
             "label": graph.label[n],
             "properties": _properties_payload(graph.properties_of(n)),
         }
-        for n in graph.nodes_sorted()
+        for n in node_order
     ]
     edges = [
         {

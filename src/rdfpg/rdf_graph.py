@@ -153,9 +153,6 @@ class RdfGraphBuilder:
         self._labels[n] = label
         return n
 
-    def has_resource(self, iri: Iri) -> bool:
-        return iri in self._resources
-
     def add_literal(self, lexical: str, datatype: Iri) -> int:
         key = (lexical, datatype)
         existing = self._literals.get(key)
@@ -186,11 +183,8 @@ class RdfGraphBuilder:
         self._labels[e] = label
         return e
 
-    def _resource_ids(self) -> set[int]:
-        return set(self._resources.values())
-
     def build(self) -> RdfGraph:
-        resource_ids = self._resource_ids()
+        resource_ids = set(self._resources.values())
         literal_ids = set(self._literals.values())
         for (src, _, dst), _e in self._object_edges.items():
             if src not in resource_ids or dst not in resource_ids:

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-RULE_IDS = ("R1", "R2", "R3", "P1a", "P1b", "P2a", "P2b")
-
 
 @dataclass(frozen=True)
 class Violation:

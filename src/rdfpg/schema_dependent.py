@@ -68,8 +68,6 @@ from .terms import (
     XSD_STRING,
 )
 
-IRI_KEY = IRI_PROPERTY_KEY
-
 # Class IRIs that never become node types: datatype classes turn into
 # property types instead, and vocabulary terms never name classes at all.
 EXCLUDED_CLASS_IRIS = frozenset(SUPPORTED_DATATYPES | VOCABULARY_TERMS)
@@ -164,7 +162,7 @@ def map_graph(
     node_of: dict[int, int] = {}
     for r in graph.resources_sorted():
         n = builder.add_node(graph.class_label[r].value)
-        builder.add_property(n, IRI_KEY, PgValue(graph.resource_nodes[r].value, STRING))
+        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(graph.resource_nodes[r].value, STRING))
         node_of[r] = n
 
     seen: set[tuple[int, str]] = set()
@@ -282,7 +280,7 @@ def invert_graph(
     resource_of: dict[int, int] = {}
     for n in pg.nodes_sorted():
         props = pg.properties_of(n)
-        iri_values = [v for k, v in props if k == IRI_KEY]
+        iri_values = [v for k, v in props if k == IRI_PROPERTY_KEY]
         if len(iri_values) != 1:
             raise MissingIriProperty(pg.describe(n))
         try:
@@ -291,7 +289,7 @@ def invert_graph(
             raise NonIriLabel(pg.describe(n), pg.label[n]) from None
         resource_of[n] = builder.add_resource(Iri(iri_values[0].lexical), label)
         for key, value in props:
-            if key == IRI_KEY:
+            if key == IRI_PROPERTY_KEY:
                 continue
             try:
                 prop_iri = Iri(key)
@@ -308,7 +306,7 @@ def invert_graph(
         except ValueError:
             raise NonIriLabel(pg.describe(e), pg.label[e]) from None
         builder.add_object_edge(resource_of[src], resource_of[dst], label)
-        dropped += len(pg.attach.get(e, ()))
+        dropped += len(pg.properties_by_owner.get(e, ()))
     if dropped:
         warnings.warn(
             f"{dropped} edge propert{'y' if dropped == 1 else 'ies'} have no RDF "

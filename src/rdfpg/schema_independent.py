@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .errors import MissingRequiredProperty, SchemaViolation
 from .pg_graph import (
+    IRI_PROPERTY_KEY,
     PgValue,
     PropertyGraph,
     PropertyGraphBuilder,
@@ -31,19 +32,14 @@ LITERAL_LABEL = "Literal"
 OBJECT_PROPERTY_LABEL = "ObjectProperty"
 DATATYPE_PROPERTY_LABEL = "DatatypeProperty"
 
-IRI_KEY = "iri"
 TYPE_KEY = "type"
 VALUE_KEY = "value"
 
 
-def generic_schema() -> PropertyGraphSchema:
-    """The fixed schema every converted graph conforms to.
-
-    Each call builds a fresh, structurally identical instance.
-    """
+def _build_generic_schema() -> PropertyGraphSchema:
     builder = PropertyGraphSchemaBuilder()
     resource = builder.add_node_type(RESOURCE_LABEL)
-    builder.add_property_type(resource, IRI_KEY, STRING)
+    builder.add_property_type(resource, IRI_PROPERTY_KEY, STRING)
     builder.add_property_type(resource, TYPE_KEY, STRING)
     literal = builder.add_node_type(LITERAL_LABEL)
     builder.add_property_type(literal, VALUE_KEY, STRING)
@@ -53,6 +49,17 @@ def generic_schema() -> PropertyGraphSchema:
     datatype_property = builder.add_edge_type(DATATYPE_PROPERTY_LABEL, resource, literal)
     builder.add_property_type(datatype_property, TYPE_KEY, STRING)
     return builder.build()
+
+
+_GENERIC_SCHEMA = _build_generic_schema()
+
+
+def generic_schema() -> PropertyGraphSchema:
+    """The fixed schema every converted graph conforms to.
+
+    Schemas are immutable, so every call returns the same instance.
+    """
+    return _GENERIC_SCHEMA
 
 
 def map_graph(graph: RdfGraph) -> PropertyGraph:
@@ -66,7 +73,7 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
 
     for r in graph.resources_sorted():
         n = builder.add_node(RESOURCE_LABEL)
-        builder.add_property(n, IRI_KEY, PgValue(graph.resource_nodes[r].value, STRING))
+        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(graph.resource_nodes[r].value, STRING))
         builder.add_property(n, TYPE_KEY, PgValue(graph.class_label[r].value, STRING))
         node_of[r] = n
     for lit in graph.literals_sorted():
@@ -101,7 +108,7 @@ def map_database(graph: RdfGraph) -> tuple[PropertyGraphSchema, PropertyGraph]:
 
 
 def _single(graph: PropertyGraph, element: int, key: str) -> str:
-    values = [v.lexical for k, v in graph.properties_of(element) if k == key]
+    values = [v.lexical for k, v in graph.properties_by_owner.get(element, ()) if k == key]
     if len(values) != 1:
         raise MissingRequiredProperty(graph.describe(element), key, len(values))
     return values[0]
@@ -117,7 +124,7 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     element_of: dict[int, int] = {}
     for n in pg.nodes_sorted():
         if pg.label[n] == RESOURCE_LABEL:
-            iri = _single(pg, n, IRI_KEY)
+            iri = _single(pg, n, IRI_PROPERTY_KEY)
             type_iri = _single(pg, n, TYPE_KEY)
             element_of[n] = builder.add_resource(Iri(iri), Iri(type_iri))
         else:

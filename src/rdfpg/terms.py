@@ -134,11 +134,6 @@ class PrefixMap:
                 return prefix, iri[len(ns):]
         return None
 
-    def merged(self, other: "PrefixMap") -> "PrefixMap":
-        merged = dict(self.bindings)
-        merged.update(other.bindings)
-        return PrefixMap(merged)
-
 
 COMMON_PREFIXES = PrefixMap(
     {
@@ -154,20 +149,24 @@ class TripleSet:
 
     Equality and hashing consider the triples only; prefixes are presentation
     metadata. Iteration is in sorted order so downstream behavior never
-    depends on hash ordering.
+    depends on hash ordering; the order is computed on the first pass and
+    replayed on later ones.
     """
 
-    __slots__ = ("triples", "prefixes")
+    __slots__ = ("triples", "prefixes", "_sorted")
 
     def __init__(self, triples=(), prefixes: PrefixMap | None = None):
         object.__setattr__(self, "triples", frozenset(triples))
         object.__setattr__(self, "prefixes", prefixes or PrefixMap())
+        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSet is immutable")
 
     def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples, key=triple_sort_key))
+        if self._sorted is None:
+            object.__setattr__(self, "_sorted", tuple(sorted(self.triples, key=triple_sort_key)))
+        return iter(self._sorted)
 
     def __len__(self) -> int:
         return len(self.triples)

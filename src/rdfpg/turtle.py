@@ -36,6 +36,8 @@ DEFAULT_SKOLEM_BASE = "urn:skolem:"
 _ESCAPE_IN = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "\\": "\\"}
 _ESCAPE_OUT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
 
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
+
 # Characters that may never appear inside <...> IRI references.
 _IRI_FORBIDDEN = set('<>"{}|^`\\')
 
@@ -63,11 +65,6 @@ class RawTurtleDocument:
 
     triples: tuple[RawTriple, ...]
     prefixes: PrefixMap
-
-    def has_blank_nodes(self) -> bool:
-        return any(
-            isinstance(t.s, BlankNode) or isinstance(t.o, BlankNode) for t in self.triples
-        )
 
 
 def _is_name(text: str) -> bool:
@@ -205,6 +202,7 @@ class _Parser:
                 chars.append(c)
 
     def _read_escape(self) -> str:
+        line, col = self.line, self.col - 1  # the backslash just read
         if self.pos >= len(self.text):
             raise self._error("an escape character")
         c = self._advance()
@@ -217,8 +215,17 @@ class _Parser:
                 if self.pos >= len(self.text):
                     raise self._error(f"{width} hex digits")
                 digits += self._advance()
+            # int() alone would also take a sign, spaces or underscores
+            if not all(d in _HEX_DIGITS for d in digits):
+                raise self._error(f"{width} hex digits", repr(digits))
+            code = int(digits, 16)
+            # XSD strings hold Unicode scalar values only, never surrogates.
+            if 0xD800 <= code <= 0xDFFF:
+                raise TurtleSyntaxError(
+                    line, col, "an escape outside U+D800-U+DFFF", f"\\{c}{digits}"
+                )
             try:
-                return chr(int(digits, 16))
+                return chr(code)
             except ValueError:
                 raise self._error(f"{width} hex digits", repr(digits)) from None
         raise self._error("a valid escape (tbnrf\"\\ or u/U)", repr(c))

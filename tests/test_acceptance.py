@@ -127,7 +127,7 @@ def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
         pg_schema_equal(pg_schema, expected_schema),
         len(pg.nodes) == 2,
         len(pg.edges) == 1,
-        len(pg.properties) == 6,
+        pg.property_count == 6,
         pg_equal(pg, expected_pg),
         elapsed < EXAMPLE_BUDGET_SECONDS,
     ]
@@ -181,7 +181,7 @@ def test_a2_schema_independent_example_match(org_instance):
     checks = [
         len(pg.nodes) == 6,
         len(pg.edges) == 5,
-        len(pg.properties) == 17,
+        pg.property_count == 17,
         pg_equal(pg, _expected_indep_pg()),
         elapsed < EXAMPLE_BUDGET_SECONDS,
     ]

@@ -6,10 +6,14 @@ import json
 
 import pytest
 
+from rdfpg import cli
+from rdfpg import schema_independent as indep
 from rdfpg.cli import main
 from rdfpg.pg_graph import pg_schema_equal
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
+from rdfpg.rdf_graph import RdfGraphBuilder
 from rdfpg.schema_independent import generic_schema
+from rdfpg.terms import Iri
 from rdfpg.turtle import parse_turtle
 
 from conftest import DATA_DIR, build_company_pg, build_company_pg_schema
@@ -209,3 +213,76 @@ def test_convert_first_type_flag(tmp_path):
                  "--first-type", "lexicographic",
                  "--out-pg", str(out_pg), "--out-pg-schema", str(out_pgs)]) == 0
     assert "voc/A" in out_pg.read_text()
+
+
+# -- output files are all-or-nothing ---------------------------------------------
+
+
+def _surrogate_pg_json() -> str:
+    """PG JSON, ASCII-escaped, whose literal value holds a lone surrogate.
+
+    It parses fine, but the Turtle it inverts to cannot be encoded as UTF-8.
+    """
+    builder = RdfGraphBuilder()
+    subject = builder.add_resource(Iri("http://ex.org/a"))
+    literal = builder.add_literal("x\ud800y", Iri("http://www.w3.org/2001/XMLSchema#string"))
+    builder.add_datatype_edge(subject, literal, Iri("http://ex.org/p"))
+    _, pg = indep.map_database(builder.build())
+    return json.dumps(json.loads(serialize_pg(pg)))
+
+
+def test_convert_surrogate_escape_exits_2_without_output(tmp_path, capsys):
+    rdf = tmp_path / "in.ttl"
+    rdf.write_text('<http://ex.org/a> <http://ex.org/p> "x\\uD800y" .\n')
+    out_pg = tmp_path / "pg.json"
+    out_pgs = tmp_path / "pgs.json"
+    out_pgs.write_text("keep me")
+    code = main(["convert", "--mode", "indep", "--rdf", str(rdf),
+                 "--out-pg", str(out_pg), "--out-pg-schema", str(out_pgs)])
+    assert code == 2
+    assert "line 1, column 39" in capsys.readouterr().err
+    assert not out_pg.exists()
+    assert out_pgs.read_text() == "keep me"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.ttl", "pgs.json"]
+
+
+def test_convert_serialize_failure_writes_nothing(tmp_path, monkeypatch):
+    def broken(_schema):
+        raise ValueError("cannot serialize")
+
+    monkeypatch.setattr(cli, "serialize_pg_schema", broken)
+    out_pg = tmp_path / "pg.json"
+    out_pgs = tmp_path / "pgs.json"
+    out_pg.write_text("old graph")
+    code = main(["convert", "--mode", "indep", "--rdf", INSTANCE,
+                 "--out-pg", str(out_pg), "--out-pg-schema", str(out_pgs)])
+    assert code == 2
+    assert out_pg.read_text() == "old graph"
+    assert not out_pgs.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json"]
+
+
+def test_convert_unwritable_second_output_keeps_first(tmp_path):
+    out_pg = tmp_path / "pg.json"
+    out_pg.write_text("old graph")
+    code = main(["convert", "--mode", "indep", "--rdf", INSTANCE,
+                 "--out-pg", str(out_pg),
+                 "--out-pg-schema", str(tmp_path / "missing-dir" / "pgs.json")])
+    assert code == 2
+    assert out_pg.read_text() == "old graph"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json"]
+
+
+def test_invert_unencodable_output_writes_nothing(tmp_path, capsys):
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(_surrogate_pg_json())
+    fresh = tmp_path / "fresh.ttl"
+    code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(fresh)])
+    assert code == 2
+    assert not fresh.exists()
+    existing = tmp_path / "existing.ttl"
+    existing.write_text("old turtle")
+    code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(existing)])
+    assert code == 2
+    assert existing.read_text() == "old turtle"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.ttl", "pg.json"]

@@ -1,0 +1,264 @@
+"""Golden outputs: the serializers must keep producing the same bytes.
+
+The digests below were captured from the code before the property graph
+model stored its properties in canonical order and cached its canonical
+keys. Any change to PG JSON, PG-schema JSON, Turtle or Cypher output for
+these inputs shows up here as a digest mismatch.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import warnings
+
+import pytest
+
+from conftest import DATA_DIR
+
+from rdfpg import schema_dependent as dep
+from rdfpg import schema_independent as indep
+from rdfpg.cypher import export_import_script
+from rdfpg.generator import (
+    GeneratorConfig,
+    gen_property_graph,
+    gen_rdf_database,
+    gen_rdf_graph,
+)
+from rdfpg.pg_graph import (
+    DATE,
+    INTEGER,
+    STRING,
+    PgValue,
+    PropertyGraphBuilder,
+    PropertyGraphSchemaBuilder,
+    custom_datatype,
+    validate_pg,
+)
+from rdfpg.pg_json import serialize_pg, serialize_pg_schema
+from rdfpg.rdf_graph import (
+    build_rdf_graph,
+    build_rdf_schema,
+    complete_partial_schema,
+    rdf_graph_to_triples,
+    rdf_schema_to_triples,
+)
+from rdfpg.turtle import parse_turtle, serialize_turtle
+
+GOLDEN_CONFIG = GeneratorConfig(seed=17, max_classes=8, max_properties=12,
+                                max_resources=60, max_triples=250)
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _org_database():
+    schema = build_rdf_schema(
+        complete_partial_schema(parse_turtle((DATA_DIR / "org-schema.ttl").read_text()))
+    )
+    graph = build_rdf_graph(parse_turtle((DATA_DIR / "org-instance.ttl").read_text()))
+    return schema, graph
+
+
+def _dep_digests(schema, graph) -> dict[str, str]:
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pg_schema, pg = dep.map_database(schema, graph)
+        schema_back, graph_back = dep.invert_database(pg_schema, pg)
+    return {
+        "pg": _sha(serialize_pg(pg)),
+        "pg_schema": _sha(serialize_pg_schema(pg_schema)),
+        "cypher": _sha(export_import_script(pg)),
+        "turtle": _sha(serialize_turtle(rdf_graph_to_triples(graph_back))),
+        "turtle_schema": _sha(serialize_turtle(rdf_schema_to_triples(schema_back))),
+    }
+
+
+def _indep_digests(graph) -> dict[str, str]:
+    pg_schema, pg = indep.map_database(graph)
+    graph_back = indep.invert_graph(pg)
+    return {
+        "pg": _sha(serialize_pg(pg)),
+        "pg_schema": _sha(serialize_pg_schema(pg_schema)),
+        "cypher": _sha(export_import_script(pg)),
+        "turtle": _sha(serialize_turtle(rdf_graph_to_triples(graph_back))),
+    }
+
+
+def _pg_digests(pg) -> dict[str, str]:
+    return {"pg": _sha(serialize_pg(pg)), "cypher": _sha(export_import_script(pg))}
+
+
+CASES = {
+    "org-dep": lambda: _dep_digests(*_org_database()),
+    "org-indep": lambda: _indep_digests(_org_database()[1]),
+    "gen-dep": lambda: _dep_digests(*gen_rdf_database(GOLDEN_CONFIG)),
+    "gen-indep": lambda: _indep_digests(gen_rdf_graph(GOLDEN_CONFIG)),
+    "gen-pg": lambda: _pg_digests(gen_property_graph(GOLDEN_CONFIG)),
+}
+
+GOLDEN: dict[str, dict[str, str]] = {
+    "gen-dep": {
+        "pg": "10d14bd97fb25747faef745726c011802a55defc7bb2d0c47bfef3f7d2ad0c18",
+        "pg_schema": "abb8c50a737f911f62382b351f0435cbefbba3f5ec567e1f69283a629528b1e5",
+        "cypher": "6b63884c92b6f795e98f6c3888492d88c1cd85bafa57e1446d4de7451f0ad7fd",
+        "turtle": "1fe1e63bb629250d5ed9b9f1adf384c5c07f540fa0c42915603443f91d1ae780",
+        "turtle_schema": "de32df45edf9e5861d38c94b6007e4d325f603429424f3f1b47a25b40504b2a0",
+    },
+    "gen-indep": {
+        "pg": "5fc0c9c2f9312d9370db07fae2ca051b22a71cc915a012292ad38e40011a21b0",
+        "pg_schema": "4c282582b3fd464faa6f9689c3fd662060d6fa99d01bab1b397840a44e00c4fc",
+        "cypher": "03c4e045b03a6a759f9b3b6a4706f8ac77ad7b26d890e1f35e3411f603f23cd0",
+        "turtle": "f819445b21097865a72341ffd027ba5ffa194fe21ce19ae87e8abcc0dd76ce47",
+    },
+    "gen-pg": {
+        "pg": "ea350926b4947cbabee279d04588ca98e7e05cafd31a7875a80b1070fef3f7ba",
+        "cypher": "5d22b5c94c82b181d7759e2b134cef14168c1aca9d6ddb1a2555dea0edad5650",
+    },
+    "org-dep": {
+        "pg": "7a0ca8e92e80e93e43195ad8b3e5e0418a6a675c35a8d6d1226e0ccb6dcf3797",
+        "pg_schema": "ef3296acc35cc4d021ab152f84de80f7e8d39959a1113062b8f934aab04f63ff",
+        "cypher": "4a8def2f1a7691b78918d5590cb72a091126365ddd92bcf6bce7205a2cebb5a4",
+        "turtle": "f4c51660a6b76a22e23c976937ca70eb49a32f403f5db1b4fb06eeffec9eb396",
+        "turtle_schema": "5aeca39f40671a540c1e88cb537ae8e400ae07229219341973eebf9b9e01fdc6",
+    },
+    "org-indep": {
+        "pg": "e59ce8301c4b12313e35176f278b0c9b86591347919a9af1a38016e4dd47424f",
+        "pg_schema": "4c282582b3fd464faa6f9689c3fd662060d6fa99d01bab1b397840a44e00c4fc",
+        "cypher": "bf168cfda1cdd5482de9930ce55c61eb840f90ed3b5e084e3884a2e7b91ab7a1",
+        "turtle": "f4c51660a6b76a22e23c976937ca70eb49a32f403f5db1b4fb06eeffec9eb396",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_golden_digests(case):
+    assert CASES[case]() == GOLDEN[case]
+
+
+def _violation_fixture():
+    """A schema and a graph breaking P1a, P1b, P2a and P2b on several elements."""
+    sb = PropertyGraphSchemaBuilder()
+    org = sb.add_node_type("Organisation")
+    sb.add_property_type(org, "name", STRING)
+    person = sb.add_node_type("Person")
+    sb.add_property_type(person, "age", INTEGER)
+    sb.add_property_type(person, "name", STRING)
+    ceo = sb.add_edge_type("ceo", org, person)
+    sb.add_property_type(ceo, "since", DATE)
+    # Two edge types share a signature; P2b reports against the closer one.
+    knows_a = sb.add_edge_type("knows", person, person)
+    sb.add_property_type(knows_a, "since", DATE)
+    knows_b = sb.add_edge_type("knows", person, person)
+    sb.add_property_type(knows_b, "weight", INTEGER)
+    sb.add_property_type(knows_b, "since", STRING)
+    schema = sb.build()
+
+    b = PropertyGraphBuilder()
+    acme = b.add_node("Organisation")
+    b.add_property(acme, "name", PgValue("Acme", STRING))
+    b.add_property(acme, "founded", PgValue("1999", INTEGER))
+    b.add_property(acme, "iri", PgValue("http://ex.org/acme", STRING))
+    globex = b.add_node("Organisation")
+    b.add_property(globex, "name", PgValue("Globex", INTEGER))
+    ann = b.add_node("Person")
+    b.add_property(ann, "name", PgValue("Ann", STRING))
+    b.add_property(ann, "age", PgValue("41", STRING))
+    b.add_property(ann, "iri", PgValue("http://ex.org/ann", INTEGER))
+    bob = b.add_node("Person")
+    b.add_property(bob, "name", PgValue("Bob", STRING))
+    b.add_property(bob, "age", PgValue("39", INTEGER))
+    robot = b.add_node("Robot")
+    b.add_property(robot, "name", PgValue("R2", STRING))
+    b.add_node("Alien")
+    e1 = b.add_edge("ceo", acme, ann)
+    b.add_property(e1, "since", PgValue("2001", INTEGER))
+    b.add_property(e1, "until", PgValue("2009", DATE))
+    e2 = b.add_edge("ceo", globex, bob)
+    b.add_property(e2, "since", PgValue("2004-01-01", DATE))
+    e3 = b.add_edge("knows", ann, bob)
+    b.add_property(e3, "weight", PgValue("3", INTEGER))
+    b.add_property(e3, "colour", PgValue("red", custom_datatype("http://dt.example/c")))
+    b.add_property(e3, "since", PgValue("2010", INTEGER))
+    b.add_edge("knows", bob, robot)
+    b.add_edge("ceo", ann, acme)
+    b.add_edge("owns", acme, globex)
+    e4 = b.add_edge("knows", bob, ann)
+    b.add_property(e4, "since", PgValue("2011", DATE))
+    return b.build(), schema
+
+
+EXPECTED_VIOLATIONS: tuple[tuple[str, str, str], ...] = (
+    (
+        'P1a',
+        'node Alien{}',
+        "no node type labeled 'Alien'",
+    ),
+    (
+        'P1b',
+        "node Organisation{founded='1999':Integer, iri='http://ex.org/acme':String, name='Acme':String}",
+        "property 'founded' with type Integer is not declared for node type 'Organisation'",
+    ),
+    (
+        'P1b',
+        "node Organisation{name='Globex':Integer}",
+        "property 'name' with type Integer is not declared for node type 'Organisation'",
+    ),
+    (
+        'P1b',
+        "node Person{age='41':String, iri='http://ex.org/ann':Integer, name='Ann':String}",
+        "property 'age' with type String is not declared for node type 'Person'",
+    ),
+    (
+        'P1b',
+        "node Person{age='41':String, iri='http://ex.org/ann':Integer, name='Ann':String}",
+        "property 'iri' with type Integer is not declared for node type 'Person'",
+    ),
+    (
+        'P1a',
+        "node Robot{name='R2':String}",
+        "no node type labeled 'Robot'",
+    ),
+    (
+        'P2b',
+        'edge Organisation --ceo--> Person',
+        "property 'since' with type Integer is not declared for edge type 'ceo'",
+    ),
+    (
+        'P2b',
+        'edge Organisation --ceo--> Person',
+        "property 'until' with type Date is not declared for edge type 'ceo'",
+    ),
+    (
+        'P2a',
+        'edge Organisation --owns--> Organisation',
+        "no edge type labeled 'owns' from 'Organisation' to 'Organisation'",
+    ),
+    (
+        'P2a',
+        'edge Person --knows--> Robot',
+        "no edge type labeled 'knows' from 'Person' to 'Robot'",
+    ),
+    (
+        'P2a',
+        'edge Person --ceo--> Organisation',
+        "no edge type labeled 'ceo' from 'Person' to 'Organisation'",
+    ),
+    (
+        'P2b',
+        'edge Person --knows--> Person',
+        "property 'colour' with type http://dt.example/c is not declared for edge type 'knows'",
+    ),
+    (
+        'P2b',
+        'edge Person --knows--> Person',
+        "property 'since' with type Integer is not declared for edge type 'knows'",
+    ),
+)
+
+
+def test_validate_pg_violation_order_and_text():
+    graph, schema = _violation_fixture()
+    report = validate_pg(graph, schema)
+    got = tuple((v.rule, v.element, v.message) for v in report.violations)
+    assert got == EXPECTED_VIOLATIONS

@@ -7,7 +7,7 @@ import pytest
 from conftest import build_company_pg
 
 from rdfpg.errors import AmbiguousCanonicalKey
-from rdfpg.generator import GeneratorConfig, gen_rdf_graph
+from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_graph
 from rdfpg.pg_graph import (
     DATE,
     INTEGER,
@@ -199,10 +199,20 @@ def test_duplicate_node_type_labels_rejected():
         b.add_node_type("Person")
 
 
-def test_property_ownership_is_disjoint(company_pg):
-    owners = list(company_pg.attach.items())
-    for i, (_, props_a) in enumerate(owners):
-        for _, props_b in owners[i + 1:]:
-            assert not (props_a & props_b)
-    attached = frozenset().union(*company_pg.attach.values())
-    assert attached <= company_pg.properties
+def _canonical_property_order(props):
+    return sorted(props, key=lambda kv: (kv[0], kv[1].lexical, kv[1].datatype.token()))
+
+
+def test_properties_stored_per_owner_in_canonical_order(company_pg):
+    generated = [
+        gen_property_graph(GeneratorConfig(seed=seed, max_resources=20, max_triples=40))
+        for seed in range(5)
+    ]
+    for pg in [company_pg, *generated]:
+        assert set(pg.properties_by_owner) <= pg.nodes | pg.edges
+        for owner, props in pg.properties_by_owner.items():
+            assert props, owner
+            assert list(props) == _canonical_property_order(props)
+            assert pg.properties_of(owner) == list(props)
+        assert pg.property_count == sum(map(len, pg.properties_by_owner.values()))
+    assert company_pg.property_count == 5

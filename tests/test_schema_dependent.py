@@ -127,7 +127,7 @@ def test_map_graph_org_example(org_graph):
     pg = dep.map_graph(org_graph)
     assert len(pg.nodes) == 2
     assert len(pg.edges) == 1
-    assert len(pg.properties) == 6
+    assert pg.property_count == 6
     by_label = {pg.label[n]: n for n in pg.nodes}
     org_node = by_label[VOC + "Organisation"]
     props = dict(pg.properties_of(org_node))
@@ -162,7 +162,7 @@ def test_map_graph_never_creates_edge_properties():
         _, graph = gen_rdf_database(GeneratorConfig(seed=seed))
         pg = dep.map_graph(graph)
         for e in pg.edges:
-            assert e not in pg.attach
+            assert e not in pg.properties_by_owner
 
 
 def test_map_database_checks_output(org_rdf_schema, org_graph):

@@ -63,7 +63,7 @@ def test_map_graph_org_example(org_graph):
     pg = indep.map_graph(org_graph)
     assert len(pg.nodes) == 6
     assert len(pg.edges) == 5
-    assert len(pg.properties) == 17
+    assert pg.property_count == 17
     labels = [pg.label[n] for n in pg.nodes_sorted()]
     assert labels.count("Resource") == 2
     assert labels.count("Literal") == 4
@@ -106,7 +106,7 @@ def test_element_counts_are_arithmetic():
         n_edges = len(graph.object_edges) + len(graph.datatype_edges)
         assert len(pg.nodes) == n_nodes, seed
         assert len(pg.edges) == n_edges, seed
-        assert len(pg.properties) == 2 * n_nodes + n_edges, seed
+        assert pg.property_count == 2 * n_nodes + n_edges, seed
 
 
 # -- inverse mapping --------------------------------------------------------------

@@ -110,6 +110,27 @@ def test_newline_inside_string_rejected():
         parse_turtle(f'<{EX}a> <{VOC}p> "one\ntwo" .')
 
 
+@pytest.mark.parametrize("escape", ["\\uD800", "\\udfff", "\\U0000DC00"])
+def test_surrogate_escape_rejected_at_its_position(escape):
+    text = f'<{EX}a> <{VOC}p>\n  "x{escape}y" .'
+    with pytest.raises(TurtleSyntaxError) as err:
+        parse_turtle(text)
+    assert (err.value.line, err.value.column) == (2, 5)
+    assert escape in str(err.value)
+
+
+def test_escape_next_to_surrogate_range_accepted():
+    ts = parse_turtle(f'<{EX}a> <{VOC}p> "\\uD7FF\\uE000\\U0001F600" .')
+    (t,) = ts
+    assert t.o.lexical == "\ud7ff\ue000\U0001f600"
+
+
+@pytest.mark.parametrize("digits", ["+041", " 41 ", "4_41", "00g1"])
+def test_escape_takes_hex_digits_only(digits):
+    with pytest.raises(TurtleSyntaxError):
+        parse_turtle(f'<{EX}a> <{VOC}p> "\\u{digits}" .')
+
+
 def test_blank_nodes_rejected_in_strict_mode():
     with pytest.raises(BlankNodeUnsupported):
         parse_turtle(f"_:b0 <{VOC}p> <{EX}a> .")
