@@ -115,10 +115,17 @@ class MissingIriProperty(RdfPgError):
 
 
 class NonIriLabel(RdfPgError):
-    def __init__(self, element: str, label: str):
+    """A label, key or value that an inverse mapping must turn into an IRI cannot be one.
+
+    `role` says what the string is to `element`: its label, a property key,
+    the value of a property, or a datatype.
+    """
+
+    def __init__(self, element: str, label: str, role: str = "label"):
         self.element = element
         self.label = label
-        super().__init__(f"{element} carries label {label!r}, which is not usable as an IRI")
+        self.role = role
+        super().__init__(f"{element} carries {role} {label!r}, which is not usable as an IRI")
 
 
 class SchemaViolation(RdfPgError):

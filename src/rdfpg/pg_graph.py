@@ -181,7 +181,12 @@ class PropertyGraph:
 
 @dataclass(frozen=True, eq=False)
 class PropertyGraphSchema:
-    """Compare with pg_schema_equal, not ==."""
+    """Compare with pg_schema_equal, not ==.
+
+    Like PropertyGraph, a schema fills in its sorted property types, type
+    keys, canonical orders and validation lookup tables on first use and
+    caches them on the instance; the fields they derive from never change.
+    """
 
     node_types: frozenset[int]
     edge_types: frozenset[int]
@@ -194,24 +199,72 @@ class PropertyGraphSchema:
     def is_empty(self) -> bool:
         return not (self.node_types or self.edge_types)
 
+    @cached_property
+    def _property_types(self) -> dict[int, tuple[tuple[str, PgDatatype], ...]]:
+        ptype = self.ptype
+        return {
+            owner: tuple(sorted((ptype[pt] for pt in pts), key=lambda kv: (kv[0], kv[1].token())))
+            for owner, pts in self.attach.items()
+        }
+
     def property_types_of(self, owner: int) -> list[tuple[str, PgDatatype]]:
-        pts = self.attach.get(owner, frozenset())
-        return sorted((self.ptype[pt] for pt in pts), key=lambda kv: (kv[0], kv[1].token()))
+        return list(self._property_types.get(owner, ()))
+
+    def _property_type_keys(self, owner: int) -> tuple:
+        return tuple((k, dt.token()) for k, dt in self._property_types.get(owner, ()))
+
+    @cached_property
+    def _type_keys(self) -> dict[int, tuple]:
+        label, ends = self.label, self.ends
+        keys = {nt: (label[nt], self._property_type_keys(nt)) for nt in self.node_types}
+        for et in self.edge_types:
+            src, dst = ends[et]
+            keys[et] = (label[et], label[src], label[dst], self._property_type_keys(et))
+        return keys
+
+    @cached_property
+    def _node_type_order(self) -> tuple[int, ...]:
+        keys = self._type_keys
+        return tuple(sorted(self.node_types, key=lambda nt: (keys[nt], nt)))
+
+    @cached_property
+    def _edge_type_order(self) -> tuple[int, ...]:
+        keys = self._type_keys
+        return tuple(sorted(self.edge_types, key=lambda et: (keys[et], et)))
 
     def node_type_key(self, nt: int) -> tuple:
-        props = tuple((k, dt.token()) for k, dt in self.property_types_of(nt))
-        return (self.label[nt], props)
+        return self._type_keys[nt]
 
     def edge_type_key(self, et: int) -> tuple:
-        src, dst = self.ends[et]
-        props = tuple((k, dt.token()) for k, dt in self.property_types_of(et))
-        return (self.label[et], self.label[src], self.label[dst], props)
+        return self._type_keys[et]
 
     def node_types_sorted(self) -> list[int]:
-        return sorted(self.node_types, key=lambda nt: (self.node_type_key(nt), nt))
+        return list(self._node_type_order)
 
     def edge_types_sorted(self) -> list[int]:
-        return sorted(self.edge_types, key=lambda et: (self.edge_type_key(et), et))
+        return list(self._edge_type_order)
+
+    @cached_property
+    def _node_type_by_label(self) -> dict[str, int]:
+        return {self.label[nt]: nt for nt in self.node_types}
+
+    @cached_property
+    def _allowed(self) -> dict[int, frozenset[tuple[str, str]]]:
+        """(key, datatype token) pairs each node or edge type allows."""
+        return {
+            owner: frozenset(self._property_type_keys(owner))
+            for owner in itertools.chain(self.node_types, self.edge_types)
+        }
+
+    @cached_property
+    def _edge_types_by_signature(self) -> dict[tuple[str, str, str], list[int]]:
+        """Edge types by (label, source label, target label), in canonical order."""
+        label = self.label
+        by_signature: dict[tuple[str, str, str], list[int]] = defaultdict(list)
+        for et in self._edge_type_order:
+            src, dst = self.ends[et]
+            by_signature[(label[et], label[src], label[dst])].append(et)
+        return dict(by_signature)
 
 
 class PropertyGraphBuilder:
@@ -314,16 +367,9 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     conversion machinery stamps it on every node it creates, and schemas
     derived from RDF schemas have no place to declare it.
     """
-    nt_by_label = {schema.label[nt]: nt for nt in schema.node_types}
-    allowed: dict[int, set[tuple[str, str]]] = {}
-    for owner in list(schema.node_types) + list(schema.edge_types):
-        allowed[owner] = {
-            (k, dt.token()) for k, dt in schema.property_types_of(owner)
-        }
-    et_by_signature: dict[tuple[str, str, str], list[int]] = defaultdict(list)
-    for et in schema.edge_types_sorted():
-        src, dst = schema.ends[et]
-        et_by_signature[(schema.label[et], schema.label[src], schema.label[dst])].append(et)
+    nt_by_label = schema._node_type_by_label
+    allowed = schema._allowed
+    et_by_signature = schema._edge_types_by_signature
 
     properties = graph.properties_by_owner
     node_violations: dict[int, list[Violation]] = {}

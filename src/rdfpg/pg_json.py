@@ -17,6 +17,7 @@ See docs/pg-json-format.md and the JSON-Schema files next to it.
 from __future__ import annotations
 
 import json
+import re
 from typing import Any
 
 from .errors import DanglingEdgeEndpoint, FormatError
@@ -30,229 +31,298 @@ from .pg_graph import (
 )
 
 
-def _dump(document: dict) -> str:
-    return json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+# The writers emit text directly, laid out exactly as
+# json.dumps(document, indent=2, sort_keys=True, ensure_ascii=False) + "\n"
+# would lay it out: the same C string encoder, keys in sorted order.
+_encode = json.encoder.encode_basestring
 
 
-def _properties_payload(items: list[tuple[str, PgValue]]) -> list[dict]:
-    return [
-        {"key": key, "value": value.lexical, "type": value.datatype.token()}
+def _list_text(items: list[str], indent: str) -> str:
+    """A JSON list of already-encoded items; `indent` is that of its closing bracket."""
+    if not items:
+        return "[]"
+    inner = ",\n" + indent + "  "
+    return "[\n" + indent + "  " + inner.join(items) + "\n" + indent + "]"
+
+
+def _document(sections: list[tuple[str, list[str]]]) -> str:
+    """The top-level object: (key, encoded element objects) pairs, in key order."""
+    fields = ",\n".join(f'  "{key}": {_list_text(items, "  ")}' for key, items in sections)
+    return "{\n" + fields + "\n}\n"
+
+
+def _properties_text(items) -> str:
+    """The "properties" list of one node or edge."""
+    entries = [
+        f'{{\n          "key": {_encode(key)},'
+        f'\n          "type": {_encode(value.datatype.token())},'
+        f'\n          "value": {_encode(value.lexical)}\n        }}'
         for key, value in items
     ]
+    return _list_text(entries, "      ")
 
 
 def serialize_pg(graph: PropertyGraph) -> str:
     node_order = graph.nodes_sorted()
-    node_ids = {n: f"n{i}" for i, n in enumerate(node_order)}
+    node_ids = {n: f'"n{i}"' for i, n in enumerate(node_order)}
+    label, properties = graph.label, graph.properties_by_owner
     nodes = [
-        {
-            "id": node_ids[n],
-            "label": graph.label[n],
-            "properties": _properties_payload(graph.properties_of(n)),
-        }
+        f'{{\n      "id": {node_ids[n]},\n      "label": {_encode(label[n])},'
+        f'\n      "properties": {_properties_text(properties.get(n, ()))}\n    }}'
         for n in node_order
     ]
-    edges = [
-        {
-            "id": f"e{i}",
-            "label": graph.label[e],
-            "source": node_ids[graph.ends[e][0]],
-            "target": node_ids[graph.ends[e][1]],
-            "properties": _properties_payload(graph.properties_of(e)),
-        }
-        for i, e in enumerate(graph.edges_sorted())
-    ]
-    return _dump({"nodes": nodes, "edges": edges})
+    edges = []
+    for i, e in enumerate(graph.edges_sorted()):
+        src, dst = graph.ends[e]
+        edges.append(
+            f'{{\n      "id": "e{i}",\n      "label": {_encode(label[e])},'
+            f'\n      "properties": {_properties_text(properties.get(e, ()))},'
+            f'\n      "source": {node_ids[src]},\n      "target": {node_ids[dst]}\n    }}'
+        )
+    return _document([("edges", edges), ("nodes", nodes)])
 
 
-class _Reader:
-    """Walks a decoded JSON value, raising FormatError with a useful path."""
-
-    def __init__(self, payload: Any, path: str):
-        self.payload = payload
-        self.path = path
-
-    def require_object(self) -> "_Reader":
-        if not isinstance(self.payload, dict):
-            raise FormatError(self.path, f"expected an object, got {type(self.payload).__name__}")
-        return self
-
-    def field(self, name: str) -> "_Reader":
-        self.require_object()
-        if name not in self.payload:
-            raise FormatError(self.path, f"missing required field {name!r}")
-        return _Reader(self.payload[name], f"{self.path}.{name}")
-
-    def string(self) -> str:
-        if not isinstance(self.payload, str):
-            raise FormatError(self.path, f"expected a string, got {type(self.payload).__name__}")
-        return self.payload
-
-    def items(self) -> list["_Reader"]:
-        if not isinstance(self.payload, list):
-            raise FormatError(self.path, f"expected a list, got {type(self.payload).__name__}")
-        return [_Reader(item, f"{self.path}[{i}]") for i, item in enumerate(self.payload)]
-
-    def only_fields(self, *names: str) -> None:
-        self.require_object()
-        unknown = sorted(set(self.payload) - set(names))
-        if unknown:
-            raise FormatError(self.path, f"unknown field(s): {', '.join(unknown)}")
+# The readers check the decoded JSON value by value. A position in the
+# document is a tuple of field names and list indexes; it is spelled out as
+# a JSON path ("$.nodes[0].id") only for an error.
 
 
-def _load(text: str) -> _Reader:
+def _path(where: tuple) -> str:
+    return "$" + "".join(f"[{p}]" if type(p) is int else f".{p}" for p in where)
+
+
+_KIND_NAMES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def _wrong_type(value: Any, expected: str, where: tuple) -> FormatError:
+    return FormatError(_path(where), f"expected {expected}, got {type(value).__name__}")
+
+
+def _object(value: Any, fields: frozenset[str], where: tuple) -> dict:
+    """`value` as a JSON object that has no field outside `fields`."""
+    if type(value) is not dict:
+        raise _wrong_type(value, "an object", where)
+    if not fields.issuperset(value):
+        unknown = ", ".join(sorted(value.keys() - fields))
+        raise FormatError(_path(where), f"unknown field(s): {unknown}")
+    return value
+
+
+def _field(obj: dict, name: str, kind: type, where: tuple) -> Any:
+    """Field `name` of `obj`, which must be present and of type `kind`."""
+    try:
+        value = obj[name]
+    except KeyError:
+        raise FormatError(_path(where), f"missing required field {name!r}") from None
+    if type(value) is not kind:
+        raise _wrong_type(value, _KIND_NAMES[kind], (*where, name))
+    return value
+
+
+# json.loads turns a \u escape of an unpaired UTF-16 surrogate into a lone
+# surrogate, which no UTF-8 output can hold. Documents are searched for such
+# an escape first; only one that has it is walked string by string.
+_surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
+
+
+def _reject_surrogates(value: Any, where: tuple) -> None:
+    """FormatError at the first string in `value`, in document order, with a lone surrogate."""
+    if type(value) is str:
+        if value.isascii():
+            return
+        for c in value:
+            if "\ud800" <= c <= "\udfff":
+                raise FormatError(_path(where), f"lone surrogate U+{ord(c):04X} in a string")
+    elif type(value) is list:
+        for i, item in enumerate(value):
+            _reject_surrogates(item, (*where, i))
+    elif type(value) is dict:
+        for name, item in value.items():
+            _reject_surrogates(name, where)
+            _reject_surrogates(item, (*where, name))
+
+
+def _load(text: str, fields: frozenset[str]) -> dict:
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"not valid JSON: {exc}") from None
-    return _Reader(payload, "$").require_object()
+    if _surrogate_escape(text):
+        _reject_surrogates(payload, ())
+    return _object(payload, fields, ())
 
 
-def _read_datatype(reader: _Reader) -> PgDatatype:
-    token = reader.string()
-    if not token:
-        raise FormatError(reader.path, "datatype may not be empty")
-    return PgDatatype.from_token(token)
+class _Datatypes(dict):
+    """One PgDatatype per distinct token of a document."""
+
+    def __missing__(self, token: str) -> PgDatatype:
+        datatype = self[token] = PgDatatype.from_token(token)
+        return datatype
 
 
-def _read_properties(element: _Reader) -> list[tuple[str, PgValue]]:
+_GRAPH_FIELDS = frozenset({"nodes", "edges"})
+_NODE_FIELDS = frozenset({"id", "label", "properties"})
+_EDGE_FIELDS = frozenset({"id", "label", "source", "target", "properties"})
+_PROPERTY_FIELDS = frozenset({"key", "value", "type"})
+
+
+def _read_properties(
+    element: dict, where: tuple, datatypes: _Datatypes
+) -> list[tuple[str, PgValue]]:
     result = []
-    for prop in element.field("properties").items():
-        prop.only_fields("key", "value", "type")
-        key = prop.field("key").string()
-        value = prop.field("value").string()
-        datatype = _read_datatype(prop.field("type"))
-        result.append((key, PgValue(value, datatype)))
+    for i, prop in enumerate(_field(element, "properties", list, where)):
+        at = (*where, "properties", i)
+        _object(prop, _PROPERTY_FIELDS, at)
+        key = _field(prop, "key", str, at)
+        value = _field(prop, "value", str, at)
+        token = _field(prop, "type", str, at)
+        if not token:
+            raise FormatError(_path((*at, "type")), "datatype may not be empty")
+        result.append((key, PgValue(value, datatypes[token])))
     return result
 
 
 def parse_pg(text: str) -> PropertyGraph:
-    root = _load(text)
-    root.only_fields("nodes", "edges")
+    root = _load(text, _GRAPH_FIELDS)
     builder = PropertyGraphBuilder()
+    datatypes = _Datatypes()
     node_by_id: dict[str, int] = {}
-    for node in root.field("nodes").items():
-        node.only_fields("id", "label", "properties")
-        node_id = node.field("id").string()
+    for i, node in enumerate(_field(root, "nodes", list, ())):
+        where = ("nodes", i)
+        _object(node, _NODE_FIELDS, where)
+        node_id = _field(node, "id", str, where)
         if node_id in node_by_id:
-            raise FormatError(node.path, f"duplicate node id {node_id!r}")
-        n = builder.add_node(node.field("label").string())
+            raise FormatError(_path(where), f"duplicate node id {node_id!r}")
+        n = builder.add_node(_field(node, "label", str, where))
         node_by_id[node_id] = n
-        for key, value in _read_properties(node):
+        for key, value in _read_properties(node, where, datatypes):
             builder.add_property(n, key, value)
     edge_ids: set[str] = set()
-    for edge in root.field("edges").items():
-        edge.only_fields("id", "label", "source", "target", "properties")
-        edge_id = edge.field("id").string()
+    for i, edge in enumerate(_field(root, "edges", list, ())):
+        where = ("edges", i)
+        _object(edge, _EDGE_FIELDS, where)
+        edge_id = _field(edge, "id", str, where)
         if edge_id in edge_ids:
-            raise FormatError(edge.path, f"duplicate edge id {edge_id!r}")
+            raise FormatError(_path(where), f"duplicate edge id {edge_id!r}")
         edge_ids.add(edge_id)
-        source = edge.field("source").string()
-        target = edge.field("target").string()
+        source = _field(edge, "source", str, where)
+        target = _field(edge, "target", str, where)
         for ref in (source, target):
             if ref not in node_by_id:
                 raise DanglingEdgeEndpoint(edge_id, ref)
-        e = builder.add_edge(edge.field("label").string(), node_by_id[source], node_by_id[target])
-        for key, value in _read_properties(edge):
+        label = _field(edge, "label", str, where)
+        e = builder.add_edge(label, node_by_id[source], node_by_id[target])
+        for key, value in _read_properties(edge, where, datatypes):
             builder.add_property(e, key, value)
     return builder.build()
 
 
 def serialize_pg_schema(schema: PropertyGraphSchema) -> str:
-    owners = schema.node_types_sorted() + schema.edge_types_sorted()
-    pt_ids: dict[int, list[str]] = {}
+    node_order = schema.node_types_sorted()
+    edge_order = schema.edge_types_sorted()
+    refs: dict[int, list[str]] = {}
     property_types = []
-    counter = 0
-    for owner in owners:
-        refs = []
+    for owner in node_order + edge_order:
+        refs[owner] = []
         for key, datatype in schema.property_types_of(owner):
-            pt_id = f"pt{counter}"
-            counter += 1
-            property_types.append({"id": pt_id, "key": key, "type": datatype.token()})
-            refs.append(pt_id)
-        pt_ids[owner] = refs
+            pt_id = f'"pt{len(property_types)}"'
+            property_types.append(
+                f'{{\n      "id": {pt_id},\n      "key": {_encode(key)},'
+                f'\n      "type": {_encode(datatype.token())}\n    }}'
+            )
+            refs[owner].append(pt_id)
 
-    nt_ids = {nt: f"nt{i}" for i, nt in enumerate(schema.node_types_sorted())}
+    nt_ids = {nt: f'"nt{i}"' for i, nt in enumerate(node_order)}
     node_types = [
-        {"id": nt_ids[nt], "label": schema.label[nt], "propertyTypes": pt_ids[nt]}
-        for nt in schema.node_types_sorted()
+        f'{{\n      "id": {nt_ids[nt]},\n      "label": {_encode(schema.label[nt])},'
+        f'\n      "propertyTypes": {_list_text(refs[nt], "      ")}\n    }}'
+        for nt in node_order
     ]
-    edge_types = [
-        {
-            "id": f"et{i}",
-            "label": schema.label[et],
-            "source": nt_ids[schema.ends[et][0]],
-            "target": nt_ids[schema.ends[et][1]],
-            "propertyTypes": pt_ids[et],
-        }
-        for i, et in enumerate(schema.edge_types_sorted())
-    ]
-    return _dump(
-        {
-            "nodeTypes": node_types,
-            "edgeTypes": edge_types,
-            "propertyTypes": property_types,
-        }
+    edge_types = []
+    for i, et in enumerate(edge_order):
+        src, dst = schema.ends[et]
+        edge_types.append(
+            f'{{\n      "id": "et{i}",\n      "label": {_encode(schema.label[et])},'
+            f'\n      "propertyTypes": {_list_text(refs[et], "      ")},'
+            f'\n      "source": {nt_ids[src]},\n      "target": {nt_ids[dst]}\n    }}'
+        )
+    return _document(
+        [("edgeTypes", edge_types), ("nodeTypes", node_types), ("propertyTypes", property_types)]
     )
 
 
+_SCHEMA_FIELDS = frozenset({"nodeTypes", "edgeTypes", "propertyTypes"})
+_PROPERTY_TYPE_FIELDS = frozenset({"id", "key", "type"})
+_NODE_TYPE_FIELDS = frozenset({"id", "label", "propertyTypes"})
+_EDGE_TYPE_FIELDS = frozenset({"id", "label", "source", "target", "propertyTypes"})
+
+
 def parse_pg_schema(text: str) -> PropertyGraphSchema:
-    root = _load(text)
-    root.only_fields("nodeTypes", "edgeTypes", "propertyTypes")
+    root = _load(text, _SCHEMA_FIELDS)
+    datatypes = _Datatypes()
     ptypes: dict[str, tuple[str, PgDatatype]] = {}
-    for pt in root.field("propertyTypes").items():
-        pt.only_fields("id", "key", "type")
-        pt_id = pt.field("id").string()
+    for i, pt in enumerate(_field(root, "propertyTypes", list, ())):
+        where = ("propertyTypes", i)
+        _object(pt, _PROPERTY_TYPE_FIELDS, where)
+        pt_id = _field(pt, "id", str, where)
         if pt_id in ptypes:
-            raise FormatError(pt.path, f"duplicate property type id {pt_id!r}")
-        ptypes[pt_id] = (pt.field("key").string(), _read_datatype(pt.field("type")))
+            raise FormatError(_path(where), f"duplicate property type id {pt_id!r}")
+        key = _field(pt, "key", str, where)
+        token = _field(pt, "type", str, where)
+        if not token:
+            raise FormatError(_path((*where, "type")), "datatype may not be empty")
+        ptypes[pt_id] = (key, datatypes[token])
 
     builder = PropertyGraphSchemaBuilder()
     referenced: set[str] = set()
 
-    def attach(owner: int, element: _Reader) -> None:
-        for ref in element.field("propertyTypes").items():
-            pt_id = ref.string()
+    def attach(owner: int, element: dict, where: tuple) -> None:
+        for i, pt_id in enumerate(_field(element, "propertyTypes", list, where)):
+            at = (*where, "propertyTypes", i)
+            if type(pt_id) is not str:
+                raise _wrong_type(pt_id, "a string", at)
             if pt_id not in ptypes:
-                raise FormatError(ref.path, f"reference to unknown property type {pt_id!r}")
+                raise FormatError(_path(at), f"reference to unknown property type {pt_id!r}")
             if pt_id in referenced:
                 raise FormatError(
-                    ref.path, f"property type {pt_id!r} is attached to more than one owner"
+                    _path(at), f"property type {pt_id!r} is attached to more than one owner"
                 )
             referenced.add(pt_id)
             key, datatype = ptypes[pt_id]
             builder.add_property_type(owner, key, datatype)
 
     nt_by_id: dict[str, int] = {}
-    for node_type in root.field("nodeTypes").items():
-        node_type.only_fields("id", "label", "propertyTypes")
-        nt_id = node_type.field("id").string()
+    for i, node_type in enumerate(_field(root, "nodeTypes", list, ())):
+        where = ("nodeTypes", i)
+        _object(node_type, _NODE_TYPE_FIELDS, where)
+        nt_id = _field(node_type, "id", str, where)
         if nt_id in nt_by_id:
-            raise FormatError(node_type.path, f"duplicate node type id {nt_id!r}")
-        label = node_type.field("label").string()
+            raise FormatError(_path(where), f"duplicate node type id {nt_id!r}")
+        label = _field(node_type, "label", str, where)
         try:
             nt = builder.add_node_type(label)
         except ValueError as exc:
-            raise FormatError(node_type.path, str(exc)) from None
+            raise FormatError(_path(where), str(exc)) from None
         nt_by_id[nt_id] = nt
-        attach(nt, node_type)
+        attach(nt, node_type, where)
 
     et_ids: set[str] = set()
-    for edge_type in root.field("edgeTypes").items():
-        edge_type.only_fields("id", "label", "source", "target", "propertyTypes")
-        et_id = edge_type.field("id").string()
+    for i, edge_type in enumerate(_field(root, "edgeTypes", list, ())):
+        where = ("edgeTypes", i)
+        _object(edge_type, _EDGE_TYPE_FIELDS, where)
+        et_id = _field(edge_type, "id", str, where)
         if et_id in et_ids:
-            raise FormatError(edge_type.path, f"duplicate edge type id {et_id!r}")
+            raise FormatError(_path(where), f"duplicate edge type id {et_id!r}")
         et_ids.add(et_id)
-        source = edge_type.field("source").string()
-        target = edge_type.field("target").string()
+        source = _field(edge_type, "source", str, where)
+        target = _field(edge_type, "target", str, where)
         for ref in (source, target):
             if ref not in nt_by_id:
-                raise FormatError(edge_type.path, f"reference to unknown node type {ref!r}")
+                raise FormatError(_path(where), f"reference to unknown node type {ref!r}")
         et = builder.add_edge_type(
-            edge_type.field("label").string(), nt_by_id[source], nt_by_id[target]
+            _field(edge_type, "label", str, where), nt_by_id[source], nt_by_id[target]
         )
-        attach(et, edge_type)
+        attach(et, edge_type, where)
 
     unreferenced = sorted(set(ptypes) - referenced)
     if unreferenced:

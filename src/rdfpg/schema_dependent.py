@@ -20,6 +20,8 @@ unmapped RDF datatypes ride along as custom PG datatypes so nothing is lost.
 from __future__ import annotations
 
 import warnings
+from functools import partial
+from typing import Callable
 
 from .errors import (
     DuplicatePropertyLabel,
@@ -66,6 +68,7 @@ from .terms import (
     XSD_INT,
     XSD_INTEGER,
     XSD_STRING,
+    iri_for,
 )
 
 # Class IRIs that never become node types: datatype classes turn into
@@ -229,6 +232,16 @@ def map_database(
     return pg_schema, pg
 
 
+def _datatype_iri(
+    correspondence: DatatypeCorrespondence, datatype: PgDatatype, element: Callable[[], str]
+) -> Iri:
+    """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable."""
+    try:
+        return correspondence.to_rdf(datatype)
+    except ValueError:
+        raise NonIriLabel(element(), datatype.token(), "datatype") from None
+
+
 def invert_schema(
     pg_schema: PropertyGraphSchema,
     correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
@@ -242,26 +255,35 @@ def invert_schema(
         class_of_label[iri.value] = rc
         return rc
 
+    def describe(kind: str, label: str) -> Callable[[], str]:
+        return lambda: f"{kind} {label!r}"
+
     for nt in pg_schema.node_types_sorted():
-        class_for(Iri(pg_schema.label[nt]))
-    datatypes = sorted(
-        {dt for _, dt in pg_schema.ptype.values()}, key=lambda dt: dt.token()
-    )
-    for dt in datatypes:
-        class_for(correspondence.to_rdf(dt))
+        label = pg_schema.label[nt]
+        class_for(iri_for(label, describe("node type", label)))
+    datatype_iris: dict[PgDatatype, Iri] = {}
+    for key, dt in pg_schema.ptype.values():
+        if dt not in datatype_iris:
+            datatype_iris[dt] = _datatype_iri(correspondence, dt, describe("property type", key))
+    for dt in sorted(datatype_iris, key=lambda dt: dt.token()):
+        class_for(datatype_iris[dt])
 
     for et in pg_schema.edge_types_sorted():
         src, dst = pg_schema.ends[et]
+        label = pg_schema.label[et]
         builder.add_property(
-            Iri(pg_schema.label[et]),
+            iri_for(label, describe("edge type", label)),
             class_of_label[pg_schema.label[src]],
             class_of_label[pg_schema.label[dst]],
         )
     for nt in pg_schema.node_types_sorted():
-        domain = class_of_label[pg_schema.label[nt]]
+        label = pg_schema.label[nt]
+        domain = class_of_label[label]
         for key, dt in pg_schema.property_types_of(nt):
             builder.add_property(
-                Iri(key), domain, class_of_label[correspondence.to_rdf(dt).value]
+                iri_for(key, describe("node type", label), "property key"),
+                domain,
+                class_of_label[datatype_iris[dt].value],
             )
     return builder.build()
 
@@ -272,39 +294,34 @@ def invert_graph(
 ) -> RdfGraph:
     """Property graph back to an RDF graph.
 
-    Every node must hold exactly one "iri" property; node labels, edge labels
-    and property keys must be usable as IRIs. Edge properties have no RDF
-    counterpart under this mapping and are dropped with a warning.
+    Every node must hold exactly one "iri" property; node labels, edge labels,
+    property keys, "iri" values and custom datatypes must be usable as IRIs.
+    Edge properties have no RDF counterpart under this mapping and are
+    dropped with a warning.
     """
     builder = RdfGraphBuilder()
     resource_of: dict[int, int] = {}
     for n in pg.nodes_sorted():
+        describe = partial(pg.describe, n)
         props = pg.properties_of(n)
         iri_values = [v for k, v in props if k == IRI_PROPERTY_KEY]
         if len(iri_values) != 1:
             raise MissingIriProperty(pg.describe(n))
-        try:
-            label = Iri(pg.label[n])
-        except ValueError:
-            raise NonIriLabel(pg.describe(n), pg.label[n]) from None
-        resource_of[n] = builder.add_resource(Iri(iri_values[0].lexical), label)
+        label = iri_for(pg.label[n], describe)
+        iri = iri_for(iri_values[0].lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
+        resource_of[n] = builder.add_resource(iri, label)
         for key, value in props:
             if key == IRI_PROPERTY_KEY:
                 continue
-            try:
-                prop_iri = Iri(key)
-            except ValueError:
-                raise NonIriLabel(pg.describe(n), key) from None
-            lit = builder.add_literal(value.lexical, correspondence.to_rdf(value.datatype))
+            prop_iri = iri_for(key, describe, "property key")
+            datatype = _datatype_iri(correspondence, value.datatype, describe)
+            lit = builder.add_literal(value.lexical, datatype)
             builder.add_datatype_edge(resource_of[n], lit, prop_iri)
 
     dropped = 0
     for e in pg.edges_sorted():
         src, dst = pg.ends[e]
-        try:
-            label = Iri(pg.label[e])
-        except ValueError:
-            raise NonIriLabel(pg.describe(e), pg.label[e]) from None
+        label = iri_for(pg.label[e], partial(pg.describe, e))
         builder.add_object_edge(resource_of[src], resource_of[dst], label)
         dropped += len(pg.properties_by_owner.get(e, ()))
     if dropped:

@@ -13,6 +13,8 @@ recovers the original RDF graph exactly.
 
 from __future__ import annotations
 
+from functools import partial
+
 from .errors import MissingRequiredProperty, SchemaViolation
 from .pg_graph import (
     IRI_PROPERTY_KEY,
@@ -25,7 +27,7 @@ from .pg_graph import (
     validate_pg,
 )
 from .rdf_graph import RdfGraph, RdfGraphBuilder
-from .terms import Iri
+from .terms import iri_for
 
 RESOURCE_LABEL = "Resource"
 LITERAL_LABEL = "Literal"
@@ -34,6 +36,10 @@ DATATYPE_PROPERTY_LABEL = "DatatypeProperty"
 
 TYPE_KEY = "type"
 VALUE_KEY = "value"
+
+# What a string that invert_graph turns into an IRI is to its element.
+_IRI_VALUE = f"{IRI_PROPERTY_KEY!r} value"
+_TYPE_VALUE = f"{TYPE_KEY!r} value"
 
 
 def _build_generic_schema() -> PropertyGraphSchema:
@@ -123,18 +129,21 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     builder = RdfGraphBuilder()
     element_of: dict[int, int] = {}
     for n in pg.nodes_sorted():
+        describe = partial(pg.describe, n)
         if pg.label[n] == RESOURCE_LABEL:
             iri = _single(pg, n, IRI_PROPERTY_KEY)
             type_iri = _single(pg, n, TYPE_KEY)
-            element_of[n] = builder.add_resource(Iri(iri), Iri(type_iri))
+            element_of[n] = builder.add_resource(
+                iri_for(iri, describe, _IRI_VALUE), iri_for(type_iri, describe, _TYPE_VALUE)
+            )
         else:
             value = _single(pg, n, VALUE_KEY)
             type_iri = _single(pg, n, TYPE_KEY)
-            element_of[n] = builder.add_literal(value, Iri(type_iri))
+            element_of[n] = builder.add_literal(value, iri_for(type_iri, describe, _TYPE_VALUE))
 
     for e in pg.edges_sorted():
         src, dst = pg.ends[e]
-        type_iri = Iri(_single(pg, e, TYPE_KEY))
+        type_iri = iri_for(_single(pg, e, TYPE_KEY), partial(pg.describe, e), _TYPE_VALUE)
         if pg.label[e] == OBJECT_PROPERTY_LABEL:
             builder.add_object_edge(element_of[src], element_of[dst], type_iri)
         else:

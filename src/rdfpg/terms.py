@@ -6,8 +6,14 @@ names exist only at the Turtle layer.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping, Union
+from typing import Callable, Iterator, Mapping, Union
+
+from .errors import NonIriLabel
+
+# For every code point, \s matches exactly the characters str.isspace() accepts.
+_has_whitespace = re.compile(r"\s").search
 
 
 @dataclass(frozen=True)
@@ -19,11 +25,23 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if any(c.isspace() for c in self.value):
+        if _has_whitespace(self.value):
             raise ValueError(f"IRI may not contain whitespace: {self.value!r}")
 
     def __str__(self) -> str:
         return self.value
+
+
+def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
+    """`value` as an Iri, for a string read from a property graph.
+
+    Raises NonIriLabel naming the element, described by calling `element`,
+    when `value` is empty or holds whitespace.
+    """
+    try:
+        return Iri(value)
+    except ValueError:
+        raise NonIriLabel(element(), value, role) from None
 
 
 @dataclass(frozen=True)
@@ -121,18 +139,6 @@ class PrefixMap:
 
     def items(self) -> list[tuple[str, str]]:
         return sorted(self.bindings.items())
-
-    def compress(self, iri: str, local_ok) -> tuple[str, str] | None:
-        """Best (prefix, local) pair for `iri`, or None.
-
-        Prefers the longest matching namespace; ties break on the smaller
-        prefix so output is deterministic. `local_ok` decides whether the
-        remainder is expressible as a local name.
-        """
-        for prefix, ns in sorted(self.bindings.items(), key=lambda kv: (-len(kv[1]), kv[0])):
-            if iri.startswith(ns) and local_ok(iri[len(ns):]):
-                return prefix, iri[len(ns):]
-        return None
 
 
 COMMON_PREFIXES = PrefixMap(

@@ -14,6 +14,7 @@ the original triple set.
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 from typing import Union
@@ -34,12 +35,7 @@ from .terms import (
 DEFAULT_SKOLEM_BASE = "urn:skolem:"
 
 _ESCAPE_IN = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "\\": "\\"}
-_ESCAPE_OUT = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-
-_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
-
-# Characters that may never appear inside <...> IRI references.
-_IRI_FORBIDDEN = set('<>"{}|^`\\')
+_ESCAPE_OUT = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
 @dataclass(frozen=True)
@@ -67,303 +63,267 @@ class RawTurtleDocument:
     prefixes: PrefixMap
 
 
-def _is_name(text: str) -> bool:
-    if not text:
-        return False
-    if not (text[0].isalpha() and text[0].isascii() or text[0] == "_"):
-        return False
-    return all(c.isalnum() and c.isascii() or c in "_-" for c in text)
-
-
-def _local_ok(text: str) -> bool:
-    return text == "" or _is_name(text)
+# Token patterns, each matched at a position in the text. A position is a
+# plain index; line and column are worked out from it only for an error.
+_skip_ws = re.compile(r"\s*(?:#[^\n]*\s*)*").match  # \s is exactly str.isspace()
+_iri_body = re.compile(r'[^\s<>"{}|^`\\]*').match
+_pname = re.compile(r"([A-Za-z0-9_-]*)(?::([A-Za-z0-9_-]*))?").match
+_string_chars = re.compile(r'[^"\\\n]*').match
+_escape = re.compile(r'\\(?:([tbnrf"\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))').match
+_local_name = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*)?\Z").match  # "" or a PN_NAME
+# Characters, besides whitespace, that may never appear inside <...> IRI references.
+_iri_forbidden = re.compile(r'[<>"{}|^`\\]').search
 
 
 class _Parser:
-    """Single-pass recursive-descent parser over a character stream."""
+    """Single-pass recursive-descent parser over token regexes.
+
+    Each reader takes the position to start at and returns what it read
+    together with the position after it.
+    """
 
     def __init__(self, text: str, allow_blanks: bool):
         # tolerate a UTF-8 byte order mark left by some editors
-        self.text = text[1:] if text.startswith("﻿") else text
-        self.pos = 0
-        self.line = 1
-        self.col = 1
+        self.text = text[1:] if text.startswith("\ufeff") else text
         self.allow_blanks = allow_blanks
         self.bindings: dict[str, str] = {}
-        self.triples: list[RawTriple] = []
+        # Without blank nodes every raw triple is already a Triple.
+        self._triple = RawTriple if allow_blanks else Triple
+        self.triples: list = []
+        self._iris: dict[str, Iri] = {}  # one Iri per distinct string
         self._anon = 0
 
-    # -- character stream ------------------------------------------------
+    # -- positions and errors --------------------------------------------
 
-    def _peek(self) -> str:
-        return self.text[self.pos] if self.pos < len(self.text) else ""
+    def _line_col(self, pos: int) -> tuple[int, int]:
+        """1-based line and column, counted in code points, of position `pos`."""
+        return self.text.count("\n", 0, pos) + 1, pos - self.text.rfind("\n", 0, pos)
 
-    def _advance(self) -> str:
-        c = self.text[self.pos]
-        self.pos += 1
-        if c == "\n":
-            self.line += 1
-            self.col = 1
-        else:
-            self.col += 1
-        return c
+    def _fail(self, pos: int, expected: str, found: str = "") -> TurtleSyntaxError:
+        return TurtleSyntaxError(*self._line_col(pos), expected, found)
 
-    def _skip_ws(self) -> None:
-        while self.pos < len(self.text):
-            c = self._peek()
-            if c == "#":
-                while self.pos < len(self.text) and self._peek() != "\n":
-                    self._advance()
-            elif c.isspace():
-                self._advance()
-            else:
-                return
+    def _unexpected(self, pos: int, expected: str) -> TurtleSyntaxError:
+        """Error at `pos` that names the character found there."""
+        found = repr(self.text[pos]) if pos < len(self.text) else "end of input"
+        return self._fail(pos, expected, found)
 
-    def _error(self, expected: str, found: str = "") -> TurtleSyntaxError:
-        if not found:
-            found = repr(self._peek()) if self._peek() else "end of input"
-        return TurtleSyntaxError(self.line, self.col, expected, found)
+    def _expect(self, pos: int, char: str, expected: str) -> int:
+        pos = _skip_ws(self.text, pos).end()
+        if not self.text.startswith(char, pos):
+            raise self._unexpected(pos, expected)
+        return pos + 1
 
-    def _expect(self, char: str, expected: str) -> None:
-        self._skip_ws()
-        if self._peek() != char:
-            raise self._error(expected)
-        self._advance()
+    def _iri(self, value: str) -> Iri:
+        iri = self._iris.get(value)
+        if iri is None:
+            iri = self._iris[value] = Iri(value)
+        return iri
 
     # -- tokens ----------------------------------------------------------
 
-    def _read_iriref(self) -> Iri:
-        self._advance()  # '<'
-        start_line, start_col = self.line, self.col
-        chars: list[str] = []
-        while True:
-            if self.pos >= len(self.text):
-                raise TurtleSyntaxError(start_line, start_col, "'>' closing the IRI")
-            c = self._advance()
-            if c == ">":
-                break
-            if c.isspace() or c in _IRI_FORBIDDEN:
-                raise TurtleSyntaxError(
-                    self.line, self.col, "an IRI character", repr(c)
-                )
-            chars.append(c)
-        value = "".join(chars)
-        if not value:
-            raise TurtleSyntaxError(start_line, start_col, "a non-empty IRI")
-        return Iri(value)
+    def _read_iriref(self, pos: int) -> tuple[Iri, int]:
+        text = self.text
+        start = pos + 1  # after '<'
+        end = _iri_body(text, start).end()
+        if end == len(text):
+            raise self._fail(start, "'>' closing the IRI")
+        if text[end] != ">":
+            raise self._fail(end + 1, "an IRI character", repr(text[end]))
+        if end == start:
+            raise self._fail(start, "a non-empty IRI")
+        return self._iri(text[start:end]), end + 1
 
-    def _read_name(self) -> str:
-        chars: list[str] = []
-        while self.pos < len(self.text):
-            c = self._peek()
-            if (c.isalnum() and c.isascii()) or c in "_-":
-                chars.append(self._advance())
-            else:
-                break
-        return "".join(chars)
-
-    def _read_prefixed_or_keyword(self, keyword_ok: bool):
-        """Returns an Iri, a BlankNode, or the string 'a' for the type keyword."""
-        line, col = self.line, self.col
-        name = self._read_name()
-        if self._peek() == ":":
-            self._advance()
-            local = self._read_name()
+    def _read_prefixed_or_keyword(self, pos: int, keyword_ok: bool) -> tuple:
+        """Reads an Iri, a BlankNode, or the string 'a' for the type keyword."""
+        m = _pname(self.text, pos)
+        name, local = m.groups()
+        if local is not None:
             if name == "_":
                 if not self.allow_blanks:
-                    raise BlankNodeUnsupported(line, col)
-                return BlankNode("_:" + local)
+                    raise BlankNodeUnsupported(*self._line_col(pos))
+                return BlankNode("_:" + local), m.end()
             ns = self.bindings.get(name)
             if ns is None:
-                raise UnknownPrefix(name, line, col)
-            return Iri(ns + local)
+                raise UnknownPrefix(name, *self._line_col(pos))
+            return self._iri(ns + local), m.end()
         if keyword_ok and name == "a":
-            return "a"
+            return "a", m.end()
         if not name:
-            raise self._error("an IRI, prefixed name or keyword")
-        raise TurtleSyntaxError(line, col, "':' to complete the prefixed name", repr(name))
+            raise self._unexpected(pos, "an IRI, prefixed name or keyword")
+        raise self._fail(pos, "':' to complete the prefixed name", repr(name))
 
-    def _read_string(self) -> str:
-        self._advance()  # '"'
-        chars: list[str] = []
+    def _read_string(self, pos: int) -> tuple[str, int]:
+        text = self.text
+        pos += 1  # after the opening '"'
+        chunks: list[str] = []
         while True:
-            if self.pos >= len(self.text):
-                raise self._error("'\"' closing the string")
-            c = self._advance()
+            end = _string_chars(text, pos).end()
+            chunks.append(text[pos:end])
+            c = text[end : end + 1]
             if c == '"':
-                return "".join(chars)
-            if c == "\n":
-                raise TurtleSyntaxError(
-                    self.line, self.col, "'\"' before the end of the line"
-                )
+                return "".join(chunks), end + 1
             if c == "\\":
-                chars.append(self._read_escape())
+                char, pos = self._read_escape(end)
+                chunks.append(char)
+            elif c == "\n":
+                raise self._fail(end + 1, "'\"' before the end of the line")
             else:
-                chars.append(c)
+                raise self._unexpected(end, "'\"' closing the string")
 
-    def _read_escape(self) -> str:
-        line, col = self.line, self.col - 1  # the backslash just read
-        if self.pos >= len(self.text):
-            raise self._error("an escape character")
-        c = self._advance()
-        if c in _ESCAPE_IN:
-            return _ESCAPE_IN[c]
-        if c in ("u", "U"):
+    def _read_escape(self, pos: int) -> tuple[str, int]:
+        """Decodes the escape whose backslash is at `pos`."""
+        text = self.text
+        m = _escape(text, pos)
+        if m is None:
+            c = text[pos + 1 : pos + 2]
+            if not c:
+                raise self._unexpected(pos + 1, "an escape character")
+            if c not in "uU":
+                raise self._fail(pos + 2, "a valid escape (tbnrf\"\\ or u/U)", repr(c))
             width = 4 if c == "u" else 8
-            digits = ""
-            for _ in range(width):
-                if self.pos >= len(self.text):
-                    raise self._error(f"{width} hex digits")
-                digits += self._advance()
-            # int() alone would also take a sign, spaces or underscores
-            if not all(d in _HEX_DIGITS for d in digits):
-                raise self._error(f"{width} hex digits", repr(digits))
-            code = int(digits, 16)
-            # XSD strings hold Unicode scalar values only, never surrogates.
-            if 0xD800 <= code <= 0xDFFF:
-                raise TurtleSyntaxError(
-                    line, col, "an escape outside U+D800-U+DFFF", f"\\{c}{digits}"
-                )
-            try:
-                return chr(code)
-            except ValueError:
-                raise self._error(f"{width} hex digits", repr(digits)) from None
-        raise self._error("a valid escape (tbnrf\"\\ or u/U)", repr(c))
+            digits = text[pos + 2 : pos + 2 + width]
+            if len(digits) < width:
+                raise self._unexpected(len(text), f"{width} hex digits")
+            raise self._fail(pos + 2 + width, f"{width} hex digits", repr(digits))
+        simple, short, long = m.groups()
+        if simple:
+            return _ESCAPE_IN[simple], m.end()
+        digits = short or long
+        code = int(digits, 16)
+        # XSD strings hold Unicode scalar values only, never surrogates.
+        if 0xD800 <= code <= 0xDFFF:
+            raise self._fail(pos, "an escape outside U+D800-U+DFFF", m.group()[:2] + digits)
+        if code > 0x10FFFF:
+            raise self._fail(m.end(), f"{len(digits)} hex digits", repr(digits))
+        return chr(code), m.end()
 
     # -- grammar ---------------------------------------------------------
 
-    def _read_subject(self) -> Union[Iri, BlankNode]:
-        self._skip_ws()
-        c = self._peek()
+    def _read_subject(self, pos: int) -> tuple:
+        pos = _skip_ws(self.text, pos).end()
+        c = self.text[pos : pos + 1]
         if c == "<":
-            return self._read_iriref()
+            return self._read_iriref(pos)
         if c == "[":
-            return self._read_anon()
-        term = self._read_prefixed_or_keyword(keyword_ok=False)
-        return term
+            return self._read_anon(pos)
+        return self._read_prefixed_or_keyword(pos, keyword_ok=False)
 
-    def _read_anon(self) -> BlankNode:
-        line, col = self.line, self.col
+    def _read_anon(self, pos: int) -> tuple[BlankNode, int]:
         if not self.allow_blanks:
-            raise BlankNodeUnsupported(line, col)
-        self._advance()  # '['
-        self._skip_ws()
-        if self._peek() != "]":
-            raise self._error("']' (blank node property lists are not supported)")
-        self._advance()
+            raise BlankNodeUnsupported(*self._line_col(pos))
+        pos = _skip_ws(self.text, pos + 1).end()
+        if not self.text.startswith("]", pos):
+            raise self._unexpected(pos, "']' (blank node property lists are not supported)")
         self._anon += 1
         # '=' cannot occur in parsed labels, so generated labels never collide.
-        return BlankNode(f"=anon{self._anon}")
+        return BlankNode(f"=anon{self._anon}"), pos + 1
 
-    def _read_verb(self) -> Iri:
-        self._skip_ws()
-        if self._peek() == "<":
-            return self._read_iriref()
-        term = self._read_prefixed_or_keyword(keyword_ok=True)
+    def _read_verb(self, pos: int) -> tuple[Iri, int]:
+        pos = _skip_ws(self.text, pos).end()
+        if self.text.startswith("<", pos):
+            return self._read_iriref(pos)
+        term, pos = self._read_prefixed_or_keyword(pos, keyword_ok=True)
         if term == "a":
-            return RDF_TYPE
+            return RDF_TYPE, pos
         if isinstance(term, BlankNode):
-            raise self._error("a predicate IRI", "blank node")
-        return term
+            raise self._fail(pos, "a predicate IRI", "blank node")
+        return term, pos
 
-    def _read_object(self) -> RawTerm:
-        self._skip_ws()
-        c = self._peek()
-        if not c:
-            raise self._error("an object")
+    def _read_object(self, pos: int) -> tuple:
+        text = self.text
+        pos = _skip_ws(text, pos).end()
+        c = text[pos : pos + 1]
         if c == "<":
-            return self._read_iriref()
+            return self._read_iriref(pos)
         if c == '"':
-            lexical = self._read_string()
-            if self._peek() == "^":
-                self._advance()
-                if self._peek() != "^":
-                    raise self._error("'^^' introducing a datatype")
-                self._advance()
-                self._skip_ws()
-                if self._peek() == "<":
-                    datatype = self._read_iriref()
-                else:
-                    term = self._read_prefixed_or_keyword(keyword_ok=False)
-                    if not isinstance(term, Iri):
-                        raise self._error("a datatype IRI")
-                    datatype = term
-                return Literal(lexical, datatype)
-            return Literal.plain(lexical)
+            lexical, pos = self._read_string(pos)
+            if not text.startswith("^", pos):
+                return Literal(lexical, XSD_STRING), pos
+            if not text.startswith("^", pos + 1):
+                raise self._unexpected(pos + 1, "'^^' introducing a datatype")
+            pos = _skip_ws(text, pos + 2).end()
+            if text.startswith("<", pos):
+                datatype, pos = self._read_iriref(pos)
+            else:
+                datatype, pos = self._read_prefixed_or_keyword(pos, keyword_ok=False)
+                if not isinstance(datatype, Iri):
+                    raise self._unexpected(pos, "a datatype IRI")
+            return Literal(lexical, datatype), pos
         if c == "[":
-            return self._read_anon()
-        term = self._read_prefixed_or_keyword(keyword_ok=False)
-        return term
+            return self._read_anon(pos)
+        if not c:
+            raise self._unexpected(pos, "an object")
+        return self._read_prefixed_or_keyword(pos, keyword_ok=False)
 
-    def _read_statement(self) -> None:
-        subject = self._read_subject()
+    def _read_statement(self, pos: int) -> int:
+        text, append, triple = self.text, self.triples.append, self._triple
+        subject, pos = self._read_subject(pos)
         while True:
-            self._skip_ws()
-            verb = self._read_verb()
+            verb, pos = self._read_verb(pos)
             while True:
-                obj = self._read_object()
-                self.triples.append(RawTriple(subject, verb, obj))
-                self._skip_ws()
-                if self._peek() == ",":
-                    self._advance()
-                    continue
-                break
-            self._skip_ws()
-            if self._peek() == ";":
-                # Tolerate repeated or trailing semicolons.
-                while self._peek() == ";":
-                    self._advance()
-                    self._skip_ws()
-                if self._peek() == ".":
+                obj, pos = self._read_object(pos)
+                append(triple(subject, verb, obj))
+                pos = _skip_ws(text, pos).end()
+                if not text.startswith(",", pos):
                     break
-                continue
-            break
-        self._expect(".", "'.' ending the statement")
+                pos += 1
+            if not text.startswith(";", pos):
+                break
+            # Tolerate repeated or trailing semicolons.
+            while text.startswith(";", pos):
+                pos = _skip_ws(text, pos + 1).end()
+            if text.startswith(".", pos):
+                break
+        return self._expect(pos, ".", "'.' ending the statement")
 
-    def _read_prefix_directive(self) -> None:
-        for expected in "@prefix":
-            if self._peek() != expected:
-                raise self._error("'@prefix'")
-            self._advance()
-        self._skip_ws()
-        name = self._read_name()
-        if self._peek() != ":":
-            raise self._error("':' after the prefix name")
-        self._advance()
-        self._skip_ws()
-        if self._peek() != "<":
-            raise self._error("'<' opening the namespace IRI")
-        ns = self._read_iriref()
-        self._expect(".", "'.' ending the directive")
+    def _read_prefix_directive(self, pos: int) -> int:
+        text = self.text
+        for i, c in enumerate("@prefix"):
+            if not text.startswith(c, pos + i):
+                raise self._unexpected(pos + i, "'@prefix'")
+        pos = _skip_ws(text, pos + len("@prefix")).end()
+        m = _pname(text, pos)
+        name = m.group(1)
+        pos += len(name)
+        if not text.startswith(":", pos):
+            raise self._unexpected(pos, "':' after the prefix name")
+        pos = _skip_ws(text, pos + 1).end()
+        if not text.startswith("<", pos):
+            raise self._unexpected(pos, "'<' opening the namespace IRI")
+        ns, pos = self._read_iriref(pos)
+        pos = self._expect(pos, ".", "'.' ending the directive")
         if name in self.bindings and self.bindings[name] != ns.value:
             warnings.warn(
                 f"prefix '{name}:' redefined from <{self.bindings[name]}> to <{ns.value}>",
                 stacklevel=4,
             )
         self.bindings[name] = ns.value
+        return pos
 
-    def parse(self) -> RawTurtleDocument:
+    def parse(self) -> tuple[list, PrefixMap]:
+        """The triples in document order and the final prefix bindings."""
+        text = self.text
+        pos = 0
         while True:
-            self._skip_ws()
-            if self.pos >= len(self.text):
+            pos = _skip_ws(text, pos).end()
+            if pos == len(text):
                 break
-            if self._peek() == "@":
-                self._read_prefix_directive()
+            if text[pos] == "@":
+                pos = self._read_prefix_directive(pos)
             else:
-                self._read_statement()
-        return RawTurtleDocument(tuple(self.triples), PrefixMap(dict(self.bindings)))
+                pos = self._read_statement(pos)
+        return self.triples, PrefixMap(dict(self.bindings))
 
 
 def parse_turtle_raw(text: str) -> RawTurtleDocument:
     """Parse, tolerating blank nodes. Pair with skolemize()."""
-    return _Parser(text, allow_blanks=True).parse()
+    triples, prefixes = _Parser(text, allow_blanks=True).parse()
+    return RawTurtleDocument(tuple(triples), prefixes)
 
 
 def parse_turtle(text: str) -> TripleSet:
     """Parse a Turtle document into a TripleSet with all IRIs in full form."""
-    doc = _Parser(text, allow_blanks=False).parse()
-    triples = [Triple(t.s, t.p, t.o) for t in doc.triples]
-    return TripleSet(triples, doc.prefixes)
+    return TripleSet(*_Parser(text, allow_blanks=False).parse())
 
 
 def skolemize(doc: RawTurtleDocument, base: str = DEFAULT_SKOLEM_BASE) -> TripleSet:
@@ -391,19 +351,34 @@ def skolemize(doc: RawTurtleDocument, base: str = DEFAULT_SKOLEM_BASE) -> Triple
     return TripleSet(triples, doc.prefixes)
 
 
-def _escape_lexical(lexical: str) -> str:
-    return "".join(_ESCAPE_OUT.get(c, c) for c in lexical)
+class _IriWriter:
+    """Writes IRIs for one serialization, in prefixed form where possible.
 
+    The namespaces are sorted once, longest first and ties on the smaller
+    prefix, so the first one that fits is the best. The text of each IRI is
+    worked out once.
+    """
 
-def _render_iri(iri: Iri, prefixes: PrefixMap, used: set[str]) -> str:
-    compressed = prefixes.compress(iri.value, _local_ok)
-    if compressed is not None:
-        prefix, local = compressed
-        used.add(prefix)
-        return f"{prefix}:{local}"
-    if any(c in _IRI_FORBIDDEN for c in iri.value):
-        raise ValueError(f"IRI {iri.value!r} cannot be written in <> form")
-    return f"<{iri.value}>"
+    def __init__(self, prefixes: PrefixMap):
+        self.namespaces = sorted(prefixes.bindings.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+        self.used: set[str] = set()
+        self._text: dict[str, str] = {}
+
+    def __call__(self, iri: Iri) -> str:
+        text = self._text.get(iri.value)
+        if text is None:
+            text = self._text[iri.value] = self._render(iri.value)
+        return text
+
+    def _render(self, value: str) -> str:
+        for prefix, ns in self.namespaces:
+            local = value[len(ns):]
+            if value.startswith(ns) and _local_name(local):
+                self.used.add(prefix)
+                return f"{prefix}:{local}"
+        if _iri_forbidden(value):
+            raise ValueError(f"IRI {value!r} cannot be written in <> form")
+        return f"<{value}>"
 
 
 def serialize_turtle(ts: TripleSet) -> str:
@@ -413,34 +388,34 @@ def serialize_turtle(ts: TripleSet) -> str:
     and the remaining predicates sorted; objects within a predicate are
     sorted too. Only prefixes actually used appear in the output.
     """
-    used: set[str] = set()
+    iri_text = _IriWriter(ts.prefixes)
     by_subject: dict[Iri, dict[Iri, list[RdfObject]]] = {}
     for t in sorted(ts.triples, key=triple_sort_key):
         by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
 
     def render_object(o: RdfObject) -> str:
         if isinstance(o, Iri):
-            return _render_iri(o, ts.prefixes, used)
-        body = f'"{_escape_lexical(o.lexical)}"'
+            return iri_text(o)
+        body = f'"{o.lexical.translate(_ESCAPE_OUT)}"'
         if o.datatype == XSD_STRING:
             return body
-        return f"{body}^^{_render_iri(o.datatype, ts.prefixes, used)}"
+        return f"{body}^^{iri_text(o.datatype)}"
 
     statements: list[str] = []
     for subject in sorted(by_subject, key=lambda i: i.value):
-        subject_text = _render_iri(subject, ts.prefixes, used)
+        subject_text = iri_text(subject)
         predicates = by_subject[subject]
         parts: list[str] = []
         ordered = sorted(predicates, key=lambda p: (p != RDF_TYPE, p.value))
         for predicate in ordered:
-            verb = "a" if predicate == RDF_TYPE else _render_iri(predicate, ts.prefixes, used)
+            verb = "a" if predicate == RDF_TYPE else iri_text(predicate)
             objects = ", ".join(sorted(render_object(o) for o in predicates[predicate]))
             parts.append(f"{verb} {objects}")
         joined = " ;\n    ".join(parts)
         statements.append(f"{subject_text} {joined} .")
 
     lines: list[str] = []
-    for prefix in sorted(used):
+    for prefix in sorted(iri_text.used):
         lines.append(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .")
     if lines and statements:
         lines.append("")

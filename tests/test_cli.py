@@ -120,6 +120,41 @@ def test_invert_dep_missing_iri_property_exits_2(tmp_path, capsys):
     assert "iri" in capsys.readouterr().err
 
 
+def test_invert_indep_whitespace_iri_exits_2(tmp_path, capsys):
+    props = [{"key": "iri", "value": "http://ex.org/a b", "type": "String"},
+             {"key": "type", "value": "http://ex.org/T", "type": "String"}]
+    doc = {"nodes": [{"id": "n0", "label": "Resource", "properties": props}], "edges": []}
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(json.dumps(doc))
+    out = tmp_path / "o.ttl"
+    code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "node Resource{" in err and "'iri' value 'http://ex.org/a b'" in err
+    assert not out.exists()
+
+
+def test_invert_dep_whitespace_datatype_exits_2(tmp_path, capsys):
+    props = [{"key": "iri", "value": "http://ex.org/a", "type": "String"},
+             {"key": "http://ex.org/when", "value": "2020", "type": "Dat e"}]
+    doc = {"nodes": [{"id": "n0", "label": "http://ex.org/T", "properties": props}],
+           "edges": []}
+    schema = {"nodeTypes": [{"id": "nt0", "label": "http://ex.org/T",
+                             "propertyTypes": ["pt0"]}],
+              "edgeTypes": [],
+              "propertyTypes": [{"id": "pt0", "key": "http://ex.org/when", "type": "Dat e"}]}
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(json.dumps(doc))
+    pgs_path = tmp_path / "pgs.json"
+    pgs_path.write_text(json.dumps(schema))
+    outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
+    code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    assert code == 2
+    assert "carries datatype 'Dat e', which is not usable as an IRI" in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
 def test_validate_rdf_valid_exit_0(capsys):
     assert main(["validate", "rdf", "--rdf", INSTANCE, "--schema", SCHEMA]) == 0
     assert "valid" in capsys.readouterr().out
@@ -221,7 +256,8 @@ def test_convert_first_type_flag(tmp_path):
 def _surrogate_pg_json() -> str:
     """PG JSON, ASCII-escaped, whose literal value holds a lone surrogate.
 
-    It parses fine, but the Turtle it inverts to cannot be encoded as UTF-8.
+    The escape is valid JSON, but no UTF-8 output could hold the string, so
+    the reader rejects it at its JSON path.
     """
     builder = RdfGraphBuilder()
     subject = builder.add_resource(Iri("http://ex.org/a"))
@@ -279,6 +315,7 @@ def test_invert_unencodable_output_writes_nothing(tmp_path, capsys):
     fresh = tmp_path / "fresh.ttl"
     code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(fresh)])
     assert code == 2
+    assert "$.nodes[0].properties[1].value: lone surrogate U+D800" in capsys.readouterr().err
     assert not fresh.exists()
     existing = tmp_path / "existing.ttl"
     existing.write_text("old turtle")

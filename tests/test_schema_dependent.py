@@ -256,6 +256,52 @@ def test_invert_graph_rejects_unusable_label():
         dep.invert_graph(b.build())
 
 
+def _node_with(label=VOC + "T", iri=EX + "a", key=VOC + "p", datatype=STRING):
+    b = PropertyGraphBuilder()
+    n = b.add_node(label)
+    b.add_property(n, "iri", PgValue(iri, STRING))
+    b.add_property(n, key, PgValue("x", datatype))
+    return b.build()
+
+
+@pytest.mark.parametrize(
+    "graph, role, value",
+    [
+        (_node_with(iri=EX + "a b"), "'iri' value", EX + "a b"),
+        (_node_with(iri=""), "'iri' value", ""),
+        (_node_with(key=VOC + "p q"), "property key", VOC + "p q"),
+        (_node_with(datatype=custom_datatype("Dat e")), "datatype", "Dat e"),
+    ],
+    ids=["iri-value-space", "iri-value-empty", "key-space", "datatype-space"],
+)
+def test_invert_graph_names_the_node_with_an_unusable_iri(graph, role, value):
+    with pytest.raises(NonIriLabel) as err:
+        dep.invert_graph(graph)
+    (n,) = graph.nodes
+    assert (err.value.element, err.value.role, err.value.label) == (graph.describe(n), role, value)
+    assert str(err.value).startswith(f"node {VOC}T{{")
+
+
+def test_invert_schema_names_the_type_with_an_unusable_iri():
+    b = PropertyGraphSchemaBuilder()
+    nt = b.add_node_type(VOC + "T")
+    b.add_property_type(nt, VOC + "when", custom_datatype("Dat e"))
+    with pytest.raises(NonIriLabel) as err:
+        dep.invert_schema(b.build())
+    assert str(err.value) == (
+        f"property type '{VOC}when' carries datatype 'Dat e', which is not usable as an IRI"
+    )
+
+    b = PropertyGraphSchemaBuilder()
+    nt = b.add_node_type(VOC + "T")
+    b.add_property_type(nt, "a key", STRING)
+    with pytest.raises(NonIriLabel) as err:
+        dep.invert_database(b.build(), PropertyGraphBuilder().build())
+    assert str(err.value) == (
+        f"node type '{VOC}T' carries property key 'a key', which is not usable as an IRI"
+    )
+
+
 def test_invert_graph_drops_edge_properties_with_warning():
     b = PropertyGraphBuilder()
     a = b.add_node(VOC + "T")

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfpg import schema_independent as indep
-from rdfpg.errors import MissingRequiredProperty, SchemaViolation
+from rdfpg.errors import MissingRequiredProperty, NonIriLabel, SchemaViolation
 from rdfpg.generator import GeneratorConfig, gen_rdf_graph
 from rdfpg.pg_graph import (
     PgValue,
@@ -205,3 +205,42 @@ def test_invert_requires_bookkeeping_properties():
     with pytest.raises(MissingRequiredProperty) as err:
         indep.invert_graph(b.build())
     assert err.value.count == 2
+
+
+@pytest.mark.parametrize(
+    "iri, type_iri, role",
+    [
+        (EX + "a b", VOC + "T", "'iri' value"),
+        (EX + "a", VOC + "T\tU", "'type' value"),
+        (EX + "a", "", "'type' value"),
+    ],
+    ids=["iri-space", "type-tab", "type-empty"],
+)
+def test_invert_graph_names_the_node_with_an_unusable_iri(iri, type_iri, role):
+    b = PropertyGraphBuilder()
+    n = b.add_node("Resource")
+    b.add_property(n, "iri", PgValue(iri, STRING))
+    b.add_property(n, "type", PgValue(type_iri, STRING))
+    pg = b.build()
+    with pytest.raises(NonIriLabel) as err:
+        indep.invert_graph(pg)
+    assert (err.value.element, err.value.role) == (pg.describe(n), role)
+    assert str(err.value).startswith("node Resource{iri=")
+
+
+def test_invert_graph_names_the_edge_with_an_unusable_iri():
+    b = PropertyGraphBuilder()
+    nodes = []
+    for name in ("a", "b"):
+        n = b.add_node("Resource")
+        b.add_property(n, "iri", PgValue(EX + name, STRING))
+        b.add_property(n, "type", PgValue(VOC + "T", STRING))
+        nodes.append(n)
+    e = b.add_edge("ObjectProperty", *nodes)
+    b.add_property(e, "type", PgValue(VOC + "p q", STRING))
+    with pytest.raises(NonIriLabel) as err:
+        indep.invert_graph(b.build())
+    assert str(err.value) == (
+        f"edge Resource --ObjectProperty--> Resource carries 'type' value '{VOC}p q', "
+        "which is not usable as an IRI"
+    )
