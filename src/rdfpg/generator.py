@@ -167,7 +167,7 @@ def gen_instance_triples(config: GeneratorConfig, schema: RdfGraphSchema) -> Tri
     (subject, datatype property)."""
     rng = _rng("instance", config.seed)
     class_iris = sorted(
-        (c for c in schema.class_iris() if c not in SUPPORTED_DATATYPES),
+        (c for c in schema.class_nodes if c not in SUPPORTED_DATATYPES),
         key=lambda i: i.value,
     )
     if not class_iris:
@@ -182,12 +182,7 @@ def gen_instance_triples(config: GeneratorConfig, schema: RdfGraphSchema) -> Tri
         if cls != RDFS_RESOURCE:
             triples.append(Triple(resource, RDF_TYPE, cls))
 
-    properties = []
-    for e in schema.properties_sorted():
-        dom, ran = schema.endpoints[e]
-        properties.append(
-            (schema.property_edges[e], schema.class_nodes[dom], schema.class_nodes[ran])
-        )
+    properties = schema.properties_sorted()
     if not properties:
         return TripleSet(triples, GENERATOR_PREFIXES)
 

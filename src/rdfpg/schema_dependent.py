@@ -124,29 +124,21 @@ def map_schema(
 ) -> PropertyGraphSchema:
     """RDF graph schema to property graph schema."""
     builder = PropertyGraphSchemaBuilder()
-    node_type_of: dict[int, int] = {}
-    for rc in schema.classes_sorted():
-        iri = schema.class_nodes[rc]
+    node_type_of: dict[Iri, int] = {}
+    for iri in schema.classes_sorted():
         if iri not in EXCLUDED_CLASS_IRIS:
-            node_type_of[rc] = builder.add_node_type(iri.value)
+            node_type_of[iri] = builder.add_node_type(iri.value)
 
-    for pc in schema.properties_sorted():
-        prop_iri = schema.property_edges[pc]
-        rc1, rc2 = schema.endpoints[pc]
-        domain_nt = node_type_of.get(rc1)
+    for prop_iri, domain, range_ in schema.properties_sorted():
+        domain_nt = node_type_of.get(domain)
         if domain_nt is None:
-            raise MissingEndpointType(
-                prop_iri.value, schema.class_nodes[rc1].value, "domain"
-            )
-        range_iri = schema.class_nodes[rc2]
-        if range_iri in SUPPORTED_DATATYPES:
-            builder.add_property_type(
-                domain_nt, prop_iri.value, correspondence.to_pg(range_iri)
-            )
+            raise MissingEndpointType(prop_iri.value, domain.value, "domain")
+        if range_ in SUPPORTED_DATATYPES:
+            builder.add_property_type(domain_nt, prop_iri.value, correspondence.to_pg(range_))
         else:
-            range_nt = node_type_of.get(rc2)
+            range_nt = node_type_of.get(range_)
             if range_nt is None:
-                raise MissingEndpointType(prop_iri.value, range_iri.value, "range")
+                raise MissingEndpointType(prop_iri.value, range_.value, "range")
             builder.add_edge_type(prop_iri.value, domain_nt, range_nt)
     return builder.build()
 
@@ -162,27 +154,23 @@ def map_graph(
     the schema-independent mapping.
     """
     builder = PropertyGraphBuilder()
-    node_of: dict[int, int] = {}
-    for r in graph.resources_sorted():
-        n = builder.add_node(graph.class_label[r].value)
-        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(graph.resource_nodes[r].value, STRING))
-        node_of[r] = n
+    node_of: dict[Iri, int] = {}
+    for iri in graph.resources_sorted():
+        n = builder.add_node(graph.resource_nodes[iri].value)
+        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
+        node_of[iri] = n
 
     seen: set[tuple[int, str]] = set()
-    for dp in graph.datatype_edges_sorted():
-        src, lit = graph.datatype_edges[dp]
-        key = graph.class_label[dp].value
-        if (src, key) in seen:
-            raise DuplicatePropertyLabel(graph.resource_nodes[src].value, key)
-        seen.add((src, key))
-        value = PgValue(
-            graph.literal_nodes[lit], correspondence.to_pg(graph.class_label[lit])
-        )
-        builder.add_property(node_of[src], key, value)
+    for t in graph.datatype_edges_sorted():
+        n = node_of[t.s]
+        key = t.p.value
+        if (n, key) in seen:
+            raise DuplicatePropertyLabel(t.s.value, key)
+        seen.add((n, key))
+        builder.add_property(n, key, PgValue(t.o.lexical, correspondence.to_pg(t.o.datatype)))
 
-    for op in graph.object_edges_sorted():
-        src, dst = graph.object_edges[op]
-        builder.add_edge(graph.class_label[op].value, node_of[src], node_of[dst])
+    for t in graph.object_edges_sorted():
+        builder.add_edge(t.p.value, node_of[t.s], node_of[t.o])
     return builder.build()
 
 
@@ -209,9 +197,7 @@ def map_database(
             stacklevel=2,
         )
     excluded_classed = sorted(
-        graph.resource_nodes[r].value
-        for r in graph.resource_nodes
-        if graph.class_label[r] in EXCLUDED_CLASS_IRIS
+        iri.value for iri, cls in graph.resource_nodes.items() if cls in EXCLUDED_CLASS_IRIS
     )
     if excluded_classed:
         warnings.warn(
@@ -248,42 +234,34 @@ def invert_schema(
 ) -> RdfGraphSchema:
     """Property graph schema back to an RDF graph schema."""
     builder = RdfGraphSchemaBuilder()
-    class_of_label: dict[str, int] = {}
-
-    def class_for(iri: Iri) -> int:
-        rc = builder.add_class(iri)
-        class_of_label[iri.value] = rc
-        return rc
 
     def describe(kind: str, label: str) -> Callable[[], str]:
         return lambda: f"{kind} {label!r}"
 
+    class_of: dict[int, Iri] = {}
     for nt in pg_schema.node_types_sorted():
         label = pg_schema.label[nt]
-        class_for(iri_for(label, describe("node type", label)))
+        class_of[nt] = builder.add_class(iri_for(label, describe("node type", label)))
     datatype_iris: dict[PgDatatype, Iri] = {}
     for key, dt in pg_schema.ptype.values():
         if dt not in datatype_iris:
             datatype_iris[dt] = _datatype_iri(correspondence, dt, describe("property type", key))
     for dt in sorted(datatype_iris, key=lambda dt: dt.token()):
-        class_for(datatype_iris[dt])
+        builder.add_class(datatype_iris[dt])
 
     for et in pg_schema.edge_types_sorted():
         src, dst = pg_schema.ends[et]
         label = pg_schema.label[et]
         builder.add_property(
-            iri_for(label, describe("edge type", label)),
-            class_of_label[pg_schema.label[src]],
-            class_of_label[pg_schema.label[dst]],
+            iri_for(label, describe("edge type", label)), class_of[src], class_of[dst]
         )
     for nt in pg_schema.node_types_sorted():
         label = pg_schema.label[nt]
-        domain = class_of_label[label]
         for key, dt in pg_schema.property_types_of(nt):
             builder.add_property(
                 iri_for(key, describe("node type", label), "property key"),
-                domain,
-                class_of_label[datatype_iris[dt].value],
+                class_of[nt],
+                datatype_iris[dt],
             )
     return builder.build()
 
@@ -300,7 +278,7 @@ def invert_graph(
     dropped with a warning.
     """
     builder = RdfGraphBuilder()
-    resource_of: dict[int, int] = {}
+    resource_of: dict[int, Iri] = {}
     for n in pg.nodes_sorted():
         describe = partial(pg.describe, n)
         props = pg.properties_of(n)

@@ -27,7 +27,7 @@ from .pg_graph import (
     validate_pg,
 )
 from .rdf_graph import RdfGraph, RdfGraphBuilder
-from .terms import iri_for
+from .terms import Iri, Literal, iri_for
 
 RESOURCE_LABEL = "Resource"
 LITERAL_LABEL = "Literal"
@@ -75,27 +75,25 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     property values are plain strings.
     """
     builder = PropertyGraphBuilder()
-    node_of: dict[int, int] = {}
+    node_of: dict[Iri | Literal, int] = {}
 
-    for r in graph.resources_sorted():
+    for iri in graph.resources_sorted():
         n = builder.add_node(RESOURCE_LABEL)
-        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(graph.resource_nodes[r].value, STRING))
-        builder.add_property(n, TYPE_KEY, PgValue(graph.class_label[r].value, STRING))
-        node_of[r] = n
+        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
+        builder.add_property(n, TYPE_KEY, PgValue(graph.resource_nodes[iri].value, STRING))
+        node_of[iri] = n
     for lit in graph.literals_sorted():
         n = builder.add_node(LITERAL_LABEL)
-        builder.add_property(n, TYPE_KEY, PgValue(graph.class_label[lit].value, STRING))
-        builder.add_property(n, VALUE_KEY, PgValue(graph.literal_nodes[lit], STRING))
+        builder.add_property(n, TYPE_KEY, PgValue(lit.datatype.value, STRING))
+        builder.add_property(n, VALUE_KEY, PgValue(lit.lexical, STRING))
         node_of[lit] = n
 
-    for dp in graph.datatype_edges_sorted():
-        src, lit = graph.datatype_edges[dp]
-        e = builder.add_edge(DATATYPE_PROPERTY_LABEL, node_of[src], node_of[lit])
-        builder.add_property(e, TYPE_KEY, PgValue(graph.class_label[dp].value, STRING))
-    for op in graph.object_edges_sorted():
-        src, dst = graph.object_edges[op]
-        e = builder.add_edge(OBJECT_PROPERTY_LABEL, node_of[src], node_of[dst])
-        builder.add_property(e, TYPE_KEY, PgValue(graph.class_label[op].value, STRING))
+    for t in graph.datatype_edges_sorted():
+        e = builder.add_edge(DATATYPE_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
+        builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
+    for t in graph.object_edges_sorted():
+        e = builder.add_edge(OBJECT_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
+        builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
     return builder.build()
 
 
@@ -127,7 +125,7 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
         raise SchemaViolation(report.summary())
 
     builder = RdfGraphBuilder()
-    element_of: dict[int, int] = {}
+    element_of: dict[int, Iri | Literal] = {}
     for n in pg.nodes_sorted():
         describe = partial(pg.describe, n)
         if pg.label[n] == RESOURCE_LABEL:

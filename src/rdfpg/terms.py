@@ -12,8 +12,9 @@ from typing import Callable, Iterator, Mapping, Union
 
 from .errors import NonIriLabel
 
-# For every code point, \s matches exactly the characters str.isspace() accepts.
-_has_whitespace = re.compile(r"\s").search
+# Characters RFC 3987 keeps out of IRIs: whitespace (for every code point, \s
+# matches exactly what str.isspace() accepts) and <>"{}|^`\.
+_forbidden_char = re.compile(r'[\s<>"{}|^`\\]').search
 
 
 @dataclass(frozen=True)
@@ -25,8 +26,14 @@ class Iri:
     def __post_init__(self) -> None:
         if not self.value:
             raise ValueError("IRI must be non-empty")
-        if _has_whitespace(self.value):
-            raise ValueError(f"IRI may not contain whitespace: {self.value!r}")
+        m = _forbidden_char(self.value)
+        if m:
+            raise ValueError(f"IRI may not contain {m.group()!r}: {self.value!r}")
+
+    # Terms are hashed once per set insertion or lookup; one call over their
+    # strings keeps that cheap. Equality stays the dataclass one.
+    def __hash__(self) -> int:
+        return hash(self.value)
 
     def __str__(self) -> str:
         return self.value
@@ -36,7 +43,7 @@ def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
     """`value` as an Iri, for a string read from a property graph.
 
     Raises NonIriLabel naming the element, described by calling `element`,
-    when `value` is empty or holds whitespace.
+    when `value` is empty or holds whitespace or one of <>"{}|^`\\.
     """
     try:
         return Iri(value)
@@ -59,6 +66,9 @@ class Literal:
     def plain(cls, lexical: str) -> "Literal":
         return cls(lexical, XSD_STRING)
 
+    def __hash__(self) -> int:
+        return hash((self.lexical, self.datatype.value))
+
     def __str__(self) -> str:
         return f'"{self.lexical}"^^{self.datatype}'
 
@@ -73,6 +83,12 @@ class Triple:
     s: Iri
     p: Iri
     o: RdfObject
+
+    def __hash__(self) -> int:
+        o = self.o
+        if type(o) is Iri:
+            return hash((self.s.value, self.p.value, o.value))
+        return hash((self.s.value, self.p.value, o.lexical, o.datatype.value))
 
 
 def triple_sort_key(t: Triple) -> tuple:
@@ -193,6 +209,3 @@ class TripleSet:
 
     def with_triples(self, extra) -> "TripleSet":
         return TripleSet(self.triples | frozenset(extra), self.prefixes)
-
-    def subjects(self) -> list[Iri]:
-        return sorted({t.s for t in self.triples}, key=lambda i: i.value)

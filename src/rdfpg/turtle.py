@@ -71,8 +71,6 @@ _pname = re.compile(r"([A-Za-z0-9_-]*)(?::([A-Za-z0-9_-]*))?").match
 _string_chars = re.compile(r'[^"\\\n]*').match
 _escape = re.compile(r'\\(?:([tbnrf"\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))').match
 _local_name = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*)?\Z").match  # "" or a PN_NAME
-# Characters, besides whitespace, that may never appear inside <...> IRI references.
-_iri_forbidden = re.compile(r'[<>"{}|^`\\]').search
 
 
 class _Parser:
@@ -376,9 +374,7 @@ class _IriWriter:
             if value.startswith(ns) and _local_name(local):
                 self.used.add(prefix)
                 return f"{prefix}:{local}"
-        if _iri_forbidden(value):
-            raise ValueError(f"IRI {value!r} cannot be written in <> form")
-        return f"<{value}>"
+        return f"<{value}>"  # Iri admits no character that <...> cannot hold
 
 
 def serialize_turtle(ts: TripleSet) -> str:

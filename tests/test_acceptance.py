@@ -341,9 +341,7 @@ def test_a8_partial_schema_completion(org_instance, org_schema_triples):
     schema_back, graph_back = dep.invert_database(pg_schema, pg)
 
     recovered_ceo_ranges = {
-        schema_back.class_nodes[schema_back.endpoints[e][1]]
-        for e in schema_back.property_edges
-        if schema_back.property_edges[e].value == VOC + "ceo"
+        range_ for prop, _, range_ in schema_back.property_edges if prop.value == VOC + "ceo"
     }
     _announce(
         "A8",

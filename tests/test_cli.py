@@ -120,29 +120,28 @@ def test_invert_dep_missing_iri_property_exits_2(tmp_path, capsys):
     assert "iri" in capsys.readouterr().err
 
 
-def test_invert_indep_whitespace_iri_exits_2(tmp_path, capsys):
-    props = [{"key": "iri", "value": "http://ex.org/a b", "type": "String"},
+def _invert_indep_with_iri(tmp_path, iri):
+    """Runs `invert --mode indep` on one Resource node; returns (code, outputs)."""
+    props = [{"key": "iri", "value": iri, "type": "String"},
              {"key": "type", "value": "http://ex.org/T", "type": "String"}]
     doc = {"nodes": [{"id": "n0", "label": "Resource", "properties": props}], "edges": []}
     pg_path = tmp_path / "pg.json"
     pg_path.write_text(json.dumps(doc))
     out = tmp_path / "o.ttl"
     code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(out)])
-    assert code == 2
-    err = capsys.readouterr().err
-    assert "node Resource{" in err and "'iri' value 'http://ex.org/a b'" in err
-    assert not out.exists()
+    return code, [out]
 
 
-def test_invert_dep_whitespace_datatype_exits_2(tmp_path, capsys):
-    props = [{"key": "iri", "value": "http://ex.org/a", "type": "String"},
-             {"key": "http://ex.org/when", "value": "2020", "type": "Dat e"}]
+def _invert_dep_with(tmp_path, iri="http://ex.org/a", datatype="Date"):
+    """Runs `invert --mode dep` on one node holding `iri` and a value of `datatype`."""
+    props = [{"key": "iri", "value": iri, "type": "String"},
+             {"key": "http://ex.org/when", "value": "2020", "type": datatype}]
     doc = {"nodes": [{"id": "n0", "label": "http://ex.org/T", "properties": props}],
            "edges": []}
     schema = {"nodeTypes": [{"id": "nt0", "label": "http://ex.org/T",
                              "propertyTypes": ["pt0"]}],
               "edgeTypes": [],
-              "propertyTypes": [{"id": "pt0", "key": "http://ex.org/when", "type": "Dat e"}]}
+              "propertyTypes": [{"id": "pt0", "key": "http://ex.org/when", "type": datatype}]}
     pg_path = tmp_path / "pg.json"
     pg_path.write_text(json.dumps(doc))
     pgs_path = tmp_path / "pgs.json"
@@ -150,10 +149,54 @@ def test_invert_dep_whitespace_datatype_exits_2(tmp_path, capsys):
     outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
     code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
                  "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    return code, outs
+
+
+def test_invert_indep_whitespace_iri_exits_2(tmp_path, capsys):
+    code, outs = _invert_indep_with_iri(tmp_path, "http://ex.org/a b")
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "node Resource{" in err and "'iri' value 'http://ex.org/a b'" in err
+    assert not any(p.exists() for p in outs)
+
+
+def test_invert_dep_whitespace_datatype_exits_2(tmp_path, capsys):
+    code, outs = _invert_dep_with(tmp_path, datatype="Dat e")
     assert code == 2
     assert "carries datatype 'Dat e', which is not usable as an IRI" in capsys.readouterr().err
     assert not any(p.exists() for p in outs)
 
+
+# Characters RFC 3987 keeps out of IRIs besides whitespace.
+FORBIDDEN_IRI_CHARS = list('<>"{}|^`\\')
+
+
+@pytest.mark.parametrize("char", FORBIDDEN_IRI_CHARS)
+def test_invert_indep_forbidden_iri_char_exits_2(tmp_path, capsys, char):
+    value = f"http://ex.org/a{char}b"
+    code, outs = _invert_indep_with_iri(tmp_path, value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "node Resource{" in err and f"carries 'iri' value {value!r}, which is not" in err
+    assert not any(p.exists() for p in outs)
+
+
+@pytest.mark.parametrize("char", FORBIDDEN_IRI_CHARS)
+def test_invert_dep_forbidden_iri_char_exits_2(tmp_path, capsys, char):
+    value = f"http://ex.org/a{char}b"
+    code, outs = _invert_dep_with(tmp_path, iri=value)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "node http://ex.org/T{" in err
+    assert f"carries 'iri' value {value!r}, which is not usable as an IRI" in err
+    assert not any(p.exists() for p in outs)
+
+    code, outs = _invert_dep_with(tmp_path, datatype=value)
+    assert code == 2
+    # The schema is inverted first, so the property type is named.
+    assert (f"property type 'http://ex.org/when' carries datatype {value!r}, "
+            "which is not usable as an IRI") in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
 
 def test_validate_rdf_valid_exit_0(capsys):
     assert main(["validate", "rdf", "--rdf", INSTANCE, "--schema", SCHEMA]) == 0

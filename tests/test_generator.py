@@ -62,16 +62,16 @@ def test_indep_generator_produces_hard_cases():
     for seed in range(60):
         graph = gen_rdf_graph(GeneratorConfig(seed=seed))
         pairs = set()
-        for e, (src, _) in graph.datatype_edges.items():
-            key = (src, graph.class_label[e])
+        for t in graph.datatype_edges:
+            key = (t.s, t.p)
             if key in pairs:
                 saw_multivalued = True
             pairs.add(key)
-        for n in graph.resource_nodes:
-            if graph.class_label[n].value.endswith("Resource"):
+        for cls in graph.resource_nodes.values():
+            if cls.value.endswith("Resource"):
                 saw_untyped = True
-        touched = {lit for _, lit in graph.datatype_edges.values()}
-        if set(graph.literal_nodes) - touched:
+        touched = {t.o for t in graph.datatype_edges}
+        if graph.literal_nodes - touched:
             saw_isolated_literal = True
     assert saw_multivalued and saw_untyped and saw_isolated_literal
 

@@ -4,6 +4,9 @@ The digests below were captured from the code before the property graph
 model stored its properties in canonical order and cached its canonical
 keys. Any change to PG JSON, PG-schema JSON, Turtle or Cypher output for
 these inputs shows up here as a digest mismatch.
+
+The two validation reports at the end pin the order and text of every
+violation that validate_pg and validate_rdf give for a fixed bad input.
 """
 
 from __future__ import annotations
@@ -41,6 +44,7 @@ from rdfpg.rdf_graph import (
     complete_partial_schema,
     rdf_graph_to_triples,
     rdf_schema_to_triples,
+    validate_rdf,
 )
 from rdfpg.turtle import parse_turtle, serialize_turtle
 
@@ -262,3 +266,151 @@ def test_validate_pg_violation_order_and_text():
     report = validate_pg(graph, schema)
     got = tuple((v.rule, v.element, v.message) for v in report.violations)
     assert got == EXPECTED_VIOLATIONS
+
+
+RDF_VIOLATION_SCHEMA = """\
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix voc: <http://voc.example/> .
+voc:Organisation a rdfs:Class .
+voc:Person a rdfs:Class .
+voc:name a rdf:Property ; rdfs:domain voc:Person ; rdfs:range xsd:string .
+voc:age a rdf:Property ; rdfs:domain voc:Person ; rdfs:range xsd:integer .
+voc:ceo a rdf:Property ; rdfs:domain voc:Organisation ; rdfs:range voc:Person .
+voc:knows a rdf:Property ; rdfs:domain voc:Person ; rdfs:range voc:Person .
+"""
+
+# R1 on resources and literals, R2 on object edges, R3 on datatype edges; the
+# literal-object rdf:type triples are datatype edges, not class labels.
+RDF_VIOLATION_INSTANCE = """\
+@prefix rdf: <http://www.w3.org/1999/02/22-rdf-syntax-ns#> .
+@prefix xsd: <http://www.w3.org/2001/XMLSchema#> .
+@prefix voc: <http://voc.example/> .
+@prefix ex: <http://ex.org/> .
+ex:acme a voc:Organisation ; voc:name "Acme" ; voc:ceo ex:ann ; voc:owns ex:globex .
+ex:globex a voc:Company ; voc:ceo ex:bob .
+ex:ann a voc:Person, "Person" ; voc:name "Ann" ; voc:age "41" ;
+    voc:born "2001-01-01"^^xsd:date ; voc:knows ex:bob, ex:robot .
+ex:bob a voc:Person ; voc:age "39"^^xsd:integer ; voc:knows ex:ann ;
+    voc:colour "red"^^<http://dt.example/c> .
+ex:robot a voc:Robot ; voc:name "R2" ;
+    voc:serial "7"^^<http://dt.example/c>, "7"^^<http://dt.example/b> .
+ex:stray voc:knows ex:ann ; rdf:type "Thing"^^<http://dt.example/c> .
+"""
+
+EXPECTED_RDF_VIOLATIONS: tuple[tuple[str, str, str], ...] = (
+    (
+        'R1',
+        'http://ex.org/globex',
+        'class http://voc.example/Company is not declared',
+    ),
+    (
+        'R1',
+        'http://ex.org/robot',
+        'class http://voc.example/Robot is not declared',
+    ),
+    (
+        'R1',
+        'http://ex.org/stray',
+        'class http://www.w3.org/2000/01/rdf-schema#Resource is not declared',
+    ),
+    (
+        'R1',
+        '"2001-01-01"^^http://www.w3.org/2001/XMLSchema#date',
+        'class http://www.w3.org/2001/XMLSchema#date is not declared',
+    ),
+    (
+        'R1',
+        '"7"^^http://dt.example/b',
+        'class http://dt.example/b is not declared',
+    ),
+    (
+        'R1',
+        '"7"^^http://dt.example/c',
+        'class http://dt.example/c is not declared',
+    ),
+    (
+        'R1',
+        '"Thing"^^http://dt.example/c',
+        'class http://dt.example/c is not declared',
+    ),
+    (
+        'R1',
+        '"red"^^http://dt.example/c',
+        'class http://dt.example/c is not declared',
+    ),
+    (
+        'R2',
+        'http://ex.org/acme --http://voc.example/owns--> http://ex.org/globex',
+        'no declared property http://voc.example/owns from http://voc.example/Organisation to http://voc.example/Company',
+    ),
+    (
+        'R2',
+        'http://ex.org/ann --http://voc.example/knows--> http://ex.org/robot',
+        'no declared property http://voc.example/knows from http://voc.example/Person to http://voc.example/Robot',
+    ),
+    (
+        'R2',
+        'http://ex.org/globex --http://voc.example/ceo--> http://ex.org/bob',
+        'no declared property http://voc.example/ceo from http://voc.example/Company to http://voc.example/Person',
+    ),
+    (
+        'R2',
+        'http://ex.org/stray --http://voc.example/knows--> http://ex.org/ann',
+        'no declared property http://voc.example/knows from http://www.w3.org/2000/01/rdf-schema#Resource to http://voc.example/Person',
+    ),
+    (
+        'R3',
+        'http://ex.org/acme --http://voc.example/name--> "Acme"^^http://www.w3.org/2001/XMLSchema#string',
+        'no declared property http://voc.example/name from http://voc.example/Organisation to http://www.w3.org/2001/XMLSchema#string',
+    ),
+    (
+        'R3',
+        'http://ex.org/ann --http://voc.example/age--> "41"^^http://www.w3.org/2001/XMLSchema#string',
+        'no declared property http://voc.example/age from http://voc.example/Person to http://www.w3.org/2001/XMLSchema#string',
+    ),
+    (
+        'R3',
+        'http://ex.org/ann --http://voc.example/born--> "2001-01-01"^^http://www.w3.org/2001/XMLSchema#date',
+        'no declared property http://voc.example/born from http://voc.example/Person to http://www.w3.org/2001/XMLSchema#date',
+    ),
+    (
+        'R3',
+        'http://ex.org/ann --http://www.w3.org/1999/02/22-rdf-syntax-ns#type--> "Person"^^http://www.w3.org/2001/XMLSchema#string',
+        'no declared property http://www.w3.org/1999/02/22-rdf-syntax-ns#type from http://voc.example/Person to http://www.w3.org/2001/XMLSchema#string',
+    ),
+    (
+        'R3',
+        'http://ex.org/bob --http://voc.example/colour--> "red"^^http://dt.example/c',
+        'no declared property http://voc.example/colour from http://voc.example/Person to http://dt.example/c',
+    ),
+    (
+        'R3',
+        'http://ex.org/robot --http://voc.example/name--> "R2"^^http://www.w3.org/2001/XMLSchema#string',
+        'no declared property http://voc.example/name from http://voc.example/Robot to http://www.w3.org/2001/XMLSchema#string',
+    ),
+    (
+        'R3',
+        'http://ex.org/robot --http://voc.example/serial--> "7"^^http://dt.example/b',
+        'no declared property http://voc.example/serial from http://voc.example/Robot to http://dt.example/b',
+    ),
+    (
+        'R3',
+        'http://ex.org/robot --http://voc.example/serial--> "7"^^http://dt.example/c',
+        'no declared property http://voc.example/serial from http://voc.example/Robot to http://dt.example/c',
+    ),
+    (
+        'R3',
+        'http://ex.org/stray --http://www.w3.org/1999/02/22-rdf-syntax-ns#type--> "Thing"^^http://dt.example/c',
+        'no declared property http://www.w3.org/1999/02/22-rdf-syntax-ns#type from http://www.w3.org/2000/01/rdf-schema#Resource to http://dt.example/c',
+    ),
+)
+
+
+def test_validate_rdf_violation_order_and_text():
+    schema = build_rdf_schema(complete_partial_schema(parse_turtle(RDF_VIOLATION_SCHEMA)))
+    graph = build_rdf_graph(parse_turtle(RDF_VIOLATION_INSTANCE))
+    report = validate_rdf(graph, schema)
+    got = tuple((v.rule, v.element, v.message) for v in report.violations)
+    assert got == EXPECTED_RDF_VIOLATIONS

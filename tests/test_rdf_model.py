@@ -10,7 +10,12 @@ from rdfpg.errors import (
     MultipleTypes,
     ReservedVocabularyTerm,
 )
-from rdfpg.generator import GeneratorConfig, gen_rdf_database
+from rdfpg.generator import (
+    GeneratorConfig,
+    gen_instance_triples,
+    gen_rdf_database,
+    gen_schema_triples,
+)
 from rdfpg.rdf_graph import (
     RdfGraphSchemaBuilder,
     build_rdf_graph,
@@ -41,13 +46,11 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 def _iri_labels(graph):
-    return {graph.resource_nodes[n].value: graph.class_label[n].value
-            for n in graph.resource_nodes}
+    return {iri.value: cls.value for iri, cls in graph.resource_nodes.items()}
 
 
 def _literal_labels(graph):
-    return {(graph.literal_nodes[n], graph.class_label[n].value)
-            for n in graph.literal_nodes}
+    return {(lit.lexical, lit.datatype.value) for lit in graph.literal_nodes}
 
 
 # -- build_rdf_graph ---------------------------------------------------------
@@ -67,10 +70,14 @@ def test_build_graph_org_example(org_graph):
     assert len(org_graph.object_edges) == 1
     assert len(org_graph.datatype_edges) == 4
     (ceo_edge,) = org_graph.object_edges
-    assert org_graph.class_label[ceo_edge].value == VOC + "ceo"
-    src, dst = org_graph.object_edges[ceo_edge]
-    assert org_graph.resource_nodes[src].value == EX + "Tesla_Inc"
-    assert org_graph.resource_nodes[dst].value == EX + "Elon_Musk"
+    assert ceo_edge == Triple(Iri(EX + "Tesla_Inc"), Iri(VOC + "ceo"), Iri(EX + "Elon_Musk"))
+    assert {(t.s.value, t.p.value) for t in org_graph.datatype_edges} == {
+        (EX + "Tesla_Inc", VOC + "name"),
+        (EX + "Tesla_Inc", VOC + "creation"),
+        (EX + "Elon_Musk", VOC + "birthName"),
+        (EX + "Elon_Musk", VOC + "age"),
+    }
+    assert {t.o for t in org_graph.datatype_edges} == org_graph.literal_nodes
 
 
 def test_build_graph_empty():
@@ -85,7 +92,7 @@ def test_build_graph_untyped_resources_default():
         EX + "b": RDFS_RESOURCE.value,
     }
     (edge,) = graph.object_edges
-    assert graph.class_label[edge].value == VOC + "p"
+    assert edge == Triple(Iri(EX + "a"), Iri(VOC + "p"), Iri(EX + "b"))
 
 
 def test_build_graph_multiple_types_rejected():
@@ -124,7 +131,7 @@ def test_build_graph_type_with_literal_object_is_data():
 
 
 def test_build_schema_org_example(org_rdf_schema):
-    classes = {iri.value for iri in org_rdf_schema.class_nodes.values()}
+    classes = {iri.value for iri in org_rdf_schema.class_nodes}
     assert classes == {
         VOC + "Organisation",
         VOC + "Person",
@@ -133,13 +140,11 @@ def test_build_schema_org_example(org_rdf_schema):
         XSD + "int",
     }
     assert len(org_rdf_schema.property_edges) == 5
-    by_iri = {
-        org_rdf_schema.property_edges[e].value: org_rdf_schema.endpoints[e]
-        for e in org_rdf_schema.property_edges
-    }
+    by_iri = {prop.value: (dom, rng) for prop, dom, rng in org_rdf_schema.property_edges}
+    assert len(by_iri) == 5
     dom, rng = by_iri[VOC + "ceo"]
-    assert org_rdf_schema.class_nodes[dom].value == VOC + "Organisation"
-    assert org_rdf_schema.class_nodes[rng].value == VOC + "Person"
+    assert dom.value == VOC + "Organisation"
+    assert rng.value == VOC + "Person"
 
 
 def test_build_schema_empty():
@@ -154,8 +159,8 @@ def test_build_schema_from_domain_range_only():
         ]
     )
     schema = build_rdf_schema(ts)
-    assert {iri.value for iri in schema.class_nodes.values()} == {VOC + "A", VOC + "B"}
-    assert len(schema.property_edges) == 1
+    assert {iri.value for iri in schema.class_nodes} == {VOC + "A", VOC + "B"}
+    assert schema.property_edges == {(Iri(VOC + "p"), Iri(VOC + "A"), Iri(VOC + "B"))}
 
 
 def test_build_schema_conflicting_declarations():
@@ -328,14 +333,68 @@ def test_rebuild_from_triples_is_identity_on_generated_graphs():
         assert rdf_equal(build_rdf_schema(rdf_schema_to_triples(schema)), schema), seed
 
 
-def test_identity_maps_stay_injective_on_generated_graphs():
+def test_generated_graph_elements_are_the_input_terms():
+    """Nodes are the distinct terms of the input and edges its non-type triples."""
     for seed in range(30):
-        schema, graph = gen_rdf_database(GeneratorConfig(seed=seed))
-        iris = list(graph.resource_nodes.values())
-        assert len(iris) == len(set(iris)), seed
-        literal_keys = [
-            (graph.literal_nodes[n], graph.class_label[n]) for n in graph.literal_nodes
-        ]
-        assert len(literal_keys) == len(set(literal_keys)), seed
-        class_iris = list(schema.class_nodes.values())
-        assert len(class_iris) == len(set(class_iris)), seed
+        config = GeneratorConfig(seed=seed)
+        schema_triples = complete_partial_schema(gen_schema_triples(config))
+        schema = build_rdf_schema(schema_triples)
+        triples = gen_instance_triples(config, schema)
+        graph = build_rdf_graph(triples)
+        assert (schema, graph) == gen_rdf_database(config), seed
+
+        typed = {t for t in triples if t.p == RDF_TYPE and isinstance(t.o, Iri)}
+        data = triples.triples - typed
+        assert graph.object_edges == {t for t in data if isinstance(t.o, Iri)}, seed
+        assert graph.datatype_edges == {t for t in data if isinstance(t.o, Literal)}, seed
+        assert graph.literal_nodes == {t.o for t in graph.datatype_edges}, seed
+        expected_classes = {t.s: RDFS_RESOURCE for t in triples}
+        expected_classes.update((t.o, RDFS_RESOURCE) for t in graph.object_edges)
+        expected_classes.update((t.s, t.o) for t in typed)
+        assert graph.resource_nodes == expected_classes, seed
+
+        declared = {t.s for t in schema_triples if t.p == RDF_TYPE and t.o == RDFS_CLASS}
+        ends = {t.o for t in schema_triples if t.p in (RDFS_DOMAIN, RDFS_RANGE)}
+        assert schema.class_nodes == declared | ends, seed
+        domain = {t.s: t.o for t in schema_triples if t.p == RDFS_DOMAIN}
+        range_ = {t.s: t.o for t in schema_triples if t.p == RDFS_RANGE}
+        assert schema.property_edges == {
+            (p, domain[p], range_[p]) for p in domain.keys() & range_.keys()
+        }, seed
+
+# -- terms ---------------------------------------------------------------------
+
+
+def test_equal_terms_hash_equal():
+    pairs = [
+        (Iri(EX + "a"), Iri(EX + "a")),
+        (Literal("46", Iri(XSD + "int")), Literal("46", Iri(XSD + "int"))),
+        (Triple(Iri(EX + "a"), Iri(VOC + "p"), Iri(EX + "b")),
+         Triple(Iri(EX + "a"), Iri(VOC + "p"), Iri(EX + "b"))),
+        (Triple(Iri(EX + "a"), Iri(VOC + "p"), Literal("x", Iri(XSD + "string"))),
+         Triple(Iri(EX + "a"), Iri(VOC + "p"), Literal.plain("x"))),
+    ]
+    for a, b in pairs:
+        assert a is not b and a == b and hash(a) == hash(b)
+    assert len({a for a, _ in pairs} | {b for _, b in pairs}) == len(pairs)
+
+
+def test_iri_never_equals_literal():
+    iri = Iri(EX + "a")
+    literal = Literal(EX + "a", Iri(XSD + "string"))
+    assert iri != literal and literal != iri
+    assert iri != EX + "a"
+    assert len({iri, literal}) == 2
+    assert Triple(iri, Iri(VOC + "p"), iri) != Triple(iri, Iri(VOC + "p"), literal)
+    assert Literal("46", Iri(XSD + "int")) != Literal("46", Iri(XSD + "integer"))
+
+
+@pytest.mark.parametrize("char", list(' \t\n\u00a0<>"{}|^`\\'))
+def test_iri_rejects_characters_rfc3987_excludes(char):
+    with pytest.raises(ValueError, match="IRI may not contain"):
+        Iri(f"{EX}a{char}b")
+
+
+def test_iri_rejects_empty():
+    with pytest.raises(ValueError, match="non-empty"):
+        Iri("")

@@ -214,13 +214,10 @@ def test_invert_schema_from_bare_labels():
     person = b.add_node_type("Person")
     b.add_property_type(person, "age", INTEGER)
     schema = dep.invert_schema(b.build())
-    classes = {iri.value for iri in schema.class_nodes.values()}
+    classes = {iri.value for iri in schema.class_nodes}
     assert classes == {"Person", XSD + "integer"}
     (edge,) = schema.property_edges
-    assert schema.property_edges[edge].value == "age"
-    dom, rng = schema.endpoints[edge]
-    assert schema.class_nodes[dom].value == "Person"
-    assert schema.class_nodes[rng].value == XSD + "integer"
+    assert edge == (Iri("age"), Iri("Person"), Iri(XSD + "integer"))
 
 
 def test_invert_graph_recovers_org(org_graph):
@@ -236,9 +233,8 @@ def test_invert_graph_single_node():
     n = b.add_node(VOC + "T")
     b.add_property(n, "iri", PgValue(EX + "a", STRING))
     graph = dep.invert_graph(b.build())
-    (r,) = graph.resource_nodes
-    assert graph.resource_nodes[r].value == EX + "a"
-    assert graph.class_label[r].value == VOC + "T"
+    assert graph.resource_nodes == {Iri(EX + "a"): Iri(VOC + "T")}
+    assert not (graph.literal_nodes or graph.object_edges or graph.datatype_edges)
 
 
 def test_invert_graph_requires_iri_property():
@@ -271,8 +267,12 @@ def _node_with(label=VOC + "T", iri=EX + "a", key=VOC + "p", datatype=STRING):
         (_node_with(iri=""), "'iri' value", ""),
         (_node_with(key=VOC + "p q"), "property key", VOC + "p q"),
         (_node_with(datatype=custom_datatype("Dat e")), "datatype", "Dat e"),
+        (_node_with(iri=EX + "a<b>"), "'iri' value", EX + "a<b>"),
+        (_node_with(key=VOC + "p^q"), "property key", VOC + "p^q"),
+        (_node_with(datatype=custom_datatype("urn:dt`x")), "datatype", "urn:dt`x"),
     ],
-    ids=["iri-value-space", "iri-value-empty", "key-space", "datatype-space"],
+    ids=["iri-value-space", "iri-value-empty", "key-space", "datatype-space",
+         "iri-value-angle", "key-caret", "datatype-backtick"],
 )
 def test_invert_graph_names_the_node_with_an_unusable_iri(graph, role, value):
     with pytest.raises(NonIriLabel) as err:
@@ -365,7 +365,7 @@ def test_completed_schema_still_roundtrips(org_schema_triples, org_graph):
     removed = Triple(Iri(VOC + "ceo"), RDFS_RANGE, Iri(VOC + "Person"))
     partial = TripleSet(org_schema_triples.triples - {removed}, org_schema_triples.prefixes)
     schema = build_rdf_schema(complete_partial_schema(partial))
-    assert RDFS_RESOURCE in schema.class_iris()
+    assert RDFS_RESOURCE in schema.class_nodes
     # the instance no longer matches the widened schema, so expect a warning
     assert not validate_rdf(org_graph, schema).valid
     with pytest.warns(ValidityWarning):

@@ -213,8 +213,10 @@ def test_invert_requires_bookkeeping_properties():
         (EX + "a b", VOC + "T", "'iri' value"),
         (EX + "a", VOC + "T\tU", "'type' value"),
         (EX + "a", "", "'type' value"),
+        (EX + "a{b}", VOC + "T", "'iri' value"),
+        (EX + "a", VOC + "T|U", "'type' value"),
     ],
-    ids=["iri-space", "type-tab", "type-empty"],
+    ids=["iri-space", "type-tab", "type-empty", "iri-brace", "type-pipe"],
 )
 def test_invert_graph_names_the_node_with_an_unusable_iri(iri, type_iri, role):
     b = PropertyGraphBuilder()
