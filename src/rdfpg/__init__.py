@@ -12,6 +12,7 @@ from . import schema_dependent, schema_independent
 from .errors import RdfPgError
 from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
 from .pg_graph import (
+    EdgeType,
     PgDatatype,
     PgValue,
     PropertyGraph,
@@ -19,7 +20,6 @@ from .pg_graph import (
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     pg_equal,
-    pg_schema_equal,
     type_of_value,
     validate_pg,
 )
@@ -45,6 +45,7 @@ from .turtle import parse_turtle, parse_turtle_raw, serialize_turtle, skolemize
 __version__ = "0.1.0"
 
 __all__ = [
+    "EdgeType",
     "GeneratorConfig",
     "Iri",
     "Literal",
@@ -75,7 +76,6 @@ __all__ = [
     "parse_turtle",
     "parse_turtle_raw",
     "pg_equal",
-    "pg_schema_equal",
     "rdf_equal",
     "rdf_graph_to_triples",
     "rdf_schema_to_triples",

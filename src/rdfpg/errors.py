@@ -128,6 +128,16 @@ class NonIriLabel(RdfPgError):
         super().__init__(f"{element} carries {role} {label!r}, which is not usable as an IRI")
 
 
+class ConflictingResourceClass(RdfPgError):
+    """Two PG nodes carry the same IRI but give its resource different classes."""
+
+    def __init__(self, iri: str, first: str, second: str):
+        self.iri = iri
+        self.first = first
+        self.second = second
+        super().__init__(f"{first} and {second} give resource {iri} different classes")
+
+
 class SchemaViolation(RdfPgError):
     """A property graph offered for inversion does not conform to the generic schema."""
 

@@ -10,9 +10,10 @@ order. Its canonical keys and its canonical node and edge orders are
 computed at most once per graph, on first use, and every consumer (the
 validator, the serializers, the inverse mappings, pg_equal) reuses them.
 
-Schemas declare node types, edge types (with fixed endpoint node types) and
-the property types allowed on each. Property types constrain what may appear,
-they do not make properties mandatory.
+A schema is keyed by its own labels: a node type is its label and the
+(key, datatype) property types it allows; an edge type adds its endpoint
+labels. Built schemas are in canonical order and compare with ==. Property
+types constrain what may appear, they do not make properties mandatory.
 """
 
 from __future__ import annotations
@@ -179,91 +180,61 @@ class PropertyGraph:
         )
 
 
-@dataclass(frozen=True, eq=False)
-class PropertyGraphSchema:
-    """Compare with pg_schema_equal, not ==.
+PropertyType = tuple[str, PgDatatype]  # (key, datatype)
 
-    Like PropertyGraph, a schema fills in its sorted property types, type
-    keys, canonical orders and validation lookup tables on first use and
-    caches them on the instance; the fields they derive from never change.
+
+def _property_type_key(pt: PropertyType) -> tuple[str, str]:
+    key, datatype = pt
+    return key, datatype.token()
+
+
+@dataclass(frozen=True)
+class EdgeType:
+    """An edge type: its label, its source and target node type labels, and
+    the property types it allows, in canonical order."""
+
+    label: str
+    source: str
+    target: str
+    property_types: tuple[PropertyType, ...]
+
+
+def _edge_type_key(et: EdgeType) -> tuple:
+    return et.label, et.source, et.target, tuple(map(_property_type_key, et.property_types))
+
+
+@dataclass(frozen=True)
+class PropertyGraphSchema:
+    """A property graph schema keyed by its own labels; compare with ==.
+
+    `node_types` maps each node type label to its property types. It, the
+    `edge_types` tuple and each owner's property types are in canonical
+    order. Tuples keep duplicates (two edge types may share a label and
+    endpoints), so == compares them as multisets. The validation lookup
+    tables are cached on first use; the fields never change.
     """
 
-    node_types: frozenset[int]
-    edge_types: frozenset[int]
-    property_types: frozenset[int]
-    label: Mapping[int, str]
-    ptype: Mapping[int, tuple[str, PgDatatype]]
-    ends: Mapping[int, tuple[int, int]]
-    attach: Mapping[int, frozenset[int]]
+    node_types: Mapping[str, tuple[PropertyType, ...]]
+    edge_types: tuple[EdgeType, ...]
 
     def is_empty(self) -> bool:
         return not (self.node_types or self.edge_types)
 
     @cached_property
-    def _property_types(self) -> dict[int, tuple[tuple[str, PgDatatype], ...]]:
-        ptype = self.ptype
+    def _allowed_by_node_type(self) -> dict[str, frozenset[tuple[str, str]]]:
+        """Allowed (key, datatype token) pairs of each node type, by label."""
         return {
-            owner: tuple(sorted((ptype[pt] for pt in pts), key=lambda kv: (kv[0], kv[1].token())))
-            for owner, pts in self.attach.items()
+            label: frozenset(map(_property_type_key, pts)) for label, pts in self.node_types.items()
         }
 
-    def property_types_of(self, owner: int) -> list[tuple[str, PgDatatype]]:
-        return list(self._property_types.get(owner, ()))
-
-    def _property_type_keys(self, owner: int) -> tuple:
-        return tuple((k, dt.token()) for k, dt in self._property_types.get(owner, ()))
-
     @cached_property
-    def _type_keys(self) -> dict[int, tuple]:
-        label, ends = self.label, self.ends
-        keys = {nt: (label[nt], self._property_type_keys(nt)) for nt in self.node_types}
+    def _allowed_by_signature(self) -> dict[tuple[str, str, str], list[frozenset]]:
+        """Allowed (key, datatype token) pairs of each edge type, grouped by
+        (label, source, target) in canonical order."""
+        by_signature: dict[tuple[str, str, str], list[frozenset]] = defaultdict(list)
         for et in self.edge_types:
-            src, dst = ends[et]
-            keys[et] = (label[et], label[src], label[dst], self._property_type_keys(et))
-        return keys
-
-    @cached_property
-    def _node_type_order(self) -> tuple[int, ...]:
-        keys = self._type_keys
-        return tuple(sorted(self.node_types, key=lambda nt: (keys[nt], nt)))
-
-    @cached_property
-    def _edge_type_order(self) -> tuple[int, ...]:
-        keys = self._type_keys
-        return tuple(sorted(self.edge_types, key=lambda et: (keys[et], et)))
-
-    def node_type_key(self, nt: int) -> tuple:
-        return self._type_keys[nt]
-
-    def edge_type_key(self, et: int) -> tuple:
-        return self._type_keys[et]
-
-    def node_types_sorted(self) -> list[int]:
-        return list(self._node_type_order)
-
-    def edge_types_sorted(self) -> list[int]:
-        return list(self._edge_type_order)
-
-    @cached_property
-    def _node_type_by_label(self) -> dict[str, int]:
-        return {self.label[nt]: nt for nt in self.node_types}
-
-    @cached_property
-    def _allowed(self) -> dict[int, frozenset[tuple[str, str]]]:
-        """(key, datatype token) pairs each node or edge type allows."""
-        return {
-            owner: frozenset(self._property_type_keys(owner))
-            for owner in itertools.chain(self.node_types, self.edge_types)
-        }
-
-    @cached_property
-    def _edge_types_by_signature(self) -> dict[tuple[str, str, str], list[int]]:
-        """Edge types by (label, source label, target label), in canonical order."""
-        label = self.label
-        by_signature: dict[tuple[str, str, str], list[int]] = defaultdict(list)
-        for et in self._edge_type_order:
-            src, dst = self.ends[et]
-            by_signature[(label[et], label[src], label[dst])].append(et)
+            allowed = frozenset(map(_property_type_key, et.property_types))
+            by_signature[(et.label, et.source, et.target)].append(allowed)
         return dict(by_signature)
 
 
@@ -310,49 +281,44 @@ class PropertyGraphBuilder:
 
 
 class PropertyGraphSchemaBuilder:
+    """Accumulates types with their checks. Handles are builder-local: a node
+    type's handle is its label, an edge type's is its position."""
+
     def __init__(self) -> None:
-        self._ids = itertools.count()
-        self._node_types: dict[int, str] = {}
-        self._edge_types: dict[int, tuple[str, int, int]] = {}
-        self._ptypes: dict[int, tuple[str, PgDatatype]] = {}
-        self._attach: dict[int, list[int]] = defaultdict(list)
+        self._node_types: dict[str, list[PropertyType]] = {}
+        self._edge_types: list[tuple[str, str, str, list[PropertyType]]] = []
 
-    def add_node_type(self, label: str) -> int:
-        if label in self._node_types.values():
+    def add_node_type(self, label: str) -> str:
+        if label in self._node_types:
             raise ValueError(f"duplicate node type label {label!r}")
-        nt = next(self._ids)
-        self._node_types[nt] = label
-        return nt
+        self._node_types[label] = []
+        return label
 
-    def add_edge_type(self, label: str, src: int, dst: int) -> int:
+    def add_edge_type(self, label: str, src: str, dst: str) -> int:
         if src not in self._node_types or dst not in self._node_types:
             raise ValueError("edge type endpoints must be existing node types")
-        et = next(self._ids)
-        self._edge_types[et] = (label, src, dst)
-        return et
+        self._edge_types.append((label, src, dst, []))
+        return len(self._edge_types) - 1
 
-    def add_property_type(self, owner: int, key: str, datatype: PgDatatype) -> int:
-        if owner not in self._node_types and owner not in self._edge_types:
+    def add_property_type(self, owner: str | int, key: str, datatype: PgDatatype) -> None:
+        if owner in self._node_types:
+            self._node_types[owner].append((key, datatype))
+        elif type(owner) is int and 0 <= owner < len(self._edge_types):
+            self._edge_types[owner][3].append((key, datatype))
+        else:
             raise ValueError("property type owner must be a node or edge type")
-        pt = next(self._ids)
-        self._ptypes[pt] = (key, datatype)
-        self._attach[owner].append(pt)
-        return pt
 
     def build(self) -> PropertyGraphSchema:
-        labels: dict[int, str] = dict(self._node_types)
-        ends: dict[int, tuple[int, int]] = {}
-        for et, (label, src, dst) in self._edge_types.items():
-            labels[et] = label
-            ends[et] = (src, dst)
+        edge_types = [
+            EdgeType(label, src, dst, tuple(sorted(pts, key=_property_type_key)))
+            for label, src, dst, pts in self._edge_types
+        ]
         return PropertyGraphSchema(
-            node_types=frozenset(self._node_types),
-            edge_types=frozenset(self._edge_types),
-            property_types=frozenset(self._ptypes),
-            label=labels,
-            ptype=dict(self._ptypes),
-            ends=ends,
-            attach={o: frozenset(ps) for o, ps in self._attach.items() if ps},
+            node_types={
+                label: tuple(sorted(self._node_types[label], key=_property_type_key))
+                for label in sorted(self._node_types)
+            },
+            edge_types=tuple(sorted(edge_types, key=_edge_type_key)),
         )
 
 
@@ -367,21 +333,19 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     conversion machinery stamps it on every node it creates, and schemas
     derived from RDF schemas have no place to declare it.
     """
-    nt_by_label = schema._node_type_by_label
-    allowed = schema._allowed
-    et_by_signature = schema._edge_types_by_signature
+    allowed_by_node_type = schema._allowed_by_node_type
+    allowed_by_signature = schema._allowed_by_signature
 
     properties = graph.properties_by_owner
     node_violations: dict[int, list[Violation]] = {}
     for n in graph.nodes:
         label = graph.label[n]
-        nt = nt_by_label.get(label)
-        if nt is None:
+        allowed = allowed_by_node_type.get(label)
+        if allowed is None:
             node_violations[n] = [
                 Violation("P1a", graph.describe(n), f"no node type labeled {label!r}")
             ]
             continue
-        allowed_nt = allowed[nt]
         found = [
             Violation(
                 "P1b",
@@ -390,7 +354,7 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
                 f"for node type {label!r}",
             )
             for key, value in properties.get(n, ())
-            if (key, value.datatype.token()) not in allowed_nt
+            if (key, value.datatype.token()) not in allowed
             and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
         ]
         if found:
@@ -400,7 +364,7 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     for e in graph.edges:
         src, dst = graph.ends[e]
         signature = (graph.label[e], graph.label[src], graph.label[dst])
-        candidates = et_by_signature.get(signature)
+        candidates = allowed_by_signature.get(signature)
         if not candidates:
             edge_violations[e] = [
                 Violation(
@@ -412,15 +376,12 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
             ]
             continue
         props = properties.get(e, ())
-        best_unmatched: list[tuple[str, PgValue]] | None = None
-        for et in candidates:
-            unmatched = [
-                (k, v) for k, v in props if (k, v.datatype.token()) not in allowed[et]
-            ]
-            if best_unmatched is None or len(unmatched) < len(best_unmatched):
-                best_unmatched = unmatched
-            if not unmatched:
-                break
+        # Report against the first edge type that leaves the fewest unmatched.
+        best_unmatched = min(
+            ([(k, v) for k, v in props if (k, v.datatype.token()) not in allowed]
+             for allowed in candidates),
+            key=len,
+        )
         if best_unmatched:
             edge_violations[e] = [
                 Violation(
@@ -461,16 +422,5 @@ def pg_equal(a: PropertyGraph, b: PropertyGraph) -> bool:
         if dupes:
             raise AmbiguousCanonicalKey(repr(dupes[0]))
         return frozenset(node_keys), Counter(graph._edge_keys.values())
-
-    return canonical(a) == canonical(b)
-
-
-def pg_schema_equal(a: PropertyGraphSchema, b: PropertyGraphSchema) -> bool:
-    """Identity-free equality of property graph schemas."""
-
-    def canonical(schema: PropertyGraphSchema):
-        node_keys = frozenset(schema.node_type_key(nt) for nt in schema.node_types)
-        edge_keys = Counter(schema.edge_type_key(et) for et in schema.edge_types)
-        return node_keys, edge_keys
 
     return canonical(a) == canonical(b)

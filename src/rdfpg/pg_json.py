@@ -218,34 +218,32 @@ def parse_pg(text: str) -> PropertyGraph:
 
 
 def serialize_pg_schema(schema: PropertyGraphSchema) -> str:
-    node_order = schema.node_types_sorted()
-    edge_order = schema.edge_types_sorted()
-    refs: dict[int, list[str]] = {}
-    property_types = []
-    for owner in node_order + edge_order:
-        refs[owner] = []
-        for key, datatype in schema.property_types_of(owner):
+    property_types: list[str] = []
+
+    def refs(pts) -> str:
+        """Adds `pts` to the propertyTypes table and returns the JSON list of their ids."""
+        ids = []
+        for key, datatype in pts:
             pt_id = f'"pt{len(property_types)}"'
             property_types.append(
                 f'{{\n      "id": {pt_id},\n      "key": {_encode(key)},'
                 f'\n      "type": {_encode(datatype.token())}\n    }}'
             )
-            refs[owner].append(pt_id)
+            ids.append(pt_id)
+        return _list_text(ids, "      ")
 
-    nt_ids = {nt: f'"nt{i}"' for i, nt in enumerate(node_order)}
+    nt_ids = {label: f'"nt{i}"' for i, label in enumerate(schema.node_types)}
     node_types = [
-        f'{{\n      "id": {nt_ids[nt]},\n      "label": {_encode(schema.label[nt])},'
-        f'\n      "propertyTypes": {_list_text(refs[nt], "      ")}\n    }}'
-        for nt in node_order
+        f'{{\n      "id": {nt_ids[label]},\n      "label": {_encode(label)},'
+        f'\n      "propertyTypes": {refs(pts)}\n    }}'
+        for label, pts in schema.node_types.items()
     ]
-    edge_types = []
-    for i, et in enumerate(edge_order):
-        src, dst = schema.ends[et]
-        edge_types.append(
-            f'{{\n      "id": "et{i}",\n      "label": {_encode(schema.label[et])},'
-            f'\n      "propertyTypes": {_list_text(refs[et], "      ")},'
-            f'\n      "source": {nt_ids[src]},\n      "target": {nt_ids[dst]}\n    }}'
-        )
+    edge_types = [
+        f'{{\n      "id": "et{i}",\n      "label": {_encode(et.label)},'
+        f'\n      "propertyTypes": {refs(et.property_types)},'
+        f'\n      "source": {nt_ids[et.source]},\n      "target": {nt_ids[et.target]}\n    }}'
+        for i, et in enumerate(schema.edge_types)
+    ]
     return _document(
         [("edgeTypes", edge_types), ("nodeTypes", node_types), ("propertyTypes", property_types)]
     )
@@ -276,7 +274,7 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
     builder = PropertyGraphSchemaBuilder()
     referenced: set[str] = set()
 
-    def attach(owner: int, element: dict, where: tuple) -> None:
+    def attach(owner: str | int, element: dict, where: tuple) -> None:
         for i, pt_id in enumerate(_field(element, "propertyTypes", list, where)):
             at = (*where, "propertyTypes", i)
             if type(pt_id) is not str:
@@ -291,7 +289,7 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
             key, datatype = ptypes[pt_id]
             builder.add_property_type(owner, key, datatype)
 
-    nt_by_id: dict[str, int] = {}
+    nt_by_id: dict[str, str] = {}
     for i, node_type in enumerate(_field(root, "nodeTypes", list, ())):
         where = ("nodeTypes", i)
         _object(node_type, _NODE_TYPE_FIELDS, where)

@@ -24,6 +24,7 @@ from functools import partial
 from typing import Callable
 
 from .errors import (
+    ConflictingResourceClass,
     DuplicatePropertyLabel,
     MissingEndpointType,
     MissingIriProperty,
@@ -124,22 +125,19 @@ def map_schema(
 ) -> PropertyGraphSchema:
     """RDF graph schema to property graph schema."""
     builder = PropertyGraphSchemaBuilder()
-    node_type_of: dict[Iri, int] = {}
-    for iri in schema.classes_sorted():
-        if iri not in EXCLUDED_CLASS_IRIS:
-            node_type_of[iri] = builder.add_node_type(iri.value)
+    node_types = schema.class_nodes - EXCLUDED_CLASS_IRIS
+    for iri in node_types:
+        builder.add_node_type(iri.value)
 
     for prop_iri, domain, range_ in schema.properties_sorted():
-        domain_nt = node_type_of.get(domain)
-        if domain_nt is None:
+        if domain not in node_types:
             raise MissingEndpointType(prop_iri.value, domain.value, "domain")
         if range_ in SUPPORTED_DATATYPES:
-            builder.add_property_type(domain_nt, prop_iri.value, correspondence.to_pg(range_))
+            builder.add_property_type(domain.value, prop_iri.value, correspondence.to_pg(range_))
         else:
-            range_nt = node_type_of.get(range_)
-            if range_nt is None:
+            if range_ not in node_types:
                 raise MissingEndpointType(prop_iri.value, range_.value, "range")
-            builder.add_edge_type(prop_iri.value, domain_nt, range_nt)
+            builder.add_edge_type(prop_iri.value, domain.value, range_.value)
     return builder.build()
 
 
@@ -238,29 +236,26 @@ def invert_schema(
     def describe(kind: str, label: str) -> Callable[[], str]:
         return lambda: f"{kind} {label!r}"
 
-    class_of: dict[int, Iri] = {}
-    for nt in pg_schema.node_types_sorted():
-        label = pg_schema.label[nt]
-        class_of[nt] = builder.add_class(iri_for(label, describe("node type", label)))
+    class_of: dict[str, Iri] = {}
+    for label in pg_schema.node_types:
+        class_of[label] = builder.add_class(iri_for(label, describe("node type", label)))
     datatype_iris: dict[PgDatatype, Iri] = {}
-    for key, dt in pg_schema.ptype.values():
+    property_types = [pt for pts in pg_schema.node_types.values() for pt in pts]
+    property_types += [pt for et in pg_schema.edge_types for pt in et.property_types]
+    for key, dt in property_types:
         if dt not in datatype_iris:
             datatype_iris[dt] = _datatype_iri(correspondence, dt, describe("property type", key))
     for dt in sorted(datatype_iris, key=lambda dt: dt.token()):
         builder.add_class(datatype_iris[dt])
 
-    for et in pg_schema.edge_types_sorted():
-        src, dst = pg_schema.ends[et]
-        label = pg_schema.label[et]
-        builder.add_property(
-            iri_for(label, describe("edge type", label)), class_of[src], class_of[dst]
-        )
-    for nt in pg_schema.node_types_sorted():
-        label = pg_schema.label[nt]
-        for key, dt in pg_schema.property_types_of(nt):
+    for et in pg_schema.edge_types:
+        prop_iri = iri_for(et.label, describe("edge type", et.label))
+        builder.add_property(prop_iri, class_of[et.source], class_of[et.target])
+    for label, pts in pg_schema.node_types.items():
+        for key, dt in pts:
             builder.add_property(
                 iri_for(key, describe("node type", label), "property key"),
-                class_of[nt],
+                class_of[label],
                 datatype_iris[dt],
             )
     return builder.build()
@@ -287,7 +282,11 @@ def invert_graph(
             raise MissingIriProperty(pg.describe(n))
         label = iri_for(pg.label[n], describe)
         iri = iri_for(iri_values[0].lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
-        resource_of[n] = builder.add_resource(iri, label)
+        try:
+            resource_of[n] = builder.add_resource(iri, label)
+        except ValueError:
+            first = next(m for m, resource in resource_of.items() if resource == iri)
+            raise ConflictingResourceClass(iri.value, pg.describe(first), pg.describe(n)) from None
         for key, value in props:
             if key == IRI_PROPERTY_KEY:
                 continue

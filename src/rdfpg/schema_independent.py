@@ -15,14 +15,14 @@ from __future__ import annotations
 
 from functools import partial
 
-from .errors import MissingRequiredProperty, SchemaViolation
+from .errors import ConflictingResourceClass, MissingRequiredProperty, SchemaViolation
 from .pg_graph import (
+    EdgeType,
     IRI_PROPERTY_KEY,
     PgValue,
     PropertyGraph,
     PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
     STRING,
     validate_pg,
 )
@@ -42,22 +42,17 @@ _IRI_VALUE = f"{IRI_PROPERTY_KEY!r} value"
 _TYPE_VALUE = f"{TYPE_KEY!r} value"
 
 
-def _build_generic_schema() -> PropertyGraphSchema:
-    builder = PropertyGraphSchemaBuilder()
-    resource = builder.add_node_type(RESOURCE_LABEL)
-    builder.add_property_type(resource, IRI_PROPERTY_KEY, STRING)
-    builder.add_property_type(resource, TYPE_KEY, STRING)
-    literal = builder.add_node_type(LITERAL_LABEL)
-    builder.add_property_type(literal, VALUE_KEY, STRING)
-    builder.add_property_type(literal, TYPE_KEY, STRING)
-    object_property = builder.add_edge_type(OBJECT_PROPERTY_LABEL, resource, resource)
-    builder.add_property_type(object_property, TYPE_KEY, STRING)
-    datatype_property = builder.add_edge_type(DATATYPE_PROPERTY_LABEL, resource, literal)
-    builder.add_property_type(datatype_property, TYPE_KEY, STRING)
-    return builder.build()
-
-
-_GENERIC_SCHEMA = _build_generic_schema()
+# Written out in canonical order, as PropertyGraphSchemaBuilder.build() would.
+_GENERIC_SCHEMA = PropertyGraphSchema(
+    node_types={
+        LITERAL_LABEL: ((TYPE_KEY, STRING), (VALUE_KEY, STRING)),
+        RESOURCE_LABEL: ((IRI_PROPERTY_KEY, STRING), (TYPE_KEY, STRING)),
+    },
+    edge_types=(
+        EdgeType(DATATYPE_PROPERTY_LABEL, RESOURCE_LABEL, LITERAL_LABEL, ((TYPE_KEY, STRING),)),
+        EdgeType(OBJECT_PROPERTY_LABEL, RESOURCE_LABEL, RESOURCE_LABEL, ((TYPE_KEY, STRING),)),
+    ),
+)
 
 
 def generic_schema() -> PropertyGraphSchema:
@@ -131,9 +126,13 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
         if pg.label[n] == RESOURCE_LABEL:
             iri = _single(pg, n, IRI_PROPERTY_KEY)
             type_iri = _single(pg, n, TYPE_KEY)
-            element_of[n] = builder.add_resource(
-                iri_for(iri, describe, _IRI_VALUE), iri_for(type_iri, describe, _TYPE_VALUE)
-            )
+            resource = iri_for(iri, describe, _IRI_VALUE)
+            label = iri_for(type_iri, describe, _TYPE_VALUE)
+            try:
+                element_of[n] = builder.add_resource(resource, label)
+            except ValueError:
+                first = next(m for m, element in element_of.items() if element == resource)
+                raise ConflictingResourceClass(iri, pg.describe(first), pg.describe(n)) from None
         else:
             value = _single(pg, n, VALUE_KEY)
             type_iri = _single(pg, n, TYPE_KEY)

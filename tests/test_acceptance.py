@@ -27,13 +27,14 @@ from rdfpg.generator import (
 )
 from rdfpg.pg_graph import (
     DATE,
+    EdgeType,
     INT,
     PgValue,
     PropertyGraphBuilder,
+    PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     STRING,
     pg_equal,
-    pg_schema_equal,
     validate_pg,
 )
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
@@ -120,11 +121,14 @@ def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
     expected_schema = _expected_dep_schema()
     expected_pg = _expected_dep_pg()
     checks = [
-        len(pg_schema.node_types) == 2,
-        len(pg_schema.edge_types) == 1,
-        len(pg_schema.property_types) == 4,
-        (VOC + "creation", DATE) in set(pg_schema.ptype.values()),
-        pg_schema_equal(pg_schema, expected_schema),
+        pg_schema == PropertyGraphSchema(
+            node_types={
+                VOC + "Organisation": ((VOC + "creation", DATE), (VOC + "name", STRING)),
+                VOC + "Person": ((VOC + "age", INT), (VOC + "birthName", STRING)),
+            },
+            edge_types=(EdgeType(VOC + "ceo", VOC + "Organisation", VOC + "Person", ()),),
+        ),
+        pg_schema == expected_schema,
         len(pg.nodes) == 2,
         len(pg.edges) == 1,
         pg.property_count == 6,
@@ -320,7 +324,7 @@ def test_a7_io_roundtrips(org_instance, org_schema_triples):
         schema = gen_pg_schema(GeneratorConfig(seed=seed))
         stext = serialize_pg_schema(schema)
         srebuilt = gen_pg_schema(GeneratorConfig(seed=seed))
-        if pg_schema_equal(parse_pg_schema(stext), schema) and serialize_pg_schema(srebuilt) == stext:
+        if parse_pg_schema(stext) == schema and serialize_pg_schema(srebuilt) == stext:
             json_cases += 1
 
     _announce(

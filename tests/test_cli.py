@@ -9,7 +9,6 @@ import pytest
 from rdfpg import cli
 from rdfpg import schema_independent as indep
 from rdfpg.cli import main
-from rdfpg.pg_graph import pg_schema_equal
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 from rdfpg.rdf_graph import RdfGraphBuilder
 from rdfpg.schema_independent import generic_schema
@@ -45,7 +44,7 @@ def test_convert_indep_emits_generic_schema(tmp_path):
         "--out-pg", str(out_pg), "--out-pg-schema", str(out_pgs),
     ])
     assert code == 0
-    assert pg_schema_equal(parse_pg_schema(out_pgs.read_text()), generic_schema())
+    assert parse_pg_schema(out_pgs.read_text()) == generic_schema()
     assert len(parse_pg(out_pg.read_text()).nodes) == 6
 
 
@@ -196,6 +195,50 @@ def test_invert_dep_forbidden_iri_char_exits_2(tmp_path, capsys, char):
     # The schema is inverted first, so the property type is named.
     assert (f"property type 'http://ex.org/when' carries datatype {value!r}, "
             "which is not usable as an IRI") in capsys.readouterr().err
+    assert not any(p.exists() for p in outs)
+
+
+def test_invert_indep_class_conflict_exits_2(tmp_path, capsys):
+    nodes = [
+        {"id": f"n{i}", "label": "Resource",
+         "properties": [{"key": "iri", "value": "http://ex.org/a", "type": "String"},
+                        {"key": "type", "value": cls, "type": "String"}]}
+        for i, cls in enumerate(("http://ex.org/T", "http://ex.org/U"))
+    ]
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    out = tmp_path / "o.ttl"
+    code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("error: node Resource{iri='http://ex.org/a':String, type='http://ex.org/T':String} "
+            "and node Resource{iri='http://ex.org/a':String, type='http://ex.org/U':String} "
+            "give resource http://ex.org/a different classes") in err
+    assert not out.exists()
+
+
+def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
+    labels = ("http://ex.org/T", "http://ex.org/U")
+    nodes = [
+        {"id": f"n{i}", "label": label,
+         "properties": [{"key": "iri", "value": "http://ex.org/a", "type": "String"}]}
+        for i, label in enumerate(labels)
+    ]
+    schema = {"nodeTypes": [{"id": f"nt{i}", "label": label, "propertyTypes": []}
+                            for i, label in enumerate(labels)],
+              "edgeTypes": [], "propertyTypes": []}
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(json.dumps({"nodes": nodes, "edges": []}))
+    pgs_path = tmp_path / "pgs.json"
+    pgs_path.write_text(json.dumps(schema))
+    outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
+    code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert ("error: node http://ex.org/T{iri='http://ex.org/a':String} "
+            "and node http://ex.org/U{iri='http://ex.org/a':String} "
+            "give resource http://ex.org/a different classes") in err
     assert not any(p.exists() for p in outs)
 
 def test_validate_rdf_valid_exit_0(capsys):

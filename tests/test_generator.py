@@ -12,7 +12,7 @@ from rdfpg.generator import (
     gen_rdf_graph,
     gen_triple_set,
 )
-from rdfpg.pg_graph import pg_equal, pg_schema_equal
+from rdfpg.pg_graph import pg_equal
 from rdfpg.rdf_graph import rdf_equal, validate_rdf
 from rdfpg.terms import Iri
 
@@ -80,7 +80,7 @@ def test_triple_set_and_pg_generators_deterministic():
     cfg = GeneratorConfig(seed=3)
     assert gen_triple_set(cfg) == gen_triple_set(cfg)
     assert pg_equal(gen_property_graph(cfg), gen_property_graph(cfg))
-    assert pg_schema_equal(gen_pg_schema(cfg), gen_pg_schema(cfg))
+    assert gen_pg_schema(cfg) == gen_pg_schema(cfg)
 
 
 def test_config_validation():

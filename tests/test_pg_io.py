@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -11,13 +12,16 @@ from conftest import build_company_pg
 
 from rdfpg.cypher import export_import_script
 from rdfpg.errors import DanglingEdgeEndpoint, FormatError
-from rdfpg.generator import GeneratorConfig, gen_pg_schema, gen_property_graph
+from rdfpg.generator import GeneratorConfig, _lexical_for, gen_pg_schema, gen_property_graph
 from rdfpg.pg_graph import (
+    DECIMAL,
+    DOUBLE,
+    INT,
+    INTEGER,
     PgValue,
     PropertyGraphBuilder,
     STRING,
     pg_equal,
-    pg_schema_equal,
 )
 from rdfpg.pg_json import (
     parse_pg,
@@ -25,7 +29,9 @@ from rdfpg.pg_json import (
     serialize_pg,
     serialize_pg_schema,
 )
+from rdfpg.schema_dependent import DEFAULT_CORRESPONDENCE
 from rdfpg.schema_independent import generic_schema
+from rdfpg.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INT, XSD_INTEGER
 
 GOLDEN_GENERIC_SCHEMA = Path(__file__).parent.parent / "docs" / "generic-pg-schema.json"
 
@@ -147,7 +153,7 @@ def test_generated_graph_documents_roundtrip():
 
 def test_schema_roundtrip(company_pg_schema):
     text = serialize_pg_schema(company_pg_schema)
-    assert pg_schema_equal(parse_pg_schema(text), company_pg_schema)
+    assert parse_pg_schema(text) == company_pg_schema
     assert serialize_pg_schema(parse_pg_schema(text)) == text
 
 
@@ -209,7 +215,7 @@ def test_generated_schema_documents_roundtrip():
         schema = gen_pg_schema(GeneratorConfig(seed=seed))
         text = serialize_pg_schema(schema)
         parsed = parse_pg_schema(text)
-        assert pg_schema_equal(parsed, schema), seed
+        assert parsed == schema, seed
         assert serialize_pg_schema(parsed) == text, seed
 
 
@@ -245,7 +251,7 @@ def test_export_renders_numbers_and_booleans_bare(company_pg):
     assert "age: 46" in script  # Integer lexical, unquoted
     assert "'2003-07-01'" in script  # Date stays quoted
 
-    from rdfpg.pg_graph import BOOLEAN, DOUBLE
+    from rdfpg.pg_graph import BOOLEAN
 
     b = PropertyGraphBuilder()
     n = b.add_node("T")
@@ -256,6 +262,59 @@ def test_export_renders_numbers_and_booleans_bare(company_pg):
     assert "flag: true" in script
     assert "ratio: 1.5E2" in script
     assert "odd: 'not a number'" in script
+
+
+def _rendered(lexical, datatype):
+    b = PropertyGraphBuilder()
+    b.add_property(b.add_node("T"), "v", PgValue(lexical, datatype))
+    script = export_import_script(b.build())
+    prefix, suffix = "CREATE (:T {_rdfpg_id: 0, v: ", "});\n"
+    assert script.startswith(prefix) and script.endswith(suffix), script
+    return script[len(prefix):-len(suffix)]
+
+
+@pytest.mark.parametrize("lexical, datatype, expected", [
+    # No digit after the point: not an openCypher number literal.
+    ("1.", DECIMAL, "'1.'"),
+    ("1.", DOUBLE, "'1.'"),
+    ("-1.e3", DOUBLE, "'-1.e3'"),
+    ("+2.E-1", DECIMAL, "'+2.E-1'"),
+    # A leading zero makes an integer literal octal (010 is 8), so it is quoted.
+    ("010", INTEGER, "'010'"),
+    ("-007", INT, "'-007'"),
+    ("00", INTEGER, "'00'"),
+    ("010", DECIMAL, "'010'"),
+    ("-007", DOUBLE, "'-007'"),
+    ("00", DOUBLE, "'00'"),
+    # Valid literals stay bare.
+    ("0", INTEGER, "0"),
+    ("-10", INT, "-10"),
+    ("+5", INTEGER, "+5"),
+    ("0", DOUBLE, "0"),
+    ("10", DECIMAL, "10"),
+    ("0.5", DECIMAL, "0.5"),
+    ("-0.05", DECIMAL, "-0.05"),
+    (".5", DOUBLE, ".5"),
+    ("00.5", DECIMAL, "00.5"),
+    ("1.5E2", DOUBLE, "1.5E2"),
+    ("-9.0E-5", DOUBLE, "-9.0E-5"),
+    ("010e3", DOUBLE, "010e3"),
+    # Forms of no number at all are quoted, whatever the datatype says.
+    ("1.5", INTEGER, "'1.5'"),
+    ("", DECIMAL, "''"),
+    ("1e", DOUBLE, "'1e'"),
+], ids=str)
+def test_export_numeric_literals(lexical, datatype, expected):
+    assert _rendered(lexical, datatype) == expected
+
+
+def test_export_generated_numeric_lexicals_stay_bare():
+    rng = random.Random(7)
+    for xsd in (XSD_INTEGER, XSD_INT, XSD_DECIMAL, XSD_DOUBLE):
+        datatype = DEFAULT_CORRESPONDENCE.to_pg(xsd)
+        for _ in range(500):
+            lexical = _lexical_for(rng, xsd)
+            assert _rendered(lexical, datatype) == lexical
 
 
 def test_export_is_deterministic(company_pg):

@@ -18,10 +18,10 @@ from rdfpg.pg_graph import (
     STRING,
     custom_datatype,
     pg_equal,
-    pg_schema_equal,
     type_of_value,
     validate_pg,
 )
+from rdfpg.pg_json import parse_pg_schema, serialize_pg_schema
 from rdfpg.schema_independent import map_graph as indep_map_graph
 
 
@@ -164,7 +164,7 @@ def test_pg_equal_is_an_equivalence_on_converted_graphs():
                     assert pg_equal(a, c)
 
 
-# -- pg_schema_equal -----------------------------------------------------------
+# -- schema equality -----------------------------------------------------------
 
 
 def test_pg_schema_equal_ignores_construction_order(company_pg_schema):
@@ -177,7 +177,7 @@ def test_pg_schema_equal_ignores_construction_order(company_pg_schema):
     b.add_property_type(person, "birthName", STRING)
     ceo = b.add_edge_type("ceo", org, person)
     b.add_property_type(ceo, "since", DATE)
-    assert pg_schema_equal(company_pg_schema, b.build())
+    assert company_pg_schema == b.build()
 
 
 def test_pg_schema_equal_detects_missing_property_type(company_pg_schema):
@@ -189,7 +189,47 @@ def test_pg_schema_equal_detects_missing_property_type(company_pg_schema):
     b.add_property_type(person, "birthName", STRING)
     b.add_property_type(person, "age", INTEGER)
     b.add_edge_type("ceo", org, person)  # no "since"
-    assert not pg_schema_equal(company_pg_schema, b.build())
+    assert company_pg_schema != b.build()
+
+
+def _duplicates_schema(duplicate_property_type=True, edge_type_count=2, node_order="AB"):
+    """Node type A lists ("k", String) twice; edge type r: A -> B appears twice."""
+    b = PropertyGraphSchemaBuilder()
+    handles = {label: b.add_node_type(label) for label in node_order}
+    b.add_property_type(handles["A"], "k", STRING)
+    if duplicate_property_type:
+        b.add_property_type(handles["A"], "k", STRING)
+    for _ in range(edge_type_count):
+        r = b.add_edge_type("r", handles["A"], handles["B"])
+        b.add_property_type(r, "w", INTEGER)
+    return b.build()
+
+
+# Serialized form of _duplicates_schema(): every duplicate is kept and gets its own id.
+_DUPLICATES_SCHEMA_JSON = (
+    '{\n  "edgeTypes": [\n    {\n      "id": "et0",\n      "label": "r",\n'
+    '      "propertyTypes": [\n        "pt2"\n      ],\n      "source": "nt0",\n'
+    '      "target": "nt1"\n    },\n    {\n      "id": "et1",\n      "label": "r",\n'
+    '      "propertyTypes": [\n        "pt3"\n      ],\n      "source": "nt0",\n'
+    '      "target": "nt1"\n    }\n  ],\n  "nodeTypes": [\n    {\n      "id": "nt0",\n'
+    '      "label": "A",\n      "propertyTypes": [\n        "pt0",\n        "pt1"\n'
+    '      ]\n    },\n    {\n      "id": "nt1",\n      "label": "B",\n'
+    '      "propertyTypes": []\n    }\n  ],\n  "propertyTypes": [\n    {\n'
+    '      "id": "pt0",\n      "key": "k",\n      "type": "String"\n    },\n    {\n'
+    '      "id": "pt1",\n      "key": "k",\n      "type": "String"\n    },\n    {\n'
+    '      "id": "pt2",\n      "key": "w",\n      "type": "Integer"\n    },\n    {\n'
+    '      "id": "pt3",\n      "key": "w",\n      "type": "Integer"\n    }\n  ]\n}\n'
+)
+
+
+def test_schema_duplicates_are_kept_and_counted():
+    schema = _duplicates_schema()
+    assert serialize_pg_schema(schema) == _DUPLICATES_SCHEMA_JSON
+    assert schema == _duplicates_schema(node_order="BA")
+    assert schema == parse_pg_schema(_DUPLICATES_SCHEMA_JSON)
+    assert schema != _duplicates_schema(duplicate_property_type=False)
+    assert schema != _duplicates_schema(edge_type_count=1)
+    assert schema != _duplicates_schema(edge_type_count=3)
 
 
 def test_duplicate_node_type_labels_rejected():

@@ -15,10 +15,12 @@ from rdfpg.errors import (
 from rdfpg.generator import GeneratorConfig, gen_rdf_database
 from rdfpg.pg_graph import (
     DATE,
+    EdgeType,
     INT,
     INTEGER,
     PgValue,
     PropertyGraphBuilder,
+    PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     STRING,
     custom_datatype,
@@ -71,21 +73,13 @@ def test_correspondence_pins_each_integer_flavor():
 
 
 def test_map_schema_org_example(org_rdf_schema):
-    pgs = dep.map_schema(org_rdf_schema)
-    assert {pgs.label[nt] for nt in pgs.node_types} == {
-        VOC + "Organisation",
-        VOC + "Person",
-    }
-    assert [pgs.label[et] for et in pgs.edge_types] == [VOC + "ceo"]
-    assert len(pgs.property_types) == 4
-    by_label = {pgs.label[nt]: nt for nt in pgs.node_types}
-    org_props = dict(pgs.property_types_of(by_label[VOC + "Organisation"]))
-    assert org_props == {VOC + "creation": DATE, VOC + "name": STRING}
-    person_props = dict(pgs.property_types_of(by_label[VOC + "Person"]))
-    assert person_props == {VOC + "birthName": STRING, VOC + "age": INT}
-    (et,) = pgs.edge_types
-    src, dst = pgs.ends[et]
-    assert (pgs.label[src], pgs.label[dst]) == (VOC + "Organisation", VOC + "Person")
+    assert dep.map_schema(org_rdf_schema) == PropertyGraphSchema(
+        node_types={
+            VOC + "Organisation": ((VOC + "creation", DATE), (VOC + "name", STRING)),
+            VOC + "Person": ((VOC + "age", INT), (VOC + "birthName", STRING)),
+        },
+        edge_types=(EdgeType(VOC + "ceo", VOC + "Organisation", VOC + "Person", ()),),
+    )
 
 
 def test_map_schema_empty():
@@ -100,11 +94,10 @@ def test_map_schema_self_loop():
             "voc:knows rdfs:domain voc:A ; rdfs:range voc:A .\n"
         )
     )
-    pgs = dep.map_schema(schema)
-    assert len(pgs.node_types) == 1
-    (et,) = pgs.edge_types
-    src, dst = pgs.ends[et]
-    assert src == dst
+    assert dep.map_schema(schema) == PropertyGraphSchema(
+        node_types={VOC + "A": ()},
+        edge_types=(EdgeType(VOC + "knows", VOC + "A", VOC + "A", ()),),
+    )
 
 
 def test_map_schema_datatype_domain_rejected():
@@ -345,9 +338,9 @@ def test_empty_database_roundtrips():
 
 
 def test_mapping_is_deterministic(org_rdf_schema, org_graph):
-    from rdfpg.pg_graph import pg_equal, pg_schema_equal
+    from rdfpg.pg_graph import pg_equal
 
-    assert pg_schema_equal(dep.map_schema(org_rdf_schema), dep.map_schema(org_rdf_schema))
+    assert dep.map_schema(org_rdf_schema) == dep.map_schema(org_rdf_schema)
     assert pg_equal(dep.map_graph(org_graph), dep.map_graph(org_graph))
 
 

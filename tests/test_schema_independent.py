@@ -10,10 +10,12 @@ from rdfpg import schema_independent as indep
 from rdfpg.errors import MissingRequiredProperty, NonIriLabel, SchemaViolation
 from rdfpg.generator import GeneratorConfig, gen_rdf_graph
 from rdfpg.pg_graph import (
+    EdgeType,
     PgValue,
     PropertyGraphBuilder,
+    PropertyGraphSchema,
+    PropertyGraphSchemaBuilder,
     STRING,
-    pg_schema_equal,
     validate_pg,
 )
 from rdfpg.rdf_graph import RdfGraphBuilder, build_rdf_graph, rdf_equal
@@ -29,31 +31,38 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 
 def test_generic_schema_shape():
+    string_type = ("type", STRING)
+    assert indep.generic_schema() == PropertyGraphSchema(
+        node_types={
+            "Literal": (string_type, ("value", STRING)),
+            "Resource": (("iri", STRING), string_type),
+        },
+        edge_types=(
+            EdgeType("DatatypeProperty", "Resource", "Literal", (string_type,)),
+            EdgeType("ObjectProperty", "Resource", "Resource", (string_type,)),
+        ),
+    )
+
+
+def test_generic_schema_is_in_canonical_order():
+    # The module writes the schema out by hand; the builder's order must match.
+    b = PropertyGraphSchemaBuilder()
+    resource = b.add_node_type("Resource")
+    b.add_property_type(resource, "type", STRING)
+    b.add_property_type(resource, "iri", STRING)
+    literal = b.add_node_type("Literal")
+    b.add_property_type(literal, "value", STRING)
+    b.add_property_type(literal, "type", STRING)
+    b.add_property_type(b.add_edge_type("ObjectProperty", resource, resource), "type", STRING)
+    b.add_property_type(b.add_edge_type("DatatypeProperty", resource, literal), "type", STRING)
+    built = b.build()
     schema = indep.generic_schema()
-    assert {schema.label[nt] for nt in schema.node_types} == {"Resource", "Literal"}
-    assert {schema.label[et] for et in schema.edge_types} == {
-        "ObjectProperty",
-        "DatatypeProperty",
-    }
-    by_label = {schema.label[x]: x for x in schema.node_types | schema.edge_types}
-    src, dst = schema.ends[by_label["ObjectProperty"]]
-    assert (schema.label[src], schema.label[dst]) == ("Resource", "Resource")
-    src, dst = schema.ends[by_label["DatatypeProperty"]]
-    assert (schema.label[src], schema.label[dst]) == ("Resource", "Literal")
-    assert dict(schema.property_types_of(by_label["Resource"])) == {
-        "iri": STRING,
-        "type": STRING,
-    }
-    assert dict(schema.property_types_of(by_label["Literal"])) == {
-        "value": STRING,
-        "type": STRING,
-    }
-    for edge_label in ("ObjectProperty", "DatatypeProperty"):
-        assert dict(schema.property_types_of(by_label[edge_label])) == {"type": STRING}
+    assert schema == built
+    assert list(schema.node_types) == list(built.node_types) == ["Literal", "Resource"]
 
 
 def test_generic_schema_is_constant():
-    assert pg_schema_equal(indep.generic_schema(), indep.generic_schema())
+    assert indep.generic_schema() == indep.generic_schema()
 
 
 # -- forward mapping -------------------------------------------------------------
