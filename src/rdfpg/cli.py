@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from . import schema_dependent as dep
 from . import schema_independent as indep
-from .errors import RdfPgError, ValidityWarning
+from .errors import RdfPgError, SchemaViolation, ValidityWarning
 from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
 from .pg_graph import validate_pg
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
@@ -95,16 +95,37 @@ def _load_turtle(path: str, skolemize_blanks: bool):
     return parse_turtle(text)
 
 
+def _checked(entry_point, *args):
+    """Call a dep route entry point; return its result and its input's ValidationReport.
+
+    The entry point checks its own input and reports a failure as a
+    ValidityWarning carrying the report. Other warnings are shown as usual.
+    """
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ValidityWarning)
+        result = entry_point(*args)
+    report = ValidationReport()
+    for w in caught:
+        if not issubclass(w.category, ValidityWarning):
+            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+        elif w.message.report is not None:
+            report = w.message.report
+    return result, report
+
+
+def _print_input_validation(report: ValidationReport) -> int:
+    print("input validation:", end=" ")
+    _print_report(report, sys.stdout)
+    return 0 if report.valid else 1
+
+
 def _cmd_convert(args) -> int:
     instance_triples = _load_turtle(args.rdf, args.skolemize)
     if args.mode == "dep":
         schema_triples = _load_turtle(args.schema, args.skolemize)
         schema = build_rdf_schema(complete_partial_schema(schema_triples))
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
-        report = validate_rdf(graph, schema)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", ValidityWarning)
-            pg_schema, pg = dep.map_database(schema, graph)
+        (pg_schema, pg), report = _checked(dep.map_database, schema, graph)
     else:
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
         report = None
@@ -117,27 +138,25 @@ def _cmd_convert(args) -> int:
     if report is None:
         print("input validation: skipped (no schema in this mode)")
         return 0
-    print("input validation:", end=" ")
-    _print_report(report, sys.stdout)
-    return 0 if report.valid else 1
+    return _print_input_validation(report)
 
 
 def _cmd_invert(args) -> int:
     pg = parse_pg(_read_text(args.pg))
     if args.mode == "dep":
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))
-        schema, graph = dep.invert_database(pg_schema, pg)
+        (schema, graph), report = _checked(dep.invert_database, pg_schema, pg)
         _write_outputs([
             (args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph))),
             (args.out_rdf_schema, serialize_turtle(rdf_schema_to_triples(schema))),
         ])
         print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
-    else:
-        if args.pg_schema:  # optional cross-check against the generic schema
-            parse_pg_schema(_read_text(args.pg_schema))
-        graph = indep.invert_graph(pg)
-        _write_outputs([(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))])
-        print(f"wrote {args.out_rdf}")
+        return _print_input_validation(report)
+    if args.pg_schema:
+        indep.require_generic_schema(parse_pg_schema(_read_text(args.pg_schema)))
+    graph = indep.invert_graph(pg)
+    _write_outputs([(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))])
+    print(f"wrote {args.out_rdf}")
     return 0
 
 
@@ -174,10 +193,14 @@ def run_roundtrip(
 ) -> RoundtripResult:
     """Generate `count` databases, convert, invert and compare each one.
 
-    Every produced property graph must validate against its produced schema,
-    and the inverse mapping must recover the original exactly. The first
-    failure dumps both serializations for diffing; the seed and case index
-    identify the case completely.
+    Every generated input must be valid, every produced property graph must
+    validate against its produced schema, and the inverse mapping must
+    recover the original exactly. Each distinct check runs once per case:
+    the dep route calls the unchecked pieces and checks input and output
+    itself; on the indep route, `invert_graph`'s own input check against the
+    generic schema is the semantics check. The first failure dumps both
+    serializations for diffing; the seed and case index identify the case
+    completely.
     """
     out = out if out is not None else sys.stdout
     base = config or GeneratorConfig()
@@ -186,20 +209,28 @@ def run_roundtrip(
         case = base.with_seed(seed + index)
         if mode == "dep":
             schema, graph = gen_rdf_database(case)
-            pg_schema, pg = dep.map_database(schema, graph)
+            input_ok = validate_rdf(graph, schema).valid
+            pg_schema = dep.map_schema(schema)
+            pg = dep.map_graph(graph)
             semantics_ok = validate_pg(pg, pg_schema).valid
-            schema_back, graph_back = dep.invert_database(pg_schema, pg)
+            schema_back = dep.invert_schema(pg_schema)
+            graph_back = dep.invert_graph(pg)
             ok = (
-                semantics_ok
+                input_ok
+                and semantics_ok
                 and rdf_equal(schema, schema_back)
                 and rdf_equal(graph, graph_back)
             )
         else:
             graph = gen_rdf_graph(case)
-            pg_schema, pg = indep.map_database(graph)
-            semantics_ok = validate_pg(pg, pg_schema).valid
-            schema_back = None
-            graph_back = indep.invert_graph(pg)
+            input_ok = True  # every RDF graph is valid input to this route
+            pg = indep.map_graph(graph)
+            try:
+                graph_back = indep.invert_graph(pg)
+                semantics_ok = True
+            except SchemaViolation:
+                graph_back = None
+                semantics_ok = False
             ok = semantics_ok and rdf_equal(graph, graph_back)
         if not semantics_ok:
             semantics_failures += 1
@@ -209,12 +240,15 @@ def run_roundtrip(
         failed += 1
         if failed == 1:
             print(f"case {index} (seed {seed + index}) failed; dumps follow", file=out)
+            if not input_ok:
+                print("generated input does not validate against its schema", file=out)
             if not semantics_ok:
                 print("produced graph does not validate against produced schema", file=out)
             print("--- original instance ---", file=out)
             print(serialize_turtle(rdf_graph_to_triples(graph)), file=out)
-            print("--- recovered instance ---", file=out)
-            print(serialize_turtle(rdf_graph_to_triples(graph_back)), file=out)
+            if graph_back is not None:
+                print("--- recovered instance ---", file=out)
+                print(serialize_turtle(rdf_graph_to_triples(graph_back)), file=out)
             if mode == "dep":
                 print("--- original schema ---", file=out)
                 print(serialize_turtle(rdf_schema_to_triples(schema)), file=out)

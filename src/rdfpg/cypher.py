@@ -18,10 +18,11 @@ NODE_ID_KEY = "_rdfpg_id"
 
 _IDENTIFIER = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
 # Lexical forms that openCypher reads back as the same number. A decimal
-# point needs a digit after it ("1." is no literal), and an integer with a
-# leading zero is octal ("010" is 8), so such forms are quoted instead.
+# point needs a digit after it ("1." is no literal), an exponent may carry
+# only a "-" sign ("1E+5" is no literal), and an integer with a leading zero
+# is octal ("010" is 8), so such forms are quoted instead.
 _INT_LEXICAL = re.compile(r"^[+-]?(0|[1-9][0-9]*)$")
-_FLOAT_LEXICAL = re.compile(r"^[+-]?(?!0[0-9]+$)([0-9]+|[0-9]*\.[0-9]+)([eE][+-]?[0-9]+)?$")
+_FLOAT_LEXICAL = re.compile(r"^[+-]?(?!0[0-9]+$)([0-9]+|[0-9]*\.[0-9]+)([eE]-?[0-9]+)?$")
 
 
 def _name(text: str) -> str:

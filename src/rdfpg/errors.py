@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from .report import ValidationReport
+
 
 class RdfPgError(Exception):
     """Base class for every error this package raises deliberately."""
@@ -145,6 +147,17 @@ class SchemaViolation(RdfPgError):
         super().__init__(f"graph does not conform to the generic schema: {summary}")
 
 
+class NotGenericSchema(RdfPgError):
+    """A PG schema offered to the schema-independent inverse is not the generic schema.
+
+    `element` names the first node or edge type, in canonical order, that differs.
+    """
+
+    def __init__(self, element: str):
+        self.element = element
+        super().__init__(f"PG schema is not the generic schema: its {element} differs")
+
+
 class MissingRequiredProperty(RdfPgError):
     def __init__(self, element: str, label: str, count: int = 0):
         self.element = element
@@ -178,4 +191,12 @@ class AmbiguousCanonicalKey(RdfPgError):
 
 
 class ValidityWarning(UserWarning):
-    """Emitted when a mapping is applied to a database that fails validation."""
+    """Emitted when a mapping is applied to a database outside its checked domain.
+
+    `report` is the failed ValidationReport of the input database, or None
+    when the database is valid but has elements the mapping cannot place.
+    """
+
+    def __init__(self, message: str, report: ValidationReport | None = None):
+        super().__init__(message)
+        self.report = report

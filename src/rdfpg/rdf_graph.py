@@ -103,9 +103,6 @@ class RdfGraphSchema:
     def is_empty(self) -> bool:
         return not (self.class_nodes or self.property_edges)
 
-    def classes_sorted(self) -> list[Iri]:
-        return sorted(self.class_nodes, key=_iri_key)
-
     def properties_sorted(self) -> list[PropertyEdge]:
         return sorted(self.property_edges, key=_property_key)
 

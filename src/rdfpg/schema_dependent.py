@@ -15,6 +15,13 @@ and an RDF graph into a property graph:
 The inverse direction reverses each rule, recovering the original database
 exactly. Datatypes cross the boundary through a fixed one-to-one table;
 unmapped RDF datatypes ride along as custom PG datatypes so nothing is lost.
+
+Validation policy: each direction's entry point (`map_database`,
+`invert_database`) checks its input database against its schema once. An
+invalid input is still converted, with a `ValidityWarning` whose `report`
+holds the failed check; the guarantees are stated only for valid input.
+The pieces (`map_schema`, `map_graph`, `invert_schema`, `invert_graph`)
+check nothing.
 """
 
 from __future__ import annotations
@@ -119,10 +126,7 @@ DEFAULT_CORRESPONDENCE = DatatypeCorrespondence(
 assert set(DEFAULT_CORRESPONDENCE._forward) == SUPPORTED_DATATYPES
 
 
-def map_schema(
-    schema: RdfGraphSchema,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
-) -> PropertyGraphSchema:
+def map_schema(schema: RdfGraphSchema) -> PropertyGraphSchema:
     """RDF graph schema to property graph schema."""
     builder = PropertyGraphSchemaBuilder()
     node_types = schema.class_nodes - EXCLUDED_CLASS_IRIS
@@ -133,7 +137,8 @@ def map_schema(
         if domain not in node_types:
             raise MissingEndpointType(prop_iri.value, domain.value, "domain")
         if range_ in SUPPORTED_DATATYPES:
-            builder.add_property_type(domain.value, prop_iri.value, correspondence.to_pg(range_))
+            datatype = DEFAULT_CORRESPONDENCE.to_pg(range_)
+            builder.add_property_type(domain.value, prop_iri.value, datatype)
         else:
             if range_ not in node_types:
                 raise MissingEndpointType(prop_iri.value, range_.value, "range")
@@ -141,10 +146,7 @@ def map_schema(
     return builder.build()
 
 
-def map_graph(
-    graph: RdfGraph,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
-) -> PropertyGraph:
+def map_graph(graph: RdfGraph) -> PropertyGraph:
     """RDF graph to property graph.
 
     Node properties are keyed by label, so a resource holding two values for
@@ -165,7 +167,8 @@ def map_graph(
         if (n, key) in seen:
             raise DuplicatePropertyLabel(t.s.value, key)
         seen.add((n, key))
-        builder.add_property(n, key, PgValue(t.o.lexical, correspondence.to_pg(t.o.datatype)))
+        datatype = DEFAULT_CORRESPONDENCE.to_pg(t.o.datatype)
+        builder.add_property(n, key, PgValue(t.o.lexical, datatype))
 
     for t in graph.object_edges_sorted():
         builder.add_edge(t.p.value, node_of[t.s], node_of[t.o])
@@ -173,9 +176,7 @@ def map_graph(
 
 
 def map_database(
-    schema: RdfGraphSchema,
-    graph: RdfGraph,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
+    schema: RdfGraphSchema, graph: RdfGraph
 ) -> tuple[PropertyGraphSchema, PropertyGraph]:
     """Convert a whole RDF database.
 
@@ -189,9 +190,11 @@ def map_database(
     input_report = validate_rdf(graph, schema)
     if not input_report.valid:
         warnings.warn(
-            f"input RDF database is invalid ({len(input_report.violations)} violation(s)); "
-            "converting anyway",
-            ValidityWarning,
+            ValidityWarning(
+                f"input RDF database is invalid ({len(input_report.violations)} violation(s)); "
+                "converting anyway",
+                input_report,
+            ),
             stacklevel=2,
         )
     excluded_classed = sorted(
@@ -205,8 +208,8 @@ def map_database(
             ValidityWarning,
             stacklevel=2,
         )
-    pg_schema = map_schema(schema, correspondence)
-    pg = map_graph(graph, correspondence)
+    pg_schema = map_schema(schema)
+    pg = map_graph(graph)
     if input_report.valid and not excluded_classed:
         output_report = validate_pg(pg, pg_schema)
         if not output_report.valid:
@@ -216,20 +219,15 @@ def map_database(
     return pg_schema, pg
 
 
-def _datatype_iri(
-    correspondence: DatatypeCorrespondence, datatype: PgDatatype, element: Callable[[], str]
-) -> Iri:
+def _datatype_iri(datatype: PgDatatype, element: Callable[[], str]) -> Iri:
     """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable."""
     try:
-        return correspondence.to_rdf(datatype)
+        return DEFAULT_CORRESPONDENCE.to_rdf(datatype)
     except ValueError:
         raise NonIriLabel(element(), datatype.token(), "datatype") from None
 
 
-def invert_schema(
-    pg_schema: PropertyGraphSchema,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
-) -> RdfGraphSchema:
+def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
     """Property graph schema back to an RDF graph schema."""
     builder = RdfGraphSchemaBuilder()
 
@@ -244,7 +242,7 @@ def invert_schema(
     property_types += [pt for et in pg_schema.edge_types for pt in et.property_types]
     for key, dt in property_types:
         if dt not in datatype_iris:
-            datatype_iris[dt] = _datatype_iri(correspondence, dt, describe("property type", key))
+            datatype_iris[dt] = _datatype_iri(dt, describe("property type", key))
     for dt in sorted(datatype_iris, key=lambda dt: dt.token()):
         builder.add_class(datatype_iris[dt])
 
@@ -261,10 +259,7 @@ def invert_schema(
     return builder.build()
 
 
-def invert_graph(
-    pg: PropertyGraph,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
-) -> RdfGraph:
+def invert_graph(pg: PropertyGraph) -> RdfGraph:
     """Property graph back to an RDF graph.
 
     Every node must hold exactly one "iri" property; node labels, edge labels,
@@ -291,7 +286,7 @@ def invert_graph(
             if key == IRI_PROPERTY_KEY:
                 continue
             prop_iri = iri_for(key, describe, "property key")
-            datatype = _datatype_iri(correspondence, value.datatype, describe)
+            datatype = _datatype_iri(value.datatype, describe)
             lit = builder.add_literal(value.lexical, datatype)
             builder.add_datatype_edge(resource_of[n], lit, prop_iri)
 
@@ -311,8 +306,21 @@ def invert_graph(
 
 
 def invert_database(
-    pg_schema: PropertyGraphSchema,
-    pg: PropertyGraph,
-    correspondence: DatatypeCorrespondence = DEFAULT_CORRESPONDENCE,
+    pg_schema: PropertyGraphSchema, pg: PropertyGraph
 ) -> tuple[RdfGraphSchema, RdfGraph]:
-    return invert_schema(pg_schema, correspondence), invert_graph(pg, correspondence)
+    """Convert a whole PG database back.
+
+    An input graph that does not conform to its schema is still inverted,
+    with a warning, as `map_database` converts an invalid RDF database.
+    """
+    report = validate_pg(pg, pg_schema)
+    if not report.valid:
+        warnings.warn(
+            ValidityWarning(
+                f"input PG database is invalid ({len(report.violations)} violation(s)); "
+                "inverting anyway",
+                report,
+            ),
+            stacklevel=2,
+        )
+    return invert_schema(pg_schema), invert_graph(pg)

@@ -9,13 +9,25 @@ odd datatypes) all pass through losslessly.
 
 The output always conforms to the generic schema, and the inverse mapping
 recovers the original RDF graph exactly.
+
+Validation policy: any RDF graph is valid input, so `map_database` only
+self-checks its output. `invert_graph` checks its input against the generic
+schema and refuses a graph that does not conform (`SchemaViolation`): with
+no other schema there is no mapping to invert. A PG schema offered
+alongside such a graph must be the generic schema itself
+(`require_generic_schema`).
 """
 
 from __future__ import annotations
 
 from functools import partial
 
-from .errors import ConflictingResourceClass, MissingRequiredProperty, SchemaViolation
+from .errors import (
+    ConflictingResourceClass,
+    MissingRequiredProperty,
+    NotGenericSchema,
+    SchemaViolation,
+)
 from .pg_graph import (
     EdgeType,
     IRI_PROPERTY_KEY,
@@ -61,6 +73,24 @@ def generic_schema() -> PropertyGraphSchema:
     Schemas are immutable, so every call returns the same instance.
     """
     return _GENERIC_SCHEMA
+
+
+def require_generic_schema(pg_schema: PropertyGraphSchema) -> None:
+    """Raise NotGenericSchema, naming the first differing node or edge type
+    in canonical order, unless `pg_schema` is the generic schema."""
+    generic = _GENERIC_SCHEMA
+    if pg_schema == generic:
+        return
+    for label in sorted(pg_schema.node_types.keys() | generic.node_types.keys()):
+        if pg_schema.node_types.get(label) != generic.node_types.get(label):
+            raise NotGenericSchema(f"node type {label!r}")
+
+    def edge_types(schema: PropertyGraphSchema, label: str) -> list[EdgeType]:
+        return [et for et in schema.edge_types if et.label == label]
+
+    for label in sorted({et.label for et in pg_schema.edge_types + generic.edge_types}):
+        if edge_types(pg_schema, label) != edge_types(generic, label):
+            raise NotGenericSchema(f"edge type {label!r}")
 
 
 def map_graph(graph: RdfGraph) -> PropertyGraph:
@@ -114,7 +144,10 @@ def _single(graph: PropertyGraph, element: int, key: str) -> str:
 
 
 def invert_graph(pg: PropertyGraph) -> RdfGraph:
-    """Property graph over the generic schema back to an RDF graph."""
+    """Property graph over the generic schema back to an RDF graph.
+
+    Raises SchemaViolation if `pg` does not conform to the generic schema.
+    """
     report = validate_pg(pg, generic_schema())
     if not report.valid:
         raise SchemaViolation(report.summary())

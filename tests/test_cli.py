@@ -241,6 +241,67 @@ def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
             "give resource http://ex.org/a different classes") in err
     assert not any(p.exists() for p in outs)
 
+def test_convert_dep_invalid_input_exits_1_with_outputs(tmp_path, capsys):
+    mutated = tmp_path / "bad.ttl"
+    mutated.write_text(open(INSTANCE).read().replace("voc:Organisation", "voc:Company"))
+    outs = [tmp_path / "pg.json", tmp_path / "pgs.json"]
+    assert main(["convert", "--mode", "dep", "--rdf", str(mutated), "--schema", SCHEMA,
+                 "--out-pg", str(outs[0]), "--out-pg-schema", str(outs[1])]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith(f"wrote {outs[0]} and {outs[1]}\n"
+                          "input validation: invalid: 4 violation(s)\n  [R1] ")
+    assert all(p.exists() for p in outs)
+
+
+# One node whose label the schema does not declare, with an Integer property.
+_OFF_SCHEMA_PG = {
+    "nodes": [{"id": "n0", "label": "http://ex.org/X",
+               "properties": [{"key": "iri", "value": "http://ex.org/a", "type": "String"},
+                              {"key": "http://ex.org/p", "value": "5", "type": "Integer"}]}],
+    "edges": [],
+}
+_T_SCHEMA = {
+    "nodeTypes": [{"id": "nt0", "label": "http://ex.org/T", "propertyTypes": ["pt0"]}],
+    "edgeTypes": [],
+    "propertyTypes": [{"id": "pt0", "key": "http://ex.org/p", "type": "Integer"}],
+}
+
+
+def test_invert_dep_nonconforming_graph_exits_1_with_outputs(tmp_path, capsys):
+    pg_path = tmp_path / "pg.json"
+    pg_path.write_text(json.dumps(_OFF_SCHEMA_PG))
+    pgs_path = tmp_path / "pgs.json"
+    pgs_path.write_text(json.dumps(_T_SCHEMA))
+    outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
+    code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    assert code == 1
+    out = capsys.readouterr().out
+    assert "input validation: invalid: 1 violation(s)\n" in out
+    assert ("  [P1a] node http://ex.org/X{http://ex.org/p='5':Integer, "
+            "iri='http://ex.org/a':String}: no node type labeled 'http://ex.org/X'\n") in out
+    assert all(p.exists() for p in outs)
+
+
+def test_invert_indep_rejects_a_pg_schema_other_than_the_generic_one(tmp_path, capsys):
+    paths = {name: tmp_path / name for name in
+             ("pg.json", "generic.json", "dep-pg.json", "dep-pgs.json", "back.ttl")}
+    assert main(["convert", "--mode", "indep", "--rdf", INSTANCE, "--out-pg", str(paths["pg.json"]),
+                 "--out-pg-schema", str(paths["generic.json"])]) == 0
+    assert main(["convert", "--mode", "dep", "--rdf", INSTANCE, "--schema", SCHEMA,
+                 "--out-pg", str(paths["dep-pg.json"]),
+                 "--out-pg-schema", str(paths["dep-pgs.json"])]) == 0
+    capsys.readouterr()
+    invert = ["invert", "--mode", "indep", "--pg", str(paths["pg.json"]),
+              "--out-rdf", str(paths["back.ttl"]), "--pg-schema"]
+    assert main([*invert, str(paths["dep-pgs.json"])]) == 2
+    assert ("error: PG schema is not the generic schema: its node type 'Literal' differs"
+            in capsys.readouterr().err)
+    assert not paths["back.ttl"].exists()
+    assert main([*invert, str(paths["generic.json"])]) == 0
+    assert paths["back.ttl"].exists()
+
+
 def test_validate_rdf_valid_exit_0(capsys):
     assert main(["validate", "rdf", "--rdf", INSTANCE, "--schema", SCHEMA]) == 0
     assert "valid" in capsys.readouterr().out

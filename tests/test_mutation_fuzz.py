@@ -2,18 +2,22 @@
 
 Each case applies one to three character edits to one document, then reads
 and converts or inverts it the way the CLI does. Every case must either
-succeed or raise an RdfPgError; any other exception fails the test.
+succeed or raise an RdfPgError; any other exception fails the test. The
+first cases of each document also go through the CLI itself, which must
+leave no output file behind when it fails.
 """
 
 from __future__ import annotations
 
 import random
 import warnings
+from pathlib import Path
 
 import pytest
 
 from conftest import DATA_DIR
 
+from rdfpg import cli
 from rdfpg import schema_dependent as dep
 from rdfpg import schema_independent as indep
 from rdfpg.errors import RdfPgError
@@ -28,6 +32,7 @@ from rdfpg.rdf_graph import (
 from rdfpg.turtle import parse_turtle, serialize_turtle
 
 CASES_PER_DOCUMENT = 500
+CLI_CASES_PER_DOCUMENT = 25
 
 # Syntax characters of both formats, escape letters, digits and a few
 # characters that need care on output: control, line separator, astral.
@@ -70,6 +75,19 @@ DOCUMENTS = {
 }
 
 
+# The CLI command that reads each document: {doc} is the mutated document,
+# {pg}, {pgs} and {generic} hold the unmutated PG documents.
+CLI_COMMANDS = {
+    "instance-turtle": "convert --mode dep --rdf {doc} --schema {schema} "
+                       "--out-pg {out}/pg.json --out-pg-schema {out}/pgs.json",
+    "dep-pg": "invert --mode dep --pg {doc} --pg-schema {pgs} "
+              "--out-rdf {out}/i.ttl --out-rdf-schema {out}/s.ttl",
+    "dep-pg-schema": "invert --mode dep --pg {pg} --pg-schema {doc} "
+                     "--out-rdf {out}/i.ttl --out-rdf-schema {out}/s.ttl",
+    "indep-pg": "invert --mode indep --pg {doc} --pg-schema {generic} --out-rdf {out}/i.ttl",
+}
+
+
 def _mutate(rng: random.Random, text: str) -> str:
     for _ in range(rng.randint(1, 3)):
         at = rng.randrange(len(text) + 1)
@@ -98,3 +116,29 @@ def test_mutated_document_succeeds_or_raises_rdfpg_error(name):
             pass
         except Exception as exc:
             pytest.fail(f"case {case}: {type(exc).__name__}: {exc}\n{mutated!r}")
+
+
+@pytest.mark.parametrize("name", DOCUMENTS)
+def test_cli_exit_2_on_mutated_document_leaves_no_file(name, tmp_path, capsys):
+    text, _ = DOCUMENTS[name]
+    out = tmp_path / "out"
+    out.mkdir()
+    files = {"doc": tmp_path / "doc", "pg": tmp_path / "pg.json", "pgs": tmp_path / "pgs.json",
+             "generic": tmp_path / "generic.json", "schema": DATA_DIR / "org-schema.ttl",
+             "out": out}
+    files["pg"].write_text(serialize_pg(DEP_PG), encoding="utf-8")
+    files["pgs"].write_text(serialize_pg_schema(DEP_PG_SCHEMA), encoding="utf-8")
+    files["generic"].write_text(serialize_pg_schema(indep.generic_schema()), encoding="utf-8")
+    argv = [part.format(**files) for part in CLI_COMMANDS[name].split()]
+    outputs = sorted(Path(value).name
+                     for flag, value in zip(argv, argv[1:]) if flag.startswith("--out-"))
+    rng = random.Random(f"mutation-fuzz:{name}")  # the library test's first cases
+    for case in range(CLI_CASES_PER_DOCUMENT):
+        mutated = _mutate(rng, text)
+        files["doc"].write_text(mutated, encoding="utf-8")
+        code = cli.main(argv)
+        written = sorted(p.name for p in out.iterdir())
+        assert written == ([] if code == 2 else outputs), f"case {case}: exit {code}\n{mutated!r}"
+        for p in out.iterdir():
+            p.unlink()
+    capsys.readouterr()

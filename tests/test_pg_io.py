@@ -279,6 +279,10 @@ def _rendered(lexical, datatype):
     ("1.", DOUBLE, "'1.'"),
     ("-1.e3", DOUBLE, "'-1.e3'"),
     ("+2.E-1", DECIMAL, "'+2.E-1'"),
+    # An exponent may carry only a "-" sign.
+    ("1E+5", DOUBLE, "'1E+5'"),
+    ("1.5e+3", DECIMAL, "'1.5e+3'"),
+    ("-2.0E+10", DOUBLE, "'-2.0E+10'"),
     # A leading zero makes an integer literal octal (010 is 8), so it is quoted.
     ("010", INTEGER, "'010'"),
     ("-007", INT, "'-007'"),

@@ -190,6 +190,13 @@ def test_map_database_warns_on_datatype_classed_resources():
     assert rdf_equal(dep.invert_graph(pg), graph)
 
 
+def test_map_database_warning_carries_the_input_report(org_rdf_schema):
+    stray = build_rdf_graph(parse_turtle(f"<{EX}a> a <{VOC}Unknown> ."))
+    with pytest.warns(ValidityWarning) as caught:
+        dep.map_database(org_rdf_schema, stray)
+    assert caught.pop(ValidityWarning).message.report == validate_rdf(stray, org_rdf_schema)
+
+
 # -- inverse mappings -------------------------------------------------------------
 
 
@@ -306,6 +313,22 @@ def test_invert_graph_drops_edge_properties_with_warning():
     with pytest.warns(UserWarning, match="dropped"):
         graph = dep.invert_graph(b.build())
     assert len(graph.object_edges) == 1
+
+
+def test_invert_database_warns_with_the_report_of_a_nonconforming_graph():
+    sb = PropertyGraphSchemaBuilder()
+    sb.add_property_type(sb.add_node_type("http://ex.org/T"), "http://ex.org/p", INTEGER)
+    pg_schema = sb.build()
+    b = PropertyGraphBuilder()
+    n = b.add_node("http://ex.org/X")
+    b.add_property(n, "iri", PgValue("http://ex.org/a", STRING))
+    b.add_property(n, "http://ex.org/p", PgValue("5", INTEGER))
+    pg = b.build()
+    with pytest.warns(ValidityWarning, match="input PG database is invalid") as caught:
+        _, graph = dep.invert_database(pg_schema, pg)
+    report = caught.pop(ValidityWarning).message.report
+    assert report == validate_pg(pg, pg_schema) and not report.valid
+    assert graph.resource_nodes == {Iri("http://ex.org/a"): Iri("http://ex.org/X")}
 
 
 def test_custom_datatypes_survive_the_loop():

@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rdfpg import schema_independent as indep
-from rdfpg.errors import MissingRequiredProperty, NonIriLabel, SchemaViolation
+from rdfpg.errors import (
+    MissingRequiredProperty,
+    NonIriLabel,
+    NotGenericSchema,
+    SchemaViolation,
+)
 from rdfpg.generator import GeneratorConfig, gen_rdf_graph
 from rdfpg.pg_graph import (
     EdgeType,
@@ -63,6 +68,19 @@ def test_generic_schema_is_in_canonical_order():
 
 def test_generic_schema_is_constant():
     assert indep.generic_schema() == indep.generic_schema()
+
+
+def test_require_generic_schema_names_the_first_differing_type():
+    indep.require_generic_schema(indep.generic_schema())
+    b = PropertyGraphSchemaBuilder()
+    for label in ("Literal", "Resource"):
+        b.add_property_type(b.add_node_type(label), "type", STRING)
+    with pytest.raises(NotGenericSchema, match="its node type 'Literal' differs"):
+        indep.require_generic_schema(b.build())
+    generic = indep.generic_schema()
+    edge_types = (generic.edge_types[0], EdgeType("ObjectProperty", "Resource", "Resource", ()))
+    with pytest.raises(NotGenericSchema, match="its edge type 'ObjectProperty' differs"):
+        indep.require_generic_schema(PropertyGraphSchema(generic.node_types, edge_types))
 
 
 # -- forward mapping -------------------------------------------------------------
