@@ -96,7 +96,7 @@ def _load_turtle(path: str, skolemize_blanks: bool):
 
 
 def _checked(entry_point, *args):
-    """Call a dep route entry point; return its result and its input's ValidationReport.
+    """Call a dep route entry point; return its result and the ValidityWarnings it emitted.
 
     The entry point checks its own input and reports a failure as a
     ValidityWarning carrying the report. Other warnings are shown as usual.
@@ -104,19 +104,28 @@ def _checked(entry_point, *args):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
         result = entry_point(*args)
-    report = ValidationReport()
+    found = []
     for w in caught:
-        if not issubclass(w.category, ValidityWarning):
+        if issubclass(w.category, ValidityWarning):
+            found.append(w.message)
+        else:
             warnings.showwarning(w.message, w.category, w.filename, w.lineno)
-        elif w.message.report is not None:
-            report = w.message.report
-    return result, report
+    return result, found
 
 
-def _print_input_validation(report: ValidationReport) -> int:
+def _print_input_validation(found: list[ValidityWarning]) -> int:
+    """Print the input's report, then each ValidityWarning that has none.
+
+    A warning without a report names input elements that the output schema
+    cannot hold, so it fails the command as a violation does.
+    """
+    report = next((w.report for w in found if w.report is not None), ValidationReport())
     print("input validation:", end=" ")
     _print_report(report, sys.stdout)
-    return 0 if report.valid else 1
+    unplaced = [w for w in found if w.report is None]
+    for w in unplaced:
+        print(f"{_paint('warning:', '33')} {w}")
+    return 0 if report.valid and not unplaced else 1
 
 
 def _cmd_convert(args) -> int:
@@ -125,33 +134,33 @@ def _cmd_convert(args) -> int:
         schema_triples = _load_turtle(args.schema, args.skolemize)
         schema = build_rdf_schema(complete_partial_schema(schema_triples))
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
-        (pg_schema, pg), report = _checked(dep.map_database, schema, graph)
+        (pg_schema, pg), found = _checked(dep.map_database, schema, graph)
     else:
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
-        report = None
+        found = None
         pg_schema, pg = indep.map_database(graph)
     _write_outputs([
         (args.out_pg, serialize_pg(pg)),
         (args.out_pg_schema, serialize_pg_schema(pg_schema)),
     ])
     print(f"wrote {args.out_pg} and {args.out_pg_schema}")
-    if report is None:
+    if found is None:
         print("input validation: skipped (no schema in this mode)")
         return 0
-    return _print_input_validation(report)
+    return _print_input_validation(found)
 
 
 def _cmd_invert(args) -> int:
     pg = parse_pg(_read_text(args.pg))
     if args.mode == "dep":
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))
-        (schema, graph), report = _checked(dep.invert_database, pg_schema, pg)
+        (schema, graph), found = _checked(dep.invert_database, pg_schema, pg)
         _write_outputs([
             (args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph))),
             (args.out_rdf_schema, serialize_turtle(rdf_schema_to_triples(schema))),
         ])
         print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
-        return _print_input_validation(report)
+        return _print_input_validation(found)
     if args.pg_schema:
         indep.require_generic_schema(parse_pg_schema(_read_text(args.pg_schema)))
     graph = indep.invert_graph(pg)

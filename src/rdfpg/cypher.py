@@ -63,10 +63,8 @@ def _property_map(pairs: list[tuple[str, str]]) -> str:
 def export_import_script(graph: PropertyGraph) -> str:
     """CREATE statements for every node, then every edge. Empty graph, empty script."""
     statements: list[str] = []
-    index_of: dict[int, int] = {}
-    for i, n in enumerate(graph.nodes_sorted()):
-        index_of[n] = i
-        pairs = [(NODE_ID_KEY, str(i))]
+    for n in graph.nodes_sorted():
+        pairs = [(NODE_ID_KEY, str(n))]
         pairs += [(k, _value(v)) for k, v in graph.properties_of(n)]
         statements.append(f"CREATE (:{_name(graph.label[n])} {_property_map(pairs)});")
     for e in graph.edges_sorted():
@@ -74,8 +72,8 @@ def export_import_script(graph: PropertyGraph) -> str:
         pairs = [(k, _value(v)) for k, v in graph.properties_of(e)]
         props = f" {_property_map(pairs)}" if pairs else ""
         statements.append(
-            f"MATCH (a {{{_name(NODE_ID_KEY)}: {index_of[src]}}}), "
-            f"(b {{{_name(NODE_ID_KEY)}: {index_of[dst]}}}) "
+            f"MATCH (a {{{_name(NODE_ID_KEY)}: {src}}}), "
+            f"(b {{{_name(NODE_ID_KEY)}: {dst}}}) "
             f"CREATE (a)-[:{_name(graph.label[e])}{props}]->(b);"
         )
     return "\n".join(statements) + ("\n" if statements else "")

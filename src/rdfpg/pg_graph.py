@@ -5,10 +5,11 @@ a set of key-value properties. Values carry an explicit datatype so that a
 string "46" and an integer "46" stay distinguishable; nothing is inferred
 from lexical forms.
 
-A built graph stores each owner's properties once, already in canonical
-order. Its canonical keys and its canonical node and edge orders are
-computed at most once per graph, on first use, and every consumer (the
-validator, the serializers, the inverse mappings, pg_equal) reuses them.
+A graph is built in canonical order once: nodes sorted by label and
+properties, then edges sorted by source, label, properties and target, with
+elements of equal keys in the order they were added. An element's id is its
+position in that order, so every consumer (the validator, the serializers,
+the inverse mappings) walks ids in order, and graphs compare with ==.
 
 A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
@@ -19,9 +20,8 @@ types constrain what may appear, they do not make properties mandatory.
 from __future__ import annotations
 
 import itertools
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Mapping
 
 from .errors import AmbiguousCanonicalKey
@@ -107,15 +107,16 @@ def _property_sort_key(item: tuple[str, PgValue]) -> tuple[str, str, str]:
     return (key, value.lexical, value.datatype.token())
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PropertyGraph:
-    """A property graph. Compare with pg_equal, not ==; internal ids are arbitrary.
+    """A property graph in canonical order; compare with ==.
 
-    `properties_by_owner` maps each node or edge that has properties to its
-    (key, value) pairs in canonical order. Canonical keys and orders are
-    filled in on first use and cached on the instance. The fields never
-    change, so a cache always holds the value they determine, and a graph
-    stays safe to share across threads.
+    Nodes have ids 0..N-1 in canonical order and edges the ids after them,
+    so `nodes_sorted()` and `edges_sorted()` are id ranges. `label` maps each
+    id to its label, `ends` each edge id to its (source, target) node ids, and
+    `properties_by_owner` each node or edge that has properties to its
+    (key, value) pairs in canonical order. Graphs built from the same
+    elements in any order are ==.
     """
 
     nodes: frozenset[int]
@@ -131,44 +132,11 @@ class PropertyGraph:
     def properties_of(self, owner: int) -> list[tuple[str, PgValue]]:
         return list(self.properties_by_owner.get(owner, ()))
 
-    def _property_keys(self, owner: int) -> tuple:
-        return tuple(map(_property_sort_key, self.properties_by_owner.get(owner, ())))
+    def nodes_sorted(self) -> range:
+        return range(len(self.nodes))
 
-    @cached_property
-    def _node_keys(self) -> dict[int, tuple]:
-        label = self.label
-        return {n: (label[n], self._property_keys(n)) for n in self.nodes}
-
-    @cached_property
-    def _edge_keys(self) -> dict[int, tuple]:
-        node_keys, label, ends = self._node_keys, self.label, self.ends
-        keys = {}
-        for e in self.edges:
-            src, dst = ends[e]
-            keys[e] = (node_keys[src], label[e], self._property_keys(e), node_keys[dst])
-        return keys
-
-    @cached_property
-    def _node_order(self) -> tuple[int, ...]:
-        keys = self._node_keys
-        return tuple(sorted(self.nodes, key=lambda n: (keys[n], n)))
-
-    @cached_property
-    def _edge_order(self) -> tuple[int, ...]:
-        keys = self._edge_keys
-        return tuple(sorted(self.edges, key=lambda e: (keys[e], e)))
-
-    def node_canonical_key(self, n: int) -> tuple:
-        return self._node_keys[n]
-
-    def edge_canonical_key(self, e: int) -> tuple:
-        return self._edge_keys[e]
-
-    def nodes_sorted(self) -> list[int]:
-        return list(self._node_order)
-
-    def edges_sorted(self) -> list[int]:
-        return list(self._edge_order)
+    def edges_sorted(self) -> range:
+        return range(len(self.nodes), len(self.nodes) + len(self.edges))
 
     def describe(self, element: int) -> str:
         if element in self.nodes:
@@ -210,8 +178,7 @@ class PropertyGraphSchema:
     `node_types` maps each node type label to its property types. It, the
     `edge_types` tuple and each owner's property types are in canonical
     order. Tuples keep duplicates (two edge types may share a label and
-    endpoints), so == compares them as multisets. The validation lookup
-    tables are cached on first use; the fields never change.
+    endpoints), so == compares them as multisets.
     """
 
     node_types: Mapping[str, tuple[PropertyType, ...]]
@@ -220,25 +187,11 @@ class PropertyGraphSchema:
     def is_empty(self) -> bool:
         return not (self.node_types or self.edge_types)
 
-    @cached_property
-    def _allowed_by_node_type(self) -> dict[str, frozenset[tuple[str, str]]]:
-        """Allowed (key, datatype token) pairs of each node type, by label."""
-        return {
-            label: frozenset(map(_property_type_key, pts)) for label, pts in self.node_types.items()
-        }
-
-    @cached_property
-    def _allowed_by_signature(self) -> dict[tuple[str, str, str], list[frozenset]]:
-        """Allowed (key, datatype token) pairs of each edge type, grouped by
-        (label, source, target) in canonical order."""
-        by_signature: dict[tuple[str, str, str], list[frozenset]] = defaultdict(list)
-        for et in self.edge_types:
-            allowed = frozenset(map(_property_type_key, et.property_types))
-            by_signature[(et.label, et.source, et.target)].append(allowed)
-        return dict(by_signature)
-
 
 class PropertyGraphBuilder:
+    """Accumulates elements with their checks. Handles are builder-local:
+    build() numbers the elements afresh, by canonical position."""
+
     def __init__(self) -> None:
         self._ids = itertools.count()
         self._nodes: dict[int, str] = {}
@@ -263,20 +216,35 @@ class PropertyGraphBuilder:
         self._props[owner].append((key, value))
 
     def build(self) -> PropertyGraph:
-        labels: dict[int, str] = dict(self._nodes)
+        props = {o: tuple(sorted(ps, key=_property_sort_key)) for o, ps in self._props.items()}
+
+        def property_keys(owner: int) -> tuple:
+            return tuple(map(_property_sort_key, props.get(owner, ())))
+
+        node_key = {n: (label, property_keys(n)) for n, label in self._nodes.items()}
+        edge_key = {
+            e: (node_key[src], label, property_keys(e), node_key[dst])
+            for e, (label, src, dst) in self._edges.items()
+        }
+        # Handles grow in insertion order and sorted() is stable, so elements
+        # with equal keys keep the order they were added in.
+        order = sorted(self._nodes, key=node_key.__getitem__)
+        order += sorted(self._edges, key=edge_key.__getitem__)
+        del node_key, edge_key  # free the keys before the graph's maps are made
+        position = {handle: i for i, handle in enumerate(order)}
+        n_nodes = len(self._nodes)
+        labels = {i: self._nodes[n] for i, n in enumerate(order[:n_nodes])}
         ends: dict[int, tuple[int, int]] = {}
-        for e, (label, src, dst) in self._edges.items():
-            labels[e] = label
-            ends[e] = (src, dst)
+        for i in range(n_nodes, len(order)):
+            labels[i], src, dst = self._edges[order[i]]
+            ends[i] = (position[src], position[dst])
         return PropertyGraph(
-            nodes=frozenset(self._nodes),
-            edges=frozenset(self._edges),
+            nodes=frozenset(range(n_nodes)),
+            edges=frozenset(range(n_nodes, len(order))),
             label=labels,
             ends=ends,
-            properties_by_owner={
-                o: tuple(sorted(ps, key=_property_sort_key)) for o, ps in self._props.items()
-            },
-            property_count=sum(map(len, self._props.values())),
+            properties_by_owner={position[o]: props[o] for o in order if o in props},
+            property_count=sum(map(len, props.values())),
         )
 
 
@@ -328,25 +296,32 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     P1a: node label names a node type. P1b: each node property matches an
     allowed property type by key and datatype. P2a: edge label plus endpoint
     labels name an edge type. P2b: each edge property matches the edge type.
+    Violations come in canonical element order, nodes then edges, each
+    element's in property order.
 
     The reserved string-typed "iri" node property is always allowed: the
     conversion machinery stamps it on every node it creates, and schemas
     derived from RDF schemas have no place to declare it.
     """
-    allowed_by_node_type = schema._allowed_by_node_type
-    allowed_by_signature = schema._allowed_by_signature
+    allowed_by_node_type = {
+        label: frozenset(map(_property_type_key, pts)) for label, pts in schema.node_types.items()
+    }
+    # Edge types that share a (label, source, target) signature, in canonical order.
+    allowed_by_signature: dict[tuple[str, str, str], list[frozenset]] = defaultdict(list)
+    for et in schema.edge_types:
+        allowed = frozenset(map(_property_type_key, et.property_types))
+        allowed_by_signature[(et.label, et.source, et.target)].append(allowed)
 
     properties = graph.properties_by_owner
-    node_violations: dict[int, list[Violation]] = {}
-    for n in graph.nodes:
+    violations: list[Violation] = []
+    for n in graph.nodes_sorted():
         label = graph.label[n]
         allowed = allowed_by_node_type.get(label)
         if allowed is None:
-            node_violations[n] = [
-                Violation("P1a", graph.describe(n), f"no node type labeled {label!r}")
-            ]
+            message = f"no node type labeled {label!r}"
+            violations.append(Violation("P1a", graph.describe(n), message))
             continue
-        found = [
+        violations += [
             Violation(
                 "P1b",
                 graph.describe(n),
@@ -357,23 +332,20 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
             if (key, value.datatype.token()) not in allowed
             and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
         ]
-        if found:
-            node_violations[n] = found
 
-    edge_violations: dict[int, list[Violation]] = {}
-    for e in graph.edges:
+    for e in graph.edges_sorted():
         src, dst = graph.ends[e]
         signature = (graph.label[e], graph.label[src], graph.label[dst])
         candidates = allowed_by_signature.get(signature)
         if not candidates:
-            edge_violations[e] = [
+            violations.append(
                 Violation(
                     "P2a",
                     graph.describe(e),
                     f"no edge type labeled {signature[0]!r} from {signature[1]!r} "
                     f"to {signature[2]!r}",
                 )
-            ]
+            )
             continue
         props = properties.get(e, ())
         # Report against the first edge type that leaves the fewest unmatched.
@@ -382,45 +354,32 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
              for allowed in candidates),
             key=len,
         )
-        if best_unmatched:
-            edge_violations[e] = [
-                Violation(
-                    "P2b",
-                    graph.describe(e),
-                    f"property {key!r} with type {value.datatype} is not declared "
-                    f"for edge type {signature[0]!r}",
-                )
-                for key, value in best_unmatched
-            ]
-
-    # Report in canonical element order: nodes, then edges, each element's
-    # violations in property order. Only the violators are sorted.
-    violations = [
-        v
-        for n in sorted(node_violations, key=lambda n: (graph.node_canonical_key(n), n))
-        for v in node_violations[n]
-    ]
-    violations += [
-        v
-        for e in sorted(edge_violations, key=lambda e: (graph.edge_canonical_key(e), e))
-        for v in edge_violations[e]
-    ]
+        violations += [
+            Violation(
+                "P2b",
+                graph.describe(e),
+                f"property {key!r} with type {value.datatype} is not declared "
+                f"for edge type {signature[0]!r}",
+            )
+            for key, value in best_unmatched
+        ]
     return ValidationReport(tuple(violations))
 
 
 def pg_equal(a: PropertyGraph, b: PropertyGraph) -> bool:
-    """Identity-free equality of property graphs.
+    """Identity-free equality of property graphs: a == b, once both are known
+    to have distinguishable nodes.
 
     Nodes must be distinguishable by (label, properties); graphs produced by
     the mappings always are, since every node carries an identifying
-    property. Raises AmbiguousCanonicalKey otherwise.
+    property. Raises AmbiguousCanonicalKey otherwise. Equal nodes are
+    adjacent in canonical order.
     """
-
-    def canonical(graph: PropertyGraph):
-        node_keys = graph._node_keys.values()
-        dupes = [k for k, c in Counter(node_keys).items() if c > 1]
-        if dupes:
-            raise AmbiguousCanonicalKey(repr(dupes[0]))
-        return frozenset(node_keys), Counter(graph._edge_keys.values())
-
-    return canonical(a) == canonical(b)
+    for graph in (a, b):
+        props, previous = graph.properties_by_owner, None
+        for n in graph.nodes_sorted():
+            key = (graph.label[n], tuple(map(_property_sort_key, props.get(n, ()))))
+            if key == previous:
+                raise AmbiguousCanonicalKey(repr(key))
+            previous = key
+    return a == b

@@ -5,8 +5,8 @@ Graph documents list nodes and edges, each with an id, a label and a list of
 and a flat propertyTypes table that owners reference by id; every property
 type must be referenced exactly once.
 
-Output is canonical: elements are ordered by their id-free canonical keys
-and ids are assigned in that order, so two equal graphs serialize to
+Output is canonical: a graph's elements are already in canonical order and
+ids are assigned in that order, so two equal graphs serialize to
 byte-identical documents. Datatypes appear as their kind name ("String",
 "Date", ...) while custom datatypes appear as their IRI. Values are always
 JSON strings, preserving lexical forms exactly.
@@ -63,13 +63,11 @@ def _properties_text(items) -> str:
 
 
 def serialize_pg(graph: PropertyGraph) -> str:
-    node_order = graph.nodes_sorted()
-    node_ids = {n: f'"n{i}"' for i, n in enumerate(node_order)}
     label, properties = graph.label, graph.properties_by_owner
     nodes = [
-        f'{{\n      "id": {node_ids[n]},\n      "label": {_encode(label[n])},'
+        f'{{\n      "id": "n{n}",\n      "label": {_encode(label[n])},'
         f'\n      "properties": {_properties_text(properties.get(n, ()))}\n    }}'
-        for n in node_order
+        for n in graph.nodes_sorted()
     ]
     edges = []
     for i, e in enumerate(graph.edges_sorted()):
@@ -77,7 +75,7 @@ def serialize_pg(graph: PropertyGraph) -> str:
         edges.append(
             f'{{\n      "id": "e{i}",\n      "label": {_encode(label[e])},'
             f'\n      "properties": {_properties_text(properties.get(e, ()))},'
-            f'\n      "source": {node_ids[src]},\n      "target": {node_ids[dst]}\n    }}'
+            f'\n      "source": "n{src}",\n      "target": "n{dst}"\n    }}'
         )
     return _document([("edges", edges), ("nodes", nodes)])
 
@@ -214,6 +212,7 @@ def parse_pg(text: str) -> PropertyGraph:
         e = builder.add_edge(label, node_by_id[source], node_by_id[target])
         for key, value in _read_properties(edge, where, datatypes):
             builder.add_property(e, key, value)
+    del root  # the decoded document is not needed while build() sorts the graph
     return builder.build()
 
 

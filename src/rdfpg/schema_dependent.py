@@ -183,9 +183,12 @@ def map_database(
     An invalid input database is still converted, with a warning. For valid
     input within the mapping's domain, the produced graph is checked against
     the produced schema; a failure there would be a bug in the mapping, so
-    it raises. Resources whose class is a datatype or vocabulary IRI are
-    formally valid but have no node type on the PG side; they convert, with
-    a warning, and the output check is skipped.
+    it raises. Two kinds of element are formally valid but have no place in
+    the produced schema: resources whose class is a datatype or vocabulary
+    IRI (no node type), and datatype edges whose literal datatype is not a
+    supported datatype (the property is an edge type, so the node property
+    is undeclared). Each converts, with a ValidityWarning that has no
+    report, and the output check is skipped.
     """
     input_report = validate_rdf(graph, schema)
     if not input_report.valid:
@@ -208,9 +211,20 @@ def map_database(
             ValidityWarning,
             stacklevel=2,
         )
+    unsupported = sorted(
+        {t.p.value for t in graph.datatype_edges if t.o.datatype not in SUPPORTED_DATATYPES}
+    )
+    if unsupported:
+        warnings.warn(
+            f"{len(unsupported)} propert{'y has' if len(unsupported) == 1 else 'ies have'} "
+            f"values of a datatype that is not supported (e.g. {unsupported[0]}) and will "
+            "not match any property type",
+            ValidityWarning,
+            stacklevel=2,
+        )
     pg_schema = map_schema(schema)
     pg = map_graph(graph)
-    if input_report.valid and not excluded_classed:
+    if input_report.valid and not excluded_classed and not unsupported:
         output_report = validate_pg(pg, pg_schema)
         if not output_report.valid:
             raise AssertionError(

@@ -171,24 +171,20 @@ class TripleSet:
 
     Equality and hashing consider the triples only; prefixes are presentation
     metadata. Iteration is in sorted order so downstream behavior never
-    depends on hash ordering; the order is computed on the first pass and
-    replayed on later ones.
+    depends on hash ordering; each pass sorts.
     """
 
-    __slots__ = ("triples", "prefixes", "_sorted")
+    __slots__ = ("triples", "prefixes")
 
     def __init__(self, triples=(), prefixes: PrefixMap | None = None):
         object.__setattr__(self, "triples", frozenset(triples))
         object.__setattr__(self, "prefixes", prefixes or PrefixMap())
-        object.__setattr__(self, "_sorted", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSet is immutable")
 
     def __iter__(self) -> Iterator[Triple]:
-        if self._sorted is None:
-            object.__setattr__(self, "_sorted", tuple(sorted(self.triples, key=triple_sort_key)))
-        return iter(self._sorted)
+        return iter(sorted(self.triples, key=triple_sort_key))
 
     def __len__(self) -> int:
         return len(self.triples)

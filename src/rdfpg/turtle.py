@@ -29,7 +29,6 @@ from .terms import (
     Triple,
     TripleSet,
     XSD_STRING,
-    triple_sort_key,
 )
 
 DEFAULT_SKOLEM_BASE = "urn:skolem:"
@@ -386,7 +385,7 @@ def serialize_turtle(ts: TripleSet) -> str:
     """
     iri_text = _IriWriter(ts.prefixes)
     by_subject: dict[Iri, dict[Iri, list[RdfObject]]] = {}
-    for t in sorted(ts.triples, key=triple_sort_key):
+    for t in ts.triples:
         by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
 
     def render_object(o: RdfObject) -> str:

@@ -253,6 +253,45 @@ def test_convert_dep_invalid_input_exits_1_with_outputs(tmp_path, capsys):
     assert all(p.exists() for p in outs)
 
 
+_RDFS = "<http://www.w3.org/2000/01/rdf-schema#"
+_UNPLACED = {
+    # A resource classed with a datatype: no node type can hold it.
+    "excluded-class": (
+        f"<http://ex.org/p> {_RDFS}domain> <http://ex.org/A> ;"
+        f" {_RDFS}range> <http://www.w3.org/2001/XMLSchema#int> .\n",
+        "<http://ex.org/a> a <http://www.w3.org/2001/XMLSchema#int> .\n",
+        "warning: 1 resource(s) are classed with datatype or vocabulary IRIs"
+        " (e.g. http://ex.org/a) and will not match any node type\n",
+    ),
+    # A literal of a datatype that is not supported: its property is an edge type.
+    "unsupported-datatype": (
+        f"<http://ex.org/p> {_RDFS}domain> <http://ex.org/A> ; {_RDFS}range> <http://ex.org/dt> .\n"
+        f"<http://ex.org/dt> a {_RDFS}Class> .\n",
+        '<http://ex.org/a> a <http://ex.org/A> ; <http://ex.org/p> "x"^^<http://ex.org/dt> .\n',
+        "warning: 1 property has values of a datatype that is not supported"
+        " (e.g. http://ex.org/p) and will not match any property type\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_UNPLACED))
+def test_convert_dep_unplaced_elements_exit_1_with_outputs(tmp_path, capsys, case):
+    schema_text, instance_text, warning = _UNPLACED[case]
+    (tmp_path / "s.ttl").write_text(schema_text)
+    (tmp_path / "i.ttl").write_text(instance_text)
+    outs = [tmp_path / "pg.json", tmp_path / "pgs.json"]
+    code = main(["convert", "--mode", "dep", "--rdf", str(tmp_path / "i.ttl"),
+                 "--schema", str(tmp_path / "s.ttl"),
+                 "--out-pg", str(outs[0]), "--out-pg-schema", str(outs[1])])
+    assert code == 1
+    assert capsys.readouterr().out == (
+        f"wrote {outs[0]} and {outs[1]}\ninput validation: valid\n" + warning
+    )
+    assert all(p.exists() for p in outs)
+    # the outputs fail their own schema, as the warning says
+    assert main(["validate", "pg", "--pg", str(outs[0]), "--pg-schema", str(outs[1])]) == 1
+
+
 # One node whose label the schema does not declare, with an Integer property.
 _OFF_SCHEMA_PG = {
     "nodes": [{"id": "n0", "label": "http://ex.org/X",

@@ -190,6 +190,25 @@ def test_map_database_warns_on_datatype_classed_resources():
     assert rdf_equal(dep.invert_graph(pg), graph)
 
 
+def test_map_database_warns_on_unsupported_literal_datatype():
+    # valid (the literal's class is its datatype, the property's range), but
+    # the property becomes an edge type, so the node property it yields is
+    # undeclared; converts with a report-less warning instead of tripping
+    # the output check
+    schema = build_rdf_schema(complete_partial_schema(parse_turtle(
+        f"<{VOC}p> <http://www.w3.org/2000/01/rdf-schema#domain> <{VOC}A> ;"
+        f" <http://www.w3.org/2000/01/rdf-schema#range> <{EX}dt> .\n"
+        f"<{EX}dt> a <http://www.w3.org/2000/01/rdf-schema#Class> ."
+    )))
+    graph = build_rdf_graph(parse_turtle(f'<{EX}a> a <{VOC}A> ; <{VOC}p> "x"^^<{EX}dt> .'))
+    assert validate_rdf(graph, schema).valid
+    with pytest.warns(ValidityWarning, match=f"e.g. {VOC}p") as caught:
+        pgs, pg = dep.map_database(schema, graph)
+    assert caught.pop(ValidityWarning).message.report is None
+    assert validate_pg(pg, pgs).rules_violated() == {"P1b"}
+    assert dep.invert_graph(pg) == graph
+
+
 def test_map_database_warning_carries_the_input_report(org_rdf_schema):
     stray = build_rdf_graph(parse_turtle(f"<{EX}a> a <{VOC}Unknown> ."))
     with pytest.warns(ValidityWarning) as caught:
