@@ -6,11 +6,15 @@ schema and maps instances onto it; the schema-independent route
 (`rdfpg.schema_independent`) maps any RDF graph onto one fixed generic
 schema. Both routes have exact inverses: converting and inverting recovers
 the original database.
+
+The generator and the openCypher export are imported on first use of the
+names re-exported from them, so that `import rdfpg` does not load them.
 """
+
+import importlib
 
 from . import schema_dependent, schema_independent
 from .errors import RdfPgError
-from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
 from .pg_graph import (
     EdgeType,
     PgDatatype,
@@ -24,7 +28,6 @@ from .pg_graph import (
     validate_pg,
 )
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
-from .cypher import export_import_script
 from .rdf_graph import (
     RdfGraph,
     RdfGraphBuilder,
@@ -43,6 +46,22 @@ from .terms import Iri, Literal, PrefixMap, Triple, TripleSet
 from .turtle import parse_turtle, parse_turtle_raw, serialize_turtle, skolemize
 
 __version__ = "0.1.0"
+
+# Re-exported names whose module is imported on first use: name -> module.
+_LAZY = {
+    "GeneratorConfig": "generator",
+    "gen_rdf_database": "generator",
+    "gen_rdf_graph": "generator",
+    "export_import_script": "cypher",
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{module}", __name__), name)
+
 
 __all__ = [
     "EdgeType",

@@ -18,11 +18,11 @@ import os
 import sys
 import warnings
 from dataclasses import dataclass
+from typing import TYPE_CHECKING, Callable, TextIO
 
 from . import schema_dependent as dep
 from . import schema_independent as indep
 from .errors import RdfPgError, SchemaViolation, ValidityWarning
-from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
 from .pg_graph import validate_pg
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 from .rdf_graph import (
@@ -36,6 +36,9 @@ from .rdf_graph import (
 )
 from .report import ValidationReport
 from .turtle import parse_turtle, parse_turtle_raw, serialize_turtle, skolemize
+
+if TYPE_CHECKING:  # the generator is imported by the roundtrip command only
+    from .generator import GeneratorConfig
 
 
 def _color_enabled() -> bool:
@@ -62,23 +65,23 @@ def _read_text(path: str) -> str:
         return handle.read()
 
 
-def _write_outputs(outputs: list[tuple[str, str]]) -> None:
-    """Write each (path, text) pair so that a failure leaves no partial output.
+def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> None:
+    """Write each (path, write) pair so that a failure leaves no partial output.
 
-    Every text is encoded before any file is touched. Each one then goes to
-    a fresh file next to its target and is renamed over it only once all of
-    them are written, so a failed run creates no file and keeps any existing
-    one intact.
+    `write` writes one file's text to the UTF-8 text stream it is given. It
+    writes into a fresh file next to its target, and the files are renamed
+    over their targets only once all of them are written, so a failed run,
+    an encoding error midway included, creates no file and keeps any
+    existing one intact.
     """
-    encoded = [(path, text.encode("utf-8")) for path, text in outputs]
     staged: list[tuple[str, str]] = []
     try:
-        for path, data in encoded:
+        for path, write in outputs:
             directory, name = os.path.split(os.path.abspath(path))
             tmp = os.path.join(directory, f".{name}.{os.urandom(4).hex()}.tmp")
-            with open(tmp, "xb") as handle:
+            with open(tmp, "x", encoding="utf-8", newline="") as handle:
                 staged.append((tmp, path))
-                handle.write(data)
+                write(handle)
         for tmp, path in staged:
             os.replace(tmp, path)
     except BaseException:
@@ -140,8 +143,8 @@ def _cmd_convert(args) -> int:
         found = None
         pg_schema, pg = indep.map_database(graph)
     _write_outputs([
-        (args.out_pg, serialize_pg(pg)),
-        (args.out_pg_schema, serialize_pg_schema(pg_schema)),
+        (args.out_pg, lambda out: serialize_pg(pg, out)),
+        (args.out_pg_schema, lambda out: out.write(serialize_pg_schema(pg_schema))),
     ])
     print(f"wrote {args.out_pg} and {args.out_pg_schema}")
     if found is None:
@@ -156,15 +159,18 @@ def _cmd_invert(args) -> int:
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))
         (schema, graph), found = _checked(dep.invert_database, pg_schema, pg)
         _write_outputs([
-            (args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph))),
-            (args.out_rdf_schema, serialize_turtle(rdf_schema_to_triples(schema))),
+            (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
+            (args.out_rdf_schema,
+             lambda out: serialize_turtle(rdf_schema_to_triples(schema), out)),
         ])
         print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
         return _print_input_validation(found)
     if args.pg_schema:
         indep.require_generic_schema(parse_pg_schema(_read_text(args.pg_schema)))
     graph = indep.invert_graph(pg)
-    _write_outputs([(args.out_rdf, serialize_turtle(rdf_graph_to_triples(graph)))])
+    _write_outputs([
+        (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
+    ])
     print(f"wrote {args.out_rdf}")
     return 0
 
@@ -211,6 +217,8 @@ def run_roundtrip(
     serializations for diffing; the seed and case index identify the case
     completely.
     """
+    from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
+
     out = out if out is not None else sys.stdout
     base = config or GeneratorConfig()
     passed = failed = semantics_failures = 0
@@ -268,6 +276,8 @@ def run_roundtrip(
 
 
 def _cmd_roundtrip(args) -> int:
+    from .generator import GeneratorConfig
+
     config = GeneratorConfig(
         max_classes=args.max_classes,
         max_properties=args.max_properties,

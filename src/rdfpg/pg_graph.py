@@ -44,7 +44,7 @@ DATATYPE_KINDS = (
 IRI_PROPERTY_KEY = "iri"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PgDatatype:
     """A property-graph datatype. Custom carries the IRI of an unmapped RDF datatype."""
 
@@ -88,7 +88,7 @@ def custom_datatype(iri: str) -> PgDatatype:
     return PgDatatype("Custom", iri)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PgValue:
     lexical: str
     datatype: PgDatatype

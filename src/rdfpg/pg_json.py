@@ -11,14 +11,20 @@ byte-identical documents. Datatypes appear as their kind name ("String",
 "Date", ...) while custom datatypes appear as their IRI. Values are always
 JSON strings, preserving lexical forms exactly.
 
+`serialize_pg` writes a graph document to a text stream one node or edge at
+a time, or returns it as a string when given no stream. `parse_pg` drops
+each decoded element from the document once it has read it, so the builder
+reuses that memory.
+
 See docs/pg-json-format.md and the JSON-Schema files next to it.
 """
 
 from __future__ import annotations
 
+import io
 import json
 import re
-from typing import Any
+from typing import Any, TextIO
 
 from .errors import DanglingEdgeEndpoint, FormatError
 from .pg_graph import (
@@ -45,10 +51,28 @@ def _list_text(items: list[str], indent: str) -> str:
     return "[\n" + indent + "  " + inner.join(items) + "\n" + indent + "]"
 
 
-def _document(sections: list[tuple[str, list[str]]]) -> str:
-    """The top-level object: (key, encoded element objects) pairs, in key order."""
-    fields = ",\n".join(f'  "{key}": {_list_text(items, "  ")}' for key, items in sections)
-    return "{\n" + fields + "\n}\n"
+def _document(sections, out: TextIO | None = None) -> str | None:
+    """The top-level object: (key, encoded element objects) pairs, in key order.
+
+    Each element is written to `out` as soon as it is taken from its
+    iterable. Without `out`, the document is returned as a string.
+    """
+    if out is None:
+        buffer = io.StringIO()
+        _document(sections, buffer)
+        return buffer.getvalue()
+    write = out.write
+    write("{")
+    for i, (key, items) in enumerate(sections):
+        write(f'{"," if i else ""}\n  "{key}": ')
+        separator = "[\n    "
+        for item in items:
+            write(separator)
+            write(item)
+            separator = ",\n    "
+        write("[]" if separator.startswith("[") else "\n  ]")
+    write("\n}\n")
+    return None
 
 
 def _properties_text(items) -> str:
@@ -62,22 +86,25 @@ def _properties_text(items) -> str:
     return _list_text(entries, "      ")
 
 
-def serialize_pg(graph: PropertyGraph) -> str:
-    label, properties = graph.label, graph.properties_by_owner
-    nodes = [
+def serialize_pg(graph: PropertyGraph, out: TextIO | None = None) -> str | None:
+    """The canonical JSON document of `graph`, written to the text stream `out`.
+
+    The document goes out one node or edge at a time and is never held
+    whole. Without `out`, it is returned as a string.
+    """
+    label, properties, ends = graph.label, graph.properties_by_owner, graph.ends
+    nodes = (
         f'{{\n      "id": "n{n}",\n      "label": {_encode(label[n])},'
         f'\n      "properties": {_properties_text(properties.get(n, ()))}\n    }}'
         for n in graph.nodes_sorted()
-    ]
-    edges = []
-    for i, e in enumerate(graph.edges_sorted()):
-        src, dst = graph.ends[e]
-        edges.append(
-            f'{{\n      "id": "e{i}",\n      "label": {_encode(label[e])},'
-            f'\n      "properties": {_properties_text(properties.get(e, ()))},'
-            f'\n      "source": "n{src}",\n      "target": "n{dst}"\n    }}'
-        )
-    return _document([("edges", edges), ("nodes", nodes)])
+    )
+    edges = (
+        f'{{\n      "id": "e{i}",\n      "label": {_encode(label[e])},'
+        f'\n      "properties": {_properties_text(properties.get(e, ()))},'
+        f'\n      "source": "n{ends[e][0]}",\n      "target": "n{ends[e][1]}"\n    }}'
+        for i, e in enumerate(graph.edges_sorted())
+    )
+    return _document([("edges", edges), ("nodes", nodes)], out)
 
 
 # The readers check the decoded JSON value by value. A position in the
@@ -185,7 +212,11 @@ def parse_pg(text: str) -> PropertyGraph:
     builder = PropertyGraphBuilder()
     datatypes = _Datatypes()
     node_by_id: dict[str, int] = {}
-    for i, node in enumerate(_field(root, "nodes", list, ())):
+    # Each decoded element is dropped from its list once it is read, so the
+    # builder's memory grows as the document's shrinks.
+    nodes = _field(root, "nodes", list, ())
+    for i, node in enumerate(nodes):
+        nodes[i] = None
         where = ("nodes", i)
         _object(node, _NODE_FIELDS, where)
         node_id = _field(node, "id", str, where)
@@ -196,7 +227,9 @@ def parse_pg(text: str) -> PropertyGraph:
         for key, value in _read_properties(node, where, datatypes):
             builder.add_property(n, key, value)
     edge_ids: set[str] = set()
-    for i, edge in enumerate(_field(root, "edges", list, ())):
+    edges = _field(root, "edges", list, ())
+    for i, edge in enumerate(edges):
+        edges[i] = None
         where = ("edges", i)
         _object(edge, _EDGE_FIELDS, where)
         edge_id = _field(edge, "id", str, where)

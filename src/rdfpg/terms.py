@@ -17,7 +17,7 @@ from .errors import NonIriLabel
 _forbidden_char = re.compile(r'[\s<>"{}|^`\\]').search
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Iri:
     """A full-form IRI. Equality is plain string equality."""
 
@@ -51,7 +51,7 @@ def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
         raise NonIriLabel(element(), value, role) from None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Literal:
     """A literal value: a lexical form paired with a datatype IRI.
 
@@ -76,7 +76,7 @@ class Literal:
 RdfObject = Union[Iri, Literal]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triple:
     """One RDF statement. Subject and predicate are IRIs; the object may be a literal."""
 

@@ -9,15 +9,17 @@ exact grammar.
 
 Serialization is canonical: prefixes sorted by name, subjects sorted by IRI,
 one predicate per line. Parsing the output of serialize_turtle always yields
-the original triple set.
+the original triple set. serialize_turtle writes to a text stream, one
+statement at a time, or returns the document as a string when given none.
 """
 
 from __future__ import annotations
 
+import io
 import re
 import warnings
 from dataclasses import dataclass
-from typing import Union
+from typing import TextIO, Union
 
 from .errors import BlankNodeUnsupported, TurtleSyntaxError, UnknownPrefix
 from .terms import (
@@ -376,13 +378,20 @@ class _IriWriter:
         return f"<{value}>"  # Iri admits no character that <...> cannot hold
 
 
-def serialize_turtle(ts: TripleSet) -> str:
-    """Canonical Turtle for a triple set.
+def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
+    """Canonical Turtle for a triple set, written to the text stream `out`.
 
     Statements are grouped by subject (sorted), with rdf:type first as 'a'
     and the remaining predicates sorted; objects within a predicate are
-    sorted too. Only prefixes actually used appear in the output.
+    sorted too. Only prefixes actually used appear in the output, so every
+    statement is rendered before the prefix block is written; the text is
+    then written one line or statement at a time and never joined whole.
+    Without `out`, the document is returned as a string.
     """
+    if out is None:
+        buffer = io.StringIO()
+        serialize_turtle(ts, buffer)
+        return buffer.getvalue()
     iri_text = _IriWriter(ts.prefixes)
     by_subject: dict[Iri, dict[Iri, list[RdfObject]]] = {}
     for t in ts.triples:
@@ -409,10 +418,12 @@ def serialize_turtle(ts: TripleSet) -> str:
         joined = " ;\n    ".join(parts)
         statements.append(f"{subject_text} {joined} .")
 
-    lines: list[str] = []
+    write = out.write
     for prefix in sorted(iri_text.used):
-        lines.append(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .")
-    if lines and statements:
-        lines.append("")
-    lines.extend(statements)
-    return "\n".join(lines) + ("\n" if lines else "")
+        write(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .\n")
+    if iri_text.used and statements:
+        write("\n")
+    for statement in statements:
+        write(statement)
+        write("\n")
+    return None

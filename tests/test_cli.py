@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -78,9 +79,9 @@ def test_convert_invert_recovers_original_turtle(tmp_path):
         "--out-rdf", str(paths["back.ttl"]),
         "--out-rdf-schema", str(paths["back-schema.ttl"]),
     ]) == 0
-    original = parse_turtle(open(INSTANCE).read())
+    original = parse_turtle(Path(INSTANCE).read_text(encoding="utf-8"))
     assert parse_turtle(paths["back.ttl"].read_text()) == original
-    original_schema = parse_turtle(open(SCHEMA).read())
+    original_schema = parse_turtle(Path(SCHEMA).read_text(encoding="utf-8"))
     assert parse_turtle(paths["back-schema.ttl"].read_text()) == original_schema
 
 
@@ -92,7 +93,8 @@ def test_invert_indep_emits_instance_only(tmp_path):
           "--out-pg", str(pg_path), "--out-pg-schema", str(pgs_path)])
     assert main(["invert", "--mode", "indep", "--pg", str(pg_path),
                  "--out-rdf", str(back)]) == 0
-    assert parse_turtle(back.read_text()) == parse_turtle(open(INSTANCE).read())
+    original = parse_turtle(Path(INSTANCE).read_text(encoding="utf-8"))
+    assert parse_turtle(back.read_text()) == original
 
 
 def test_invert_empty_pg_gives_empty_turtle(tmp_path):
@@ -243,7 +245,9 @@ def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
 
 def test_convert_dep_invalid_input_exits_1_with_outputs(tmp_path, capsys):
     mutated = tmp_path / "bad.ttl"
-    mutated.write_text(open(INSTANCE).read().replace("voc:Organisation", "voc:Company"))
+    mutated.write_text(
+        Path(INSTANCE).read_text(encoding="utf-8").replace("voc:Organisation", "voc:Company")
+    )
     outs = [tmp_path / "pg.json", tmp_path / "pgs.json"]
     assert main(["convert", "--mode", "dep", "--rdf", str(mutated), "--schema", SCHEMA,
                  "--out-pg", str(outs[0]), "--out-pg-schema", str(outs[1])]) == 1
@@ -348,7 +352,9 @@ def test_validate_rdf_valid_exit_0(capsys):
 
 def test_validate_rdf_invalid_exit_1(tmp_path, capsys):
     mutated = tmp_path / "bad.ttl"
-    mutated.write_text(open(INSTANCE).read().replace("voc:Organisation", "voc:Company"))
+    mutated.write_text(
+        Path(INSTANCE).read_text(encoding="utf-8").replace("voc:Organisation", "voc:Company")
+    )
     assert main(["validate", "rdf", "--rdf", str(mutated), "--schema", SCHEMA]) == 1
     out = capsys.readouterr().out
     assert "invalid" in out and "R1" in out
@@ -386,7 +392,9 @@ def test_roundtrip_zero_count_is_usage_error(capsys):
 
 def test_color_env_var_controls_ansi(tmp_path, capsys, monkeypatch):
     mutated = tmp_path / "bad.ttl"
-    mutated.write_text(open(INSTANCE).read().replace("voc:Organisation", "voc:Company"))
+    mutated.write_text(
+        Path(INSTANCE).read_text(encoding="utf-8").replace("voc:Organisation", "voc:Company")
+    )
     monkeypatch.setenv("RDFPG_COLOR", "1")
     main(["validate", "rdf", "--rdf", str(mutated), "--schema", SCHEMA])
     assert "\x1b[31m" in capsys.readouterr().out
@@ -473,6 +481,24 @@ def test_convert_serialize_failure_writes_nothing(tmp_path, monkeypatch):
         raise ValueError("cannot serialize")
 
     monkeypatch.setattr(cli, "serialize_pg_schema", broken)
+    out_pg = tmp_path / "pg.json"
+    out_pgs = tmp_path / "pgs.json"
+    out_pg.write_text("old graph")
+    code = main(["convert", "--mode", "indep", "--rdf", INSTANCE,
+                 "--out-pg", str(out_pg), "--out-pg-schema", str(out_pgs)])
+    assert code == 2
+    assert out_pg.read_text() == "old graph"
+    assert not out_pgs.exists()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json"]
+
+
+def test_convert_failure_midway_through_a_write_keeps_outputs(tmp_path, monkeypatch):
+    def fails_midway(graph, out):
+        text = serialize_pg(graph)
+        out.write(text[: len(text) // 2])
+        raise ValueError("cannot serialize the rest")
+
+    monkeypatch.setattr(cli, "serialize_pg", fails_midway)
     out_pg = tmp_path / "pg.json"
     out_pgs = tmp_path / "pgs.json"
     out_pg.write_text("old graph")

@@ -139,6 +139,60 @@ def test_parse_rejects_duplicate_node_ids():
         parse_pg(json.dumps(doc))
 
 
+def _document_with_last_edge(last_edge: dict) -> str:
+    """Three nodes and three edges; only the last edge varies.
+
+    The reader drops each element once it is read, so an error in the last
+    edge is found after every node and every earlier edge is gone.
+    """
+    nodes = [
+        {"id": f"n{i}", "label": "A", "properties": [{"key": "k", "value": str(i), "type": "Int"}]}
+        for i in range(3)
+    ]
+    edges = [
+        {"id": "e0", "label": "r", "source": "n0", "target": "n1", "properties": []},
+        {"id": "e1", "label": "r", "source": "n1", "target": "n2",
+         "properties": [{"key": "w", "value": "1", "type": "Int"}]},
+        last_edge,
+    ]
+    return json.dumps({"edges": edges, "nodes": nodes})
+
+
+def test_parse_dangling_endpoint_in_last_edge():
+    text = _document_with_last_edge(
+        {"id": "e2", "label": "r", "source": "n2", "target": "nX", "properties": []}
+    )
+    with pytest.raises(DanglingEdgeEndpoint) as err:
+        parse_pg(text)
+    assert (err.value.edge_id, err.value.node_id) == ("e2", "nX")
+    assert str(err.value) == "edge e2 references unknown node id nX"
+
+
+def test_parse_duplicate_edge_id_in_last_edge():
+    text = _document_with_last_edge(
+        {"id": "e1", "label": "r", "source": "n2", "target": "n0", "properties": []}
+    )
+    with pytest.raises(FormatError) as err:
+        parse_pg(text)
+    assert err.value.path == "$.edges[2]"
+    assert str(err.value) == "$.edges[2]: duplicate edge id 'e1'"
+
+
+@pytest.mark.parametrize(
+    "token, message",
+    [(7, "expected a string, got int"), ("", "datatype may not be empty")],
+)
+def test_parse_bad_property_type_in_last_edge(token, message):
+    text = _document_with_last_edge(
+        {"id": "e2", "label": "r", "source": "n2", "target": "n0",
+         "properties": [{"key": "w", "value": "1", "type": token}]}
+    )
+    with pytest.raises(FormatError) as err:
+        parse_pg(text)
+    assert err.value.path == "$.edges[2].properties[0].type"
+    assert str(err.value) == f"$.edges[2].properties[0].type: {message}"
+
+
 def test_generated_graph_documents_roundtrip():
     for seed in range(60):
         graph = gen_property_graph(GeneratorConfig(seed=seed))
