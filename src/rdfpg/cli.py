@@ -68,11 +68,10 @@ def _read_text(path: str) -> str:
 def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> None:
     """Write each (path, write) pair so that a failure leaves no partial output.
 
-    `write` writes one file's text to the UTF-8 text stream it is given. It
-    writes into a fresh file next to its target, and the files are renamed
-    over their targets only once all of them are written, so a failed run,
-    an encoding error midway included, creates no file and keeps any
-    existing one intact.
+    Each `write` is called with a UTF-8 text stream on a fresh file next to
+    its `path`. The files are renamed over their targets only once all of
+    them are written, so a failed run, an encoding error midway included,
+    creates no file and keeps any existing one intact.
     """
     staged: list[tuple[str, str]] = []
     try:
