@@ -198,6 +198,149 @@ class RoundtripResult:
         return self.failed == 0
 
 
+def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, bool]:
+    """Convert, invert and compare one generated case; return (ok, semantics ok).
+
+    Every generated input must be valid, every produced property graph must
+    validate against its produced schema, and the inverse mapping must
+    recover the original exactly. Each distinct check runs once: the dep
+    route calls the unchecked pieces and checks input and output itself; on
+    the indep route, `invert_graph`'s own input check against the generic
+    schema is the semantics check. With `out`, a failing case writes what
+    failed and both serializations there, for diffing.
+    """
+    from .generator import gen_rdf_database, gen_rdf_graph
+
+    if mode == "dep":
+        schema, graph = gen_rdf_database(case)
+        input_ok = validate_rdf(graph, schema).valid
+        pg_schema = dep.map_schema(schema)
+        pg = dep.map_graph(graph)
+        semantics_ok = validate_pg(pg, pg_schema).valid
+        schema_back = dep.invert_schema(pg_schema)
+        graph_back = dep.invert_graph(pg)
+        ok = (
+            input_ok
+            and semantics_ok
+            and rdf_equal(schema, schema_back)
+            and rdf_equal(graph, graph_back)
+        )
+    else:
+        graph = gen_rdf_graph(case)
+        input_ok = True  # every RDF graph is valid input to this route
+        pg = indep.map_graph(graph)
+        try:
+            graph_back = indep.invert_graph(pg)
+            semantics_ok = True
+        except SchemaViolation:
+            graph_back = None
+            semantics_ok = False
+        ok = semantics_ok and rdf_equal(graph, graph_back)
+    if ok or out is None:
+        return ok, semantics_ok
+    if not input_ok:
+        print("generated input does not validate against its schema", file=out)
+    if not semantics_ok:
+        print("produced graph does not validate against produced schema", file=out)
+    print("--- original instance ---", file=out)
+    print(serialize_turtle(rdf_graph_to_triples(graph)), file=out)
+    if graph_back is not None:
+        print("--- recovered instance ---", file=out)
+        print(serialize_turtle(rdf_graph_to_triples(graph_back)), file=out)
+    if mode == "dep":
+        print("--- original schema ---", file=out)
+        print(serialize_turtle(rdf_schema_to_triples(schema)), file=out)
+        print("--- recovered schema ---", file=out)
+        print(serialize_turtle(rdf_schema_to_triples(schema_back)), file=out)
+    return ok, semantics_ok
+
+
+def _worker_count(count: int) -> int:
+    """How many processes share `count` cases: one per CPU this process may run on.
+
+    One, so no fork, where the platform cannot fork or report its CPU set,
+    or where another thread runs: a forked child holds only the calling
+    thread, and the locks the others held stay locked in it.
+    """
+    import threading  # loaded at interpreter startup already
+
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+        return 1
+    if threading.active_count() != 1:
+        return 1
+    return min(count, len(os.sched_getaffinity(0)))
+
+
+def _fork_worker(status: Callable[[int], int], indices: range) -> tuple[int, int]:
+    """Fork a child that computes `status` of each index; return (pid, read end).
+
+    The child writes one status byte per index, in order, to a pipe, or
+    nothing if an index raises, and leaves through `os._exit`: it never
+    returns into the caller's stack nor flushes the caller's buffers. What
+    arrives is a prefix of the share, short if the child died.
+    """
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except BaseException:
+        os.close(read_end)
+        os.close(write_end)
+        raise
+    if pid == 0:
+        try:
+            report = bytes(status(index) for index in indices)
+            while report:
+                report = report[os.write(write_end, report):]
+        finally:
+            os._exit(0)
+    os.close(write_end)
+    return pid, read_end
+
+
+def _split_over_cpus(status: Callable[[int], int], count: int) -> list[int | None]:
+    """`status(index)` for each index below `count`, as far as the workers got.
+
+    Index i goes to worker i % k, k from `_worker_count`. Worker 0 is this
+    process; the others are forked children that report over a pipe. An
+    index whose worker raised, died or could not be started is None, for the
+    caller to compute in index order, so that the first exception is the one
+    a serial run raises. With one worker, every index is None: nothing runs
+    here, and the caller's loop is the serial run.
+    """
+    k = _worker_count(count)
+    statuses: list[int | None] = [None] * count
+    if k <= 1:
+        return statuses
+    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
+    try:
+        for worker in range(1, k):
+            try:
+                children[worker] = _fork_worker(status, range(worker, count, k))
+            except OSError:  # no process or pipe to spare: the caller runs the rest
+                break
+        own = []
+        with contextlib.suppress(Exception):  # the caller reruns what is not reported
+            for index in range(0, count, k):
+                own.append(status(index))
+        reports = {0: own}
+        for worker, (_, fd) in children.items():
+            with open(fd, "rb", closefd=False) as pipe:
+                reports[worker] = pipe.read()
+    except BaseException:
+        import signal
+
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, fd in children.values():
+            os.close(fd)
+            os.waitpid(pid, 0)
+    for worker, report in reports.items():
+        statuses[worker:worker + len(report) * k:k] = report
+    return statuses
+
+
 def run_roundtrip(
     mode: str,
     seed: int,
@@ -207,69 +350,38 @@ def run_roundtrip(
 ) -> RoundtripResult:
     """Generate `count` databases, convert, invert and compare each one.
 
-    Every generated input must be valid, every produced property graph must
-    validate against its produced schema, and the inverse mapping must
-    recover the original exactly. Each distinct check runs once per case:
-    the dep route calls the unchecked pieces and checks input and output
-    itself; on the indep route, `invert_graph`'s own input check against the
-    generic schema is the semantics check. The first failure dumps both
-    serializations for diffing; the seed and case index identify the case
-    completely.
+    Case i is generated from seed `seed + i` and checked by `_roundtrip_case`.
+    The first failure dumps both serializations for diffing; the seed and
+    case index identify the case completely.
+
+    The cases are split over the CPUs this process may run on (Linux: the
+    `sched_getaffinity` set, which `taskset` limits), one forked worker
+    each. Each case is a pure function of its seed, so counts, dumps, output
+    and any exception raised are identical to a serial run; a single CPU, a
+    platform without fork or a second running thread gives the serial run.
     """
-    from .generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
+    from .generator import GeneratorConfig
 
     out = out if out is not None else sys.stdout
     base = config or GeneratorConfig()
+
+    def status(index: int) -> int:
+        ok, semantics_ok = _roundtrip_case(mode, base.with_seed(seed + index))
+        return ok | semantics_ok << 1
+
     passed = failed = semantics_failures = 0
-    for index in range(count):
-        case = base.with_seed(seed + index)
-        if mode == "dep":
-            schema, graph = gen_rdf_database(case)
-            input_ok = validate_rdf(graph, schema).valid
-            pg_schema = dep.map_schema(schema)
-            pg = dep.map_graph(graph)
-            semantics_ok = validate_pg(pg, pg_schema).valid
-            schema_back = dep.invert_schema(pg_schema)
-            graph_back = dep.invert_graph(pg)
-            ok = (
-                input_ok
-                and semantics_ok
-                and rdf_equal(schema, schema_back)
-                and rdf_equal(graph, graph_back)
-            )
-        else:
-            graph = gen_rdf_graph(case)
-            input_ok = True  # every RDF graph is valid input to this route
-            pg = indep.map_graph(graph)
-            try:
-                graph_back = indep.invert_graph(pg)
-                semantics_ok = True
-            except SchemaViolation:
-                graph_back = None
-                semantics_ok = False
-            ok = semantics_ok and rdf_equal(graph, graph_back)
-        if not semantics_ok:
+    for index, verdict in enumerate(_split_over_cpus(status, count)):
+        if verdict is None:
+            verdict = status(index)
+        if not verdict & 2:
             semantics_failures += 1
-        if ok:
+        if verdict & 1:
             passed += 1
             continue
         failed += 1
         if failed == 1:
             print(f"case {index} (seed {seed + index}) failed; dumps follow", file=out)
-            if not input_ok:
-                print("generated input does not validate against its schema", file=out)
-            if not semantics_ok:
-                print("produced graph does not validate against produced schema", file=out)
-            print("--- original instance ---", file=out)
-            print(serialize_turtle(rdf_graph_to_triples(graph)), file=out)
-            if graph_back is not None:
-                print("--- recovered instance ---", file=out)
-                print(serialize_turtle(rdf_graph_to_triples(graph_back)), file=out)
-            if mode == "dep":
-                print("--- original schema ---", file=out)
-                print(serialize_turtle(rdf_schema_to_triples(schema)), file=out)
-                print("--- recovered schema ---", file=out)
-                print(serialize_turtle(rdf_schema_to_triples(schema_back)), file=out)
+            _roundtrip_case(mode, base.with_seed(seed + index), out)
     print(f"{passed}/{count} round-trips passed", file=out)
     return RoundtripResult(passed, failed, semantics_failures)
 

@@ -342,7 +342,8 @@ def test_a8_partial_schema_completion(org_instance, org_schema_triples):
     graph = build_rdf_graph(org_instance)
     with pytest.warns(ValidityWarning):
         pg_schema, pg = dep.map_database(schema, graph)
-    schema_back, graph_back = dep.invert_database(pg_schema, pg)
+    with pytest.warns(ValidityWarning):
+        schema_back, graph_back = dep.invert_database(pg_schema, pg)
 
     recovered_ceo_ranges = {
         range_ for prop, _, range_ in schema_back.property_edges if prop.value == VOC + "ceo"

@@ -8,9 +8,12 @@ cases fail whichever process runs them.
 from __future__ import annotations
 
 import dataclasses
+import errno
 import io
 import os
+import signal
 import threading
+import time
 
 import pytest
 
@@ -24,6 +27,7 @@ from rdfpg.report import ValidationReport, Violation
 from rdfpg.terms import Literal
 
 COUNT = 40
+THREE_WORKERS = range(3)  # more than this machine may have, with shares of unequal size
 INVALID = ValidationReport((Violation("injected", "case", "injected failure"),))
 
 
@@ -86,6 +90,35 @@ def _run(mode: str, seed: int, count: int, cpus=None):
     return result, out.getvalue()
 
 
+def _open_descriptors() -> int | None:
+    return len(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+
+
+@pytest.fixture(autouse=True)
+def _no_child_or_descriptor_left():
+    before = _open_descriptors()
+    yield
+    if hasattr(os, "fork"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+    assert _open_descriptors() == before
+
+
+def _spy_on_fork(monkeypatch) -> list[int]:
+    """Patch os.fork to record the pid of each child it starts."""
+    forked = []
+    real_fork = os.fork
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            forked.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
+
+
 @pytest.mark.parametrize(("mode", "seed", "first_kind"), [
     ("dep", 35, "input"),
     ("dep", 3, "semantics"),
@@ -121,3 +154,114 @@ def test_injected_failures_are_counted_and_the_first_is_dumped(
     assert ("--- recovered instance ---" in lines) == (mode == "dep" or not broken)
     assert ("--- original schema ---" in lines) == (mode == "dep")
     assert ("--- recovered schema ---" in lines) == (mode == "dep")
+
+
+@pytest.mark.parametrize("mode", ["dep", "indep"])
+@pytest.mark.parametrize("inject", [False, True], ids=["passing", "failing"])
+def test_split_run_equals_serial_run(mode, inject, monkeypatch):
+    if inject:
+        _inject_failures(monkeypatch, mode)
+    serial = _run(mode, 3, COUNT, cpus={0})
+    assert serial[0].failed > 0 if inject else serial[0].ok
+    assert _run(mode, 3, COUNT) == serial
+    forked = _spy_on_fork(monkeypatch)
+    assert _run(mode, 3, COUNT, cpus=THREE_WORKERS) == serial
+    assert len(forked) == 2
+
+
+@pytest.mark.parametrize("count", [1, 2])
+def test_no_more_workers_than_cases(count, monkeypatch):
+    serial = _run("dep", 3, count, cpus={0})
+    forked = _spy_on_fork(monkeypatch)
+    assert _run("dep", 3, count, cpus=THREE_WORKERS) == serial
+    assert len(forked) == count - 1
+
+
+@pytest.mark.parametrize("index", [0, 1, 3, 5])  # with three workers: 0 and 3 run here
+def test_exception_in_a_case_is_raised_as_in_a_serial_run(index, monkeypatch):
+    _inject_failures(monkeypatch, "dep")  # case 1 fails, so later exceptions follow its dumps
+    _, target = gen_rdf_database(GeneratorConfig().with_seed(11 + index))
+    real_map_graph = dep.map_graph
+
+    def map_graph(graph):
+        if graph == target:
+            raise DuplicatePropertyLabel(f"http://example.org/case{index}", "injected")
+        return real_map_graph(graph)
+
+    monkeypatch.setattr(dep, "map_graph", map_graph)
+    outcomes = []
+    for cpus in ({0}, THREE_WORKERS):
+        out = io.StringIO()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(os, "sched_getaffinity", lambda pid: set(cpus), raising=False)
+            with pytest.raises(DuplicatePropertyLabel) as caught:
+                run_roundtrip("dep", 11, COUNT, out=out)
+        outcomes.append((type(caught.value), str(caught.value), out.getvalue()))
+    assert outcomes[0] == outcomes[1]
+    assert ("dumps follow" in outcomes[0][2]) == (index > 1)
+
+
+def test_worker_that_dies_is_replaced_by_this_process(monkeypatch):
+    serial = _run("dep", 3, COUNT, cpus={0})
+    parent = os.getpid()
+    _, target = gen_rdf_database(GeneratorConfig().with_seed(3 + 4))  # worker 1's second case
+    real_map_graph = dep.map_graph
+
+    def map_graph(graph):
+        if graph == target and os.getpid() != parent:
+            os.kill(os.getpid(), signal.SIGKILL)
+        return real_map_graph(graph)
+
+    monkeypatch.setattr(dep, "map_graph", map_graph)
+    assert _run("dep", 3, COUNT, cpus=THREE_WORKERS) == serial
+
+
+def test_interrupt_kills_and_reaps_the_workers(monkeypatch):
+    class Interrupt(BaseException):
+        pass
+
+    parent = os.getpid()
+    slept = []
+    real_map_graph = dep.map_graph
+
+    def map_graph(graph):
+        if os.getpid() == parent:
+            raise Interrupt()
+        if not slept:  # once per worker: one left running holds up the reaping below
+            slept.append(True)
+            time.sleep(60)
+        return real_map_graph(graph)
+
+    monkeypatch.setattr(dep, "map_graph", map_graph)
+    started = time.monotonic()
+    with pytest.raises(Interrupt):
+        _run("dep", 3, COUNT, cpus=THREE_WORKERS)
+    assert time.monotonic() - started < 30
+
+
+def test_failed_fork_leaves_the_cases_to_this_process(monkeypatch):
+    serial = _run("indep", 3, COUNT, cpus={0})
+
+    def fork():
+        raise BlockingIOError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    assert _run("indep", 3, COUNT, cpus=THREE_WORKERS) == serial
+
+
+def test_no_fork_while_another_thread_runs(monkeypatch):
+    serial = _run("indep", 3, COUNT, cpus={0})
+
+    def fork():
+        raise AssertionError("forked while another thread ran")
+
+    monkeypatch.setattr(os, "fork", fork)
+    stop = threading.Event()
+    thread = threading.Thread(target=stop.wait)
+    thread.start()
+    try:
+        assert _run("indep", 3, COUNT, cpus=THREE_WORKERS) == serial
+    finally:
+        stop.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
