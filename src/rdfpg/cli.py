@@ -255,22 +255,6 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     return ok, semantics_ok
 
 
-def _worker_count(count: int) -> int:
-    """How many processes share `count` cases: one per CPU this process may run on.
-
-    One, so no fork, where the platform cannot fork or report its CPU set,
-    or where another thread runs: a forked child holds only the calling
-    thread, and the locks the others held stay locked in it.
-    """
-    import threading  # loaded at interpreter startup already
-
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
-        return 1
-    if threading.active_count() != 1:
-        return 1
-    return min(count, len(os.sched_getaffinity(0)))
-
-
 def _fork_worker(status: Callable[[int], int], indices: range) -> tuple[int, int]:
     """Fork a child that computes `status` of each index; return (pid, read end).
 
@@ -300,14 +284,22 @@ def _fork_worker(status: Callable[[int], int], indices: range) -> tuple[int, int
 def _split_over_cpus(status: Callable[[int], int], count: int) -> list[int | None]:
     """`status(index)` for each index below `count`, as far as the workers got.
 
-    Index i goes to worker i % k, k from `_worker_count`. Worker 0 is this
-    process; the others are forked children that report over a pipe. An
-    index whose worker raised, died or could not be started is None, for the
-    caller to compute in index order, so that the first exception is the one
-    a serial run raises. With one worker, every index is None: nothing runs
-    here, and the caller's loop is the serial run.
+    Index i goes to worker i % k, with one worker per CPU this process may
+    run on. Worker 0 is this process; the others are forked children that
+    report over a pipe. An index whose worker raised, died or could not be
+    started is None, for the caller to compute in index order, so that the
+    first exception is the one a serial run raises. With one worker, every
+    index is None: nothing runs here, and the caller's loop is the serial
+    run.
     """
-    k = _worker_count(count)
+    import threading  # loaded at interpreter startup already
+
+    # One worker, so no fork, where the platform cannot fork or report its
+    # CPU set, or where another thread runs: a forked child holds only the
+    # calling thread, and the locks the others held stay locked in it.
+    k = 1
+    if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
+        k = min(count, len(os.sched_getaffinity(0)))
     statuses: list[int | None] = [None] * count
     if k <= 1:
         return statuses
