@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 
-from .pg_graph import PgValue, PropertyGraph
+from .pg_graph import BOOLEAN, DECIMAL, DOUBLE, INT, INTEGER, PgValue, PropertyGraph
 
 NODE_ID_KEY = "_rdfpg_id"
 
@@ -44,13 +44,12 @@ def _string(text: str) -> str:
 
 
 def _value(value: PgValue) -> str:
-    kind = value.datatype.kind
-    lexical = value.lexical
-    if kind in ("Integer", "Int") and _INT_LEXICAL.match(lexical):
+    datatype, lexical = value.datatype, value.lexical
+    if datatype in (INTEGER, INT) and _INT_LEXICAL.match(lexical):
         return lexical
-    if kind in ("Decimal", "Double") and _FLOAT_LEXICAL.match(lexical):
+    if datatype in (DECIMAL, DOUBLE) and _FLOAT_LEXICAL.match(lexical):
         return lexical
-    if kind == "Boolean" and lexical.lower() in ("true", "false"):
+    if datatype == BOOLEAN and lexical.lower() in ("true", "false"):
         return lexical.lower()
     return _string(lexical)
 

@@ -111,9 +111,11 @@ class DuplicatePropertyLabel(RdfPgError):
 
 
 class MissingIriProperty(RdfPgError):
+    """A node, given by its `describe()` text, holds no "iri" property or more than one."""
+
     def __init__(self, node: str):
         self.node = node
-        super().__init__(f"node {node} has no single 'iri' property to recover its IRI from")
+        super().__init__(f"{node} has no single 'iri' property to recover its IRI from")
 
 
 class NonIriLabel(RdfPgError):

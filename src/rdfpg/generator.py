@@ -26,6 +26,7 @@ from .pg_graph import (
     PropertyGraphBuilder,
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
+    STRING,
 )
 from .rdf_graph import (
     RdfGraph,
@@ -284,8 +285,8 @@ def gen_triple_set(config: GeneratorConfig) -> TripleSet:
 
 def _gen_pg_datatype(rng: random.Random) -> PgDatatype:
     if rng.random() < 0.15:
-        return PgDatatype("Custom", CUSTOM_DT_NS + rng.choice(("temperature", "colour")))
-    return PgDatatype(rng.choice(DATATYPE_KINDS))
+        return CUSTOM_DT_NS + rng.choice(("temperature", "colour"))
+    return rng.choice(DATATYPE_KINDS)
 
 
 def gen_property_graph(config: GeneratorConfig) -> PropertyGraph:
@@ -302,7 +303,7 @@ def gen_property_graph(config: GeneratorConfig) -> PropertyGraph:
     nodes = []
     for i in range(rng.randint(0, config.max_resources)):
         n = builder.add_node(rng.choice(labels))
-        builder.add_property(n, "uid", PgValue(str(i), PgDatatype("String")))
+        builder.add_property(n, "uid", PgValue(str(i), STRING))
         for _ in range(rng.randrange(3)):
             datatype = _gen_pg_datatype(rng)
             builder.add_property(

@@ -3,7 +3,9 @@
 A property graph holds labeled nodes and directed labeled edges, each owning
 a set of key-value properties. Values carry an explicit datatype so that a
 string "46" and an integer "46" stay distinguishable; nothing is inferred
-from lexical forms.
+from lexical forms. A datatype is the string every document spells it with:
+one of the eight kind names ("String", "Integer", ...) or a custom
+datatype's IRI. Builders refuse an empty one.
 
 A graph is built in canonical order once: nodes sorted by label and
 properties, then edges sorted by source, label, properties and target, with
@@ -27,65 +29,24 @@ from typing import Mapping
 from .errors import AmbiguousCanonicalKey
 from .report import ValidationReport, Violation
 
-DATATYPE_KINDS = (
-    "String",
-    "Integer",
-    "Int",
-    "Decimal",
-    "Double",
-    "Boolean",
-    "Date",
-    "DateTime",
-)
+PgDatatype = str  # a kind name below, or a custom datatype's IRI
+
+STRING = "String"
+INTEGER = "Integer"
+INT = "Int"
+DECIMAL = "Decimal"
+DOUBLE = "Double"
+BOOLEAN = "Boolean"
+DATE = "Date"
+DATETIME = "DateTime"
+
+DATATYPE_KINDS = (STRING, INTEGER, INT, DECIMAL, DOUBLE, BOOLEAN, DATE, DATETIME)
 
 # Label of the node property that stores a converted resource's IRI. The
-# label is reserved for the conversion machinery: real RDF property IRIs are
-# absolute and can never collide with it.
+# label is reserved for the conversion machinery. The Turtle reader accepts
+# relative IRIs, so an RDF property may be spelled "iri"; the
+# schema-dependent mapping refuses such a datatype property.
 IRI_PROPERTY_KEY = "iri"
-
-
-@dataclass(frozen=True, slots=True)
-class PgDatatype:
-    """A property-graph datatype. Custom carries the IRI of an unmapped RDF datatype."""
-
-    kind: str
-    custom_iri: str | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind == "Custom":
-            if not self.custom_iri:
-                raise ValueError("Custom datatype requires an IRI")
-        elif self.kind not in DATATYPE_KINDS:
-            raise ValueError(f"unknown datatype kind {self.kind!r}")
-        elif self.custom_iri is not None:
-            raise ValueError("only Custom datatypes carry an IRI")
-
-    def token(self) -> str:
-        """Serialized form. Custom datatypes appear as their IRI."""
-        return self.custom_iri if self.kind == "Custom" else self.kind
-
-    @classmethod
-    def from_token(cls, token: str) -> "PgDatatype":
-        if token in DATATYPE_KINDS:
-            return cls(token)
-        return cls("Custom", token)
-
-    def __str__(self) -> str:
-        return self.token()
-
-
-STRING = PgDatatype("String")
-INTEGER = PgDatatype("Integer")
-INT = PgDatatype("Int")
-DECIMAL = PgDatatype("Decimal")
-DOUBLE = PgDatatype("Double")
-BOOLEAN = PgDatatype("Boolean")
-DATE = PgDatatype("Date")
-DATETIME = PgDatatype("DateTime")
-
-
-def custom_datatype(iri: str) -> PgDatatype:
-    return PgDatatype("Custom", iri)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,7 +65,7 @@ def type_of_value(value: PgValue) -> PgDatatype:
 
 def _property_sort_key(item: tuple[str, PgValue]) -> tuple[str, str, str]:
     key, value = item
-    return (key, value.lexical, value.datatype.token())
+    return (key, value.lexical, value.datatype)
 
 
 @dataclass(frozen=True)
@@ -151,11 +112,6 @@ class PropertyGraph:
 PropertyType = tuple[str, PgDatatype]  # (key, datatype)
 
 
-def _property_type_key(pt: PropertyType) -> tuple[str, str]:
-    key, datatype = pt
-    return key, datatype.token()
-
-
 @dataclass(frozen=True)
 class EdgeType:
     """An edge type: its label, its source and target node type labels, and
@@ -168,7 +124,7 @@ class EdgeType:
 
 
 def _edge_type_key(et: EdgeType) -> tuple:
-    return et.label, et.source, et.target, tuple(map(_property_type_key, et.property_types))
+    return et.label, et.source, et.target, et.property_types
 
 
 @dataclass(frozen=True)
@@ -213,6 +169,8 @@ class PropertyGraphBuilder:
     def add_property(self, owner: int, key: str, value: PgValue) -> None:
         if owner not in self._nodes and owner not in self._edges:
             raise ValueError("property owner must be an existing node or edge")
+        if not value.datatype:
+            raise ValueError("datatype may not be empty")
         self._props[owner].append((key, value))
 
     def build(self) -> PropertyGraph:
@@ -269,6 +227,8 @@ class PropertyGraphSchemaBuilder:
         return len(self._edge_types) - 1
 
     def add_property_type(self, owner: str | int, key: str, datatype: PgDatatype) -> None:
+        if not datatype:
+            raise ValueError("datatype may not be empty")
         if owner in self._node_types:
             self._node_types[owner].append((key, datatype))
         elif type(owner) is int and 0 <= owner < len(self._edge_types):
@@ -278,12 +238,12 @@ class PropertyGraphSchemaBuilder:
 
     def build(self) -> PropertyGraphSchema:
         edge_types = [
-            EdgeType(label, src, dst, tuple(sorted(pts, key=_property_type_key)))
+            EdgeType(label, src, dst, tuple(sorted(pts)))
             for label, src, dst, pts in self._edge_types
         ]
         return PropertyGraphSchema(
             node_types={
-                label: tuple(sorted(self._node_types[label], key=_property_type_key))
+                label: tuple(sorted(self._node_types[label]))
                 for label in sorted(self._node_types)
             },
             edge_types=tuple(sorted(edge_types, key=_edge_type_key)),
@@ -303,14 +263,11 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     conversion machinery stamps it on every node it creates, and schemas
     derived from RDF schemas have no place to declare it.
     """
-    allowed_by_node_type = {
-        label: frozenset(map(_property_type_key, pts)) for label, pts in schema.node_types.items()
-    }
+    allowed_by_node_type = {label: frozenset(pts) for label, pts in schema.node_types.items()}
     # Edge types that share a (label, source, target) signature, in canonical order.
     allowed_by_signature: dict[tuple[str, str, str], list[frozenset]] = defaultdict(list)
     for et in schema.edge_types:
-        allowed = frozenset(map(_property_type_key, et.property_types))
-        allowed_by_signature[(et.label, et.source, et.target)].append(allowed)
+        allowed_by_signature[(et.label, et.source, et.target)].append(frozenset(et.property_types))
 
     properties = graph.properties_by_owner
     violations: list[Violation] = []
@@ -329,7 +286,7 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
                 f"for node type {label!r}",
             )
             for key, value in properties.get(n, ())
-            if (key, value.datatype.token()) not in allowed
+            if (key, value.datatype) not in allowed
             and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
         ]
 
@@ -350,7 +307,7 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
         props = properties.get(e, ())
         # Report against the first edge type that leaves the fewest unmatched.
         best_unmatched = min(
-            ([(k, v) for k, v in props if (k, v.datatype.token()) not in allowed]
+            ([(k, v) for k, v in props if (k, v.datatype) not in allowed]
              for allowed in candidates),
             key=len,
         )

@@ -7,8 +7,8 @@ type must be referenced exactly once.
 
 Output is canonical: a graph's elements are already in canonical order and
 ids are assigned in that order, so two equal graphs serialize to
-byte-identical documents. Datatypes appear as their kind name ("String",
-"Date", ...) while custom datatypes appear as their IRI. Values are always
+byte-identical documents. A datatype is written as the string it is: a kind
+name ("String", "Date", ...) or a custom datatype's IRI. Values are always
 JSON strings, preserving lexical forms exactly.
 
 `serialize_pg` writes a graph document to a text stream one node or edge at
@@ -79,7 +79,7 @@ def _properties_text(items) -> str:
     """The "properties" list of one node or edge."""
     entries = [
         f'{{\n          "key": {_encode(key)},'
-        f'\n          "type": {_encode(value.datatype.token())},'
+        f'\n          "type": {_encode(value.datatype)},'
         f'\n          "value": {_encode(value.lexical)}\n        }}'
         for key, value in items
     ]
@@ -177,40 +177,29 @@ def _load(text: str, fields: frozenset[str]) -> dict:
     return _object(payload, fields, ())
 
 
-class _Datatypes(dict):
-    """One PgDatatype per distinct token of a document."""
-
-    def __missing__(self, token: str) -> PgDatatype:
-        datatype = self[token] = PgDatatype.from_token(token)
-        return datatype
-
-
 _GRAPH_FIELDS = frozenset({"nodes", "edges"})
 _NODE_FIELDS = frozenset({"id", "label", "properties"})
 _EDGE_FIELDS = frozenset({"id", "label", "source", "target", "properties"})
 _PROPERTY_FIELDS = frozenset({"key", "value", "type"})
 
 
-def _read_properties(
-    element: dict, where: tuple, datatypes: _Datatypes
-) -> list[tuple[str, PgValue]]:
+def _read_properties(element: dict, where: tuple) -> list[tuple[str, PgValue]]:
     result = []
     for i, prop in enumerate(_field(element, "properties", list, where)):
         at = (*where, "properties", i)
         _object(prop, _PROPERTY_FIELDS, at)
         key = _field(prop, "key", str, at)
         value = _field(prop, "value", str, at)
-        token = _field(prop, "type", str, at)
-        if not token:
+        datatype = _field(prop, "type", str, at)
+        if not datatype:
             raise FormatError(_path((*at, "type")), "datatype may not be empty")
-        result.append((key, PgValue(value, datatypes[token])))
+        result.append((key, PgValue(value, datatype)))
     return result
 
 
 def parse_pg(text: str) -> PropertyGraph:
     root = _load(text, _GRAPH_FIELDS)
     builder = PropertyGraphBuilder()
-    datatypes = _Datatypes()
     node_by_id: dict[str, int] = {}
     # Each decoded element is dropped from its list once it is read, so the
     # builder's memory grows as the document's shrinks.
@@ -224,7 +213,7 @@ def parse_pg(text: str) -> PropertyGraph:
             raise FormatError(_path(where), f"duplicate node id {node_id!r}")
         n = builder.add_node(_field(node, "label", str, where))
         node_by_id[node_id] = n
-        for key, value in _read_properties(node, where, datatypes):
+        for key, value in _read_properties(node, where):
             builder.add_property(n, key, value)
     edge_ids: set[str] = set()
     edges = _field(root, "edges", list, ())
@@ -243,7 +232,7 @@ def parse_pg(text: str) -> PropertyGraph:
                 raise DanglingEdgeEndpoint(edge_id, ref)
         label = _field(edge, "label", str, where)
         e = builder.add_edge(label, node_by_id[source], node_by_id[target])
-        for key, value in _read_properties(edge, where, datatypes):
+        for key, value in _read_properties(edge, where):
             builder.add_property(e, key, value)
     del root  # the decoded document is not needed while build() sorts the graph
     return builder.build()
@@ -259,7 +248,7 @@ def serialize_pg_schema(schema: PropertyGraphSchema) -> str:
             pt_id = f'"pt{len(property_types)}"'
             property_types.append(
                 f'{{\n      "id": {pt_id},\n      "key": {_encode(key)},'
-                f'\n      "type": {_encode(datatype.token())}\n    }}'
+                f'\n      "type": {_encode(datatype)}\n    }}'
             )
             ids.append(pt_id)
         return _list_text(ids, "      ")
@@ -289,7 +278,6 @@ _EDGE_TYPE_FIELDS = frozenset({"id", "label", "source", "target", "propertyTypes
 
 def parse_pg_schema(text: str) -> PropertyGraphSchema:
     root = _load(text, _SCHEMA_FIELDS)
-    datatypes = _Datatypes()
     ptypes: dict[str, tuple[str, PgDatatype]] = {}
     for i, pt in enumerate(_field(root, "propertyTypes", list, ())):
         where = ("propertyTypes", i)
@@ -298,10 +286,10 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
         if pt_id in ptypes:
             raise FormatError(_path(where), f"duplicate property type id {pt_id!r}")
         key = _field(pt, "key", str, where)
-        token = _field(pt, "type", str, where)
-        if not token:
+        datatype = _field(pt, "type", str, where)
+        if not datatype:
             raise FormatError(_path((*where, "type")), "datatype may not be empty")
-        ptypes[pt_id] = (key, datatypes[token])
+        ptypes[pt_id] = (key, datatype)
 
     builder = PropertyGraphSchemaBuilder()
     referenced: set[str] = set()

@@ -13,8 +13,14 @@ and an RDF graph into a property graph:
   * every object edge becomes a PG edge.
 
 The inverse direction reverses each rule, recovering the original database
-exactly. Datatypes cross the boundary through a fixed one-to-one table;
-unmapped RDF datatypes ride along as custom PG datatypes so nothing is lost.
+exactly. A PG datatype is its token string. The eight supported XSD
+datatypes cross the boundary through a fixed one-to-one table to the eight
+kind names; any other RDF datatype rides along as a custom PG datatype, its
+IRI, so nothing is lost. Two spellings would not come back and are refused
+with ReservedVocabularyTerm: a custom datatype IRI spelled like a kind name
+("Integer"), and a datatype property spelled "iri", the key of the node
+property that holds a resource's IRI. The Turtle reader accepts relative
+IRIs, so both can be written.
 
 Validation policy: each direction's entry point (`map_database`,
 `invert_database`) checks its input database against its schema once. An
@@ -35,11 +41,12 @@ from .errors import (
     DuplicatePropertyLabel,
     MissingEndpointType,
     MissingIriProperty,
-    NonIriLabel,
+    ReservedVocabularyTerm,
     ValidityWarning,
 )
 from .pg_graph import (
     BOOLEAN,
+    DATATYPE_KINDS,
     DATE,
     DATETIME,
     DECIMAL,
@@ -54,7 +61,6 @@ from .pg_graph import (
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     STRING,
-    custom_datatype,
     validate_pg,
 )
 from .rdf_graph import (
@@ -84,46 +90,22 @@ from .terms import (
 EXCLUDED_CLASS_IRIS = frozenset(SUPPORTED_DATATYPES | VOCABULARY_TERMS)
 
 
-class DatatypeCorrespondence:
-    """One-to-one map between RDF datatype IRIs and PG datatypes.
+# The one-to-one correspondence between the supported RDF datatypes and the
+# PG kind names, both ways. Any other datatype IRI is its own PG datatype.
+PG_DATATYPE_OF: dict[Iri, PgDatatype] = {
+    XSD_STRING: STRING,
+    XSD_INTEGER: INTEGER,
+    XSD_INT: INT,
+    XSD_DECIMAL: DECIMAL,
+    XSD_DOUBLE: DOUBLE,
+    XSD_BOOLEAN: BOOLEAN,
+    XSD_DATE: DATE,
+    XSD_DATETIME: DATETIME,
+}
+RDF_DATATYPE_OF: dict[PgDatatype, Iri] = {dt: iri for iri, dt in PG_DATATYPE_OF.items()}
 
-    Datatypes outside the table map to Custom carrying the IRI, which keeps
-    the correspondence invertible over everything it ever produces.
-    """
-
-    def __init__(self, table: dict[Iri, PgDatatype]):
-        self._forward = dict(table)
-        self._backward = {dt: iri for iri, dt in table.items()}
-        if len(self._backward) != len(self._forward):
-            raise ValueError("datatype correspondence must be one-to-one")
-
-    def to_pg(self, datatype: Iri) -> PgDatatype:
-        mapped = self._forward.get(datatype)
-        return mapped if mapped is not None else custom_datatype(datatype.value)
-
-    def to_rdf(self, datatype: PgDatatype) -> Iri:
-        if datatype.kind == "Custom":
-            return Iri(datatype.custom_iri)
-        iri = self._backward.get(datatype)
-        if iri is None:
-            raise KeyError(f"no RDF datatype corresponds to {datatype}")
-        return iri
-
-
-DEFAULT_CORRESPONDENCE = DatatypeCorrespondence(
-    {
-        XSD_STRING: STRING,
-        XSD_INTEGER: INTEGER,
-        XSD_INT: INT,
-        XSD_DECIMAL: DECIMAL,
-        XSD_DOUBLE: DOUBLE,
-        XSD_BOOLEAN: BOOLEAN,
-        XSD_DATE: DATE,
-        XSD_DATETIME: DATETIME,
-    }
-)
-
-assert set(DEFAULT_CORRESPONDENCE._forward) == SUPPORTED_DATATYPES
+assert set(PG_DATATYPE_OF) == SUPPORTED_DATATYPES
+assert sorted(RDF_DATATYPE_OF) == sorted(DATATYPE_KINDS)
 
 
 def map_schema(schema: RdfGraphSchema) -> PropertyGraphSchema:
@@ -137,8 +119,9 @@ def map_schema(schema: RdfGraphSchema) -> PropertyGraphSchema:
         if domain not in node_types:
             raise MissingEndpointType(prop_iri.value, domain.value, "domain")
         if range_ in SUPPORTED_DATATYPES:
-            datatype = DEFAULT_CORRESPONDENCE.to_pg(range_)
-            builder.add_property_type(domain.value, prop_iri.value, datatype)
+            if prop_iri.value == IRI_PROPERTY_KEY:
+                raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
+            builder.add_property_type(domain.value, prop_iri.value, PG_DATATYPE_OF[range_])
         else:
             if range_ not in node_types:
                 raise MissingEndpointType(prop_iri.value, range_.value, "range")
@@ -164,10 +147,16 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     for t in graph.datatype_edges_sorted():
         n = node_of[t.s]
         key = t.p.value
+        if key == IRI_PROPERTY_KEY:
+            raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
         if (n, key) in seen:
             raise DuplicatePropertyLabel(t.s.value, key)
         seen.add((n, key))
-        datatype = DEFAULT_CORRESPONDENCE.to_pg(t.o.datatype)
+        datatype = PG_DATATYPE_OF.get(t.o.datatype)
+        if datatype is None:
+            datatype = t.o.datatype.value
+            if datatype in RDF_DATATYPE_OF:
+                raise ReservedVocabularyTerm(datatype, "custom datatype")
         builder.add_property(n, key, PgValue(t.o.lexical, datatype))
 
     for t in graph.object_edges_sorted():
@@ -235,10 +224,7 @@ def map_database(
 
 def _datatype_iri(datatype: PgDatatype, element: Callable[[], str]) -> Iri:
     """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable."""
-    try:
-        return DEFAULT_CORRESPONDENCE.to_rdf(datatype)
-    except ValueError:
-        raise NonIriLabel(element(), datatype.token(), "datatype") from None
+    return RDF_DATATYPE_OF.get(datatype) or iri_for(datatype, element, "datatype")
 
 
 def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
@@ -257,7 +243,7 @@ def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
     for key, dt in property_types:
         if dt not in datatype_iris:
             datatype_iris[dt] = _datatype_iri(dt, describe("property type", key))
-    for dt in sorted(datatype_iris, key=lambda dt: dt.token()):
+    for dt in sorted(datatype_iris):
         builder.add_class(datatype_iris[dt])
 
     for et in pg_schema.edge_types:

@@ -296,6 +296,39 @@ def test_convert_dep_unplaced_elements_exit_1_with_outputs(tmp_path, capsys, cas
     assert main(["validate", "pg", "--pg", str(outs[0]), "--pg-schema", str(outs[1])]) == 1
 
 
+_REFUSED = {
+    # A custom datatype spelled like a kind name would invert to xsd:integer.
+    "kind-named-datatype": (
+        f"<http://ex.org/p> {_RDFS}domain> <http://ex.org/A> ; {_RDFS}range> <Integer> .\n"
+        f"<Integer> a {_RDFS}Class> .\n",
+        '<http://ex.org/a> a <http://ex.org/A> ; <http://ex.org/p> "5"^^<Integer> .\n',
+        "error: Integer is a reserved vocabulary term and cannot name a custom datatype\n",
+    ),
+    # A datatype property spelled "iri" would give the node a second "iri" property.
+    "iri-property": (
+        f"<http://ex.org/C> a {_RDFS}Class> .\n"
+        f"<iri> {_RDFS}domain> <http://ex.org/C> ;"
+        f" {_RDFS}range> <http://www.w3.org/2001/XMLSchema#string> .\n",
+        '<http://ex.org/a> a <http://ex.org/C> ; <iri> "http://ex.org/b" .\n',
+        "error: iri is a reserved vocabulary term and cannot name a datatype property\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_REFUSED))
+def test_convert_dep_refuses_reserved_spellings_without_output(tmp_path, capsys, case):
+    schema_text, instance_text, error = _REFUSED[case]
+    (tmp_path / "s.ttl").write_text(schema_text)
+    (tmp_path / "i.ttl").write_text(instance_text)
+    outs = [tmp_path / "pg.json", tmp_path / "pgs.json"]
+    code = main(["convert", "--mode", "dep", "--rdf", str(tmp_path / "i.ttl"),
+                 "--schema", str(tmp_path / "s.ttl"),
+                 "--out-pg", str(outs[0]), "--out-pg-schema", str(outs[1])])
+    assert code == 2
+    assert capsys.readouterr().err == error
+    assert not any(p.exists() for p in outs)
+
+
 # One node whose label the schema does not declare, with an Integer property.
 _OFF_SCHEMA_PG = {
     "nodes": [{"id": "n0", "label": "http://ex.org/X",

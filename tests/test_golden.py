@@ -34,7 +34,6 @@ from rdfpg.pg_graph import (
     PgValue,
     PropertyGraphBuilder,
     PropertyGraphSchemaBuilder,
-    custom_datatype,
     validate_pg,
 )
 from rdfpg.pg_json import serialize_pg, serialize_pg_schema
@@ -182,7 +181,7 @@ def _violation_fixture():
     b.add_property(e2, "since", PgValue("2004-01-01", DATE))
     e3 = b.add_edge("knows", ann, bob)
     b.add_property(e3, "weight", PgValue("3", INTEGER))
-    b.add_property(e3, "colour", PgValue("red", custom_datatype("http://dt.example/c")))
+    b.add_property(e3, "colour", PgValue("red", "http://dt.example/c"))
     b.add_property(e3, "since", PgValue("2010", INTEGER))
     b.add_edge("knows", bob, robot)
     b.add_edge("ceo", ann, acme)

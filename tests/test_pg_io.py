@@ -29,7 +29,7 @@ from rdfpg.pg_json import (
     serialize_pg,
     serialize_pg_schema,
 )
-from rdfpg.schema_dependent import DEFAULT_CORRESPONDENCE
+from rdfpg.schema_dependent import PG_DATATYPE_OF
 from rdfpg.schema_independent import generic_schema
 from rdfpg.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INT, XSD_INTEGER
 
@@ -369,7 +369,7 @@ def test_export_numeric_literals(lexical, datatype, expected):
 def test_export_generated_numeric_lexicals_stay_bare():
     rng = random.Random(7)
     for xsd in (XSD_INTEGER, XSD_INT, XSD_DECIMAL, XSD_DOUBLE):
-        datatype = DEFAULT_CORRESPONDENCE.to_pg(xsd)
+        datatype = PG_DATATYPE_OF[xsd]
         for _ in range(500):
             lexical = _lexical_for(rng, xsd)
             assert _rendered(lexical, datatype) == lexical

@@ -24,7 +24,6 @@ from rdfpg.pg_graph import (
     PropertyGraphBuilder,
     PropertyGraphSchemaBuilder,
     STRING,
-    custom_datatype,
 )
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 
@@ -453,11 +452,11 @@ def _awkward_graph():
         nodes.append(n)
         builder.add_property(n, text, PgValue(text, STRING))
         builder.add_property(n, f"k{i}", PgValue(f"{i}", INTEGER))
-        builder.add_property(n, "dt", PgValue(text, custom_datatype(f"urn:dt:{text}")))
+        builder.add_property(n, "dt", PgValue(text, f"urn:dt:{text}"))
     bare = builder.add_node("no properties")
     for i, text in enumerate(AWKWARD):
         e = builder.add_edge(text, nodes[i], nodes[i - 1])
-        builder.add_property(e, text, PgValue(text, custom_datatype("http://ex.org/dt")))
+        builder.add_property(e, text, PgValue(text, "http://ex.org/dt"))
     builder.add_edge("bare edge", bare, bare)
     return builder.build()
 
@@ -469,7 +468,7 @@ def _awkward_schema():
         nt = builder.add_node_type(text)
         types.append(nt)
         builder.add_property_type(nt, text, STRING)
-        builder.add_property_type(nt, f"k{i}", custom_datatype(f"urn:dt:{text}"))
+        builder.add_property_type(nt, f"k{i}", f"urn:dt:{text}")
     bare = builder.add_node_type("no property types")
     for i, text in enumerate(AWKWARD):
         et = builder.add_edge_type(text, types[i], types[i - 1])
@@ -522,7 +521,7 @@ def test_layout_holds_for_any_strings(rows):
     previous = None
     for label, key, value, datatype in rows:
         n = builder.add_node(label)
-        builder.add_property(n, key, PgValue(value, custom_datatype("urn:" + datatype)))
+        builder.add_property(n, key, PgValue(value, "urn:" + datatype))
         if previous is not None:
             e = builder.add_edge(label, previous, n)
             builder.add_property(e, value, PgValue(key, STRING))

@@ -11,12 +11,10 @@ from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_graph
 from rdfpg.pg_graph import (
     DATE,
     INTEGER,
-    PgDatatype,
     PgValue,
     PropertyGraphBuilder,
     PropertyGraphSchemaBuilder,
     STRING,
-    custom_datatype,
     pg_equal,
     type_of_value,
     validate_pg,
@@ -32,14 +30,19 @@ def test_type_of_value_examples():
 
 
 def test_datatype_tokens():
-    assert PgDatatype.from_token("Date") == DATE
-    weird = PgDatatype.from_token("http://dt.example/blend")
-    assert weird == custom_datatype("http://dt.example/blend")
-    assert weird.token() == "http://dt.example/blend"
-    with pytest.raises(ValueError):
-        PgDatatype("Nope")
-    with pytest.raises(ValueError):
-        PgDatatype("Custom")
+    # A datatype is its token: a kind name, or a custom datatype's IRI.
+    assert DATE == "Date"
+    b = PropertyGraphBuilder()
+    n = b.add_node("T")
+    b.add_property(n, "p", PgValue("x", "http://dt.example/blend"))
+    assert b.build().properties_of(0) == [("p", PgValue("x", "http://dt.example/blend"))]
+    # Both builders refuse an empty datatype.
+    with pytest.raises(ValueError, match="datatype may not be empty"):
+        b.add_property(n, "q", PgValue("x", ""))
+    sb = PropertyGraphSchemaBuilder()
+    nt = sb.add_node_type("T")
+    with pytest.raises(ValueError, match="datatype may not be empty"):
+        sb.add_property_type(nt, "q", "")
 
 
 # -- validity -----------------------------------------------------------------
@@ -240,7 +243,7 @@ def test_duplicate_node_type_labels_rejected():
 
 
 def _canonical_property_order(props):
-    return sorted(props, key=lambda kv: (kv[0], kv[1].lexical, kv[1].datatype.token()))
+    return sorted(props, key=lambda kv: (kv[0], kv[1].lexical, kv[1].datatype))
 
 
 def test_properties_stored_per_owner_in_canonical_order(company_pg):

@@ -10,10 +10,12 @@ from rdfpg.errors import (
     MissingEndpointType,
     MissingIriProperty,
     NonIriLabel,
+    ReservedVocabularyTerm,
     ValidityWarning,
 )
 from rdfpg.generator import GeneratorConfig, gen_rdf_database
 from rdfpg.pg_graph import (
+    DATATYPE_KINDS,
     DATE,
     EdgeType,
     INT,
@@ -23,7 +25,6 @@ from rdfpg.pg_graph import (
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     STRING,
-    custom_datatype,
     validate_pg,
 )
 from rdfpg.rdf_graph import (
@@ -33,7 +34,7 @@ from rdfpg.rdf_graph import (
     rdf_equal,
     validate_rdf,
 )
-from rdfpg.schema_dependent import DEFAULT_CORRESPONDENCE
+from rdfpg.schema_dependent import PG_DATATYPE_OF, RDF_DATATYPE_OF
 from rdfpg.terms import (
     Iri,
     RDFS_RANGE,
@@ -54,19 +55,24 @@ XSD = "http://www.w3.org/2001/XMLSchema#"
 
 def test_correspondence_is_invertible_over_supported_set():
     for iri in sorted(SUPPORTED_DATATYPES, key=lambda i: i.value):
-        assert DEFAULT_CORRESPONDENCE.to_rdf(DEFAULT_CORRESPONDENCE.to_pg(iri)) == iri
+        assert RDF_DATATYPE_OF[PG_DATATYPE_OF[iri]] == iri
+    assert sorted(RDF_DATATYPE_OF) == sorted(DATATYPE_KINDS)
 
 
 def test_correspondence_extends_through_custom():
     odd = Iri("http://dt.example/temperature")
-    mapped = DEFAULT_CORRESPONDENCE.to_pg(odd)
-    assert mapped == custom_datatype(odd.value)
-    assert DEFAULT_CORRESPONDENCE.to_rdf(mapped) == odd
+    assert odd not in PG_DATATYPE_OF and odd.value not in RDF_DATATYPE_OF
+    graph = build_rdf_graph(parse_turtle(f'<{EX}a> <{VOC}p> "1"^^<{odd.value}> .'))
+    pg = dep.map_graph(graph)
+    mapped = dict(pg.properties_of(0))[VOC + "p"].datatype
+    assert mapped == odd.value
+    (literal,) = dep.invert_graph(pg).literal_nodes
+    assert literal.datatype == odd
 
 
 def test_correspondence_pins_each_integer_flavor():
-    assert DEFAULT_CORRESPONDENCE.to_pg(Iri(XSD + "integer")) == INTEGER
-    assert DEFAULT_CORRESPONDENCE.to_pg(Iri(XSD + "int")) == INT
+    assert PG_DATATYPE_OF[Iri(XSD + "integer")] == INTEGER
+    assert PG_DATATYPE_OF[Iri(XSD + "int")] == INT
 
 
 # -- forward schema mapping ----------------------------------------------------
@@ -98,6 +104,19 @@ def test_map_schema_self_loop():
         node_types={VOC + "A": ()},
         edge_types=(EdgeType(VOC + "knows", VOC + "A", VOC + "A", ()),),
     )
+
+
+def test_map_schema_refuses_a_datatype_property_spelled_iri():
+    schema = build_rdf_schema(
+        parse_turtle(
+            "@prefix rdfs: <http://www.w3.org/2000/01/rdf-schema#> .\n"
+            f"<{VOC}C> a rdfs:Class .\n"
+            f"<iri> rdfs:domain <{VOC}C> ; rdfs:range <{XSD}string> .\n"
+        )
+    )
+    with pytest.raises(ReservedVocabularyTerm) as err:
+        dep.map_schema(schema)
+    assert (err.value.iri, err.value.where) == ("iri", "datatype property")
 
 
 def test_map_schema_datatype_domain_rejected():
@@ -142,6 +161,23 @@ def test_map_graph_lone_resource():
     pg = dep.map_graph(build_rdf_graph(parse_turtle(f"<{EX}a> a <{VOC}T> .")))
     (node,) = pg.nodes
     assert pg.properties_of(node) == [("iri", PgValue(EX + "a", STRING))]
+
+
+def test_map_graph_refuses_a_datatype_property_spelled_iri():
+    graph = build_rdf_graph(parse_turtle(f'<{EX}a> a <{VOC}C> ; <iri> "{EX}b" .'))
+    with pytest.raises(ReservedVocabularyTerm) as err:
+        dep.map_graph(graph)
+    assert str(err.value) == (
+        "iri is a reserved vocabulary term and cannot name a datatype property"
+    )
+
+
+@pytest.mark.parametrize("kind", DATATYPE_KINDS)
+def test_map_graph_refuses_a_custom_datatype_spelled_as_a_kind_name(kind):
+    graph = build_rdf_graph(parse_turtle(f'<{EX}a> <{VOC}p> "5"^^<{kind}> .'))
+    with pytest.raises(ReservedVocabularyTerm) as err:
+        dep.map_graph(graph)
+    assert (err.value.iri, err.value.where) == (kind, "custom datatype")
 
 
 def test_map_graph_rejects_multivalued_property():
@@ -259,8 +295,11 @@ def test_invert_graph_single_node():
 def test_invert_graph_requires_iri_property():
     b = PropertyGraphBuilder()
     b.add_node(VOC + "T")
-    with pytest.raises(MissingIriProperty):
+    with pytest.raises(MissingIriProperty) as err:
         dep.invert_graph(b.build())
+    assert str(err.value) == (
+        f"node {VOC}T{{}} has no single 'iri' property to recover its IRI from"
+    )
 
 
 def test_invert_graph_rejects_unusable_label():
@@ -285,10 +324,10 @@ def _node_with(label=VOC + "T", iri=EX + "a", key=VOC + "p", datatype=STRING):
         (_node_with(iri=EX + "a b"), "'iri' value", EX + "a b"),
         (_node_with(iri=""), "'iri' value", ""),
         (_node_with(key=VOC + "p q"), "property key", VOC + "p q"),
-        (_node_with(datatype=custom_datatype("Dat e")), "datatype", "Dat e"),
+        (_node_with(datatype="Dat e"), "datatype", "Dat e"),
         (_node_with(iri=EX + "a<b>"), "'iri' value", EX + "a<b>"),
         (_node_with(key=VOC + "p^q"), "property key", VOC + "p^q"),
-        (_node_with(datatype=custom_datatype("urn:dt`x")), "datatype", "urn:dt`x"),
+        (_node_with(datatype="urn:dt`x"), "datatype", "urn:dt`x"),
     ],
     ids=["iri-value-space", "iri-value-empty", "key-space", "datatype-space",
          "iri-value-angle", "key-caret", "datatype-backtick"],
@@ -304,7 +343,7 @@ def test_invert_graph_names_the_node_with_an_unusable_iri(graph, role, value):
 def test_invert_schema_names_the_type_with_an_unusable_iri():
     b = PropertyGraphSchemaBuilder()
     nt = b.add_node_type(VOC + "T")
-    b.add_property_type(nt, VOC + "when", custom_datatype("Dat e"))
+    b.add_property_type(nt, VOC + "when", "Dat e")
     with pytest.raises(NonIriLabel) as err:
         dep.invert_schema(b.build())
     assert str(err.value) == (
@@ -356,7 +395,7 @@ def test_custom_datatypes_survive_the_loop():
     pg = dep.map_graph(graph)
     (node,) = pg.nodes
     values = dict(pg.properties_of(node))
-    assert values[VOC + "p"].datatype == custom_datatype("http://dt.example/temperature")
+    assert values[VOC + "p"].datatype == "http://dt.example/temperature"
     assert rdf_equal(dep.invert_graph(pg), graph)
 
 
