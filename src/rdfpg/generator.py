@@ -105,7 +105,7 @@ class GeneratorConfig:
     max_resources: int = 30
     max_triples: int = 100
     datatype_pool: tuple[Iri, ...] = field(
-        default_factory=lambda: tuple(sorted(SUPPORTED_DATATYPES, key=lambda i: i.value))
+        default_factory=lambda: tuple(sorted(SUPPORTED_DATATYPES))
     )
 
     def __post_init__(self) -> None:
@@ -167,10 +167,7 @@ def gen_instance_triples(config: GeneratorConfig, schema: RdfGraphSchema) -> Tri
     schema-dependent mapping accepts: one type per subject, one value per
     (subject, datatype property)."""
     rng = _rng("instance", config.seed)
-    class_iris = sorted(
-        (c for c in schema.class_nodes if c not in SUPPORTED_DATATYPES),
-        key=lambda i: i.value,
-    )
+    class_iris = sorted(c for c in schema.class_nodes if c not in SUPPORTED_DATATYPES)
     if not class_iris:
         return TripleSet((), GENERATOR_PREFIXES)
 

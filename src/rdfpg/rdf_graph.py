@@ -44,22 +44,9 @@ from .terms import (
     Triple,
     TripleSet,
     VOCABULARY_TERMS,
-    triple_sort_key,
 )
 
 PropertyEdge = tuple[Iri, Iri, Iri]  # (property, domain, range)
-
-
-def _iri_key(iri: Iri) -> str:
-    return iri.value
-
-
-def _literal_key(lit: Literal) -> tuple[str, str]:
-    return lit.lexical, lit.datatype.value
-
-
-def _property_key(edge: PropertyEdge) -> tuple[str, str, str]:
-    return edge[0].value, edge[1].value, edge[2].value
 
 
 def _values(iris: Iterable[Iri]) -> tuple[str, ...]:
@@ -81,16 +68,16 @@ class RdfGraph:
                     or self.object_edges or self.datatype_edges)
 
     def resources_sorted(self) -> list[Iri]:
-        return sorted(self.resource_nodes, key=_iri_key)
+        return sorted(self.resource_nodes)
 
     def literals_sorted(self) -> list[Literal]:
-        return sorted(self.literal_nodes, key=_literal_key)
+        return sorted(self.literal_nodes)
 
     def object_edges_sorted(self) -> list[Triple]:
-        return sorted(self.object_edges, key=triple_sort_key)
+        return sorted(self.object_edges)
 
     def datatype_edges_sorted(self) -> list[Triple]:
-        return sorted(self.datatype_edges, key=triple_sort_key)
+        return sorted(self.datatype_edges)
 
 
 @dataclass(frozen=True)
@@ -104,7 +91,7 @@ class RdfGraphSchema:
         return not (self.class_nodes or self.property_edges)
 
     def properties_sorted(self) -> list[PropertyEdge]:
-        return sorted(self.property_edges, key=_property_key)
+        return sorted(self.property_edges)
 
 
 class RdfGraphBuilder:
@@ -211,11 +198,11 @@ def build_rdf_graph(triples: TripleSet, first_type: str | None = None) -> RdfGra
             literals.add(o)
             datatype_edges.append(t)
 
-    for subject in sorted(types, key=_iri_key):
+    for subject in sorted(types):
         classes = types[subject]
         if len(classes) > 1 and first_type != "lexicographic":
             raise MultipleTypes(subject.value, _values(classes))
-        resources[subject] = min(classes, key=_iri_key)
+        resources[subject] = min(classes)
     return RdfGraph(resources, frozenset(literals), frozenset(object_edges),
                     frozenset(datatype_edges))
 
@@ -265,9 +252,9 @@ def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
             ranges[t.s].append(t.o)
 
     builder = RdfGraphSchemaBuilder()
-    for c in sorted(classes, key=_iri_key):
+    for c in sorted(classes):
         builder.add_class(c)
-    for pc in sorted(domains.keys() | ranges.keys(), key=_iri_key):
+    for pc in sorted(domains.keys() | ranges.keys()):
         pc_domains = domains.get(pc, ())
         pc_ranges = ranges.get(pc, ())
         if len(pc_domains) > 1:
@@ -285,30 +272,26 @@ def validate_rdf(graph: RdfGraph, schema: RdfGraphSchema) -> ValidationReport:
     Violations come in the order of the *_sorted() methods: resources, then
     literals, then object edges, then datatype edges.
     """
-    declared_classes = {iri.value for iri in schema.class_nodes}
-    declared_properties = {_property_key(edge) for edge in schema.property_edges}
+    declared_classes = schema.class_nodes
+    declared_properties = schema.property_edges
     class_of = graph.resource_nodes
 
     violations = [
         Violation("R1", str(iri), f"class {class_of[iri]} is not declared")
-        for iri in sorted(
-            (iri for iri, cls in class_of.items() if cls.value not in declared_classes),
-            key=_iri_key,
-        )
+        for iri in sorted(iri for iri, cls in class_of.items() if cls not in declared_classes)
     ]
     violations += [
         Violation("R1", str(lit), f"class {lit.datatype} is not declared")
         for lit in sorted(
-            (lit for lit in graph.literal_nodes if lit.datatype.value not in declared_classes),
-            key=_literal_key,
+            lit for lit in graph.literal_nodes if lit.datatype not in declared_classes
         )
     ]
 
     def edge_violations(rule: str, edges: frozenset[Triple], object_class) -> list[Violation]:
-        def key(t: Triple) -> tuple[str, str, str]:
-            return t.p.value, class_of[t.s].value, object_class(t.o).value
+        def key(t: Triple) -> PropertyEdge:
+            return t.p, class_of[t.s], object_class(t.o)
 
-        bad = sorted((t for t in edges if key(t) not in declared_properties), key=triple_sort_key)
+        bad = sorted(t for t in edges if key(t) not in declared_properties)
         return [
             Violation(rule, f"{t.s} --{t.p}--> {t.o}",
                       "no declared property {} from {} to {}".format(*key(t)))

@@ -16,11 +16,12 @@ The inverse direction reverses each rule, recovering the original database
 exactly. A PG datatype is its token string. The eight supported XSD
 datatypes cross the boundary through a fixed one-to-one table to the eight
 kind names; any other RDF datatype rides along as a custom PG datatype, its
-IRI, so nothing is lost. Two spellings would not come back and are refused
+IRI, so nothing is lost. Three spellings would not come back and are refused
 with ReservedVocabularyTerm: a custom datatype IRI spelled like a kind name
 ("Integer"), and a datatype property spelled "iri", the key of the node
-property that holds a resource's IRI. The Turtle reader accepts relative
-IRIs, so both can be written.
+property that holds a resource's IRI, on the way to a PG (the Turtle reader
+accepts relative IRIs, so both can be written); and, on the way back, a
+custom PG datatype spelled as one of the eight supported XSD IRIs.
 
 Validation policy: each direction's entry point (`map_database`,
 `invert_database`) checks its input database against its schema once. An
@@ -223,8 +224,18 @@ def map_database(
 
 
 def _datatype_iri(datatype: PgDatatype, element: Callable[[], str]) -> Iri:
-    """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable."""
-    return RDF_DATATYPE_OF.get(datatype) or iri_for(datatype, element, "datatype")
+    """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable.
+
+    A custom datatype spelled as a supported XSD IRI would invert to the
+    same literal as its kind name, so it is refused.
+    """
+    iri = RDF_DATATYPE_OF.get(datatype)
+    if iri is not None:
+        return iri
+    iri = iri_for(datatype, element, "datatype")
+    if iri in PG_DATATYPE_OF:
+        raise ReservedVocabularyTerm(datatype, "custom datatype")
+    return iri
 
 
 def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:

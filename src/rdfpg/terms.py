@@ -8,7 +8,8 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Mapping, Union
+from operator import itemgetter
+from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
 from .errors import NonIriLabel
 
@@ -17,26 +18,35 @@ from .errors import NonIriLabel
 _forbidden_char = re.compile(r'[\s<>"{}|^`\\]').search
 
 
-@dataclass(frozen=True, slots=True)
-class Iri:
-    """A full-form IRI. Equality is plain string equality."""
+class Iri(tuple):
+    """A full-form IRI: a validated one-element tuple holding its string.
 
-    value: str
+    Hashing, equality and ordering are the tuple's, so they run in C and
+    IRIs sort by their strings. An Iri equals the plain tuple (value,) and
+    never a string.
+    """
 
-    def __post_init__(self) -> None:
-        if not self.value:
+    __slots__ = ()
+
+    def __new__(cls, value: str) -> "Iri":
+        if not value:
             raise ValueError("IRI must be non-empty")
-        m = _forbidden_char(self.value)
+        m = _forbidden_char(value)
         if m:
-            raise ValueError(f"IRI may not contain {m.group()!r}: {self.value!r}")
+            raise ValueError(f"IRI may not contain {m.group()!r}: {value!r}")
+        return tuple.__new__(cls, (value,))
 
-    # Terms are hashed once per set insertion or lookup; one call over their
-    # strings keeps that cheap. Equality stays the dataclass one.
-    def __hash__(self) -> int:
-        return hash(self.value)
+    value = property(itemgetter(0))
 
     def __str__(self) -> str:
-        return self.value
+        return self[0]
+
+    def __repr__(self) -> str:
+        return f"Iri(value={self[0]!r})"
+
+    # Pickle and copy rebuild through __new__, so they validate too.
+    def __reduce__(self):
+        return Iri, (self[0],)
 
 
 def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
@@ -51,12 +61,12 @@ def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
         raise NonIriLabel(element(), value, role) from None
 
 
-@dataclass(frozen=True, slots=True)
-class Literal:
+class Literal(NamedTuple):
     """A literal value: a lexical form paired with a datatype IRI.
 
     Plain literals are stored with datatype xsd:string, so '"x"' and
-    '"x"^^xsd:string' denote the same literal.
+    '"x"^^xsd:string' denote the same literal. Literals sort by lexical
+    form, then datatype.
     """
 
     lexical: str
@@ -66,9 +76,6 @@ class Literal:
     def plain(cls, lexical: str) -> "Literal":
         return cls(lexical, XSD_STRING)
 
-    def __hash__(self) -> int:
-        return hash((self.lexical, self.datatype.value))
-
     def __str__(self) -> str:
         return f'"{self.lexical}"^^{self.datatype}'
 
@@ -76,27 +83,21 @@ class Literal:
 RdfObject = Union[Iri, Literal]
 
 
-@dataclass(frozen=True, slots=True)
-class Triple:
-    """One RDF statement. Subject and predicate are IRIs; the object may be a literal."""
+class Triple(NamedTuple):
+    """One RDF statement. Subject and predicate are IRIs; the object may be a literal.
+
+    Triples whose objects are all IRIs, or all literals, sort in their
+    natural order.
+    """
 
     s: Iri
     p: Iri
     o: RdfObject
 
-    def __hash__(self) -> int:
-        o = self.o
-        if type(o) is Iri:
-            return hash((self.s.value, self.p.value, o.value))
-        return hash((self.s.value, self.p.value, o.lexical, o.datatype.value))
-
 
 def triple_sort_key(t: Triple) -> tuple:
-    if isinstance(t.o, Iri):
-        okey = (0, t.o.value, "")
-    else:
-        okey = (1, t.o.lexical, t.o.datatype.value)
-    return (t.s.value, t.p.value, okey)
+    """Natural order, except that IRI objects sort before literal ones."""
+    return t.s, t.p, type(t.o) is Literal, t.o
 
 
 # Namespaces used throughout.

@@ -361,12 +361,12 @@ class _IriWriter:
     def __init__(self, prefixes: PrefixMap):
         self.namespaces = sorted(prefixes.bindings.items(), key=lambda kv: (-len(kv[1]), kv[0]))
         self.used: set[str] = set()
-        self._text: dict[str, str] = {}
+        self._text: dict[Iri, str] = {}
 
     def __call__(self, iri: Iri) -> str:
-        text = self._text.get(iri.value)
+        text = self._text.get(iri)
         if text is None:
-            text = self._text[iri.value] = self._render(iri.value)
+            text = self._text[iri] = self._render(iri.value)
         return text
 
     def _render(self, value: str) -> str:
@@ -383,10 +383,11 @@ def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
 
     Statements are grouped by subject (sorted), with rdf:type first as 'a'
     and the remaining predicates sorted; objects within a predicate are
-    sorted too. Only prefixes actually used appear in the output, so every
-    statement is rendered before the prefix block is written; the text is
-    then written one line or statement at a time and never joined whole.
-    Without `out`, the document is returned as a string.
+    sorted too. Only prefixes actually used appear in the output, so a first
+    pass renders every IRI the statements name before the prefix block is
+    written; each statement is then written as it is rendered, and the
+    document is never held whole. Without `out`, the document is returned
+    as a string.
     """
     if out is None:
         buffer = io.StringIO()
@@ -396,6 +397,18 @@ def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
     by_subject: dict[Iri, dict[Iri, list[RdfObject]]] = {}
     for t in ts.triples:
         by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
+    # Render every IRI the statements name, so the prefix block is known
+    # before the first statement; the writer caches each text.
+    for subject, predicates in by_subject.items():
+        iri_text(subject)
+        for predicate, objects in predicates.items():
+            if predicate != RDF_TYPE:
+                iri_text(predicate)
+            for o in objects:
+                if isinstance(o, Iri):
+                    iri_text(o)
+                elif o.datatype != XSD_STRING:
+                    iri_text(o.datatype)
 
     def render_object(o: RdfObject) -> str:
         if isinstance(o, Iri):
@@ -405,25 +418,18 @@ def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
             return body
         return f"{body}^^{iri_text(o.datatype)}"
 
-    statements: list[str] = []
-    for subject in sorted(by_subject, key=lambda i: i.value):
-        subject_text = iri_text(subject)
+    write = out.write
+    for prefix in sorted(iri_text.used):
+        write(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .\n")
+    if iri_text.used and by_subject:
+        write("\n")
+    for subject in sorted(by_subject):
         predicates = by_subject[subject]
         parts: list[str] = []
-        ordered = sorted(predicates, key=lambda p: (p != RDF_TYPE, p.value))
-        for predicate in ordered:
+        for predicate in sorted(predicates, key=lambda p: (p != RDF_TYPE, p)):
             verb = "a" if predicate == RDF_TYPE else iri_text(predicate)
             objects = ", ".join(sorted(render_object(o) for o in predicates[predicate]))
             parts.append(f"{verb} {objects}")
         joined = " ;\n    ".join(parts)
-        statements.append(f"{subject_text} {joined} .")
-
-    write = out.write
-    for prefix in sorted(iri_text.used):
-        write(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .\n")
-    if iri_text.used and statements:
-        write("\n")
-    for statement in statements:
-        write(statement)
-        write("\n")
+        write(f"{iri_text(subject)} {joined} .\n")
     return None

@@ -168,6 +168,19 @@ def test_invert_dep_whitespace_datatype_exits_2(tmp_path, capsys):
     assert not any(p.exists() for p in outs)
 
 
+@pytest.mark.parametrize("kind", ["Integer", "String"])
+def test_invert_dep_refuses_a_custom_datatype_spelled_as_an_xsd_iri(tmp_path, capsys, kind):
+    # It would invert to the same literal as the kind name, which converts back to the kind.
+    xsd = f"http://www.w3.org/2001/XMLSchema#{kind.lower()}"
+    code, outs = _invert_dep_with(tmp_path, datatype=xsd)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {xsd} is a reserved vocabulary term and cannot name a custom datatype\n"
+    )
+    assert not any(p.exists() for p in outs)
+    assert _invert_dep_with(tmp_path, datatype=kind)[0] == 0
+
+
 # Characters RFC 3987 keeps out of IRIs besides whitespace.
 FORBIDDEN_IRI_CHARS = list('<>"{}|^`\\')
 

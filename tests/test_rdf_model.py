@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
+import re
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rdfpg.errors import (
     ConflictingDomain,
@@ -37,6 +43,7 @@ from rdfpg.terms import (
     RDFS_RESOURCE,
     Triple,
     TripleSet,
+    triple_sort_key,
 )
 from rdfpg.turtle import parse_turtle
 
@@ -398,3 +405,68 @@ def test_iri_rejects_characters_rfc3987_excludes(char):
 def test_iri_rejects_empty():
     with pytest.raises(ValueError, match="non-empty"):
         Iri("")
+
+
+def test_iri_has_no_unvalidated_constructor():
+    for bad in ("a b", ""):
+        with pytest.raises(ValueError):
+            Iri(bad)
+    assert not hasattr(Iri, "_make") and not hasattr(Iri, "_replace")
+    iri = Iri(EX + "a")
+    pickled = [pickle.dumps(iri, protocol) for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [copy.copy(iri), copy.deepcopy(iri), *map(pickle.loads, pickled)]:
+        assert type(copied) is Iri and copied == iri and copied.value == EX + "a"
+    # Unpickling goes through Iri(...), so a tampered value is refused.
+    for data in pickled:
+        assert b"data/a" in data
+        with pytest.raises(ValueError, match="IRI may not contain ' '"):
+            pickle.loads(data.replace(b"data/a", b"data/ "))
+
+
+def test_terms_are_tuples_that_never_equal_strings():
+    iri = Iri(EX + "a")
+    literal = Literal("46", Iri(XSD + "int"))
+    assert iri == (EX + "a",) and hash(iri) == hash((EX + "a",))
+    assert literal == ("46", (XSD + "int",))
+    assert Triple(iri, iri, literal) == (iri, iri, literal)
+    assert iri != EX + "a" and str(iri) == iri.value == EX + "a"
+    assert repr(iri) == f"Iri(value={EX + 'a'!r})"
+    assert repr(literal) == f"Literal(lexical='46', datatype=Iri(value={XSD + 'int'!r}))"
+
+
+# IRI strings from a small alphabet are often prefixes of each other; the
+# wider strategy adds arbitrary non-ASCII text.
+_iri_values = st.one_of(
+    st.text(st.sampled_from("a/:\u00e9\u00ff\u4e2d\U0001f600"), min_size=1, max_size=4),
+    st.text(min_size=1, max_size=8).filter(lambda v: not re.search(r'[\s<>"{}|^`\\]', v)),
+)
+_iris = _iri_values.map(Iri)
+_literals = st.builds(Literal, st.text(st.sampled_from("0a\u00e9\U0001f600\n"), max_size=3)
+                      | st.text(max_size=8), _iris)
+
+
+def _string_key(term):
+    """The order terms had when they sorted by their strings: IRIs before literals."""
+    if isinstance(term, Iri):
+        return (0, term.value, "")
+    if isinstance(term, Literal):
+        return (1, term.lexical, term.datatype.value)
+    return (term.s.value, term.p.value, _string_key(term.o))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    iris=st.lists(_iris, unique=True),
+    literals=st.lists(_literals, unique=True),
+    edges=st.lists(st.tuples(_iris, _iris, _iris | _literals), unique=True),
+)
+def test_natural_order_is_the_string_order(iris, literals, edges):
+    assert sorted(iris) == sorted(iris, key=_string_key)
+    assert sorted(literals) == sorted(literals, key=_string_key)
+    triples = [Triple(*edge) for edge in edges]
+    for same_kind in (Iri, Literal):
+        homogeneous = [t for t in triples if isinstance(t.o, same_kind)]
+        assert sorted(homogeneous) == sorted(homogeneous, key=_string_key)
+    # A mixed set keeps IRI objects before literal ones.
+    assert sorted(triples, key=triple_sort_key) == sorted(triples, key=_string_key)
+    assert list(TripleSet(triples)) == sorted(triples, key=_string_key)

@@ -30,7 +30,7 @@ from rdfpg.rdf_graph import (
     rdf_graph_to_triples,
     rdf_schema_to_triples,
 )
-from rdfpg.terms import TripleSet
+from rdfpg.terms import Iri, Literal, Triple, TripleSet
 from rdfpg.turtle import parse_turtle, serialize_turtle
 
 
@@ -127,6 +127,29 @@ def test_streaming_does_not_hold_the_document():
     finally:
         tracemalloc.stop()
     assert sink.chars == len(serialize_pg(graph)) > 1_000_000
+    assert peak < sink.chars / 4, (peak, sink.chars)
+
+
+def _long_literal_triples():
+    """100 subjects, each with one 10,000-character literal: about 1 M characters of Turtle."""
+    name = Iri("http://example.org/voc/name")
+    return TripleSet(
+        Triple(Iri(f"http://example.org/data/thing{i}"), name, Literal.plain(f"{i:05d}" * 2000))
+        for i in range(100)
+    )
+
+
+def test_serialize_turtle_does_not_hold_the_document():
+    triples = _long_literal_triples()
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        serialize_turtle(triples, sink)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sink.chars == len(serialize_turtle(triples)) > 1_000_000
     assert peak < sink.chars / 4, (peak, sink.chars)
 
 
