@@ -16,7 +16,9 @@ import importlib
 from . import schema_dependent, schema_independent
 from .errors import RdfPgError
 from .pg_graph import (
+    Edge,
     EdgeType,
+    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
@@ -24,7 +26,6 @@ from .pg_graph import (
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     pg_equal,
-    type_of_value,
     validate_pg,
 )
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
@@ -64,10 +65,12 @@ def __getattr__(name: str):
 
 
 __all__ = [
+    "Edge",
     "EdgeType",
     "GeneratorConfig",
     "Iri",
     "Literal",
+    "Node",
     "PgDatatype",
     "PgValue",
     "PrefixMap",
@@ -104,7 +107,6 @@ __all__ = [
     "serialize_pg_schema",
     "serialize_turtle",
     "skolemize",
-    "type_of_value",
     "validate_pg",
     "validate_rdf",
 ]

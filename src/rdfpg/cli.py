@@ -442,11 +442,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _check_usage(parser: argparse.ArgumentParser, args) -> None:
-    if args.command == "convert" and args.mode == "dep" and not args.schema:
-        parser.error("convert --mode dep requires --schema")
-    if args.command == "invert" and args.mode == "dep":
-        if not args.pg_schema or not args.out_rdf_schema:
+    if args.command == "convert":
+        if args.mode == "dep" and not args.schema:
+            parser.error("convert --mode dep requires --schema")
+        if args.mode == "indep" and args.schema:
+            parser.error("convert --mode indep takes no --schema: it uses the generic schema")
+    if args.command == "invert":
+        if args.mode == "dep" and not (args.pg_schema and args.out_rdf_schema):
             parser.error("invert --mode dep requires --pg-schema and --out-rdf-schema")
+        if args.mode == "indep" and args.out_rdf_schema:
+            parser.error("invert --mode indep takes no --out-rdf-schema: it writes no schema")
     if args.command == "validate":
         if args.kind == "rdf" and not (args.rdf and args.schema):
             parser.error("validate rdf requires --rdf and --schema")

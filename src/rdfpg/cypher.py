@@ -62,17 +62,16 @@ def _property_map(pairs: list[tuple[str, str]]) -> str:
 def export_import_script(graph: PropertyGraph) -> str:
     """CREATE statements for every node, then every edge. Empty graph, empty script."""
     statements: list[str] = []
-    for n in graph.nodes_sorted():
-        pairs = [(NODE_ID_KEY, str(n))]
-        pairs += [(k, _value(v)) for k, v in graph.properties_of(n)]
-        statements.append(f"CREATE (:{_name(graph.label[n])} {_property_map(pairs)});")
-    for e in graph.edges_sorted():
-        src, dst = graph.ends[e]
-        pairs = [(k, _value(v)) for k, v in graph.properties_of(e)]
+    for i, node in enumerate(graph.nodes):
+        pairs = [(NODE_ID_KEY, str(i))]
+        pairs += [(k, _value(v)) for k, v in node.properties]
+        statements.append(f"CREATE (:{_name(node.label)} {_property_map(pairs)});")
+    for edge in graph.edges:
+        pairs = [(k, _value(v)) for k, v in edge.properties]
         props = f" {_property_map(pairs)}" if pairs else ""
         statements.append(
-            f"MATCH (a {{{_name(NODE_ID_KEY)}: {src}}}), "
-            f"(b {{{_name(NODE_ID_KEY)}: {dst}}}) "
-            f"CREATE (a)-[:{_name(graph.label[e])}{props}]->(b);"
+            f"MATCH (a {{{_name(NODE_ID_KEY)}: {edge.source}}}), "
+            f"(b {{{_name(NODE_ID_KEY)}: {edge.target}}}) "
+            f"CREATE (a)-[:{_name(edge.label)}{props}]->(b);"
         )
     return "\n".join(statements) + ("\n" if statements else "")

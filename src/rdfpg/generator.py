@@ -180,7 +180,7 @@ def gen_instance_triples(config: GeneratorConfig, schema: RdfGraphSchema) -> Tri
         if cls != RDFS_RESOURCE:
             triples.append(Triple(resource, RDF_TYPE, cls))
 
-    properties = schema.properties_sorted()
+    properties = sorted(schema.property_edges)
     if not properties:
         return TripleSet(triples, GENERATOR_PREFIXES)
 

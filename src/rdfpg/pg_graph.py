@@ -7,11 +7,15 @@ from lexical forms. A datatype is the string every document spells it with:
 one of the eight kind names ("String", "Integer", ...) or a custom
 datatype's IRI. Builders refuse an empty one.
 
-A graph is built in canonical order once: nodes sorted by label and
-properties, then edges sorted by source, label, properties and target, with
-elements of equal keys in the order they were added. An element's id is its
-position in that order, so every consumer (the validator, the serializers,
-the inverse mappings) walks ids in order, and graphs compare with ==.
+A graph is two tuples: its nodes, each a label and properties, and its
+edges, each a label, the positions of its source and target nodes and
+properties. Values, properties, nodes and edge types are named tuples or
+plain tuples, so they compare and sort in C, field by field. A graph is
+built in canonical order once: nodes sorted, then edges sorted by source
+node, label, properties and target node, with elements of equal keys in the
+order they were added. An element's id is its position, so every consumer
+(the validator, the serializers, the inverse mappings) walks the tuples in
+order, and graphs compare with ==.
 
 A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
@@ -24,7 +28,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import AmbiguousCanonicalKey
 from .report import ValidationReport, Violation
@@ -49,8 +53,10 @@ DATATYPE_KINDS = (STRING, INTEGER, INT, DECIMAL, DOUBLE, BOOLEAN, DATE, DATETIME
 IRI_PROPERTY_KEY = "iri"
 
 
-@dataclass(frozen=True, slots=True)
-class PgValue:
+class PgValue(NamedTuple):
+    """A property value. It sorts by lexical form, then datatype, and equals
+    the plain tuple (lexical, datatype) but never a str."""
+
     lexical: str
     datatype: PgDatatype
 
@@ -58,73 +64,70 @@ class PgValue:
         return f"{self.lexical!r}:{self.datatype}"
 
 
-def type_of_value(value: PgValue) -> PgDatatype:
-    """Datatype of a value. Values carry their type, so this is an accessor."""
-    return value.datatype
+Property = tuple[str, PgValue]  # (key, value); properties sort by key, then value
 
 
-def _property_sort_key(item: tuple[str, PgValue]) -> tuple[str, str, str]:
-    key, value = item
-    return (key, value.lexical, value.datatype)
+class Node(NamedTuple):
+    """A node: its label and its properties in canonical order. Nodes sort by
+    label, then properties."""
+
+    label: str
+    properties: tuple[Property, ...]
+
+
+class Edge(NamedTuple):
+    """An edge: its label, the positions of its source and target nodes in
+    the graph's `nodes`, and its properties in canonical order."""
+
+    label: str
+    source: int
+    target: int
+    properties: tuple[Property, ...]
 
 
 @dataclass(frozen=True)
 class PropertyGraph:
     """A property graph in canonical order; compare with ==.
 
-    Nodes have ids 0..N-1 in canonical order and edges the ids after them,
-    so `nodes_sorted()` and `edges_sorted()` are id ranges. `label` maps each
-    id to its label, `ends` each edge id to its (source, target) node ids, and
-    `properties_by_owner` each node or edge that has properties to its
-    (key, value) pairs in canonical order. Graphs built from the same
-    elements in any order are ==.
+    `nodes` is sorted, and `edges` is sorted by source node, label,
+    properties and target node, so graphs built from the same elements in
+    any order are ==. An element's position is its id.
     """
 
-    nodes: frozenset[int]
-    edges: frozenset[int]
-    label: Mapping[int, str]
-    ends: Mapping[int, tuple[int, int]]
-    properties_by_owner: Mapping[int, tuple[tuple[str, PgValue], ...]]
-    property_count: int
+    nodes: tuple[Node, ...]
+    edges: tuple[Edge, ...]
 
-    def is_empty(self) -> bool:
-        return not (self.nodes or self.edges)
+    def nodes_sorted(self) -> tuple[Node, ...]:
+        return self.nodes  # kept only because bench/tracing.py wraps it by name
 
-    def properties_of(self, owner: int) -> list[tuple[str, PgValue]]:
-        return list(self.properties_by_owner.get(owner, ()))
+    def edges_sorted(self) -> tuple[Edge, ...]:
+        return self.edges  # kept only because bench/tracing.py wraps it by name
 
-    def nodes_sorted(self) -> range:
-        return range(len(self.nodes))
+    def properties_of(self, element: Node | Edge) -> list[Property]:
+        return list(element.properties)  # kept only because bench/tracing.py wraps it by name
 
-    def edges_sorted(self) -> range:
-        return range(len(self.nodes), len(self.nodes) + len(self.edges))
-
-    def describe(self, element: int) -> str:
-        if element in self.nodes:
-            props = ", ".join(f"{k}={v}" for k, v in self.properties_of(element))
-            return f"node {self.label[element]}{{{props}}}"
-        src, dst = self.ends[element]
-        return (
-            f"edge {self.label[src]} --{self.label[element]}--> {self.label[dst]}"
-        )
+    def describe(self, element: Node | Edge) -> str:
+        """`element` in error and violation texts: a node with its properties,
+        an edge with its label and its endpoints' labels."""
+        if type(element) is Node:
+            props = ", ".join(f"{k}={v}" for k, v in element.properties)
+            return f"node {element.label}{{{props}}}"
+        src, dst = self.nodes[element.source], self.nodes[element.target]
+        return f"edge {src.label} --{element.label}--> {dst.label}"
 
 
 PropertyType = tuple[str, PgDatatype]  # (key, datatype)
 
 
-@dataclass(frozen=True)
-class EdgeType:
+class EdgeType(NamedTuple):
     """An edge type: its label, its source and target node type labels, and
-    the property types it allows, in canonical order."""
+    the property types it allows, in canonical order. Edge types sort by
+    these fields in this order."""
 
     label: str
     source: str
     target: str
     property_types: tuple[PropertyType, ...]
-
-
-def _edge_type_key(et: EdgeType) -> tuple:
-    return et.label, et.source, et.target, et.property_types
 
 
 @dataclass(frozen=True)
@@ -140,19 +143,16 @@ class PropertyGraphSchema:
     node_types: Mapping[str, tuple[PropertyType, ...]]
     edge_types: tuple[EdgeType, ...]
 
-    def is_empty(self) -> bool:
-        return not (self.node_types or self.edge_types)
-
 
 class PropertyGraphBuilder:
     """Accumulates elements with their checks. Handles are builder-local:
-    build() numbers the elements afresh, by canonical position."""
+    build() puts the elements in canonical order."""
 
     def __init__(self) -> None:
         self._ids = itertools.count()
         self._nodes: dict[int, str] = {}
         self._edges: dict[int, tuple[str, int, int]] = {}
-        self._props: dict[int, list[tuple[str, PgValue]]] = defaultdict(list)
+        self._props: dict[int, list[Property]] = defaultdict(list)
 
     def add_node(self, label: str) -> int:
         n = next(self._ids)
@@ -174,36 +174,24 @@ class PropertyGraphBuilder:
         self._props[owner].append((key, value))
 
     def build(self) -> PropertyGraph:
-        props = {o: tuple(sorted(ps, key=_property_sort_key)) for o, ps in self._props.items()}
+        props = {o: tuple(sorted(ps)) for o, ps in self._props.items()}
+        nodes = {n: Node(label, props.get(n, ())) for n, label in self._nodes.items()}
 
-        def property_keys(owner: int) -> tuple:
-            return tuple(map(_property_sort_key, props.get(owner, ())))
+        def edge_key(e: int) -> tuple:
+            # Endpoints compare as nodes, not positions, so edges between
+            # equal nodes tie.
+            label, src, dst = self._edges[e]
+            return nodes[src], label, props.get(e, ()), nodes[dst]
 
-        node_key = {n: (label, property_keys(n)) for n, label in self._nodes.items()}
-        edge_key = {
-            e: (node_key[src], label, property_keys(e), node_key[dst])
-            for e, (label, src, dst) in self._edges.items()
-        }
         # Handles grow in insertion order and sorted() is stable, so elements
         # with equal keys keep the order they were added in.
-        order = sorted(self._nodes, key=node_key.__getitem__)
-        order += sorted(self._edges, key=edge_key.__getitem__)
-        del node_key, edge_key  # free the keys before the graph's maps are made
-        position = {handle: i for i, handle in enumerate(order)}
-        n_nodes = len(self._nodes)
-        labels = {i: self._nodes[n] for i, n in enumerate(order[:n_nodes])}
-        ends: dict[int, tuple[int, int]] = {}
-        for i in range(n_nodes, len(order)):
-            labels[i], src, dst = self._edges[order[i]]
-            ends[i] = (position[src], position[dst])
-        return PropertyGraph(
-            nodes=frozenset(range(n_nodes)),
-            edges=frozenset(range(n_nodes, len(order))),
-            label=labels,
-            ends=ends,
-            properties_by_owner={position[o]: props[o] for o in order if o in props},
-            property_count=sum(map(len, props.values())),
-        )
+        node_order = sorted(nodes, key=nodes.__getitem__)
+        position = {n: i for i, n in enumerate(node_order)}
+        edges = []
+        for e in sorted(self._edges, key=edge_key):
+            label, src, dst = self._edges[e]
+            edges.append(Edge(label, position[src], position[dst], props.get(e, ())))
+        return PropertyGraph(tuple(map(nodes.__getitem__, node_order)), tuple(edges))
 
 
 class PropertyGraphSchemaBuilder:
@@ -246,7 +234,7 @@ class PropertyGraphSchemaBuilder:
                 label: tuple(sorted(self._node_types[label]))
                 for label in sorted(self._node_types)
             },
-            edge_types=tuple(sorted(edge_types, key=_edge_type_key)),
+            edge_types=tuple(sorted(edge_types)),
         )
 
 
@@ -269,52 +257,49 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     for et in schema.edge_types:
         allowed_by_signature[(et.label, et.source, et.target)].append(frozenset(et.property_types))
 
-    properties = graph.properties_by_owner
+    nodes = graph.nodes
     violations: list[Violation] = []
-    for n in graph.nodes_sorted():
-        label = graph.label[n]
-        allowed = allowed_by_node_type.get(label)
+    for node in nodes:
+        allowed = allowed_by_node_type.get(node.label)
         if allowed is None:
-            message = f"no node type labeled {label!r}"
-            violations.append(Violation("P1a", graph.describe(n), message))
+            message = f"no node type labeled {node.label!r}"
+            violations.append(Violation("P1a", graph.describe(node), message))
             continue
         violations += [
             Violation(
                 "P1b",
-                graph.describe(n),
+                graph.describe(node),
                 f"property {key!r} with type {value.datatype} is not declared "
-                f"for node type {label!r}",
+                f"for node type {node.label!r}",
             )
-            for key, value in properties.get(n, ())
+            for key, value in node.properties
             if (key, value.datatype) not in allowed
             and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
         ]
 
-    for e in graph.edges_sorted():
-        src, dst = graph.ends[e]
-        signature = (graph.label[e], graph.label[src], graph.label[dst])
+    for edge in graph.edges:
+        signature = (edge.label, nodes[edge.source].label, nodes[edge.target].label)
         candidates = allowed_by_signature.get(signature)
         if not candidates:
             violations.append(
                 Violation(
                     "P2a",
-                    graph.describe(e),
+                    graph.describe(edge),
                     f"no edge type labeled {signature[0]!r} from {signature[1]!r} "
                     f"to {signature[2]!r}",
                 )
             )
             continue
-        props = properties.get(e, ())
         # Report against the first edge type that leaves the fewest unmatched.
         best_unmatched = min(
-            ([(k, v) for k, v in props if (k, v.datatype) not in allowed]
+            ([(k, v) for k, v in edge.properties if (k, v.datatype) not in allowed]
              for allowed in candidates),
             key=len,
         )
         violations += [
             Violation(
                 "P2b",
-                graph.describe(e),
+                graph.describe(edge),
                 f"property {key!r} with type {value.datatype} is not declared "
                 f"for edge type {signature[0]!r}",
             )
@@ -333,10 +318,8 @@ def pg_equal(a: PropertyGraph, b: PropertyGraph) -> bool:
     adjacent in canonical order.
     """
     for graph in (a, b):
-        props, previous = graph.properties_by_owner, None
-        for n in graph.nodes_sorted():
-            key = (graph.label[n], tuple(map(_property_sort_key, props.get(n, ()))))
-            if key == previous:
+        for previous, node in itertools.pairwise(graph.nodes):
+            if node == previous:
+                key = (node.label, tuple((k, *v) for k, v in node.properties))
                 raise AmbiguousCanonicalKey(repr(key))
-            previous = key
     return a == b

@@ -92,17 +92,16 @@ def serialize_pg(graph: PropertyGraph, out: TextIO | None = None) -> str | None:
     The document goes out one node or edge at a time and is never held
     whole. Without `out`, it is returned as a string.
     """
-    label, properties, ends = graph.label, graph.properties_by_owner, graph.ends
     nodes = (
-        f'{{\n      "id": "n{n}",\n      "label": {_encode(label[n])},'
-        f'\n      "properties": {_properties_text(properties.get(n, ()))}\n    }}'
-        for n in graph.nodes_sorted()
+        f'{{\n      "id": "n{i}",\n      "label": {_encode(node.label)},'
+        f'\n      "properties": {_properties_text(node.properties)}\n    }}'
+        for i, node in enumerate(graph.nodes)
     )
     edges = (
-        f'{{\n      "id": "e{i}",\n      "label": {_encode(label[e])},'
-        f'\n      "properties": {_properties_text(properties.get(e, ()))},'
-        f'\n      "source": "n{ends[e][0]}",\n      "target": "n{ends[e][1]}"\n    }}'
-        for i, e in enumerate(graph.edges_sorted())
+        f'{{\n      "id": "e{i}",\n      "label": {_encode(edge.label)},'
+        f'\n      "properties": {_properties_text(edge.properties)},'
+        f'\n      "source": "n{edge.source}",\n      "target": "n{edge.target}"\n    }}'
+        for i, edge in enumerate(graph.edges)
     )
     return _document([("edges", edges), ("nodes", nodes)], out)
 

@@ -63,22 +63,6 @@ class RdfGraph:
     object_edges: frozenset[Triple]
     datatype_edges: frozenset[Triple]
 
-    def is_empty(self) -> bool:
-        return not (self.resource_nodes or self.literal_nodes
-                    or self.object_edges or self.datatype_edges)
-
-    def resources_sorted(self) -> list[Iri]:
-        return sorted(self.resource_nodes)
-
-    def literals_sorted(self) -> list[Literal]:
-        return sorted(self.literal_nodes)
-
-    def object_edges_sorted(self) -> list[Triple]:
-        return sorted(self.object_edges)
-
-    def datatype_edges_sorted(self) -> list[Triple]:
-        return sorted(self.datatype_edges)
-
 
 @dataclass(frozen=True)
 class RdfGraphSchema:
@@ -86,12 +70,6 @@ class RdfGraphSchema:
 
     class_nodes: frozenset[Iri]
     property_edges: frozenset[PropertyEdge]
-
-    def is_empty(self) -> bool:
-        return not (self.class_nodes or self.property_edges)
-
-    def properties_sorted(self) -> list[PropertyEdge]:
-        return sorted(self.property_edges)
 
 
 class RdfGraphBuilder:
@@ -269,8 +247,8 @@ def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
 def validate_rdf(graph: RdfGraph, schema: RdfGraphSchema) -> ValidationReport:
     """Check a graph against a schema; every failure is reported, none raised.
 
-    Violations come in the order of the *_sorted() methods: resources, then
-    literals, then object edges, then datatype edges.
+    Violations come grouped and each group sorted in natural order:
+    resources, then literals, then object edges, then datatype edges.
     """
     declared_classes = schema.class_nodes
     declared_properties = schema.property_edges

@@ -116,7 +116,7 @@ def map_schema(schema: RdfGraphSchema) -> PropertyGraphSchema:
     for iri in node_types:
         builder.add_node_type(iri.value)
 
-    for prop_iri, domain, range_ in schema.properties_sorted():
+    for prop_iri, domain, range_ in sorted(schema.property_edges):
         if domain not in node_types:
             raise MissingEndpointType(prop_iri.value, domain.value, "domain")
         if range_ in SUPPORTED_DATATYPES:
@@ -139,13 +139,13 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     """
     builder = PropertyGraphBuilder()
     node_of: dict[Iri, int] = {}
-    for iri in graph.resources_sorted():
+    for iri in sorted(graph.resource_nodes):
         n = builder.add_node(graph.resource_nodes[iri].value)
         builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
         node_of[iri] = n
 
     seen: set[tuple[int, str]] = set()
-    for t in graph.datatype_edges_sorted():
+    for t in sorted(graph.datatype_edges):
         n = node_of[t.s]
         key = t.p.value
         if key == IRI_PROPERTY_KEY:
@@ -160,7 +160,7 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
                 raise ReservedVocabularyTerm(datatype, "custom datatype")
         builder.add_property(n, key, PgValue(t.o.lexical, datatype))
 
-    for t in graph.object_edges_sorted():
+    for t in sorted(graph.object_edges):
         builder.add_edge(t.p.value, node_of[t.s], node_of[t.o])
     return builder.build()
 
@@ -223,47 +223,66 @@ def map_database(
     return pg_schema, pg
 
 
-def _datatype_iri(datatype: PgDatatype, element: Callable[[], str]) -> Iri:
-    """The RDF datatype of `datatype`; NonIriLabel naming `element` if its IRI is unusable.
+def _iri_cache() -> Callable[..., Iri]:
+    """`iri_for` keeping one Iri per distinct string, as labels and property
+    keys repeat across elements. Only successes are kept, so NonIriLabel
+    names the first element that holds a bad string."""
+    iris: dict[str, Iri] = {}
+
+    def iri(value: str, element: Callable[[], str], role: str = "label") -> Iri:
+        found = iris.get(value)
+        if found is None:
+            found = iris[value] = iri_for(value, element, role)
+        return found
+
+    return iri
+
+
+def _datatype_iri(
+    datatype: PgDatatype, element: Callable[[], str], iri: Callable[..., Iri]
+) -> Iri:
+    """The RDF datatype of `datatype`, its IRI made by `iri`; NonIriLabel
+    naming `element` if that IRI is unusable.
 
     A custom datatype spelled as a supported XSD IRI would invert to the
     same literal as its kind name, so it is refused.
     """
-    iri = RDF_DATATYPE_OF.get(datatype)
-    if iri is not None:
-        return iri
-    iri = iri_for(datatype, element, "datatype")
-    if iri in PG_DATATYPE_OF:
+    found = RDF_DATATYPE_OF.get(datatype)
+    if found is not None:
+        return found
+    found = iri(datatype, element, "datatype")
+    if found in PG_DATATYPE_OF:
         raise ReservedVocabularyTerm(datatype, "custom datatype")
-    return iri
+    return found
 
 
 def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
     """Property graph schema back to an RDF graph schema."""
     builder = RdfGraphSchemaBuilder()
+    iri = _iri_cache()
 
     def describe(kind: str, label: str) -> Callable[[], str]:
         return lambda: f"{kind} {label!r}"
 
     class_of: dict[str, Iri] = {}
     for label in pg_schema.node_types:
-        class_of[label] = builder.add_class(iri_for(label, describe("node type", label)))
+        class_of[label] = builder.add_class(iri(label, describe("node type", label)))
     datatype_iris: dict[PgDatatype, Iri] = {}
     property_types = [pt for pts in pg_schema.node_types.values() for pt in pts]
     property_types += [pt for et in pg_schema.edge_types for pt in et.property_types]
     for key, dt in property_types:
         if dt not in datatype_iris:
-            datatype_iris[dt] = _datatype_iri(dt, describe("property type", key))
+            datatype_iris[dt] = _datatype_iri(dt, describe("property type", key), iri)
     for dt in sorted(datatype_iris):
         builder.add_class(datatype_iris[dt])
 
     for et in pg_schema.edge_types:
-        prop_iri = iri_for(et.label, describe("edge type", et.label))
+        prop_iri = iri(et.label, describe("edge type", et.label))
         builder.add_property(prop_iri, class_of[et.source], class_of[et.target])
     for label, pts in pg_schema.node_types.items():
         for key, dt in pts:
             builder.add_property(
-                iri_for(key, describe("node type", label), "property key"),
+                iri(key, describe("node type", label), "property key"),
                 class_of[label],
                 datatype_iris[dt],
             )
@@ -279,34 +298,33 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     dropped with a warning.
     """
     builder = RdfGraphBuilder()
-    resource_of: dict[int, Iri] = {}
-    for n in pg.nodes_sorted():
-        describe = partial(pg.describe, n)
-        props = pg.properties_of(n)
-        iri_values = [v for k, v in props if k == IRI_PROPERTY_KEY]
+    iri = _iri_cache()
+    resource_of: list[Iri] = []  # by node position
+    for node in pg.nodes:
+        describe = partial(pg.describe, node)
+        iri_values = [v for k, v in node.properties if k == IRI_PROPERTY_KEY]
         if len(iri_values) != 1:
-            raise MissingIriProperty(pg.describe(n))
-        label = iri_for(pg.label[n], describe)
-        iri = iri_for(iri_values[0].lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
+            raise MissingIriProperty(describe())
+        label = iri(node.label, describe)
+        resource = iri_for(iri_values[0].lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
         try:
-            resource_of[n] = builder.add_resource(iri, label)
+            resource_of.append(builder.add_resource(resource, label))
         except ValueError:
-            first = next(m for m, resource in resource_of.items() if resource == iri)
-            raise ConflictingResourceClass(iri.value, pg.describe(first), pg.describe(n)) from None
-        for key, value in props:
+            first = pg.nodes[resource_of.index(resource)]
+            raise ConflictingResourceClass(resource.value, pg.describe(first), describe()) from None
+        for key, value in node.properties:
             if key == IRI_PROPERTY_KEY:
                 continue
-            prop_iri = iri_for(key, describe, "property key")
-            datatype = _datatype_iri(value.datatype, describe)
+            prop_iri = iri(key, describe, "property key")
+            datatype = _datatype_iri(value.datatype, describe, iri)
             lit = builder.add_literal(value.lexical, datatype)
-            builder.add_datatype_edge(resource_of[n], lit, prop_iri)
+            builder.add_datatype_edge(resource, lit, prop_iri)
 
     dropped = 0
-    for e in pg.edges_sorted():
-        src, dst = pg.ends[e]
-        label = iri_for(pg.label[e], partial(pg.describe, e))
-        builder.add_object_edge(resource_of[src], resource_of[dst], label)
-        dropped += len(pg.properties_by_owner.get(e, ()))
+    for edge in pg.edges:
+        label = iri(edge.label, partial(pg.describe, edge))
+        builder.add_object_edge(resource_of[edge.source], resource_of[edge.target], label)
+        dropped += len(edge.properties)
     if dropped:
         warnings.warn(
             f"{dropped} edge propert{'y' if dropped == 1 else 'ies'} have no RDF "

@@ -29,8 +29,10 @@ from .errors import (
     SchemaViolation,
 )
 from .pg_graph import (
+    Edge,
     EdgeType,
     IRI_PROPERTY_KEY,
+    Node,
     PgValue,
     PropertyGraph,
     PropertyGraphBuilder,
@@ -102,21 +104,21 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     builder = PropertyGraphBuilder()
     node_of: dict[Iri | Literal, int] = {}
 
-    for iri in graph.resources_sorted():
+    for iri in sorted(graph.resource_nodes):
         n = builder.add_node(RESOURCE_LABEL)
         builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
         builder.add_property(n, TYPE_KEY, PgValue(graph.resource_nodes[iri].value, STRING))
         node_of[iri] = n
-    for lit in graph.literals_sorted():
+    for lit in sorted(graph.literal_nodes):
         n = builder.add_node(LITERAL_LABEL)
         builder.add_property(n, TYPE_KEY, PgValue(lit.datatype.value, STRING))
         builder.add_property(n, VALUE_KEY, PgValue(lit.lexical, STRING))
         node_of[lit] = n
 
-    for t in graph.datatype_edges_sorted():
+    for t in sorted(graph.datatype_edges):
         e = builder.add_edge(DATATYPE_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
         builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
-    for t in graph.object_edges_sorted():
+    for t in sorted(graph.object_edges):
         e = builder.add_edge(OBJECT_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
         builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
     return builder.build()
@@ -136,8 +138,8 @@ def map_database(graph: RdfGraph) -> tuple[PropertyGraphSchema, PropertyGraph]:
     return schema, pg
 
 
-def _single(graph: PropertyGraph, element: int, key: str) -> str:
-    values = [v.lexical for k, v in graph.properties_by_owner.get(element, ()) if k == key]
+def _single(graph: PropertyGraph, element: Node | Edge, key: str) -> str:
+    values = [v.lexical for k, v in element.properties if k == key]
     if len(values) != 1:
         raise MissingRequiredProperty(graph.describe(element), key, len(values))
     return values[0]
@@ -153,29 +155,28 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
         raise SchemaViolation(report.summary())
 
     builder = RdfGraphBuilder()
-    element_of: dict[int, Iri | Literal] = {}
-    for n in pg.nodes_sorted():
-        describe = partial(pg.describe, n)
-        if pg.label[n] == RESOURCE_LABEL:
-            iri = _single(pg, n, IRI_PROPERTY_KEY)
-            type_iri = _single(pg, n, TYPE_KEY)
+    element_of: list[Iri | Literal] = []  # by node position
+    for node in pg.nodes:
+        describe = partial(pg.describe, node)
+        if node.label == RESOURCE_LABEL:
+            iri = _single(pg, node, IRI_PROPERTY_KEY)
+            type_iri = _single(pg, node, TYPE_KEY)
             resource = iri_for(iri, describe, _IRI_VALUE)
             label = iri_for(type_iri, describe, _TYPE_VALUE)
             try:
-                element_of[n] = builder.add_resource(resource, label)
+                element_of.append(builder.add_resource(resource, label))
             except ValueError:
-                first = next(m for m, element in element_of.items() if element == resource)
-                raise ConflictingResourceClass(iri, pg.describe(first), pg.describe(n)) from None
+                first = pg.nodes[element_of.index(resource)]
+                raise ConflictingResourceClass(iri, pg.describe(first), describe()) from None
         else:
-            value = _single(pg, n, VALUE_KEY)
-            type_iri = _single(pg, n, TYPE_KEY)
-            element_of[n] = builder.add_literal(value, iri_for(type_iri, describe, _TYPE_VALUE))
+            value = _single(pg, node, VALUE_KEY)
+            type_iri = _single(pg, node, TYPE_KEY)
+            element_of.append(builder.add_literal(value, iri_for(type_iri, describe, _TYPE_VALUE)))
 
-    for e in pg.edges_sorted():
-        src, dst = pg.ends[e]
-        type_iri = iri_for(_single(pg, e, TYPE_KEY), partial(pg.describe, e), _TYPE_VALUE)
-        if pg.label[e] == OBJECT_PROPERTY_LABEL:
-            builder.add_object_edge(element_of[src], element_of[dst], type_iri)
+    for edge in pg.edges:
+        type_iri = iri_for(_single(pg, edge, TYPE_KEY), partial(pg.describe, edge), _TYPE_VALUE)
+        if edge.label == OBJECT_PROPERTY_LABEL:
+            builder.add_object_edge(element_of[edge.source], element_of[edge.target], type_iri)
         else:
-            builder.add_datatype_edge(element_of[src], element_of[dst], type_iri)
+            builder.add_datatype_edge(element_of[edge.source], element_of[edge.target], type_iri)
     return builder.build()

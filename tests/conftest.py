@@ -26,6 +26,12 @@ VOC = "http://www.example.org/voc/"
 EX = "http://www.example.org/data/"
 XSD = "http://www.w3.org/2001/XMLSchema#"
 
+# The empty database of each model, to compare results with.
+EMPTY_RDF_GRAPH = RdfGraph({}, frozenset(), frozenset(), frozenset())
+EMPTY_RDF_SCHEMA = RdfGraphSchema(frozenset(), frozenset())
+EMPTY_PG = PropertyGraph((), ())
+EMPTY_PG_SCHEMA = PropertyGraphSchema({}, ())
+
 
 @pytest.fixture(scope="session")
 def org_instance_text() -> str:

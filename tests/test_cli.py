@@ -57,6 +57,33 @@ def test_convert_dep_requires_schema(capsys):
     assert "requires --schema" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["convert", "--mode", "indep", "--rdf", INSTANCE, "--schema", "absent.ttl",
+          "--out-pg", "out.json", "--out-pg-schema", "outs.json"],
+         "convert --mode indep takes no --schema"),
+        (["invert", "--mode", "indep", "--pg", "pg.json",
+          "--out-rdf", "back.ttl", "--out-rdf-schema", "back-schema.ttl"],
+         "invert --mode indep takes no --out-rdf-schema"),
+    ],
+    ids=["convert-schema", "invert-out-rdf-schema"],
+)
+def test_indep_refuses_a_schema_option_it_would_ignore(
+    tmp_path, monkeypatch, capsys, argv, message
+):
+    monkeypatch.chdir(tmp_path)
+    main(["convert", "--mode", "indep", "--rdf", INSTANCE,
+          "--out-pg", "pg.json", "--out-pg-schema", "pgs.json"])
+    before = sorted(p.name for p in tmp_path.iterdir())
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+
+
 def test_convert_missing_file_exits_2(tmp_path, capsys):
     code = main([
         "convert", "--mode", "indep", "--rdf", str(tmp_path / "absent.ttl"),

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import EMPTY_RDF_GRAPH, EMPTY_RDF_SCHEMA
+
 from rdfpg.generator import (
     GeneratorConfig,
     gen_pg_schema,
@@ -21,8 +23,8 @@ def test_zero_bounds_give_empty_database():
     config = GeneratorConfig(seed=0, max_classes=0, max_properties=0,
                              max_resources=0, max_triples=0)
     schema, graph = gen_rdf_database(config)
-    assert schema.is_empty()
-    assert graph.is_empty()
+    assert schema == EMPTY_RDF_SCHEMA
+    assert graph == EMPTY_RDF_GRAPH
 
 
 def test_same_seed_same_database():
@@ -46,7 +48,7 @@ def test_generated_databases_are_valid():
     for seed in range(100):
         schema, graph = gen_rdf_database(GeneratorConfig(seed=seed))
         assert validate_rdf(graph, schema).valid, seed
-        if not graph.is_empty():
+        if graph != EMPTY_RDF_GRAPH:
             nonempty += 1
     assert nonempty > 50  # the generator must actually produce content
 

@@ -100,19 +100,20 @@ def _rebuild(graph: PropertyGraph, rng: random.Random, drop: int | None = None) 
     order; `drop` leaves out the property of that index in the shuffled list."""
     b = PropertyGraphBuilder()
     handle = {}
-    nodes = sorted(graph.nodes)
+    elements = graph.nodes + graph.edges  # an element's id is its position here
+    nodes = list(range(len(graph.nodes)))
     rng.shuffle(nodes)
     for n in nodes:
-        handle[n] = b.add_node(graph.label[n])
-    edges = sorted(graph.edges)
+        handle[n] = b.add_node(elements[n].label)
+    edges = list(range(len(graph.nodes), len(elements)))
     rng.shuffle(edges)
     for e in edges:
-        src, dst = graph.ends[e]
-        handle[e] = b.add_edge(graph.label[e], handle[src], handle[dst])
+        label, src, dst, _ = elements[e]
+        handle[e] = b.add_edge(label, handle[src], handle[dst])
     properties = [
         (owner, key, value)
-        for owner in sorted(graph.properties_by_owner)
-        for key, value in graph.properties_of(owner)
+        for owner, element in enumerate(elements)
+        for key, value in element.properties
     ]
     rng.shuffle(properties)
     for i, (owner, key, value) in enumerate(properties):
@@ -135,5 +136,5 @@ def test_generated_graphs_compare_with_eq(seed):
     ]
     for other in others:
         assert pg_equal(graph, other) == (graph == other)
-    if graph.property_count:
+    if any(element.properties for element in graph.nodes + graph.edges):
         assert others[1] != graph

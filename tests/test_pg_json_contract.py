@@ -559,4 +559,5 @@ def test_schema_reader_rejects_lone_surrogate_escapes():
 def test_surrogate_pairs_and_escaped_backslashes_are_accepted():
     text = json.dumps(graph(nodes=[node(label="\U0001f600 \\ud800")]))
     assert "\\ud83d\\ude00" in text and "\\\\ud800" in text
-    assert list(parse_pg(text).label.values()) == ["\U0001f600 \\ud800"]
+    pg = parse_pg(text)
+    assert [element.label for element in pg.nodes + pg.edges] == ["\U0001f600 \\ud800"]

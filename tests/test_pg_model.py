@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import build_company_pg
 
@@ -11,22 +13,64 @@ from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_graph
 from rdfpg.pg_graph import (
     DATE,
     INTEGER,
+    Edge,
+    EdgeType,
+    Node,
     PgValue,
     PropertyGraphBuilder,
     PropertyGraphSchemaBuilder,
     STRING,
     pg_equal,
-    type_of_value,
     validate_pg,
 )
 from rdfpg.pg_json import parse_pg_schema, serialize_pg_schema
 from rdfpg.schema_independent import map_graph as indep_map_graph
 
 
-def test_type_of_value_examples():
-    assert type_of_value(PgValue("46", INTEGER)) == INTEGER
-    assert type_of_value(PgValue("", STRING)) == STRING
-    assert type_of_value(PgValue("2003-07-01", DATE)) == DATE
+def test_pg_value_is_a_typed_tuple_that_never_equals_a_str():
+    value = PgValue("46", INTEGER)
+    assert (value.lexical, value.datatype) == ("46", INTEGER)
+    assert str(value) == "'46':Integer"
+    for text in ("46", "'46':Integer", INTEGER, ""):
+        assert value != text and text != value
+    assert PgValue("", STRING) != ""
+    assert value != PgValue("46", STRING)
+    assert value < PgValue("46", STRING) < PgValue("5", INTEGER)
+
+
+# Short strings over a few ASCII and non-ASCII characters: many are equal, or
+# prefixes of each other, or differ only beyond the ASCII range.
+_strings = st.text(st.sampled_from(["a", "b", "\x00", "\xe9", "\u2028", "\U0001f600"]), max_size=3)
+_property_types = st.lists(st.tuples(_strings, _strings), max_size=2).map(sorted).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    properties=st.lists(st.tuples(_strings, st.builds(PgValue, _strings, _strings)), max_size=4),
+    edge_types=st.lists(
+        st.builds(EdgeType, _strings, _strings, _strings, _property_types), max_size=6
+    ),
+)
+def test_natural_order_is_the_field_order(properties, edge_types):
+    assert sorted(properties) == sorted(
+        properties, key=lambda kv: (kv[0], kv[1].lexical, kv[1].datatype)
+    )
+    assert sorted(edge_types) == sorted(
+        edge_types, key=lambda et: (et.label, et.source, et.target, et.property_types)
+    )
+
+
+def test_describe_names_a_node_by_its_properties_and_an_edge_by_its_ends(company_pg):
+    org, person = company_pg.nodes
+    (ceo,) = company_pg.edges
+    assert (type(org), type(ceo)) == (Node, Edge)
+    assert company_pg.describe(org) == (
+        "node Organisation{creation='2003-07-01':Date, name='Tesla, Inc.':String}"
+    )
+    assert company_pg.describe(person) == (
+        "node Person{age='46':Integer, birthName='Elon Musk':String}"
+    )
+    assert company_pg.describe(ceo) == "edge Organisation --ceo--> Person"
 
 
 def test_datatype_tokens():
@@ -35,7 +79,7 @@ def test_datatype_tokens():
     b = PropertyGraphBuilder()
     n = b.add_node("T")
     b.add_property(n, "p", PgValue("x", "http://dt.example/blend"))
-    assert b.build().properties_of(0) == [("p", PgValue("x", "http://dt.example/blend"))]
+    assert b.build().nodes[0].properties == (("p", PgValue("x", "http://dt.example/blend")),)
     # Both builders refuse an empty datatype.
     with pytest.raises(ValueError, match="datatype may not be empty"):
         b.add_property(n, "q", PgValue("x", ""))
@@ -252,10 +296,7 @@ def test_properties_stored_per_owner_in_canonical_order(company_pg):
         for seed in range(5)
     ]
     for pg in [company_pg, *generated]:
-        assert set(pg.properties_by_owner) <= pg.nodes | pg.edges
-        for owner, props in pg.properties_by_owner.items():
-            assert props, owner
+        for element in pg.nodes + pg.edges:
+            props = element.properties
             assert list(props) == _canonical_property_order(props)
-            assert pg.properties_of(owner) == list(props)
-        assert pg.property_count == sum(map(len, pg.properties_by_owner.values()))
-    assert company_pg.property_count == 5
+    assert sum(len(element.properties) for element in company_pg.nodes + company_pg.edges) == 5

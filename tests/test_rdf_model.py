@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EMPTY_RDF_GRAPH, EMPTY_RDF_SCHEMA
+
 from rdfpg.errors import (
     ConflictingDomain,
     ConflictingRange,
@@ -89,7 +91,7 @@ def test_build_graph_org_example(org_graph):
 
 def test_build_graph_empty():
     graph = build_rdf_graph(TripleSet())
-    assert graph.is_empty()
+    assert graph == EMPTY_RDF_GRAPH
 
 
 def test_build_graph_untyped_resources_default():
@@ -155,7 +157,7 @@ def test_build_schema_org_example(org_rdf_schema):
 
 
 def test_build_schema_empty():
-    assert build_rdf_schema(TripleSet()).is_empty()
+    assert build_rdf_schema(TripleSet()) == EMPTY_RDF_SCHEMA
 
 
 def test_build_schema_from_domain_range_only():

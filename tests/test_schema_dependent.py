@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import pytest
 
+from conftest import EMPTY_PG, EMPTY_PG_SCHEMA, EMPTY_RDF_GRAPH, EMPTY_RDF_SCHEMA
+
 from rdfpg import schema_dependent as dep
 from rdfpg.errors import (
     DuplicatePropertyLabel,
@@ -64,7 +66,7 @@ def test_correspondence_extends_through_custom():
     assert odd not in PG_DATATYPE_OF and odd.value not in RDF_DATATYPE_OF
     graph = build_rdf_graph(parse_turtle(f'<{EX}a> <{VOC}p> "1"^^<{odd.value}> .'))
     pg = dep.map_graph(graph)
-    mapped = dict(pg.properties_of(0))[VOC + "p"].datatype
+    mapped = dict(pg.nodes[0].properties)[VOC + "p"].datatype
     assert mapped == odd.value
     (literal,) = dep.invert_graph(pg).literal_nodes
     assert literal.datatype == odd
@@ -89,7 +91,7 @@ def test_map_schema_org_example(org_rdf_schema):
 
 
 def test_map_schema_empty():
-    assert dep.map_schema(build_rdf_schema(TripleSet())).is_empty()
+    assert dep.map_schema(build_rdf_schema(TripleSet())) == EMPTY_PG_SCHEMA
 
 
 def test_map_schema_self_loop():
@@ -139,28 +141,28 @@ def test_map_graph_org_example(org_graph):
     pg = dep.map_graph(org_graph)
     assert len(pg.nodes) == 2
     assert len(pg.edges) == 1
-    assert pg.property_count == 6
-    by_label = {pg.label[n]: n for n in pg.nodes}
+    assert sum(len(element.properties) for element in pg.nodes + pg.edges) == 6
+    by_label = {node.label: node for node in pg.nodes}
     org_node = by_label[VOC + "Organisation"]
-    props = dict(pg.properties_of(org_node))
+    props = dict(org_node.properties)
     assert props == {
         "iri": PgValue(EX + "Tesla_Inc", STRING),
         VOC + "name": PgValue("Tesla, Inc.", STRING),
         VOC + "creation": PgValue("2003-07-01", DATE),
     }
     (edge,) = pg.edges
-    assert pg.label[edge] == VOC + "ceo"
-    assert pg.properties_of(edge) == []
+    assert edge.label == VOC + "ceo"
+    assert edge.properties == ()
 
 
 def test_map_graph_empty():
-    assert dep.map_graph(build_rdf_graph(TripleSet())).is_empty()
+    assert dep.map_graph(build_rdf_graph(TripleSet())) == EMPTY_PG
 
 
 def test_map_graph_lone_resource():
     pg = dep.map_graph(build_rdf_graph(parse_turtle(f"<{EX}a> a <{VOC}T> .")))
     (node,) = pg.nodes
-    assert pg.properties_of(node) == [("iri", PgValue(EX + "a", STRING))]
+    assert node.properties == (("iri", PgValue(EX + "a", STRING)),)
 
 
 def test_map_graph_refuses_a_datatype_property_spelled_iri():
@@ -191,7 +193,7 @@ def test_map_graph_never_creates_edge_properties():
         _, graph = gen_rdf_database(GeneratorConfig(seed=seed))
         pg = dep.map_graph(graph)
         for e in pg.edges:
-            assert e not in pg.properties_by_owner
+            assert e.properties == ()
 
 
 def test_map_database_checks_output(org_rdf_schema, org_graph):
@@ -261,7 +263,7 @@ def test_invert_schema_recovers_org(org_rdf_schema):
 
 def test_invert_schema_empty():
     empty = PropertyGraphSchemaBuilder().build()
-    assert dep.invert_schema(empty).is_empty()
+    assert dep.invert_schema(empty) == EMPTY_RDF_SCHEMA
 
 
 def test_invert_schema_from_bare_labels():
@@ -280,7 +282,7 @@ def test_invert_graph_recovers_org(org_graph):
 
 
 def test_invert_graph_empty():
-    assert dep.invert_graph(PropertyGraphBuilder().build()).is_empty()
+    assert dep.invert_graph(PropertyGraphBuilder().build()) == EMPTY_RDF_GRAPH
 
 
 def test_invert_graph_single_node():
@@ -394,7 +396,7 @@ def test_custom_datatypes_survive_the_loop():
     graph = build_rdf_graph(parse_turtle(text))
     pg = dep.map_graph(graph)
     (node,) = pg.nodes
-    values = dict(pg.properties_of(node))
+    values = dict(node.properties)
     assert values[VOC + "p"].datatype == "http://dt.example/temperature"
     assert rdf_equal(dep.invert_graph(pg), graph)
 
@@ -413,9 +415,9 @@ def test_empty_database_roundtrips():
     schema = build_rdf_schema(TripleSet())
     graph = build_rdf_graph(TripleSet())
     pgs, pg = dep.map_database(schema, graph)
-    assert pgs.is_empty() and pg.is_empty()
+    assert (pgs, pg) == (EMPTY_PG_SCHEMA, EMPTY_PG)
     schema_back, graph_back = dep.invert_database(pgs, pg)
-    assert schema_back.is_empty() and graph_back.is_empty()
+    assert (schema_back, graph_back) == (EMPTY_RDF_SCHEMA, EMPTY_RDF_GRAPH)
 
 
 def test_mapping_is_deterministic(org_rdf_schema, org_graph):

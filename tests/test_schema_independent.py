@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import EMPTY_PG, EMPTY_RDF_GRAPH
+
 from rdfpg import schema_independent as indep
 from rdfpg.errors import (
     MissingRequiredProperty,
@@ -90,32 +92,32 @@ def test_map_graph_org_example(org_graph):
     pg = indep.map_graph(org_graph)
     assert len(pg.nodes) == 6
     assert len(pg.edges) == 5
-    assert pg.property_count == 17
-    labels = [pg.label[n] for n in pg.nodes_sorted()]
+    assert sum(len(element.properties) for element in pg.nodes + pg.edges) == 17
+    labels = [node.label for node in pg.nodes]
     assert labels.count("Resource") == 2
     assert labels.count("Literal") == 4
-    edge_labels = [pg.label[e] for e in pg.edges_sorted()]
+    edge_labels = [edge.label for edge in pg.edges]
     assert edge_labels.count("ObjectProperty") == 1
     assert edge_labels.count("DatatypeProperty") == 4
     # every element keeps its class in a "type" property
     resource = next(
         n for n in pg.nodes
-        if ("iri", PgValue(EX + "Tesla_Inc", STRING)) in pg.properties_of(n)
+        if ("iri", PgValue(EX + "Tesla_Inc", STRING)) in n.properties
     )
-    assert dict(pg.properties_of(resource))["type"] == PgValue(VOC + "Organisation", STRING)
-    object_edge = next(e for e in pg.edges if pg.label[e] == "ObjectProperty")
-    assert dict(pg.properties_of(object_edge))["type"] == PgValue(VOC + "ceo", STRING)
+    assert dict(resource.properties)["type"] == PgValue(VOC + "Organisation", STRING)
+    object_edge = next(e for e in pg.edges if e.label == "ObjectProperty")
+    assert dict(object_edge.properties)["type"] == PgValue(VOC + "ceo", STRING)
 
 
 def test_map_graph_empty():
-    assert indep.map_graph(build_rdf_graph(TripleSet())).is_empty()
+    assert indep.map_graph(build_rdf_graph(TripleSet())) == EMPTY_PG
 
 
 def test_map_graph_single_datatype_triple():
     pg = indep.map_graph(build_rdf_graph(parse_turtle(f'<{EX}a> <{VOC}p> "x" .')))
-    assert {pg.label[n] for n in pg.nodes} == {"Resource", "Literal"}
+    assert {n.label for n in pg.nodes} == {"Resource", "Literal"}
     (edge,) = pg.edges
-    assert pg.label[edge] == "DatatypeProperty"
+    assert edge.label == "DatatypeProperty"
 
 
 def test_map_database_always_validates():
@@ -133,7 +135,7 @@ def test_element_counts_are_arithmetic():
         n_edges = len(graph.object_edges) + len(graph.datatype_edges)
         assert len(pg.nodes) == n_nodes, seed
         assert len(pg.edges) == n_edges, seed
-        assert pg.property_count == 2 * n_nodes + n_edges, seed
+        assert sum(len(e.properties) for e in pg.nodes + pg.edges) == 2 * n_nodes + n_edges, seed
 
 
 # -- inverse mapping --------------------------------------------------------------
@@ -144,7 +146,7 @@ def test_invert_recovers_org(org_graph):
 
 
 def test_invert_empty():
-    assert indep.invert_graph(PropertyGraphBuilder().build()).is_empty()
+    assert indep.invert_graph(PropertyGraphBuilder().build()) == EMPTY_RDF_GRAPH
 
 
 def test_generated_graphs_roundtrip():
@@ -253,7 +255,7 @@ def test_invert_graph_names_the_node_with_an_unusable_iri(iri, type_iri, role):
     pg = b.build()
     with pytest.raises(NonIriLabel) as err:
         indep.invert_graph(pg)
-    assert (err.value.element, err.value.role) == (pg.describe(n), role)
+    assert (err.value.element, err.value.role) == (pg.describe(pg.nodes[0]), role)
     assert str(err.value).startswith("node Resource{iri=")
 
 
