@@ -10,12 +10,14 @@ datatype's IRI. Builders refuse an empty one.
 A graph is two tuples: its nodes, each a label and properties, and its
 edges, each a label, the positions of its source and target nodes and
 properties. Values, properties, nodes and edge types are named tuples or
-plain tuples, so they compare and sort in C, field by field. A graph is
-built in canonical order once: nodes sorted, then edges sorted by source
-node, label, properties and target node, with elements of equal keys in the
-order they were added. An element's id is its position, so every consumer
-(the validator, the serializers, the inverse mappings) walks the tuples in
-order, and graphs compare with ==.
+plain tuples, so they compare and sort in C, field by field. One function,
+`canonical_graph`, puts a graph in canonical order, once: nodes sorted,
+then edges sorted by source node, label, properties and target node, with
+elements of equal keys in the order they came in. Both mappings and
+`parse_pg` build their Node and Edge tuples and call it directly;
+`PropertyGraphBuilder.build()` calls it too. An element's id is its
+position, so every consumer (the validator, the serializers, the inverse
+mappings) walks the tuples in order, and graphs compare with ==.
 
 A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
@@ -144,9 +146,38 @@ class PropertyGraphSchema:
     edge_types: tuple[EdgeType, ...]
 
 
+def canonical_graph(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
+    """The graph of `nodes` and `edges` in canonical order.
+
+    Each element's properties must already be sorted, and each edge's
+    `source` and `target` are positions in `nodes`. Nodes are sorted once;
+    equal nodes ("twins") keep the order they came in. Edges are sorted by
+    source node, label, properties and target node, an endpoint compared by
+    its rank: the canonical position of the first node equal to it. Ranks
+    order as the nodes do and twins share one, so this is the order of the
+    nodes themselves, ties included, compared as ints. Edges of equal keys
+    keep the order they came in.
+    """
+    order = sorted(range(len(nodes)), key=nodes.__getitem__)
+    sorted_nodes = [nodes[i] for i in order]
+    position = [0] * len(nodes)
+    rank = [0] * len(nodes)
+    first = 0
+    for pos, i in enumerate(order):
+        if sorted_nodes[pos] != sorted_nodes[first]:
+            first = pos
+        position[i] = pos
+        rank[i] = first
+    edges = sorted(edges, key=lambda e: (rank[e.source], e.label, e.properties, rank[e.target]))
+    return PropertyGraph(
+        tuple(sorted_nodes),
+        tuple(Edge(e.label, position[e.source], position[e.target], e.properties) for e in edges),
+    )
+
+
 class PropertyGraphBuilder:
     """Accumulates elements with their checks. Handles are builder-local:
-    build() puts the elements in canonical order."""
+    build() puts the elements in canonical order with `canonical_graph`."""
 
     def __init__(self) -> None:
         self._ids = itertools.count()
@@ -174,24 +205,19 @@ class PropertyGraphBuilder:
         self._props[owner].append((key, value))
 
     def build(self) -> PropertyGraph:
-        props = {o: tuple(sorted(ps)) for o, ps in self._props.items()}
-        nodes = {n: Node(label, props.get(n, ())) for n, label in self._nodes.items()}
+        def props(owner: int) -> tuple[Property, ...]:
+            return tuple(sorted(self._props.get(owner, ())))
 
-        def edge_key(e: int) -> tuple:
-            # Endpoints compare as nodes, not positions, so edges between
-            # equal nodes tie.
-            label, src, dst = self._edges[e]
-            return nodes[src], label, props.get(e, ()), nodes[dst]
-
-        # Handles grow in insertion order and sorted() is stable, so elements
-        # with equal keys keep the order they were added in.
-        node_order = sorted(nodes, key=nodes.__getitem__)
-        position = {n: i for i, n in enumerate(node_order)}
-        edges = []
-        for e in sorted(self._edges, key=edge_key):
-            label, src, dst = self._edges[e]
-            edges.append(Edge(label, position[src], position[dst], props.get(e, ())))
-        return PropertyGraph(tuple(map(nodes.__getitem__, node_order)), tuple(edges))
+        # Handles grow in insertion order, so elements come in the order
+        # they were added.
+        position = {n: i for i, n in enumerate(self._nodes)}
+        return canonical_graph(
+            [Node(label, props(n)) for n, label in self._nodes.items()],
+            [
+                Edge(label, position[src], position[dst], props(e))
+                for e, (label, src, dst) in self._edges.items()
+            ],
+        )
 
 
 class PropertyGraphSchemaBuilder:

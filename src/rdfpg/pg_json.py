@@ -12,9 +12,10 @@ name ("String", "Date", ...) or a custom datatype's IRI. Values are always
 JSON strings, preserving lexical forms exactly.
 
 `serialize_pg` writes a graph document to a text stream one node or edge at
-a time, or returns it as a string when given no stream. `parse_pg` drops
-each decoded element from the document once it has read it, so the builder
-reuses that memory.
+a time, or returns it as a string when given no stream. `parse_pg` reads
+each element into its Node or Edge tuple and puts the graph in canonical
+order with `canonical_graph`; it drops each decoded element from the
+document once it has read it, so the graph reuses that memory.
 
 See docs/pg-json-format.md and the JSON-Schema files next to it.
 """
@@ -28,10 +29,12 @@ from typing import Any, TextIO
 
 from .errors import DanglingEdgeEndpoint, FormatError
 from .pg_graph import (
+    canonical_graph,
+    Edge,
+    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
 )
@@ -198,26 +201,26 @@ def _read_properties(element: dict, where: tuple) -> list[tuple[str, PgValue]]:
 
 def parse_pg(text: str) -> PropertyGraph:
     root = _load(text, _GRAPH_FIELDS)
-    builder = PropertyGraphBuilder()
-    node_by_id: dict[str, int] = {}
+    node_by_id: dict[str, int] = {}  # id -> position in `nodes`
+    nodes: list[Node] = []
     # Each decoded element is dropped from its list once it is read, so the
-    # builder's memory grows as the document's shrinks.
-    nodes = _field(root, "nodes", list, ())
-    for i, node in enumerate(nodes):
-        nodes[i] = None
+    # graph's memory grows as the document's shrinks.
+    node_objects = _field(root, "nodes", list, ())
+    for i, node in enumerate(node_objects):
+        node_objects[i] = None
         where = ("nodes", i)
         _object(node, _NODE_FIELDS, where)
         node_id = _field(node, "id", str, where)
         if node_id in node_by_id:
             raise FormatError(_path(where), f"duplicate node id {node_id!r}")
-        n = builder.add_node(_field(node, "label", str, where))
-        node_by_id[node_id] = n
-        for key, value in _read_properties(node, where):
-            builder.add_property(n, key, value)
+        label = _field(node, "label", str, where)
+        node_by_id[node_id] = len(nodes)
+        nodes.append(Node(label, tuple(sorted(_read_properties(node, where)))))
     edge_ids: set[str] = set()
-    edges = _field(root, "edges", list, ())
-    for i, edge in enumerate(edges):
-        edges[i] = None
+    edges: list[Edge] = []
+    edge_objects = _field(root, "edges", list, ())
+    for i, edge in enumerate(edge_objects):
+        edge_objects[i] = None
         where = ("edges", i)
         _object(edge, _EDGE_FIELDS, where)
         edge_id = _field(edge, "id", str, where)
@@ -230,11 +233,10 @@ def parse_pg(text: str) -> PropertyGraph:
             if ref not in node_by_id:
                 raise DanglingEdgeEndpoint(edge_id, ref)
         label = _field(edge, "label", str, where)
-        e = builder.add_edge(label, node_by_id[source], node_by_id[target])
-        for key, value in _read_properties(edge, where):
-            builder.add_property(e, key, value)
-    del root  # the decoded document is not needed while build() sorts the graph
-    return builder.build()
+        properties = tuple(sorted(_read_properties(edge, where)))
+        edges.append(Edge(label, node_by_id[source], node_by_id[target], properties))
+    del root  # the decoded document is not needed while the graph is sorted
+    return canonical_graph(nodes, edges)
 
 
 def serialize_pg_schema(schema: PropertyGraphSchema) -> str:

@@ -47,18 +47,20 @@ from .errors import (
 )
 from .pg_graph import (
     BOOLEAN,
+    canonical_graph,
     DATATYPE_KINDS,
     DATE,
     DATETIME,
     DECIMAL,
     DOUBLE,
+    Edge,
     INT,
     INTEGER,
     IRI_PROPERTY_KEY,
+    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
     PropertyGraphSchemaBuilder,
     STRING,
@@ -83,6 +85,7 @@ from .terms import (
     XSD_INT,
     XSD_INTEGER,
     XSD_STRING,
+    iri_cache,
     iri_for,
 )
 
@@ -137,32 +140,31 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     the same datatype property cannot be represented here; that case needs
     the schema-independent mapping.
     """
-    builder = PropertyGraphBuilder()
-    node_of: dict[Iri, int] = {}
-    for iri in sorted(graph.resource_nodes):
-        n = builder.add_node(graph.resource_nodes[iri].value)
-        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
-        node_of[iri] = n
-
-    seen: set[tuple[int, str]] = set()
+    resources = sorted(graph.resource_nodes)
+    node_of = {iri: n for n, iri in enumerate(resources)}
+    props = [[(IRI_PROPERTY_KEY, PgValue(iri.value, STRING))] for iri in resources]
     for t in sorted(graph.datatype_edges):
-        n = node_of[t.s]
+        node_props = props[node_of[t.s]]
         key = t.p.value
         if key == IRI_PROPERTY_KEY:
             raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
-        if (n, key) in seen:
+        # Triples come sorted by subject, then predicate, so a repeated key
+        # is the last one added to its node.
+        if node_props[-1][0] == key:
             raise DuplicatePropertyLabel(t.s.value, key)
-        seen.add((n, key))
         datatype = PG_DATATYPE_OF.get(t.o.datatype)
         if datatype is None:
             datatype = t.o.datatype.value
             if datatype in RDF_DATATYPE_OF:
                 raise ReservedVocabularyTerm(datatype, "custom datatype")
-        builder.add_property(n, key, PgValue(t.o.lexical, datatype))
+        node_props.append((key, PgValue(t.o.lexical, datatype)))
 
-    for t in sorted(graph.object_edges):
-        builder.add_edge(t.p.value, node_of[t.s], node_of[t.o])
-    return builder.build()
+    nodes = [
+        Node(graph.resource_nodes[iri].value, tuple(sorted(node_props)))
+        for iri, node_props in zip(resources, props)
+    ]
+    edges = [Edge(t.p.value, node_of[t.s], node_of[t.o], ()) for t in sorted(graph.object_edges)]
+    return canonical_graph(nodes, edges)
 
 
 def map_database(
@@ -223,21 +225,6 @@ def map_database(
     return pg_schema, pg
 
 
-def _iri_cache() -> Callable[..., Iri]:
-    """`iri_for` keeping one Iri per distinct string, as labels and property
-    keys repeat across elements. Only successes are kept, so NonIriLabel
-    names the first element that holds a bad string."""
-    iris: dict[str, Iri] = {}
-
-    def iri(value: str, element: Callable[[], str], role: str = "label") -> Iri:
-        found = iris.get(value)
-        if found is None:
-            found = iris[value] = iri_for(value, element, role)
-        return found
-
-    return iri
-
-
 def _datatype_iri(
     datatype: PgDatatype, element: Callable[[], str], iri: Callable[..., Iri]
 ) -> Iri:
@@ -259,7 +246,7 @@ def _datatype_iri(
 def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
     """Property graph schema back to an RDF graph schema."""
     builder = RdfGraphSchemaBuilder()
-    iri = _iri_cache()
+    iri = iri_cache()
 
     def describe(kind: str, label: str) -> Callable[[], str]:
         return lambda: f"{kind} {label!r}"
@@ -298,7 +285,7 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     dropped with a warning.
     """
     builder = RdfGraphBuilder()
-    iri = _iri_cache()
+    iri = iri_cache()
     resource_of: list[Iri] = []  # by node position
     for node in pg.nodes:
         describe = partial(pg.describe, node)

@@ -29,19 +29,19 @@ from .errors import (
     SchemaViolation,
 )
 from .pg_graph import (
+    canonical_graph,
     Edge,
     EdgeType,
     IRI_PROPERTY_KEY,
     Node,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
     STRING,
     validate_pg,
 )
 from .rdf_graph import RdfGraph, RdfGraphBuilder
-from .terms import Iri, Literal, iri_for
+from .terms import Iri, Literal, iri_cache, iri_for
 
 RESOURCE_LABEL = "Resource"
 LITERAL_LABEL = "Literal"
@@ -101,27 +101,39 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     Class labels and datatypes are preserved in "type" properties; all
     property values are plain strings.
     """
-    builder = PropertyGraphBuilder()
-    node_of: dict[Iri | Literal, int] = {}
-
-    for iri in sorted(graph.resource_nodes):
-        n = builder.add_node(RESOURCE_LABEL)
-        builder.add_property(n, IRI_PROPERTY_KEY, PgValue(iri.value, STRING))
-        builder.add_property(n, TYPE_KEY, PgValue(graph.resource_nodes[iri].value, STRING))
-        node_of[iri] = n
-    for lit in sorted(graph.literal_nodes):
-        n = builder.add_node(LITERAL_LABEL)
-        builder.add_property(n, TYPE_KEY, PgValue(lit.datatype.value, STRING))
-        builder.add_property(n, VALUE_KEY, PgValue(lit.lexical, STRING))
-        node_of[lit] = n
-
-    for t in sorted(graph.datatype_edges):
-        e = builder.add_edge(DATATYPE_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
-        builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
-    for t in sorted(graph.object_edges):
-        e = builder.add_edge(OBJECT_PROPERTY_LABEL, node_of[t.s], node_of[t.o])
-        builder.add_property(e, TYPE_KEY, PgValue(t.p.value, STRING))
-    return builder.build()
+    resources = sorted(graph.resource_nodes)
+    literals = sorted(graph.literal_nodes)
+    node_of = {element: n for n, element in enumerate(resources + literals)}
+    edges_by_label = (
+        (DATATYPE_PROPERTY_LABEL, sorted(graph.datatype_edges)),
+        (OBJECT_PROPERTY_LABEL, sorted(graph.object_edges)),
+    )
+    # Classes, datatypes and predicates repeat across elements; each gets
+    # one "type" property, shared by its elements.
+    type_iris = {
+        *graph.resource_nodes.values(),
+        *(lit.datatype for lit in literals),
+        *(t.p for _, triples in edges_by_label for t in triples),
+    }
+    type_of = {iri: (TYPE_KEY, PgValue(iri.value, STRING)) for iri in type_iris}
+    # Each element's properties are written out in key order.
+    nodes = [
+        Node(
+            RESOURCE_LABEL,
+            ((IRI_PROPERTY_KEY, PgValue(iri.value, STRING)), type_of[graph.resource_nodes[iri]]),
+        )
+        for iri in resources
+    ]
+    nodes += [
+        Node(LITERAL_LABEL, (type_of[lit.datatype], (VALUE_KEY, PgValue(lit.lexical, STRING))))
+        for lit in literals
+    ]
+    edges = [
+        Edge(label, node_of[t.s], node_of[t.o], (type_of[t.p],))
+        for label, triples in edges_by_label
+        for t in triples
+    ]
+    return canonical_graph(nodes, edges)
 
 
 def map_database(graph: RdfGraph) -> tuple[PropertyGraphSchema, PropertyGraph]:
@@ -155,6 +167,7 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
         raise SchemaViolation(report.summary())
 
     builder = RdfGraphBuilder()
+    type_iri_for = iri_cache()  # "type" strings repeat across elements
     element_of: list[Iri | Literal] = []  # by node position
     for node in pg.nodes:
         describe = partial(pg.describe, node)
@@ -162,7 +175,7 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
             iri = _single(pg, node, IRI_PROPERTY_KEY)
             type_iri = _single(pg, node, TYPE_KEY)
             resource = iri_for(iri, describe, _IRI_VALUE)
-            label = iri_for(type_iri, describe, _TYPE_VALUE)
+            label = type_iri_for(type_iri, describe, _TYPE_VALUE)
             try:
                 element_of.append(builder.add_resource(resource, label))
             except ValueError:
@@ -171,10 +184,11 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
         else:
             value = _single(pg, node, VALUE_KEY)
             type_iri = _single(pg, node, TYPE_KEY)
-            element_of.append(builder.add_literal(value, iri_for(type_iri, describe, _TYPE_VALUE)))
+            datatype = type_iri_for(type_iri, describe, _TYPE_VALUE)
+            element_of.append(builder.add_literal(value, datatype))
 
     for edge in pg.edges:
-        type_iri = iri_for(_single(pg, edge, TYPE_KEY), partial(pg.describe, edge), _TYPE_VALUE)
+        type_iri = type_iri_for(_single(pg, edge, TYPE_KEY), partial(pg.describe, edge), _TYPE_VALUE)
         if edge.label == OBJECT_PROPERTY_LABEL:
             builder.add_object_edge(element_of[edge.source], element_of[edge.target], type_iri)
         else:

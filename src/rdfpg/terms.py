@@ -61,6 +61,21 @@ def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
         raise NonIriLabel(element(), value, role) from None
 
 
+def iri_cache() -> Callable[..., Iri]:
+    """`iri_for` keeping one Iri per distinct string, as labels, property
+    keys and type strings repeat across elements. Only successes are kept,
+    so NonIriLabel names the first element that holds a bad string."""
+    iris: dict[str, Iri] = {}
+
+    def iri(value: str, element: Callable[[], str], role: str = "label") -> Iri:
+        found = iris.get(value)
+        if found is None:
+            found = iris[value] = iri_for(value, element, role)
+        return found
+
+    return iri
+
+
 class Literal(NamedTuple):
     """A literal value: a lexical form paired with a datatype IRI.
 

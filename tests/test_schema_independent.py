@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -275,3 +277,24 @@ def test_invert_graph_names_the_edge_with_an_unusable_iri():
         f"edge Resource --ObjectProperty--> Resource carries 'type' value '{VOC}p q', "
         "which is not usable as an IRI"
     )
+
+
+def test_invert_graph_makes_one_iri_per_type_string():
+    """A "type" string shared by many elements is checked once: every element
+    gets the same Iri object."""
+    b = PropertyGraphBuilder()
+    nodes = []
+    for name in ("a", "b", "c"):
+        n = b.add_node("Resource")
+        b.add_property(n, "iri", PgValue(EX + name, STRING))
+        b.add_property(n, "type", PgValue(VOC + "T", STRING))
+        nodes.append(n)
+    for src, dst in itertools.permutations(nodes, 2):
+        e = b.add_edge("ObjectProperty", src, dst)
+        b.add_property(e, "type", PgValue(VOC + "knows", STRING))
+    graph = indep.invert_graph(b.build())
+    predicates = [t.p for t in graph.object_edges]
+    assert len(predicates) == 6
+    assert all(p is predicates[0] for p in predicates)
+    classes = list(graph.resource_nodes.values())
+    assert all(c is classes[0] for c in classes)
