@@ -205,8 +205,10 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     validate against its produced schema, and the inverse mapping must
     recover the original exactly. Each distinct check runs once: the dep
     route calls the unchecked pieces and checks input and output itself; on
-    the indep route, `invert_graph`'s own input check against the generic
-    schema is the semantics check. With `out`, a failing case writes what
+    the indep route, `invert_graph` reads every element in the exact shape
+    `map_graph` writes, which implies conformance to the generic schema, so
+    that read is the semantics check; a graph out of shape is validated and
+    fails it with SchemaViolation. With `out`, a failing case writes what
     failed and both serializations there, for diffing.
     """
     from .generator import gen_rdf_database, gen_rdf_graph

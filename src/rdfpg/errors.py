@@ -142,6 +142,19 @@ class ConflictingResourceClass(RdfPgError):
         super().__init__(f"{first} and {second} give resource {iri} different classes")
 
 
+class NotProducedByConversion(RdfPgError):
+    """A PG element that no conversion writes, so inverting would lose it.
+
+    `element` is the element's `describe()` text; `reason` says what is
+    wrong with it, such as repeating the element before it.
+    """
+
+    def __init__(self, element: str, reason: str):
+        self.element = element
+        self.reason = reason
+        super().__init__(f"{element} {reason}, which no conversion produces")
+
+
 class SchemaViolation(RdfPgError):
     """A property graph offered for inversion does not conform to the generic schema."""
 

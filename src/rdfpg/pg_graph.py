@@ -316,12 +316,13 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
                 )
             )
             continue
-        # Report against the first edge type that leaves the fewest unmatched.
-        best_unmatched = min(
-            ([(k, v) for k, v in edge.properties if (k, v.datatype) not in allowed]
-             for allowed in candidates),
-            key=len,
-        )
+        # Report against the first edge type that leaves the fewest unmatched;
+        # a signature almost always has one candidate, so no min() call.
+        best_unmatched = None
+        for allowed in candidates:
+            unmatched = [(k, v) for k, v in edge.properties if (k, v.datatype) not in allowed]
+            if best_unmatched is None or len(unmatched) < len(best_unmatched):
+                best_unmatched = unmatched
         violations += [
             Violation(
                 "P2b",

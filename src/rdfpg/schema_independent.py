@@ -11,11 +11,16 @@ The output always conforms to the generic schema, and the inverse mapping
 recovers the original RDF graph exactly.
 
 Validation policy: any RDF graph is valid input, so `map_database` only
-self-checks its output. `invert_graph` checks its input against the generic
-schema and refuses a graph that does not conform (`SchemaViolation`): with
-no other schema there is no mapping to invert. A PG schema offered
-alongside such a graph must be the generic schema itself
-(`require_generic_schema`).
+self-checks its output. `invert_graph` reads each element in the exact
+shape `map_graph` writes it in, in one pass; that shape implies conformance
+to the generic schema, so the read is the semantics check. At the first
+element out of shape, or one that cannot be inverted, it validates the
+graph once, and a graph that does not conform is refused with
+`SchemaViolation` before any other error: with no other schema there is no
+mapping to invert. A conforming graph that no conversion produces, with
+twin elements or a Literal node carrying "iri", is refused with
+`NotProducedByConversion`. A PG schema offered alongside such a graph must
+be the generic schema itself (`require_generic_schema`).
 """
 
 from __future__ import annotations
@@ -25,7 +30,10 @@ from functools import partial
 from .errors import (
     ConflictingResourceClass,
     MissingRequiredProperty,
+    NonIriLabel,
     NotGenericSchema,
+    NotProducedByConversion,
+    RdfPgError,
     SchemaViolation,
 )
 from .pg_graph import (
@@ -40,8 +48,8 @@ from .pg_graph import (
     STRING,
     validate_pg,
 )
-from .rdf_graph import RdfGraph, RdfGraphBuilder
-from .terms import Iri, Literal, iri_cache, iri_for
+from .rdf_graph import RdfGraph
+from .terms import Iri, Literal, Triple, iri_for
 
 RESOURCE_LABEL = "Resource"
 LITERAL_LABEL = "Literal"
@@ -54,6 +62,14 @@ VALUE_KEY = "value"
 # What a string that invert_graph turns into an IRI is to its element.
 _IRI_VALUE = f"{IRI_PROPERTY_KEY!r} value"
 _TYPE_VALUE = f"{TYPE_KEY!r} value"
+
+# The exact shape map_graph writes each element in: a node's label, then
+# its two properties' keys and datatypes; an edge's label, its one
+# property's key and datatype, then the kinds of term its ends invert to.
+_RESOURCE_SHAPE = (RESOURCE_LABEL, IRI_PROPERTY_KEY, STRING, TYPE_KEY, STRING)
+_LITERAL_SHAPE = (LITERAL_LABEL, TYPE_KEY, STRING, VALUE_KEY, STRING)
+_OBJECT_EDGE_SHAPE = (OBJECT_PROPERTY_LABEL, TYPE_KEY, STRING, Iri, Iri)
+_DATATYPE_EDGE_SHAPE = (DATATYPE_PROPERTY_LABEL, TYPE_KEY, STRING, Iri, Literal)
 
 
 # Written out in canonical order, as PropertyGraphSchemaBuilder.build() would.
@@ -101,12 +117,14 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
     Class labels and datatypes are preserved in "type" properties; all
     property values are plain strings.
     """
-    resources = sorted(graph.resource_nodes)
-    literals = sorted(graph.literal_nodes)
+    # Distinct terms give distinct nodes and distinct edge keys, so
+    # canonical_graph fixes the order whatever order they come in.
+    resources = list(graph.resource_nodes)
+    literals = list(graph.literal_nodes)
     node_of = {element: n for n, element in enumerate(resources + literals)}
     edges_by_label = (
-        (DATATYPE_PROPERTY_LABEL, sorted(graph.datatype_edges)),
-        (OBJECT_PROPERTY_LABEL, sorted(graph.object_edges)),
+        (DATATYPE_PROPERTY_LABEL, graph.datatype_edges),
+        (OBJECT_PROPERTY_LABEL, graph.object_edges),
     )
     # Classes, datatypes and predicates repeat across elements; each gets
     # one "type" property, shared by its elements.
@@ -150,47 +168,106 @@ def map_database(graph: RdfGraph) -> tuple[PropertyGraphSchema, PropertyGraph]:
     return schema, pg
 
 
-def _single(graph: PropertyGraph, element: Node | Edge, key: str) -> str:
-    values = [v.lexical for k, v in element.properties if k == key]
-    if len(values) != 1:
-        raise MissingRequiredProperty(graph.describe(element), key, len(values))
-    return values[0]
+def _shape_error(graph: PropertyGraph, element: Node | Edge) -> RdfPgError:
+    """The error of a conforming `element` that `map_graph` would not write:
+    a bookkeeping property missing or repeated, in the order the keys are
+    read, or else a Literal node's reserved "iri" property."""
+    if type(element) is Edge:
+        keys = (TYPE_KEY,)
+    elif element.label == RESOURCE_LABEL:
+        keys = (IRI_PROPERTY_KEY, TYPE_KEY)
+    else:
+        keys = (VALUE_KEY, TYPE_KEY)
+    for key in keys:
+        count = sum(k == key for k, _ in element.properties)
+        if count != 1:
+            return MissingRequiredProperty(graph.describe(element), key, count)
+    return NotProducedByConversion(
+        graph.describe(element), f"carries the reserved property {IRI_PROPERTY_KEY!r}"
+    )
 
 
 def invert_graph(pg: PropertyGraph) -> RdfGraph:
     """Property graph over the generic schema back to an RDF graph.
 
-    Raises SchemaViolation if `pg` does not conform to the generic schema.
+    One pass reads each element in the exact shape `map_graph` writes,
+    which implies conformance to the generic schema. At the first element
+    that is not in that shape, or that cannot be inverted, the graph is
+    validated once: SchemaViolation if it does not conform, else that
+    element's own error, MissingRequiredProperty, NonIriLabel,
+    ConflictingResourceClass or NotProducedByConversion.
     """
-    report = validate_pg(pg, generic_schema())
-    if not report.valid:
-        raise SchemaViolation(report.summary())
+    try:
+        return _read(pg)
+    except RdfPgError:
+        report = validate_pg(pg, generic_schema())
+        if not report.valid:
+            raise SchemaViolation(report.summary()) from None
+        raise
 
-    builder = RdfGraphBuilder()
-    type_iri_for = iri_cache()  # "type" strings repeat across elements
-    element_of: list[Iri | Literal] = []  # by node position
+
+def _read(pg: PropertyGraph) -> RdfGraph:
+    """The RDF graph of `pg`, read in one pass; raises at the first element
+    out of `map_graph`'s shape, or one that cannot be inverted."""
+    resources: dict[Iri, Iri] = {}
+    literals: list[Literal] = []
+    term_of: list[Iri | Literal] = []  # by node position
+    type_iris: dict[str, Iri] = {}  # "type" strings repeat across elements
+
+    # terms.iri_cache takes a describe callable per call; this one makes it
+    # only for a string not seen before.
+    def type_iri(value: str, element: Node | Edge) -> Iri:
+        found = type_iris.get(value)
+        if found is None:
+            found = type_iris[value] = iri_for(value, partial(pg.describe, element), _TYPE_VALUE)
+        return found
+
+    previous = None
     for node in pg.nodes:
-        describe = partial(pg.describe, node)
-        if node.label == RESOURCE_LABEL:
-            iri = _single(pg, node, IRI_PROPERTY_KEY)
-            type_iri = _single(pg, node, TYPE_KEY)
-            resource = iri_for(iri, describe, _IRI_VALUE)
-            label = type_iri_for(type_iri, describe, _TYPE_VALUE)
-            try:
-                element_of.append(builder.add_resource(resource, label))
-            except ValueError:
-                first = pg.nodes[element_of.index(resource)]
-                raise ConflictingResourceClass(iri, pg.describe(first), describe()) from None
-        else:
-            value = _single(pg, node, VALUE_KEY)
-            type_iri = _single(pg, node, TYPE_KEY)
-            datatype = type_iri_for(type_iri, describe, _TYPE_VALUE)
-            element_of.append(builder.add_literal(value, datatype))
+        if node == previous:  # twins are adjacent in canonical order
+            raise NotProducedByConversion(pg.describe(node), "repeats the node before it")
+        previous = node
+        label, properties = node
+        if len(properties) == 2:
+            (key1, (value1, datatype1)), (key2, (value2, datatype2)) = properties
+            shape = (label, key1, datatype1, key2, datatype2)
+            if shape == _RESOURCE_SHAPE:
+                try:
+                    resource = Iri(value1)
+                except ValueError:
+                    raise NonIriLabel(pg.describe(node), value1, _IRI_VALUE) from None
+                cls = type_iri(value2, node)
+                if resources.setdefault(resource, cls) != cls:
+                    first = pg.nodes[term_of.index(resource)]
+                    raise ConflictingResourceClass(value1, pg.describe(first), pg.describe(node))
+                term_of.append(resource)
+                continue
+            if shape == _LITERAL_SHAPE:
+                literal = Literal(value2, type_iri(value1, node))
+                literals.append(literal)
+                term_of.append(literal)
+                continue
+        raise _shape_error(pg, node)
 
+    object_edges: list[Triple] = []
+    datatype_edges: list[Triple] = []
+    previous = None
     for edge in pg.edges:
-        type_iri = type_iri_for(_single(pg, edge, TYPE_KEY), partial(pg.describe, edge), _TYPE_VALUE)
-        if edge.label == OBJECT_PROPERTY_LABEL:
-            builder.add_object_edge(element_of[edge.source], element_of[edge.target], type_iri)
-        else:
-            builder.add_datatype_edge(element_of[edge.source], element_of[edge.target], type_iri)
-    return builder.build()
+        if edge == previous:
+            raise NotProducedByConversion(pg.describe(edge), "repeats the edge before it")
+        previous = edge
+        label, source, target, properties = edge
+        if len(properties) == 1:
+            ((key, (value, datatype)),) = properties
+            s, o = term_of[source], term_of[target]
+            shape = (label, key, datatype, type(s), type(o))
+            if shape == _OBJECT_EDGE_SHAPE:
+                object_edges.append(Triple(s, type_iri(value, edge), o))
+                continue
+            if shape == _DATATYPE_EDGE_SHAPE:
+                datatype_edges.append(Triple(s, type_iri(value, edge), o))
+                continue
+        raise _shape_error(pg, edge)
+    return RdfGraph(
+        resources, frozenset(literals), frozenset(object_edges), frozenset(datatype_edges)
+    )

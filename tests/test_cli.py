@@ -259,6 +259,50 @@ def test_invert_indep_class_conflict_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
+def _indep_pg_doc(tmp_path):
+    pg_path = tmp_path / "pg.json"
+    assert main(["convert", "--mode", "indep", "--rdf", INSTANCE, "--out-pg", str(pg_path),
+                 "--out-pg-schema", str(tmp_path / "generic.json")]) == 0
+    return json.loads(pg_path.read_text())
+
+
+def _duplicate_edge(doc):
+    doc["edges"].append({**doc["edges"][0], "id": "e99"})
+
+
+def _duplicate_resource_node(doc):
+    node = next(n for n in doc["nodes"] if n["label"] == "Resource")
+    doc["nodes"].append({**node, "id": "n99"})
+
+
+def _drop_a_resource_type(doc):
+    node = next(n for n in doc["nodes"] if n["label"] == "Resource")
+    node["properties"] = [p for p in node["properties"] if p["key"] != "type"]
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_duplicate_edge, "--DatatypeProperty--> Literal repeats the edge before it"),
+        (_duplicate_resource_node, "} repeats the node before it"),
+        (_drop_a_resource_type, "is missing required property 'type'"),
+    ],
+    ids=["twin-edge", "twin-node", "no-type"],
+)
+def test_invert_indep_refuses_a_graph_no_conversion_produces(tmp_path, capsys, edit, message):
+    doc = _indep_pg_doc(tmp_path)
+    edit(doc)
+    pg_path = tmp_path / "edited.json"
+    pg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o.ttl"
+    code = main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(out)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert not out.exists()
+
+
 def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
     labels = ("http://ex.org/T", "http://ex.org/U")
     nodes = [

@@ -130,6 +130,29 @@ def test_undeclared_edge_property_violates_p2b(company_pg_schema):
     assert validate_pg(mutated, company_pg_schema).rules_violated() == {"P2b"}
 
 
+def test_p2b_reports_against_the_first_edge_type_leaving_the_fewest_unmatched():
+    sb = PropertyGraphSchemaBuilder()
+    a = sb.add_node_type("A")
+    for keys in (("x",), ("x", "y"), ("y", "z")):  # three edge types, one signature
+        et = sb.add_edge_type("r", a, a)
+        for key in keys:
+            sb.add_property_type(et, key, STRING)
+    schema = sb.build()
+
+    def unmatched_keys(*keys):
+        b = PropertyGraphBuilder()
+        n = b.add_node("A")
+        e = b.add_edge("r", n, n)
+        for key in keys:
+            b.add_property(e, key, PgValue("1", STRING))
+        return [v.message.split("'")[1] for v in validate_pg(b.build(), schema).violations]
+
+    assert unmatched_keys("x", "y") == []
+    assert unmatched_keys("x", "y", "z") == ["z"]  # ('x', 'y') leaves one, before ('y', 'z')
+    assert unmatched_keys("y", "z", "w") == ["w"]
+    assert unmatched_keys("w") == ["w"]
+
+
 def test_node_without_properties_is_valid(company_pg_schema):
     b = PropertyGraphBuilder()
     b.add_node("Person")

@@ -15,6 +15,7 @@ from rdfpg.errors import (
     MissingRequiredProperty,
     NonIriLabel,
     NotGenericSchema,
+    NotProducedByConversion,
     SchemaViolation,
 )
 from rdfpg.generator import GeneratorConfig, gen_rdf_graph
@@ -298,3 +299,134 @@ def test_invert_graph_makes_one_iri_per_type_string():
     assert all(p is predicates[0] for p in predicates)
     classes = list(graph.resource_nodes.values())
     assert all(c is classes[0] for c in classes)
+
+
+# -- error precedence of the inverse ----------------------------------------------
+
+
+def _resource(b, iri, type_iri=VOC + "T"):
+    n = b.add_node("Resource")
+    b.add_property(n, "iri", PgValue(iri, STRING))
+    b.add_property(n, "type", PgValue(type_iri, STRING))
+    return n
+
+
+def test_schema_violation_outranks_an_unusable_iri_on_an_earlier_node():
+    b = PropertyGraphBuilder()
+    _resource(b, EX + "a b")  # node 0: NonIriLabel on its own
+    b.add_node("Widget")  # sorts after every Resource node
+    pg = b.build()
+    assert pg.nodes[0].label == "Resource"
+    with pytest.raises(SchemaViolation, match="no node type labeled 'Widget'"):
+        indep.invert_graph(pg)
+
+
+def test_schema_violation_outranks_a_class_conflict_on_an_earlier_node():
+    b = PropertyGraphBuilder()
+    _resource(b, EX + "a", VOC + "T")
+    _resource(b, EX + "a", VOC + "U")  # ConflictingResourceClass on its own
+    b.add_node("Widget")
+    with pytest.raises(SchemaViolation, match="no node type labeled 'Widget'"):
+        indep.invert_graph(b.build())
+
+
+def test_literal_without_value_or_type_names_value_first():
+    b = PropertyGraphBuilder()
+    b.add_node("Literal")
+    pg = b.build()
+    with pytest.raises(MissingRequiredProperty) as err:
+        indep.invert_graph(pg)
+    assert (err.value.element, err.value.label, err.value.count) == (
+        pg.describe(pg.nodes[0]), "value", 0)
+
+
+def test_edge_without_type_names_the_edge():
+    b = PropertyGraphBuilder()
+    b.add_edge("ObjectProperty", _resource(b, EX + "a"), _resource(b, EX + "b"))
+    with pytest.raises(MissingRequiredProperty) as err:
+        indep.invert_graph(b.build())
+    assert (err.value.element, err.value.label, err.value.count) == (
+        "edge Resource --ObjectProperty--> Resource", "type", 0)
+
+
+# -- graphs no conversion produces -------------------------------------------------
+
+
+def _literal(b, value="x", type_iri=XSD + "string"):
+    n = b.add_node("Literal")
+    b.add_property(n, "type", PgValue(type_iri, STRING))
+    b.add_property(n, "value", PgValue(value, STRING))
+    return n
+
+
+def test_invert_refuses_twin_resource_nodes():
+    b = PropertyGraphBuilder()
+    _resource(b, EX + "a")
+    _resource(b, EX + "a")
+    pg = b.build()
+    with pytest.raises(NotProducedByConversion) as err:
+        indep.invert_graph(pg)
+    assert err.value.element == pg.describe(pg.nodes[1])
+    assert str(err.value) == (
+        f"node Resource{{iri='{EX}a':String, type='{VOC}T':String}} repeats the node "
+        "before it, which no conversion produces"
+    )
+
+
+def test_invert_refuses_a_twin_literal_with_an_edge_moved_onto_it():
+    b = PropertyGraphBuilder()
+    a = _resource(b, EX + "a")
+    for literal in (_literal(b), _literal(b)):
+        e = b.add_edge("DatatypeProperty", a, literal)
+        b.add_property(e, "type", PgValue(VOC + "p", STRING))
+    pg = b.build()
+    with pytest.raises(NotProducedByConversion, match="repeats the node before it") as err:
+        indep.invert_graph(pg)
+    assert err.value.element.startswith("node Literal{")
+
+
+def test_invert_refuses_twin_edges():
+    b = PropertyGraphBuilder()
+    a, c = _resource(b, EX + "a"), _resource(b, EX + "c")
+    for _ in range(2):
+        e = b.add_edge("ObjectProperty", a, c)
+        b.add_property(e, "type", PgValue(VOC + "knows", STRING))
+    with pytest.raises(NotProducedByConversion) as err:
+        indep.invert_graph(b.build())
+    assert str(err.value) == (
+        "edge Resource --ObjectProperty--> Resource repeats the edge before it, "
+        "which no conversion produces"
+    )
+
+
+def test_invert_refuses_a_literal_node_with_an_iri():
+    # The reserved "iri" property conforms on any node, but a Literal node
+    # would lose it.
+    b = PropertyGraphBuilder()
+    n = _literal(b)
+    b.add_property(n, "iri", PgValue(EX + "a", STRING))
+    pg = b.build()
+    assert validate_pg(pg, indep.generic_schema()).valid
+    with pytest.raises(NotProducedByConversion) as err:
+        indep.invert_graph(pg)
+    assert (err.value.element, err.value.reason) == (
+        pg.describe(pg.nodes[0]), "carries the reserved property 'iri'")
+
+
+def test_schema_violation_outranks_a_twin():
+    b = PropertyGraphBuilder()
+    _literal(b)
+    _literal(b)
+    b.add_node("Widget")
+    with pytest.raises(SchemaViolation):
+        indep.invert_graph(b.build())
+
+
+def test_a_missing_property_outranks_the_reserved_iri_on_a_literal():
+    b = PropertyGraphBuilder()
+    n = b.add_node("Literal")
+    b.add_property(n, "iri", PgValue(EX + "a", STRING))
+    b.add_property(n, "value", PgValue("x", STRING))
+    with pytest.raises(MissingRequiredProperty) as err:
+        indep.invert_graph(b.build())
+    assert err.value.label == "type"
