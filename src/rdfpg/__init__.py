@@ -31,7 +31,6 @@ from .pg_graph import (
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 from .rdf_graph import (
     RdfGraph,
-    RdfGraphBuilder,
     RdfGraphSchema,
     RdfGraphSchemaBuilder,
     build_rdf_graph,
@@ -79,7 +78,6 @@ __all__ = [
     "PropertyGraphSchema",
     "PropertyGraphSchemaBuilder",
     "RdfGraph",
-    "RdfGraphBuilder",
     "RdfGraphSchema",
     "RdfGraphSchemaBuilder",
     "RdfPgError",

@@ -208,22 +208,28 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     the indep route, `invert_graph` reads every element in the exact shape
     `map_graph` writes, which implies conformance to the generic schema, so
     that read is the semantics check; a graph out of shape is validated and
-    fails it with SchemaViolation. With `out`, a failing case writes what
-    failed and both serializations there, for diffing.
+    fails it with SchemaViolation. An RdfPgError from either inverse fails
+    the case. With `out`, a failing case writes what failed, the error and
+    both serializations there, for diffing.
     """
     from .generator import gen_rdf_database, gen_rdf_graph
 
+    error = schema_back = graph_back = None
     if mode == "dep":
         schema, graph = gen_rdf_database(case)
         input_ok = validate_rdf(graph, schema).valid
         pg_schema = dep.map_schema(schema)
         pg = dep.map_graph(graph)
         semantics_ok = validate_pg(pg, pg_schema).valid
-        schema_back = dep.invert_schema(pg_schema)
-        graph_back = dep.invert_graph(pg)
+        try:
+            schema_back = dep.invert_schema(pg_schema)
+            graph_back = dep.invert_graph(pg)
+        except RdfPgError as exc:
+            error = exc
         ok = (
             input_ok
             and semantics_ok
+            and error is None
             and rdf_equal(schema, schema_back)
             and rdf_equal(graph, graph_back)
         )
@@ -233,17 +239,18 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
         pg = indep.map_graph(graph)
         try:
             graph_back = indep.invert_graph(pg)
-            semantics_ok = True
-        except SchemaViolation:
-            graph_back = None
-            semantics_ok = False
-        ok = semantics_ok and rdf_equal(graph, graph_back)
+        except RdfPgError as exc:
+            error = exc
+        semantics_ok = not isinstance(error, SchemaViolation)
+        ok = error is None and rdf_equal(graph, graph_back)
     if ok or out is None:
         return ok, semantics_ok
     if not input_ok:
         print("generated input does not validate against its schema", file=out)
     if not semantics_ok:
         print("produced graph does not validate against produced schema", file=out)
+    if error is not None:
+        print(f"inverse raised {type(error).__name__}: {error}", file=out)
     print("--- original instance ---", file=out)
     print(serialize_turtle(rdf_graph_to_triples(graph)), file=out)
     if graph_back is not None:
@@ -252,8 +259,9 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     if mode == "dep":
         print("--- original schema ---", file=out)
         print(serialize_turtle(rdf_schema_to_triples(schema)), file=out)
-        print("--- recovered schema ---", file=out)
-        print(serialize_turtle(rdf_schema_to_triples(schema_back)), file=out)
+        if schema_back is not None:
+            print("--- recovered schema ---", file=out)
+            print(serialize_turtle(rdf_schema_to_triples(schema_back)), file=out)
     return ok, semantics_ok
 
 

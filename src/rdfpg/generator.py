@@ -30,7 +30,6 @@ from .pg_graph import (
 )
 from .rdf_graph import (
     RdfGraph,
-    RdfGraphBuilder,
     RdfGraphSchema,
     build_rdf_graph,
     build_rdf_schema,
@@ -220,7 +219,6 @@ def gen_rdf_database(config: GeneratorConfig) -> tuple[RdfGraphSchema, RdfGraph]
 def gen_rdf_graph(config: GeneratorConfig) -> RdfGraph:
     """An arbitrary well-formed RDF graph, unconstrained by any schema."""
     rng = _rng("graph", config.seed)
-    builder = RdfGraphBuilder()
 
     class_pool = [Iri(VOC_NS + f"Class{i}") for i in range(max(1, config.max_classes))]
     class_pool.append(RDFS_RESOURCE)
@@ -228,27 +226,27 @@ def gen_rdf_graph(config: GeneratorConfig) -> RdfGraph:
     datatype_pool = list(config.datatype_pool) or [XSD_STRING]
     datatype_pool += [Iri(CUSTOM_DT_NS + name) for name in ("temperature", "colour")]
 
-    resources = [
-        builder.add_resource(Iri(DATA_NS + f"res{i}"), rng.choice(class_pool))
+    resources = {
+        Iri(DATA_NS + f"res{i}"): rng.choice(class_pool)
         for i in range(rng.randint(0, config.max_resources))
-    ]
+    }
+    subjects = list(resources)
     literals = []
     for _ in range(rng.randint(0, config.max_resources)):
         datatype = rng.choice(datatype_pool)
-        literals.append(builder.add_literal(_lexical_for(rng, datatype), datatype))
+        literals.append(Literal(_lexical_for(rng, datatype), datatype))
 
-    if resources:
+    object_edges: set[Triple] = set()
+    datatype_edges: set[Triple] = set()
+    if subjects:
         for _ in range(rng.randint(0, config.max_triples)):
             prop = rng.choice(prop_pool)
             if literals and rng.random() < 0.5:
-                builder.add_datatype_edge(
-                    rng.choice(resources), rng.choice(literals), prop
-                )
+                datatype_edges.add(Triple(rng.choice(subjects), prop, rng.choice(literals)))
             else:
-                builder.add_object_edge(
-                    rng.choice(resources), rng.choice(resources), prop
-                )
-    return builder.build()
+                object_edges.add(Triple(rng.choice(subjects), prop, rng.choice(subjects)))
+    return RdfGraph(resources, frozenset(literals), frozenset(object_edges),
+                    frozenset(datatype_edges))
 
 
 def gen_triple_set(config: GeneratorConfig) -> TripleSet:

@@ -11,8 +11,11 @@ element is the term that identifies it:
   * an edge is its triple, and its class is the predicate.
 
 A schema holds its class IRIs and its property edges as (property, domain,
-range) IRI triples. Both are immutable values that compare with ==; use the
-builders to assemble them with the endpoint checks.
+range) IRI triples. Both are immutable values that compare with ==. A graph
+is built in one pass by whoever reads its source: `build_rdf_graph` from
+triples, each inverse mapping from a property graph. A schema is assembled
+with `RdfGraphSchemaBuilder`, which refuses reserved vocabulary terms and
+property endpoints that are not declared classes.
 """
 
 from __future__ import annotations
@@ -70,55 +73,6 @@ class RdfGraphSchema:
 
     class_nodes: frozenset[Iri]
     property_edges: frozenset[PropertyEdge]
-
-
-class RdfGraphBuilder:
-    """Accumulates nodes and edges; each add returns the element's term."""
-
-    def __init__(self) -> None:
-        self._resources: dict[Iri, Iri] = {}
-        self._literals: set[Literal] = set()
-        self._object_edges: set[Triple] = set()
-        self._datatype_edges: set[Triple] = set()
-
-    def add_resource(self, iri: Iri, label: Iri = RDFS_RESOURCE) -> Iri:
-        existing = self._resources.setdefault(iri, label)
-        if existing != label:
-            raise ValueError(
-                f"resource {iri} already present with class {existing}, "
-                f"cannot relabel to {label}"
-            )
-        return iri
-
-    def add_literal(self, lexical: str, datatype: Iri) -> Literal:
-        lit = Literal(lexical, datatype)
-        self._literals.add(lit)
-        return lit
-
-    def add_object_edge(self, src: Iri, dst: Iri, label: Iri) -> Triple:
-        edge = Triple(src, label, dst)
-        self._object_edges.add(edge)
-        return edge
-
-    def add_datatype_edge(self, src: Iri, lit: Literal, label: Iri) -> Triple:
-        edge = Triple(src, label, lit)
-        self._datatype_edges.add(edge)
-        return edge
-
-    def build(self) -> RdfGraph:
-        resources = self._resources
-        for t in self._object_edges:
-            if t.s not in resources or t.o not in resources:
-                raise ValueError("object edge endpoints must be resource nodes")
-        for t in self._datatype_edges:
-            if t.s not in resources or t.o not in self._literals:
-                raise ValueError("datatype edge must run from a resource to a literal")
-        return RdfGraph(
-            dict(resources),
-            frozenset(self._literals),
-            frozenset(self._object_edges),
-            frozenset(self._datatype_edges),
-        )
 
 
 class RdfGraphSchemaBuilder:

@@ -13,22 +13,25 @@ and an RDF graph into a property graph:
   * every object edge becomes a PG edge.
 
 The inverse direction reverses each rule, recovering the original database
-exactly. A PG datatype is its token string. The eight supported XSD
-datatypes cross the boundary through a fixed one-to-one table to the eight
-kind names; any other RDF datatype rides along as a custom PG datatype, its
-IRI, so nothing is lost. Three spellings would not come back and are refused
-with ReservedVocabularyTerm: a custom datatype IRI spelled like a kind name
-("Integer"), and a datatype property spelled "iri", the key of the node
-property that holds a resource's IRI, on the way to a PG (the Turtle reader
-accepts relative IRIs, so both can be written); and, on the way back, a
-custom PG datatype spelled as one of the eight supported XSD IRIs.
+exactly; `invert_graph` reads the graph in one pass straight into an
+RdfGraph, and refuses with NotProducedByConversion what no conversion
+writes and it would merge silently. A PG datatype is its token string. The
+eight supported XSD datatypes cross the boundary through a fixed one-to-one
+table to the eight kind names; any other RDF datatype rides along as a
+custom PG datatype, its IRI, so nothing is lost. Three spellings would
+not come back and are refused with ReservedVocabularyTerm: a custom
+datatype IRI spelled like a kind name ("Integer"), and a datatype property
+spelled "iri", the key of the node property that holds a resource's IRI, on
+the way to a PG (the Turtle reader accepts relative IRIs, so both can be
+written); and, on the way back, a custom PG datatype spelled as one of the
+eight supported XSD IRIs.
 
 Validation policy: each direction's entry point (`map_database`,
 `invert_database`) checks its input database against its schema once. An
 invalid input is still converted, with a `ValidityWarning` whose `report`
 holds the failed check; the guarantees are stated only for valid input.
 The pieces (`map_schema`, `map_graph`, `invert_schema`, `invert_graph`)
-check nothing.
+check no schema.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from .errors import (
     DuplicatePropertyLabel,
     MissingEndpointType,
     MissingIriProperty,
+    NotProducedByConversion,
     ReservedVocabularyTerm,
     ValidityWarning,
 )
@@ -68,14 +72,15 @@ from .pg_graph import (
 )
 from .rdf_graph import (
     RdfGraph,
-    RdfGraphBuilder,
     RdfGraphSchema,
     RdfGraphSchemaBuilder,
     validate_rdf,
 )
 from .terms import (
     Iri,
+    Literal,
     SUPPORTED_DATATYPES,
+    Triple,
     VOCABULARY_TERMS,
     XSD_BOOLEAN,
     XSD_DATE,
@@ -277,40 +282,64 @@ def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
 
 
 def invert_graph(pg: PropertyGraph) -> RdfGraph:
-    """Property graph back to an RDF graph.
+    """Property graph back to an RDF graph, read in one pass.
 
     Every node must hold exactly one "iri" property; node labels, edge labels,
     property keys, "iri" values and custom datatypes must be usable as IRIs.
-    Edge properties have no RDF counterpart under this mapping and are
-    dropped with a warning.
+    A graph that no conversion produces is refused with
+    NotProducedByConversion: a node whose IRI an earlier node holds with
+    the same class (another class is ConflictingResourceClass), a node with
+    two values for one key, an "iri" value that is not a String, and an
+    edge equal to the one before it. Edge properties have no RDF
+    counterpart under this mapping and are dropped with a warning.
     """
-    builder = RdfGraphBuilder()
     iri = iri_cache()
+    resources: dict[Iri, Iri] = {}
+    literals: set[Literal] = set()
+    datatype_edges: list[Triple] = []
     resource_of: list[Iri] = []  # by node position
     for node in pg.nodes:
         describe = partial(pg.describe, node)
         iri_values = [v for k, v in node.properties if k == IRI_PROPERTY_KEY]
         if len(iri_values) != 1:
             raise MissingIriProperty(describe())
+        ((lexical, datatype),) = iri_values
+        if datatype != STRING:
+            raise NotProducedByConversion(
+                describe(), f"holds its {IRI_PROPERTY_KEY!r} value as {datatype}, not {STRING}"
+            )
         label = iri(node.label, describe)
-        resource = iri_for(iri_values[0].lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
-        try:
-            resource_of.append(builder.add_resource(resource, label))
-        except ValueError:
+        resource = iri_for(lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
+        if resource in resources:
             first = pg.nodes[resource_of.index(resource)]
-            raise ConflictingResourceClass(resource.value, pg.describe(first), describe()) from None
+            if resources[resource] != label:
+                raise ConflictingResourceClass(resource.value, pg.describe(first), describe())
+            if first == node:  # twins are adjacent in canonical order
+                raise NotProducedByConversion(describe(), "repeats the node before it")
+            raise NotProducedByConversion(describe(), f"holds the IRI of {pg.describe(first)}")
+        resources[resource] = label
+        resource_of.append(resource)
+        previous = None
         for key, value in node.properties:
+            if key == previous:  # properties are sorted by key
+                raise NotProducedByConversion(describe(), f"holds two values for {key!r}")
+            previous = key
             if key == IRI_PROPERTY_KEY:
                 continue
             prop_iri = iri(key, describe, "property key")
-            datatype = _datatype_iri(value.datatype, describe, iri)
-            lit = builder.add_literal(value.lexical, datatype)
-            builder.add_datatype_edge(resource, lit, prop_iri)
+            lit = Literal(value.lexical, _datatype_iri(value.datatype, describe, iri))
+            literals.add(lit)
+            datatype_edges.append(Triple(resource, prop_iri, lit))
 
+    object_edges: list[Triple] = []
     dropped = 0
+    previous = None
     for edge in pg.edges:
+        if edge == previous:  # twins are adjacent in canonical order
+            raise NotProducedByConversion(pg.describe(edge), "repeats the edge before it")
+        previous = edge
         label = iri(edge.label, partial(pg.describe, edge))
-        builder.add_object_edge(resource_of[edge.source], resource_of[edge.target], label)
+        object_edges.append(Triple(resource_of[edge.source], label, resource_of[edge.target]))
         dropped += len(edge.properties)
     if dropped:
         warnings.warn(
@@ -318,7 +347,9 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
             "counterpart and were dropped",
             stacklevel=2,
         )
-    return builder.build()
+    return RdfGraph(
+        resources, frozenset(literals), frozenset(object_edges), frozenset(datatype_edges)
+    )
 
 
 def invert_database(

@@ -11,9 +11,9 @@ from rdfpg import cli
 from rdfpg import schema_independent as indep
 from rdfpg.cli import main
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
-from rdfpg.rdf_graph import RdfGraphBuilder
+from rdfpg.rdf_graph import build_rdf_graph
 from rdfpg.schema_independent import generic_schema
-from rdfpg.terms import Iri
+from rdfpg.terms import Iri, Literal, Triple, TripleSet, XSD_STRING
 from rdfpg.turtle import parse_turtle
 
 from conftest import DATA_DIR, build_company_pg, build_company_pg_schema
@@ -303,6 +303,58 @@ def test_invert_indep_refuses_a_graph_no_conversion_produces(tmp_path, capsys, e
     assert not out.exists()
 
 
+def _dep_pg_docs(tmp_path):
+    pg_path, pgs_path = tmp_path / "pg.json", tmp_path / "pgs.json"
+    assert main(["convert", "--mode", "dep", "--rdf", INSTANCE, "--schema", SCHEMA,
+                 "--out-pg", str(pg_path), "--out-pg-schema", str(pgs_path)]) == 0
+    return json.loads(pg_path.read_text()), pgs_path
+
+
+def _duplicate_dep_node(doc):
+    doc["nodes"].append({**doc["nodes"][0], "id": "n99"})
+
+
+def _same_iri_fewer_properties(doc):
+    node = doc["nodes"][0]
+    iri = [p for p in node["properties"] if p["key"] == "iri"]
+    doc["nodes"].append({**node, "id": "n99", "properties": iri})
+
+
+def _second_creation_value(doc):
+    doc["nodes"][0]["properties"].append(
+        {"key": "http://www.example.org/voc/creation", "type": "Date", "value": "2004-01-01"})
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_duplicate_dep_node, "Tesla_Inc':String} repeats the node before it"),
+        (_same_iri_fewer_properties,
+         "node http://www.example.org/voc/Organisation{iri='http://www.example.org/data/Tesla_Inc'"
+         ":String} holds the IRI of node http://www.example.org/voc/Organisation{"),
+        (_duplicate_edge, "edge http://www.example.org/voc/Organisation "
+                          "--http://www.example.org/voc/ceo--> http://www.example.org/voc/Person "
+                          "repeats the edge before it"),
+        (_second_creation_value, "holds two values for 'http://www.example.org/voc/creation'"),
+    ],
+    ids=["twin-node", "same-iri", "twin-edge", "second-value"],
+)
+def test_invert_dep_refuses_a_graph_no_conversion_produces(tmp_path, capsys, edit, message):
+    doc, pgs_path = _dep_pg_docs(tmp_path)
+    edit(doc)
+    pg_path = tmp_path / "edited.json"
+    pg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
+    code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
+    assert err.rstrip().endswith(", which no conversion produces")
+    assert not any(p.exists() for p in outs)
+
+
 def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
     labels = ("http://ex.org/T", "http://ex.org/U")
     nodes = [
@@ -570,11 +622,9 @@ def _surrogate_pg_json() -> str:
     The escape is valid JSON, but no UTF-8 output could hold the string, so
     the reader rejects it at its JSON path.
     """
-    builder = RdfGraphBuilder()
-    subject = builder.add_resource(Iri("http://ex.org/a"))
-    literal = builder.add_literal("x\ud800y", Iri("http://www.w3.org/2001/XMLSchema#string"))
-    builder.add_datatype_edge(subject, literal, Iri("http://ex.org/p"))
-    _, pg = indep.map_database(builder.build())
+    literal = Literal("x\ud800y", XSD_STRING)
+    triple = Triple(Iri("http://ex.org/a"), Iri("http://ex.org/p"), literal)
+    _, pg = indep.map_database(build_rdf_graph(TripleSet([triple])))
     return json.dumps(json.loads(serialize_pg(pg)))
 
 

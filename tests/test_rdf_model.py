@@ -25,6 +25,7 @@ from rdfpg.generator import (
     gen_schema_triples,
 )
 from rdfpg.rdf_graph import (
+    RdfGraph,
     RdfGraphSchemaBuilder,
     build_rdf_graph,
     build_rdf_schema,
@@ -308,17 +309,20 @@ def test_schema_to_triples_empty():
 
 
 def test_rdf_equal_ignores_internal_ids(org_graph):
-    from rdfpg.rdf_graph import RdfGraphBuilder
-
-    b = RdfGraphBuilder()
-    person = b.add_resource(Iri(EX + "Elon_Musk"), Iri(VOC + "Person"))
-    org = b.add_resource(Iri(EX + "Tesla_Inc"), Iri(VOC + "Organisation"))
-    b.add_datatype_edge(person, b.add_literal("46", Iri(XSD + "int")), Iri(VOC + "age"))
-    b.add_datatype_edge(person, b.add_literal("Elon Musk", Iri(XSD + "string")), Iri(VOC + "birthName"))
-    b.add_object_edge(org, person, Iri(VOC + "ceo"))
-    b.add_datatype_edge(org, b.add_literal("2003-07-01", Iri(XSD + "date")), Iri(VOC + "creation"))
-    b.add_datatype_edge(org, b.add_literal("Tesla, Inc.", Iri(XSD + "string")), Iri(VOC + "name"))
-    assert rdf_equal(org_graph, b.build())
+    person, org = Iri(EX + "Elon_Musk"), Iri(EX + "Tesla_Inc")
+    values = (
+        (person, "age", Literal("46", Iri(XSD + "int"))),
+        (person, "birthName", Literal("Elon Musk", Iri(XSD + "string"))),
+        (org, "creation", Literal("2003-07-01", Iri(XSD + "date"))),
+        (org, "name", Literal("Tesla, Inc.", Iri(XSD + "string"))),
+    )
+    graph = RdfGraph(
+        {org: Iri(VOC + "Organisation"), person: Iri(VOC + "Person")},
+        frozenset(lit for _, _, lit in values),
+        frozenset({Triple(org, Iri(VOC + "ceo"), person)}),
+        frozenset(Triple(s, Iri(VOC + key), lit) for s, key, lit in values),
+    )
+    assert rdf_equal(org_graph, graph)
 
 
 def test_rdf_equal_detects_missing_edge(org_instance, org_graph):

@@ -23,6 +23,7 @@ from rdfpg import schema_independent as indep
 from rdfpg.cli import RoundtripResult, main, run_roundtrip
 from rdfpg.errors import DuplicatePropertyLabel, SchemaViolation
 from rdfpg.generator import GeneratorConfig, gen_rdf_database, gen_rdf_graph
+from rdfpg.pg_graph import PropertyGraph
 from rdfpg.report import ValidationReport, Violation
 from rdfpg.terms import Literal
 
@@ -154,6 +155,39 @@ def test_injected_failures_are_counted_and_the_first_is_dumped(
     assert ("--- recovered instance ---" in lines) == (mode == "dep" or not broken)
     assert ("--- original schema ---" in lines) == (mode == "dep")
     assert ("--- recovered schema ---" in lines) == (mode == "dep")
+
+
+@pytest.mark.parametrize("mode", ["dep", "indep"])
+def test_error_from_an_inverse_fails_the_case_and_the_check_goes_on(mode, monkeypatch, capsys):
+    route = dep if mode == "dep" else indep
+    seed = 3
+    with_edges = [
+        index for index in range(COUNT)
+        if (dep.map_graph(gen_rdf_database(GeneratorConfig().with_seed(seed + index))[1])
+            if mode == "dep"
+            else indep.map_graph(gen_rdf_graph(GeneratorConfig().with_seed(seed + index)))).edges
+    ]
+    assert 0 < len(with_edges) < COUNT
+    real_map_graph = route.map_graph
+
+    def map_graph(graph):  # repeats the first edge, which no conversion does
+        pg = real_map_graph(graph)
+        return PropertyGraph(pg.nodes, pg.edges[:1] + pg.edges)
+
+    monkeypatch.setattr(route, "map_graph", map_graph)
+    assert main(["roundtrip", "--mode", mode, "--seed", str(seed), "--count", str(COUNT)]) == 1
+    text = capsys.readouterr().out
+    passed = COUNT - len(with_edges)
+    assert _run(mode, seed, COUNT, cpus={0}) == (RoundtripResult(passed, len(with_edges), 0), text)
+    lines = text.splitlines()
+    first = with_edges[0]
+    assert lines[0] == f"case {first} (seed {seed + first}) failed; dumps follow"
+    assert lines[1].startswith("inverse raised NotProducedByConversion: edge ")
+    assert lines[1].endswith("repeats the edge before it, which no conversion produces")
+    assert lines[2] == "--- original instance ---"
+    assert "--- recovered instance ---" not in lines
+    assert lines[-1] == f"{passed}/{COUNT} round-trips passed"
+    assert text.count("dumps follow") == 1
 
 
 @pytest.mark.parametrize("mode", ["dep", "indep"])

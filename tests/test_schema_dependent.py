@@ -8,20 +8,25 @@ from conftest import EMPTY_PG, EMPTY_PG_SCHEMA, EMPTY_RDF_GRAPH, EMPTY_RDF_SCHEM
 
 from rdfpg import schema_dependent as dep
 from rdfpg.errors import (
+    ConflictingResourceClass,
     DuplicatePropertyLabel,
     MissingEndpointType,
     MissingIriProperty,
     NonIriLabel,
+    NotProducedByConversion,
     ReservedVocabularyTerm,
     ValidityWarning,
 )
 from rdfpg.generator import GeneratorConfig, gen_rdf_database
 from rdfpg.pg_graph import (
+    canonical_graph,
     DATATYPE_KINDS,
     DATE,
+    Edge,
     EdgeType,
     INT,
     INTEGER,
+    Node,
     PgValue,
     PropertyGraphBuilder,
     PropertyGraphSchema,
@@ -360,6 +365,61 @@ def test_invert_schema_names_the_type_with_an_unusable_iri():
     assert str(err.value) == (
         f"node type '{VOC}T' carries property key 'a key', which is not usable as an IRI"
     )
+
+
+ORG = VOC + "Organisation"
+TESLA_IRI = ("iri", PgValue(EX + "Tesla_Inc", STRING))
+TESLA = Node(ORG, (
+    (VOC + "creation", PgValue("2003-07-01", DATE)),
+    (VOC + "name", PgValue("Tesla, Inc.", STRING)),
+    TESLA_IRI,
+))
+
+
+def _org_pg_with(org_graph, *, nodes=(), edges=(), tesla=TESLA):
+    """The org example's PG with its Tesla node replaced by `tesla`, then
+    `nodes` and `edges` added; edge ends are positions among its nodes."""
+    pg = dep.map_graph(org_graph)
+    assert TESLA in pg.nodes
+    return canonical_graph(
+        [tesla if n == TESLA else n for n in pg.nodes] + list(nodes),
+        list(pg.edges) + list(edges),
+    )
+
+
+@pytest.mark.parametrize(
+    "edit, reason",
+    [
+        ({"nodes": [TESLA]}, "repeats the node before it"),
+        ({"nodes": [Node(ORG, (TESLA_IRI,))]},
+         f"holds the IRI of node {ORG}{{{VOC}creation='2003-07-01':Date, "
+         f"{VOC}name='Tesla, Inc.':String, iri='{EX}Tesla_Inc':String}}"),
+        ({"edges": [Edge(VOC + "ceo", 0, 1, ())]}, "repeats the edge before it"),
+        ({"tesla": Node(ORG, tuple(sorted(
+            TESLA.properties + ((VOC + "creation", PgValue("2004-01-01", DATE)),))))},
+         f"holds two values for '{VOC}creation'"),
+        ({"tesla": Node(ORG, TESLA.properties[:2] + (
+            ("iri", PgValue(EX + "Tesla_Inc", "http://dt.example/iri")),))},
+         "holds its 'iri' value as http://dt.example/iri, not String"),
+    ],
+    ids=["twin-node", "same-iri-fewer-properties", "twin-edge", "second-value", "iri-not-string"],
+)
+def test_invert_graph_refuses_a_graph_no_conversion_produces(org_graph, edit, reason):
+    pg = _org_pg_with(org_graph, **edit)
+    with pytest.raises(NotProducedByConversion) as err:
+        dep.invert_graph(pg)
+    assert err.value.reason == reason
+    assert str(err.value) == f"{err.value.element} {reason}, which no conversion produces"
+    assert err.value.element.startswith("edge " if "edges" in edit else f"node {ORG}{{")
+
+
+def test_invert_graph_keeps_the_errors_of_two_iris_and_of_two_classes(org_graph):
+    two_iris = Node(ORG, tuple(sorted(TESLA.properties + (("iri", PgValue(EX + "b", STRING)),))))
+    with pytest.raises(MissingIriProperty):
+        dep.invert_graph(_org_pg_with(org_graph, tesla=two_iris))
+    with pytest.raises(ConflictingResourceClass) as err:
+        dep.invert_graph(_org_pg_with(org_graph, nodes=[Node(VOC + "Person", (TESLA_IRI,))]))
+    assert err.value.iri == EX + "Tesla_Inc"
 
 
 def test_invert_graph_drops_edge_properties_with_warning():

@@ -28,8 +28,8 @@ from rdfpg.pg_graph import (
     STRING,
     validate_pg,
 )
-from rdfpg.rdf_graph import RdfGraphBuilder, build_rdf_graph, rdf_equal
-from rdfpg.terms import Iri, RDFS_RESOURCE, TripleSet
+from rdfpg.rdf_graph import RdfGraph, build_rdf_graph, rdf_equal
+from rdfpg.terms import Iri, Literal, RDFS_RESOURCE, Triple, TripleSet
 from rdfpg.turtle import parse_turtle
 
 VOC = "http://www.example.org/voc/"
@@ -166,45 +166,49 @@ def test_handles_inputs_the_dependent_route_rejects():
 
 
 def test_isolated_and_shared_literals_roundtrip():
-    b = RdfGraphBuilder()
-    a = b.add_resource(Iri(EX + "a"), Iri(VOC + "T"))
-    c = b.add_resource(Iri(EX + "c"), RDFS_RESOURCE)
-    shared = b.add_literal("46", Iri(XSD + "int"))
-    b.add_literal("46", Iri(XSD + "string"))  # same lexical, different datatype
-    b.add_literal("orphan", Iri(XSD + "string"))  # no incident edge
-    b.add_datatype_edge(a, shared, Iri(VOC + "p"))
-    b.add_datatype_edge(c, shared, Iri(VOC + "p"))
-    b.add_object_edge(a, a, Iri(VOC + "loop"))
-    graph = b.build()
+    a, c = Iri(EX + "a"), Iri(EX + "c")
+    shared = Literal("46", Iri(XSD + "int"))
+    graph = RdfGraph(
+        {a: Iri(VOC + "T"), c: RDFS_RESOURCE},
+        frozenset({
+            shared,
+            Literal("46", Iri(XSD + "string")),  # same lexical, different datatype
+            Literal("orphan", Iri(XSD + "string")),  # no incident edge
+        }),
+        frozenset({Triple(a, Iri(VOC + "loop"), a)}),
+        frozenset({Triple(a, Iri(VOC + "p"), shared), Triple(c, Iri(VOC + "p"), shared)}),
+    )
     assert rdf_equal(indep.invert_graph(indep.map_graph(graph)), graph)
 
 
 @st.composite
 def rdf_graphs(draw):
-    b = RdfGraphBuilder()
-    resources = []
+    resources = {}
     for i in range(draw(st.integers(0, 6))):
         label = draw(st.sampled_from((VOC + "A", VOC + "B", RDFS_RESOURCE.value)))
-        resources.append(b.add_resource(Iri(f"{EX}r{i}"), Iri(label)))
+        resources[Iri(f"{EX}r{i}")] = Iri(label)
     literals = []
     for _ in range(draw(st.integers(0, 6))):
         lexical = draw(st.text(max_size=6))
         datatype = draw(
             st.sampled_from((XSD + "string", XSD + "int", "http://dt.example/z"))
         )
-        literals.append(b.add_literal(lexical, Iri(datatype)))
-    if resources:
+        literals.append(Literal(lexical, Iri(datatype)))
+    subjects = list(resources)
+    object_edges, datatype_edges = set(), set()
+    if subjects:
         for _ in range(draw(st.integers(0, 8))):
             prop = Iri(draw(st.sampled_from((VOC + "p", VOC + "q"))))
             if literals and draw(st.booleans()):
-                b.add_datatype_edge(
-                    draw(st.sampled_from(resources)), draw(st.sampled_from(literals)), prop
-                )
+                datatype_edges.add(Triple(
+                    draw(st.sampled_from(subjects)), prop, draw(st.sampled_from(literals))
+                ))
             else:
-                b.add_object_edge(
-                    draw(st.sampled_from(resources)), draw(st.sampled_from(resources)), prop
-                )
-    return b.build()
+                object_edges.add(Triple(
+                    draw(st.sampled_from(subjects)), prop, draw(st.sampled_from(subjects))
+                ))
+    return RdfGraph(resources, frozenset(literals), frozenset(object_edges),
+                    frozenset(datatype_edges))
 
 
 @settings(max_examples=200, deadline=None)
