@@ -3,15 +3,22 @@
 The export is a plain script, one statement per element: first a CREATE per
 node, then a MATCH...CREATE per edge. Each node receives a synthetic
 `_rdfpg_id` property (its canonical index) so edge statements can find their
-endpoints without relying on data properties being unique. Statement order
-follows the canonical element order used by the JSON serializer, so the
-script is deterministic. See docs/cypher-export.md for the dialect notes.
+endpoints without relying on data properties being unique; a node that
+holds a property of that key is refused. Statement order follows the
+canonical element order used by the JSON serializer, so the script is
+deterministic. A number is written bare only where openCypher reads back
+the same value: a 64-bit integer, a finite double, or a decimal that a
+double holds exactly to its digits. See docs/cypher-export.md for the
+dialect notes.
 """
 
 from __future__ import annotations
 
+import math
 import re
+from decimal import Decimal
 
+from .errors import RdfPgError
 from .pg_graph import BOOLEAN, DECIMAL, DOUBLE, INT, INTEGER, PgValue, PropertyGraph
 
 NODE_ID_KEY = "_rdfpg_id"
@@ -43,11 +50,42 @@ def _string(text: str) -> str:
     return f"'{escaped}'"
 
 
+# openCypher integers are signed 64-bit and its floats are IEEE 754 doubles.
+_INT_RANGE = range(-(2**63), 2**63)
+# Any decimal of at most this many significant digits, in the double range,
+# comes back from a double's shortest form with the same digits.
+_DOUBLE_DIGITS = 15
+
+
+def _significant_digits(lexical: str) -> int:
+    mantissa = re.split("[eE]", lexical)[0]
+    return len(mantissa.lstrip("+-").replace(".", "").strip("0"))
+
+
+def _bare(datatype: str, lexical: str) -> bool:
+    """Whether openCypher reads the number `lexical` back as the same value."""
+    if datatype in (INTEGER, INT):
+        # int() of a long string is slow or refused; 2**63 has 19 digits.
+        return (
+            _INT_LEXICAL.match(lexical) is not None
+            and len(lexical.lstrip("+-")) <= 19
+            and int(lexical) in _INT_RANGE
+        )
+    if not _FLOAT_LEXICAL.match(lexical):
+        return False
+    if datatype == DOUBLE:
+        return math.isfinite(float(lexical))
+    # A Decimal: the double's shortest form must be the same number, which
+    # also refuses one that overflows or underflows.
+    return (
+        _significant_digits(lexical) <= _DOUBLE_DIGITS
+        and Decimal(repr(float(lexical))) == Decimal(lexical)
+    )
+
+
 def _value(value: PgValue) -> str:
     datatype, lexical = value.datatype, value.lexical
-    if datatype in (INTEGER, INT) and _INT_LEXICAL.match(lexical):
-        return lexical
-    if datatype in (DECIMAL, DOUBLE) and _FLOAT_LEXICAL.match(lexical):
+    if datatype in (INTEGER, INT, DECIMAL, DOUBLE) and _bare(datatype, lexical):
         return lexical
     if datatype == BOOLEAN and lexical.lower() in ("true", "false"):
         return lexical.lower()
@@ -60,9 +98,17 @@ def _property_map(pairs: list[tuple[str, str]]) -> str:
 
 
 def export_import_script(graph: PropertyGraph) -> str:
-    """CREATE statements for every node, then every edge. Empty graph, empty script."""
+    """CREATE statements for every node, then every edge. Empty graph, empty script.
+
+    Raises RdfPgError for a node that holds a property keyed `_rdfpg_id`.
+    """
     statements: list[str] = []
     for i, node in enumerate(graph.nodes):
+        if any(key == NODE_ID_KEY for key, _ in node.properties):
+            raise RdfPgError(
+                f"{graph.describe(node)} holds a property keyed {NODE_ID_KEY!r}, "
+                "which the export reserves for its node ids"
+            )
         pairs = [(NODE_ID_KEY, str(i))]
         pairs += [(k, _value(v)) for k, v in node.properties]
         statements.append(f"CREATE (:{_name(node.label)} {_property_map(pairs)});")

@@ -13,9 +13,14 @@ JSON strings, preserving lexical forms exactly.
 
 `serialize_pg` writes a graph document to a text stream one node or edge at
 a time, or returns it as a string when given no stream. `parse_pg` reads
-each element into its Node or Edge tuple and puts the graph in canonical
-order with `canonical_graph`; it drops each decoded element from the
-document once it has read it, so the graph reuses that memory.
+each element in one step: it tests that the element is an object of exactly
+its fields, takes them at once and tests their types, then builds its Node
+or Edge tuple. An element that fails that test goes to the field helpers
+(`_object`, `_field`, `_read_properties`), which check it one field at a
+time and raise the error of the first failing check; they are the error
+path, not a second reader. `parse_pg` drops each decoded element from the
+document once it has read it, so the graph reuses that memory, and puts
+the graph in canonical order with `canonical_graph`.
 
 See docs/pg-json-format.md and the JSON-Schema files next to it.
 """
@@ -24,8 +29,9 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import re
-from typing import Any, TextIO
+from typing import Any, NoReturn, TextIO
 
 from .errors import DanglingEdgeEndpoint, FormatError
 from .pg_graph import (
@@ -199,6 +205,59 @@ def _read_properties(element: dict, where: tuple) -> list[tuple[str, PgValue]]:
     return result
 
 
+# parse_pg reads an element in one step: an exact-size dict, its fields taken
+# at once, their types tested. An element that fails that test is read again
+# by the field helpers, one check at a time and in the order below, so its
+# error is the one the first failing check gives. They always raise.
+
+
+def _refuse_node(node: Any, where: tuple, node_by_id: dict) -> NoReturn:
+    _object(node, _NODE_FIELDS, where)
+    node_id = _field(node, "id", str, where)
+    if node_id in node_by_id:
+        raise FormatError(_path(where), f"duplicate node id {node_id!r}")
+    _field(node, "label", str, where)
+    _read_properties(node, where)
+    raise AssertionError(f"{_path(where)} passed every check")
+
+
+def _refuse_edge(edge: Any, where: tuple, edge_ids: set, node_by_id: dict) -> NoReturn:
+    _object(edge, _EDGE_FIELDS, where)
+    edge_id = _field(edge, "id", str, where)
+    if edge_id in edge_ids:
+        raise FormatError(_path(where), f"duplicate edge id {edge_id!r}")
+    for ref in (_field(edge, "source", str, where), _field(edge, "target", str, where)):
+        if ref not in node_by_id:
+            raise DanglingEdgeEndpoint(edge_id, ref)
+    _field(edge, "label", str, where)
+    _read_properties(edge, where)
+    raise AssertionError(f"{_path(where)} passed every check")
+
+
+_node_fields = operator.itemgetter("id", "label", "properties")
+_edge_fields = operator.itemgetter("id", "label", "source", "target", "properties")
+_property_fields = operator.itemgetter("key", "value", "type")
+_new = tuple.__new__  # builds a named tuple without a call of its Python __new__
+
+
+def _properties(items: Any, element: dict, where: tuple) -> tuple[tuple[str, PgValue], ...]:
+    """An element's properties, sorted; `items` is its "properties" list."""
+    result = []
+    for prop in items:
+        if type(prop) is dict and len(prop) == 3:
+            try:
+                key, value, datatype = _property_fields(prop)
+            except KeyError:
+                key = None
+            if type(key) is str and type(value) is str and type(datatype) is str and datatype:
+                result.append((key, _new(PgValue, (value, datatype))))
+                continue
+        _read_properties(element, where)
+        raise AssertionError(f"{_path(where)} passed every check")
+    result.sort()
+    return tuple(result)
+
+
 def parse_pg(text: str) -> PropertyGraph:
     root = _load(text, _GRAPH_FIELDS)
     node_by_id: dict[str, int] = {}  # id -> position in `nodes`
@@ -208,33 +267,41 @@ def parse_pg(text: str) -> PropertyGraph:
     node_objects = _field(root, "nodes", list, ())
     for i, node in enumerate(node_objects):
         node_objects[i] = None
-        where = ("nodes", i)
-        _object(node, _NODE_FIELDS, where)
-        node_id = _field(node, "id", str, where)
-        if node_id in node_by_id:
-            raise FormatError(_path(where), f"duplicate node id {node_id!r}")
-        label = _field(node, "label", str, where)
-        node_by_id[node_id] = len(nodes)
-        nodes.append(Node(label, tuple(sorted(_read_properties(node, where)))))
+        if type(node) is dict and len(node) == 3:
+            try:
+                node_id, label, items = _node_fields(node)
+            except KeyError:
+                node_id = None
+            if (
+                type(node_id) is str and type(label) is str and type(items) is list
+                and node_id not in node_by_id
+            ):
+                node_by_id[node_id] = len(nodes)
+                nodes.append(_new(Node, (label, _properties(items, node, ("nodes", i)))))
+                continue
+        _refuse_node(node, ("nodes", i), node_by_id)
     edge_ids: set[str] = set()
     edges: list[Edge] = []
     edge_objects = _field(root, "edges", list, ())
     for i, edge in enumerate(edge_objects):
         edge_objects[i] = None
-        where = ("edges", i)
-        _object(edge, _EDGE_FIELDS, where)
-        edge_id = _field(edge, "id", str, where)
-        if edge_id in edge_ids:
-            raise FormatError(_path(where), f"duplicate edge id {edge_id!r}")
-        edge_ids.add(edge_id)
-        source = _field(edge, "source", str, where)
-        target = _field(edge, "target", str, where)
-        for ref in (source, target):
-            if ref not in node_by_id:
-                raise DanglingEdgeEndpoint(edge_id, ref)
-        label = _field(edge, "label", str, where)
-        properties = tuple(sorted(_read_properties(edge, where)))
-        edges.append(Edge(label, node_by_id[source], node_by_id[target], properties))
+        if type(edge) is dict and len(edge) == 5:
+            try:
+                edge_id, label, source, target, items = _edge_fields(edge)
+            except KeyError:
+                edge_id = None
+            if (
+                type(edge_id) is str and type(label) is str and type(items) is list
+                and type(source) is str and type(target) is str
+                and edge_id not in edge_ids and source in node_by_id and target in node_by_id
+            ):
+                edge_ids.add(edge_id)
+                properties = _properties(items, edge, ("edges", i)) if items else ()
+                edges.append(
+                    _new(Edge, (label, node_by_id[source], node_by_id[target], properties))
+                )
+                continue
+        _refuse_edge(edge, ("edges", i), edge_ids, node_by_id)
     del root  # the decoded document is not needed while the graph is sorted
     return canonical_graph(nodes, edges)
 

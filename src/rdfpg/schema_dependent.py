@@ -37,8 +37,7 @@ check no schema.
 from __future__ import annotations
 
 import warnings
-from functools import partial
-from typing import Callable
+from typing import Callable, NoReturn
 
 from .errors import (
     ConflictingResourceClass,
@@ -143,33 +142,52 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
 
     Node properties are keyed by label, so a resource holding two values for
     the same datatype property cannot be represented here; that case needs
-    the schema-independent mapping.
+    the schema-independent mapping. Nodes and edges are built in the
+    graph's own order; `canonical_graph` puts them in canonical order.
     """
-    resources = sorted(graph.resource_nodes)
+    resources = graph.resource_nodes
     node_of = {iri: n for n, iri in enumerate(resources)}
-    props = [[(IRI_PROPERTY_KEY, PgValue(iri.value, STRING))] for iri in resources]
-    for t in sorted(graph.datatype_edges):
+    # Each node's properties by key, so a repeated key, "iri" included, is
+    # found as it is added.
+    props = [{IRI_PROPERTY_KEY: PgValue(iri.value, STRING)} for iri in resources]
+    for t in graph.datatype_edges:
         node_props = props[node_of[t.s]]
         key = t.p.value
-        if key == IRI_PROPERTY_KEY:
-            raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
-        # Triples come sorted by subject, then predicate, so a repeated key
-        # is the last one added to its node.
-        if node_props[-1][0] == key:
-            raise DuplicatePropertyLabel(t.s.value, key)
         datatype = PG_DATATYPE_OF.get(t.o.datatype)
         if datatype is None:
             datatype = t.o.datatype.value
             if datatype in RDF_DATATYPE_OF:
-                raise ReservedVocabularyTerm(datatype, "custom datatype")
-        node_props.append((key, PgValue(t.o.lexical, datatype)))
+                _refuse_datatype_edges(graph)
+        if key in node_props:
+            _refuse_datatype_edges(graph)
+        node_props[key] = PgValue(t.o.lexical, datatype)
 
     nodes = [
-        Node(graph.resource_nodes[iri].value, tuple(sorted(node_props)))
-        for iri, node_props in zip(resources, props)
+        Node(cls.value, tuple(sorted(node_props.items())))
+        for cls, node_props in zip(resources.values(), props)
     ]
-    edges = [Edge(t.p.value, node_of[t.s], node_of[t.o], ()) for t in sorted(graph.object_edges)]
+    edges = [Edge(t.p.value, node_of[t.s], node_of[t.o], ()) for t in graph.object_edges]
     return canonical_graph(nodes, edges)
+
+
+def _refuse_datatype_edges(graph: RdfGraph) -> NoReturn:
+    """The refusal of the first datatype edge that `map_graph` cannot map.
+
+    The edges are read in triple order, so the refusal is the same whatever
+    order the graph holds them in: a repeated key names the smallest
+    (subject, key) that repeats.
+    """
+    seen: set[tuple[Iri, str]] = set()
+    for t in sorted(graph.datatype_edges):
+        key = t.p.value
+        if key == IRI_PROPERTY_KEY:
+            raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
+        if (t.s, key) in seen:
+            raise DuplicatePropertyLabel(t.s.value, key)
+        seen.add((t.s, key))
+        if t.o.datatype not in PG_DATATYPE_OF and t.o.datatype.value in RDF_DATATYPE_OF:
+            raise ReservedVocabularyTerm(t.o.datatype.value, "custom datatype")
+    raise AssertionError("every datatype edge can be mapped")
 
 
 def map_database(
@@ -298,36 +316,48 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     literals: set[Literal] = set()
     datatype_edges: list[Triple] = []
     resource_of: list[Iri] = []  # by node position
+
+    # Error texts name the element being read. These read the loop variables
+    # when they are called, which is only on the way to raising, so nothing
+    # is built per element for an error that does not happen.
+    def describe_node() -> str:
+        return pg.describe(node)
+
+    def describe_edge() -> str:
+        return pg.describe(edge)
+
     for node in pg.nodes:
-        describe = partial(pg.describe, node)
         iri_values = [v for k, v in node.properties if k == IRI_PROPERTY_KEY]
         if len(iri_values) != 1:
-            raise MissingIriProperty(describe())
+            raise MissingIriProperty(describe_node())
         ((lexical, datatype),) = iri_values
         if datatype != STRING:
             raise NotProducedByConversion(
-                describe(), f"holds its {IRI_PROPERTY_KEY!r} value as {datatype}, not {STRING}"
+                describe_node(),
+                f"holds its {IRI_PROPERTY_KEY!r} value as {datatype}, not {STRING}",
             )
-        label = iri(node.label, describe)
-        resource = iri_for(lexical, describe, f"{IRI_PROPERTY_KEY!r} value")
+        label = iri(node.label, describe_node)
+        resource = iri_for(lexical, describe_node, f"{IRI_PROPERTY_KEY!r} value")
         if resource in resources:
             first = pg.nodes[resource_of.index(resource)]
             if resources[resource] != label:
-                raise ConflictingResourceClass(resource.value, pg.describe(first), describe())
+                raise ConflictingResourceClass(resource.value, pg.describe(first), describe_node())
             if first == node:  # twins are adjacent in canonical order
-                raise NotProducedByConversion(describe(), "repeats the node before it")
-            raise NotProducedByConversion(describe(), f"holds the IRI of {pg.describe(first)}")
+                raise NotProducedByConversion(describe_node(), "repeats the node before it")
+            raise NotProducedByConversion(
+                describe_node(), f"holds the IRI of {pg.describe(first)}"
+            )
         resources[resource] = label
         resource_of.append(resource)
         previous = None
         for key, value in node.properties:
             if key == previous:  # properties are sorted by key
-                raise NotProducedByConversion(describe(), f"holds two values for {key!r}")
+                raise NotProducedByConversion(describe_node(), f"holds two values for {key!r}")
             previous = key
             if key == IRI_PROPERTY_KEY:
                 continue
-            prop_iri = iri(key, describe, "property key")
-            lit = Literal(value.lexical, _datatype_iri(value.datatype, describe, iri))
+            prop_iri = iri(key, describe_node, "property key")
+            lit = Literal(value.lexical, _datatype_iri(value.datatype, describe_node, iri))
             literals.add(lit)
             datatype_edges.append(Triple(resource, prop_iri, lit))
 
@@ -336,9 +366,9 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
     previous = None
     for edge in pg.edges:
         if edge == previous:  # twins are adjacent in canonical order
-            raise NotProducedByConversion(pg.describe(edge), "repeats the edge before it")
+            raise NotProducedByConversion(describe_edge(), "repeats the edge before it")
         previous = edge
-        label = iri(edge.label, partial(pg.describe, edge))
+        label = iri(edge.label, describe_edge)
         object_edges.append(Triple(resource_of[edge.source], label, resource_of[edge.target]))
         dropped += len(edge.properties)
     if dropped:

@@ -9,8 +9,11 @@ exact grammar.
 
 Serialization is canonical: prefixes sorted by name, subjects sorted by IRI,
 one predicate per line. Parsing the output of serialize_turtle always yields
-the original triple set. serialize_turtle writes to a text stream, one
-statement at a time, or returns the document as a string when given none.
+the original triple set. serialize_turtle groups the triples in one pass,
+which also renders each IRI once and records the prefixes in use; it then
+writes to a text stream, one statement at a time, or returns the document
+as a string when given none. Literal texts are made as their statement is
+written and are not held.
 """
 
 from __future__ import annotations
@@ -350,86 +353,85 @@ def skolemize(doc: RawTurtleDocument, base: str = DEFAULT_SKOLEM_BASE) -> Triple
     return TripleSet(triples, doc.prefixes)
 
 
-class _IriWriter:
-    """Writes IRIs for one serialization, in prefixed form where possible.
-
-    The namespaces are sorted once, longest first and ties on the smaller
-    prefix, so the first one that fits is the best. The text of each IRI is
-    worked out once.
-    """
-
-    def __init__(self, prefixes: PrefixMap):
-        self.namespaces = sorted(prefixes.bindings.items(), key=lambda kv: (-len(kv[1]), kv[0]))
-        self.used: set[str] = set()
-        self._text: dict[Iri, str] = {}
-
-    def __call__(self, iri: Iri) -> str:
-        text = self._text.get(iri)
-        if text is None:
-            text = self._text[iri] = self._render(iri.value)
-        return text
-
-    def _render(self, value: str) -> str:
-        for prefix, ns in self.namespaces:
-            local = value[len(ns):]
-            if value.startswith(ns) and _local_name(local):
-                self.used.add(prefix)
-                return f"{prefix}:{local}"
-        return f"<{value}>"  # Iri admits no character that <...> cannot hold
-
-
 def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
     """Canonical Turtle for a triple set, written to the text stream `out`.
 
     Statements are grouped by subject (sorted), with rdf:type first as 'a'
     and the remaining predicates sorted; objects within a predicate are
-    sorted too. Only prefixes actually used appear in the output, so a first
-    pass renders every IRI the statements name before the prefix block is
-    written; each statement is then written as it is rendered, and the
-    document is never held whole. Without `out`, the document is returned
-    as a string.
+    sorted by their text. Only prefixes actually used appear in the output,
+    so the one pass that groups the triples also renders each IRI, once,
+    and records the prefixes it uses; the statements are then written from
+    those texts, each as soon as it is complete. Literal texts are made as
+    their statement is written and not kept, so the document is never held
+    whole. Without `out`, the document is returned as a string.
     """
     if out is None:
         buffer = io.StringIO()
         serialize_turtle(ts, buffer)
         return buffer.getvalue()
-    iri_text = _IriWriter(ts.prefixes)
-    by_subject: dict[Iri, dict[Iri, list[RdfObject]]] = {}
-    for t in ts.triples:
-        by_subject.setdefault(t.s, {}).setdefault(t.p, []).append(t.o)
-    # Render every IRI the statements name, so the prefix block is known
-    # before the first statement; the writer caches each text.
-    for subject, predicates in by_subject.items():
-        iri_text(subject)
-        for predicate, objects in predicates.items():
-            if predicate != RDF_TYPE:
-                iri_text(predicate)
-            for o in objects:
-                if isinstance(o, Iri):
-                    iri_text(o)
-                elif o.datatype != XSD_STRING:
-                    iri_text(o.datatype)
+    # Namespaces longest first, ties on the smaller prefix: the first that
+    # fits an IRI gives its best prefixed form.
+    namespaces = sorted(ts.prefixes.bindings.items(), key=lambda kv: (-len(kv[1]), kv[0]))
+    used: set[str] = set()
 
-    def render_object(o: RdfObject) -> str:
-        if isinstance(o, Iri):
-            return iri_text(o)
-        body = f'"{o.lexical.translate(_ESCAPE_OUT)}"'
-        if o.datatype == XSD_STRING:
-            return body
-        return f"{body}^^{iri_text(o.datatype)}"
+    def render(iri: Iri) -> str:
+        value = iri.value
+        for prefix, ns in namespaces:
+            if value.startswith(ns) and _local_name(value, len(ns)):
+                used.add(prefix)
+                return f"{prefix}:{value[len(ns):]}"
+        return f"<{value}>"  # Iri admits no character that <...> cannot hold
+
+    # The grouping pass. An IRI object is kept as its text, a literal as
+    # itself. rdf:type as a predicate is written 'a', so it is not rendered
+    # there: its prefix counts as used only where it is a term.
+    text: dict[Iri, str] = {}
+    by_subject: dict[Iri, dict[Iri, list]] = {}
+    for s, p, o in ts.triples:
+        predicates = by_subject.get(s)
+        if predicates is None:
+            predicates = by_subject[s] = {}
+            if s not in text:
+                text[s] = render(s)
+        objects = predicates.get(p)
+        if objects is None:
+            objects = predicates[p] = []
+            if p not in text and p != RDF_TYPE:
+                text[p] = render(p)
+        if type(o) is Iri:
+            o_text = text.get(o)
+            if o_text is None:
+                o_text = text[o] = render(o)
+            objects.append(o_text)
+        else:
+            if o.datatype not in text and o.datatype != XSD_STRING:
+                text[o.datatype] = render(o.datatype)
+            objects.append(o)
+
+    def object_list(objects: list) -> str:
+        texts = [
+            o if type(o) is str
+            else f'"{o.lexical.translate(_ESCAPE_OUT)}"' if o.datatype == XSD_STRING
+            else f'"{o.lexical.translate(_ESCAPE_OUT)}"^^{text[o.datatype]}'
+            for o in objects
+        ]
+        if len(texts) > 1:
+            texts.sort()
+        return ", ".join(texts)
 
     write = out.write
-    for prefix in sorted(iri_text.used):
+    for prefix in sorted(used):
         write(f"@prefix {prefix}: <{ts.prefixes.namespace(prefix)}> .\n")
-    if iri_text.used and by_subject:
+    if used and by_subject:
         write("\n")
     for subject in sorted(by_subject):
         predicates = by_subject[subject]
-        parts: list[str] = []
-        for predicate in sorted(predicates, key=lambda p: (p != RDF_TYPE, p)):
-            verb = "a" if predicate == RDF_TYPE else iri_text(predicate)
-            objects = ", ".join(sorted(render_object(o) for o in predicates[predicate]))
-            parts.append(f"{verb} {objects}")
+        parts = []
+        types = predicates.pop(RDF_TYPE, None)
+        if types is not None:
+            parts.append(f"a {object_list(types)}")
+        for predicate in sorted(predicates):
+            parts.append(f"{text[predicate]} {object_list(predicates[predicate])}")
         joined = " ;\n    ".join(parts)
-        write(f"{iri_text(subject)} {joined} .\n")
+        write(f"{text[subject]} {joined} .\n")
     return None

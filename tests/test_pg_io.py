@@ -10,9 +10,18 @@ import pytest
 
 from conftest import build_company_pg
 
+from rdfpg import schema_dependent as dep
+from rdfpg import schema_independent as indep
 from rdfpg.cypher import export_import_script
-from rdfpg.errors import DanglingEdgeEndpoint, FormatError
-from rdfpg.generator import GeneratorConfig, _lexical_for, gen_pg_schema, gen_property_graph
+from rdfpg.errors import DanglingEdgeEndpoint, FormatError, RdfPgError
+from rdfpg.generator import (
+    GeneratorConfig,
+    _lexical_for,
+    gen_pg_schema,
+    gen_property_graph,
+    gen_rdf_database,
+    gen_rdf_graph,
+)
 from rdfpg.pg_graph import (
     DECIMAL,
     DOUBLE,
@@ -29,9 +38,11 @@ from rdfpg.pg_json import (
     serialize_pg,
     serialize_pg_schema,
 )
+from rdfpg.rdf_graph import build_rdf_graph
 from rdfpg.schema_dependent import PG_DATATYPE_OF
 from rdfpg.schema_independent import generic_schema
 from rdfpg.terms import XSD_DECIMAL, XSD_DOUBLE, XSD_INT, XSD_INTEGER
+from rdfpg.turtle import parse_turtle
 
 GOLDEN_GENERIC_SCHEMA = Path(__file__).parent.parent / "docs" / "generic-pg-schema.json"
 
@@ -191,6 +202,136 @@ def test_parse_bad_property_type_in_last_edge(token, message):
         parse_pg(text)
     assert err.value.path == "$.edges[2].properties[0].type"
     assert str(err.value) == f"$.edges[2].properties[0].type: {message}"
+
+
+def _converted_document() -> dict:
+    """The decoded document of an indep conversion: 41 nodes, 36 edges, each with properties."""
+    return json.loads(serialize_pg(indep.map_graph(gen_rdf_graph(GeneratorConfig(seed=6)))))
+
+
+def _breakages():
+    """(id, break the document in place, error class, path or None, message) for parse_pg.
+
+    The first, a middle and the last node, edge and property (counted over
+    nodes, then edges) of the converted document are broken in each way the
+    reader checks.
+    """
+    doc = _converted_document()
+    fields = {"nodes": ("id", "label", "properties"),
+              "edges": ("id", "label", "source", "target", "properties")}
+    for section, kind in (("nodes", "node"), ("edges", "edge")):
+        count = len(doc[section])
+        for i in sorted({0, count // 2, count - 1}):
+            at = f"$.{section}[{i}]"
+
+            def put(value, section=section, i=i):
+                return lambda d: d[section].__setitem__(i, value)
+
+            def update(field, value=None, section=section, i=i):
+                if value is None:
+                    return lambda d: d[section][i].pop(field)
+                return lambda d: d[section][i].__setitem__(field, value)
+
+            yield f"{at}-not-an-object", put(7), FormatError, at, "expected an object, got int"
+            yield (f"{at}-unknown-field", update("color", "red"), FormatError, at,
+                   "unknown field(s): color")
+            for field in fields[section]:
+                yield (f"{at}-missing-{field}", update(field), FormatError, at,
+                       f"missing required field {field!r}")
+                expected = "a list" if field == "properties" else "a string"
+                yield (f"{at}-{field}-not-{expected[2:]}", update(field, 7), FormatError,
+                       f"{at}.{field}", f"expected {expected}, got int")
+            # The repeat is found at the later of the two elements.
+            other = 1 if i == 0 else 0
+            other_id = doc[section][other]["id"]
+            yield (f"{at}-duplicate-id", update("id", other_id), FormatError,
+                   f"$.{section}[{max(i, other)}]", f"duplicate {kind} id {other_id!r}")
+            if section == "edges":
+                edge_id = doc[section][i]["id"]
+                for end in ("source", "target"):
+                    yield (f"{at}-dangling-{end}", update(end, "nowhere"), DanglingEdgeEndpoint,
+                           None, f"edge {edge_id} references unknown node id nowhere")
+    positions = [
+        (section, i, j)
+        for section in ("nodes", "edges")
+        for i, element in enumerate(doc[section])
+        for j in range(len(element["properties"]))
+    ]
+    for section, i, j in (positions[0], positions[len(positions) // 2], positions[-1]):
+        at = f"$.{section}[{i}].properties[{j}]"
+
+        def put(value, section=section, i=i, j=j):
+            return lambda d: d[section][i]["properties"].__setitem__(j, value)
+
+        def update(field, value=None, section=section, i=i, j=j):
+            if value is None:
+                return lambda d: d[section][i]["properties"][j].pop(field)
+            return lambda d: d[section][i]["properties"][j].__setitem__(field, value)
+
+        yield f"{at}-not-an-object", put("x"), FormatError, at, "expected an object, got str"
+        yield (f"{at}-unknown-field", update("lang", "en"), FormatError, at,
+               "unknown field(s): lang")
+        for field in ("key", "value", "type"):
+            yield (f"{at}-missing-{field}", update(field), FormatError, at,
+                   f"missing required field {field!r}")
+            yield (f"{at}-{field}-not-a-string", update(field, ["x"]), FormatError,
+                   f"{at}.{field}", "expected a string, got list")
+        yield (f"{at}-empty-type", update("type", ""), FormatError, f"{at}.type",
+               "datatype may not be empty")
+    for section in ("nodes", "edges"):
+        yield (f"$.{section}-not-a-list", lambda d, section=section: d.__setitem__(section, {}),
+               FormatError, f"$.{section}", "expected a list, got dict")
+
+
+_BREAKAGES = list(_breakages())
+
+
+@pytest.mark.parametrize(
+    "mutate, error, path, message",
+    [case[1:] for case in _BREAKAGES],
+    ids=[case[0] for case in _BREAKAGES],
+)
+def test_parse_refuses_each_broken_element(mutate, error, path, message):
+    doc = _converted_document()
+    mutate(doc)
+    with pytest.raises(error) as err:
+        parse_pg(json.dumps(doc))
+    assert type(err.value) is error
+    assert getattr(err.value, "path", None) == path
+    assert str(err.value) == (message if path is None else f"{path}: {message}")
+
+
+def _relaid(doc: dict, rng: random.Random) -> str:
+    """`doc` in another valid layout: elements and properties shuffled, every
+    object's keys reversed, ids renamed, written compact."""
+    def reversed_keys(obj: dict) -> dict:
+        return dict(reversed(obj.items()))
+
+    names = rng.sample(range(10**6), len(doc["nodes"]) + len(doc["edges"]))
+    node_id = {n["id"]: f"v{names.pop()}" for n in doc["nodes"]}
+    nodes, edges = [], []
+    for section, out in (("nodes", nodes), ("edges", edges)):
+        for element in doc[section]:
+            element = dict(element, id=node_id[element["id"]] if section == "nodes"
+                           else f"r{names.pop()}")
+            if section == "edges":
+                element["source"] = node_id[element["source"]]
+                element["target"] = node_id[element["target"]]
+            properties = [reversed_keys(p) for p in element["properties"]]
+            rng.shuffle(properties)
+            out.append(reversed_keys(dict(element, properties=properties)))
+        rng.shuffle(out)
+    return json.dumps({"nodes": nodes, "edges": edges}, separators=(",", ":"))
+
+
+def test_any_valid_layout_reads_the_same():
+    rng = random.Random(16)
+    for seed in range(12):
+        schema, graph = gen_rdf_database(GeneratorConfig(seed=seed))
+        for pg in (dep.map_graph(graph), indep.map_graph(graph)):
+            text = serialize_pg(pg)
+            expected = parse_pg(text)
+            assert parse_pg(_relaid(json.loads(text), rng)) == expected == pg, seed
 
 
 def test_generated_graph_documents_roundtrip():
@@ -364,6 +505,58 @@ def _rendered(lexical, datatype):
 ], ids=str)
 def test_export_numeric_literals(lexical, datatype, expected):
     assert _rendered(lexical, datatype) == expected
+
+
+@pytest.mark.parametrize("lexical, datatype, expected", [
+    # Integers: signed 64-bit.
+    ("9223372036854775807", INTEGER, "9223372036854775807"),
+    ("-9223372036854775808", INT, "-9223372036854775808"),
+    ("9223372036854775808", INTEGER, "'9223372036854775808'"),
+    ("-9223372036854775809", INT, "'-9223372036854775809'"),
+    ("123456789012345678901234567890", INTEGER, "'123456789012345678901234567890'"),
+    ("1" * 5000, INTEGER, "'" + "1" * 5000 + "'"),
+    # Doubles: finite as a double.
+    ("1e400", DOUBLE, "'1e400'"),
+    ("-1.5E309", DOUBLE, "'-1.5E309'"),
+    ("1.7976931348623157E308", DOUBLE, "1.7976931348623157E308"),
+    ("3.14159265358979323846264338327950288", DOUBLE, "3.14159265358979323846264338327950288"),
+    # Decimals: at most 15 significant digits, given back by a double.
+    ("3.14159265358979323846264338327950288", DECIMAL,
+     "'3.14159265358979323846264338327950288'"),
+    ("1.23456789012345", DECIMAL, "1.23456789012345"),
+    ("-0.001234567890123450", DECIMAL, "-0.001234567890123450"),
+    ("1.234567890123456", DECIMAL, "'1.234567890123456'"),
+    ("1e400", DECIMAL, "'1e400'"),
+    ("1e-400", DECIMAL, "'1e-400'"),
+], ids=str)
+def test_export_numbers_keep_their_value(lexical, datatype, expected):
+    assert _rendered(lexical, datatype) == expected
+
+
+def test_export_pins_the_four_values_that_lost_their_meaning():
+    b = PropertyGraphBuilder()
+    n = b.add_node("T")
+    b.add_property(n, "big", PgValue("123456789012345678901234567890", INTEGER))
+    b.add_property(n, "huge", PgValue("1e400", DOUBLE))
+    b.add_property(n, "pi", PgValue("3.14159265358979323846264338327950288", DECIMAL))
+    assert export_import_script(b.build()) == (
+        "CREATE (:T {_rdfpg_id: 0, big: '123456789012345678901234567890', huge: '1e400', "
+        "pi: '3.14159265358979323846264338327950288'});\n"
+    )
+    b.add_property(n, "_rdfpg_id", PgValue("7", INTEGER))
+    with pytest.raises(RdfPgError) as err:
+        export_import_script(b.build())
+    assert str(err.value) == (
+        "node T{_rdfpg_id='7':Integer, big='123456789012345678901234567890':Integer, "
+        "huge='1e400':Double, pi='3.14159265358979323846264338327950288':Decimal} "
+        "holds a property keyed '_rdfpg_id', which the export reserves for its node ids"
+    )
+
+
+def test_export_refuses_the_dep_route_node_that_holds_the_id_key():
+    pg = dep.map_graph(build_rdf_graph(parse_turtle('<http://ex.org/a> <_rdfpg_id> "7" .')))
+    with pytest.raises(RdfPgError, match="holds a property keyed '_rdfpg_id'"):
+        export_import_script(pg)
 
 
 def test_export_generated_numeric_lexicals_stay_bare():

@@ -193,6 +193,38 @@ def test_map_graph_rejects_multivalued_property():
         dep.map_graph(graph)
 
 
+# One graph with every refusal of map_graph's datatype edges: a key spelled
+# "iri", repeated keys on two subjects, and a custom datatype spelled as a
+# kind name. The refusal is that of the smallest offending (subject, key),
+# whatever order the statements come in.
+_REFUSALS = (
+    f'<{EX}e> <{VOC}p> "5"^^<Integer> .',
+    f'<{EX}b> <iri> "{EX}x" .',
+    f'<{EX}c> <{VOC}name> "p" , "q" .',
+    f'<{EX}a> <{VOC}z> "1" , "2" .',
+    f'<{EX}a> <{VOC}m> "1" , "2" .',
+    f'<{EX}a> <{VOC}b> "1" .',
+)
+
+
+@pytest.mark.parametrize("order", [1, -1], ids=["as-listed", "reversed"])
+def test_map_graph_refusal_precedence(order):
+    statements = _REFUSALS[::order]
+    expected = [
+        (f"{EX}a", DuplicatePropertyLabel, (f"{EX}a", f"{VOC}m")),
+        (f"{EX}b", ReservedVocabularyTerm, ("iri", "datatype property")),
+        (f"{EX}c", DuplicatePropertyLabel, (f"{EX}c", f"{VOC}name")),
+        (f"{EX}e", ReservedVocabularyTerm, ("Integer", "custom datatype")),
+    ]
+    # The whole graph first, then without each refused subject in turn.
+    for subject, error, names in expected:
+        graph = build_rdf_graph(parse_turtle("\n".join(statements)))
+        with pytest.raises(error) as err:
+            dep.map_graph(graph)
+        assert str(err.value) == str(error(*names)), subject
+        statements = [s for s in statements if not s.startswith(f"<{subject}>")]
+
+
 def test_map_graph_never_creates_edge_properties():
     for seed in range(20):
         _, graph = gen_rdf_database(GeneratorConfig(seed=seed))
