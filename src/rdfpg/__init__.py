@@ -32,7 +32,6 @@ from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schem
 from .rdf_graph import (
     RdfGraph,
     RdfGraphSchema,
-    RdfGraphSchemaBuilder,
     build_rdf_graph,
     build_rdf_schema,
     complete_partial_schema,
@@ -79,7 +78,6 @@ __all__ = [
     "PropertyGraphSchemaBuilder",
     "RdfGraph",
     "RdfGraphSchema",
-    "RdfGraphSchemaBuilder",
     "RdfPgError",
     "Triple",
     "TripleSet",

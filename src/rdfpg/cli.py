@@ -108,7 +108,8 @@ def _checked(entry_point, *args):
     """Call a dep route entry point; return its result and the ValidityWarnings it emitted.
 
     The entry point checks its own input and reports a failure as a
-    ValidityWarning carrying the report. Other warnings are shown as usual.
+    ValidityWarning carrying the report. Other warnings are printed to
+    stderr, each as one "warning:" line.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
@@ -118,7 +119,7 @@ def _checked(entry_point, *args):
         if issubclass(w.category, ValidityWarning):
             found.append(w.message)
         else:
-            warnings.showwarning(w.message, w.category, w.filename, w.lineno)
+            print(f"{_paint('warning:', '33')} {w.message}", file=sys.stderr)
     return result, found
 
 

@@ -191,10 +191,13 @@ class FormatError(RdfPgError):
 
 
 class DanglingEdgeEndpoint(RdfPgError):
-    def __init__(self, edge_id: str, node_id: str):
+    """An edge's `source` or `target`, at JSON path `path`, names no node id."""
+
+    def __init__(self, path: str, edge_id: str, node_id: str):
+        self.path = path
         self.edge_id = edge_id
         self.node_id = node_id
-        super().__init__(f"edge {edge_id} references unknown node id {node_id}")
+        super().__init__(f"{path}: edge {edge_id} references unknown node id {node_id}")
 
 
 class AmbiguousCanonicalKey(RdfPgError):

@@ -226,9 +226,10 @@ def _refuse_edge(edge: Any, where: tuple, edge_ids: set, node_by_id: dict) -> No
     edge_id = _field(edge, "id", str, where)
     if edge_id in edge_ids:
         raise FormatError(_path(where), f"duplicate edge id {edge_id!r}")
-    for ref in (_field(edge, "source", str, where), _field(edge, "target", str, where)):
+    refs = {end: _field(edge, end, str, where) for end in ("source", "target")}
+    for end, ref in refs.items():
         if ref not in node_by_id:
-            raise DanglingEdgeEndpoint(edge_id, ref)
+            raise DanglingEdgeEndpoint(_path((*where, end)), edge_id, ref)
     _field(edge, "label", str, where)
     _read_properties(edge, where)
     raise AssertionError(f"{_path(where)} passed every check")

@@ -11,11 +11,11 @@ element is the term that identifies it:
   * an edge is its triple, and its class is the predicate.
 
 A schema holds its class IRIs and its property edges as (property, domain,
-range) IRI triples. Both are immutable values that compare with ==. A graph
-is built in one pass by whoever reads its source: `build_rdf_graph` from
-triples, each inverse mapping from a property graph. A schema is assembled
-with `RdfGraphSchemaBuilder`, which refuses reserved vocabulary terms and
-property endpoints that are not declared classes.
+range) IRI triples. Both are immutable values that compare with ==. Each is
+built in one pass by whoever reads its source: `build_rdf_graph` and
+`build_rdf_schema` from triples, the inverse mappings from a property graph
+or its schema. Every schema maker refuses reserved vocabulary terms as
+classes or properties with `refuse_vocabulary_terms`.
 """
 
 from __future__ import annotations
@@ -75,31 +75,13 @@ class RdfGraphSchema:
     property_edges: frozenset[PropertyEdge]
 
 
-class RdfGraphSchemaBuilder:
-    """Accumulates class nodes and property edges; reserved terms are rejected."""
-
-    def __init__(self) -> None:
-        self._classes: set[Iri] = set()
-        self._properties: set[PropertyEdge] = set()
-
-    def add_class(self, iri: Iri) -> Iri:
-        if iri in VOCABULARY_TERMS:
-            raise ReservedVocabularyTerm(iri.value, "class")
-        self._classes.add(iri)
-        return iri
-
-    def add_property(self, iri: Iri, domain: Iri, range_: Iri) -> PropertyEdge:
-        if iri in VOCABULARY_TERMS:
-            raise ReservedVocabularyTerm(iri.value, "property")
-        edge = (iri, domain, range_)
-        self._properties.add(edge)
-        return edge
-
-    def build(self) -> RdfGraphSchema:
-        for (_, dom, rng) in self._properties:
-            if dom not in self._classes or rng not in self._classes:
-                raise ValueError("property endpoints must be declared class nodes")
-        return RdfGraphSchema(frozenset(self._classes), frozenset(self._properties))
+def refuse_vocabulary_terms(classes: Iterable[Iri], properties: Iterable[PropertyEdge]) -> None:
+    """ReservedVocabularyTerm for the smallest vocabulary class, else for the
+    smallest vocabulary property."""
+    for terms, where in ((classes, "class"), ((p for p, _, _ in properties), "property")):
+        reserved = VOCABULARY_TERMS.intersection(terms)
+        if reserved:
+            raise ReservedVocabularyTerm(min(reserved).value, where)
 
 
 def build_rdf_graph(triples: TripleSet, first_type: str | None = None) -> RdfGraph:
@@ -183,9 +165,7 @@ def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
             classes.add(t.o)
             ranges[t.s].append(t.o)
 
-    builder = RdfGraphSchemaBuilder()
-    for c in sorted(classes):
-        builder.add_class(c)
+    properties: list[PropertyEdge] = []
     for pc in sorted(domains.keys() | ranges.keys()):
         pc_domains = domains.get(pc, ())
         pc_ranges = ranges.get(pc, ())
@@ -194,8 +174,9 @@ def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
         if len(pc_ranges) > 1:
             raise ConflictingRange(pc.value, _values(pc_ranges))
         if pc_domains and pc_ranges:
-            builder.add_property(pc, pc_domains[0], pc_ranges[0])
-    return builder.build()
+            properties.append((pc, pc_domains[0], pc_ranges[0]))
+    refuse_vocabulary_terms(classes, properties)
+    return RdfGraphSchema(frozenset(classes), frozenset(properties))
 
 
 def validate_rdf(graph: RdfGraph, schema: RdfGraphSchema) -> ValidationReport:

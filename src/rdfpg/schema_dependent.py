@@ -13,13 +13,14 @@ and an RDF graph into a property graph:
   * every object edge becomes a PG edge.
 
 The inverse direction reverses each rule, recovering the original database
-exactly; `invert_graph` reads the graph in one pass straight into an
-RdfGraph, and refuses with NotProducedByConversion what no conversion
-writes and it would merge silently. A PG datatype is its token string. The
-eight supported XSD datatypes cross the boundary through a fixed one-to-one
-table to the eight kind names; any other RDF datatype rides along as a
-custom PG datatype, its IRI, so nothing is lost. Three spellings would
-not come back and are refused with ReservedVocabularyTerm: a custom
+exactly. Each inverse reads its input in one pass straight into the RDF
+model, and refuses with NotProducedByConversion what no conversion writes
+and it would merge or drop silently; `invert_schema` takes back exactly
+the PG schemas that `map_schema` writes. A PG datatype is its token
+string. The eight supported XSD datatypes cross the boundary through a
+fixed one-to-one table to the eight kind names; any other RDF datatype of
+a literal rides along as a custom PG datatype, its IRI. Three spellings
+would not come back and are refused with ReservedVocabularyTerm: a custom
 datatype IRI spelled like a kind name ("Integer"), and a datatype property
 spelled "iri", the key of the node property that holds a resource's IRI, on
 the way to a PG (the Turtle reader accepts relative IRIs, so both can be
@@ -70,9 +71,10 @@ from .pg_graph import (
     validate_pg,
 )
 from .rdf_graph import (
+    PropertyEdge,
     RdfGraph,
     RdfGraphSchema,
-    RdfGraphSchemaBuilder,
+    refuse_vocabulary_terms,
     validate_rdf,
 )
 from .terms import (
@@ -267,8 +269,15 @@ def _datatype_iri(
 
 
 def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
-    """Property graph schema back to an RDF graph schema."""
-    builder = RdfGraphSchemaBuilder()
+    """Property graph schema back to an RDF graph schema, read in one pass:
+    node types, then their property types, then edge types.
+
+    Only what `map_schema` writes comes back. NotProducedByConversion,
+    naming the type, refuses a node type labeled with a supported XSD IRI,
+    a property type whose datatype is not a kind name, an edge type with
+    property types, and a key or edge label naming a property IRI a second
+    time. A key "iri" is refused as `map_schema` refuses it.
+    """
     iri = iri_cache()
 
     def describe(kind: str, label: str) -> Callable[[], str]:
@@ -276,27 +285,34 @@ def invert_schema(pg_schema: PropertyGraphSchema) -> RdfGraphSchema:
 
     class_of: dict[str, Iri] = {}
     for label in pg_schema.node_types:
-        class_of[label] = builder.add_class(iri(label, describe("node type", label)))
-    datatype_iris: dict[PgDatatype, Iri] = {}
-    property_types = [pt for pts in pg_schema.node_types.values() for pt in pts]
-    property_types += [pt for et in pg_schema.edge_types for pt in et.property_types]
-    for key, dt in property_types:
-        if dt not in datatype_iris:
-            datatype_iris[dt] = _datatype_iri(dt, describe("property type", key), iri)
-    for dt in sorted(datatype_iris):
-        builder.add_class(datatype_iris[dt])
+        class_of[label] = iri(label, describe("node type", label))
+        if class_of[label] in PG_DATATYPE_OF:
+            raise NotProducedByConversion(f"node type {label!r}", "is labeled with a datatype IRI")
+    properties: dict[Iri, PropertyEdge] = {}
 
-    for et in pg_schema.edge_types:
-        prop_iri = iri(et.label, describe("edge type", et.label))
-        builder.add_property(prop_iri, class_of[et.source], class_of[et.target])
+    def add_property(prop: Iri, domain: Iri, range_: Iri, element: Callable[[], str]) -> None:
+        if prop in properties:
+            raise NotProducedByConversion(element(), "reuses the IRI of an earlier type")
+        properties[prop] = (prop, domain, range_)
+
     for label, pts in pg_schema.node_types.items():
         for key, dt in pts:
-            builder.add_property(
-                iri(key, describe("node type", label), "property key"),
-                class_of[label],
-                datatype_iris[dt],
-            )
-    return builder.build()
+            element = describe("property type", key)
+            if dt not in RDF_DATATYPE_OF:
+                _datatype_iri(dt, element, iri)  # raises for an unusable or XSD spelling
+                raise NotProducedByConversion(element(), f"has the custom datatype {dt!r}")
+            if key == IRI_PROPERTY_KEY:
+                raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
+            prop = iri(key, describe("node type", label), "property key")
+            add_property(prop, class_of[label], RDF_DATATYPE_OF[dt], element)
+    for et in pg_schema.edge_types:
+        element = describe("edge type", et.label)
+        if et.property_types:
+            raise NotProducedByConversion(element(), "has property types")
+        add_property(iri(et.label, element), class_of[et.source], class_of[et.target], element)
+    classes = {*class_of.values(), *(range_ for _, _, range_ in properties.values())}
+    refuse_vocabulary_terms(classes, properties.values())
+    return RdfGraphSchema(frozenset(classes), frozenset(properties.values()))
 
 
 def invert_graph(pg: PropertyGraph) -> RdfGraph:

@@ -10,6 +10,7 @@ import pytest
 from rdfpg import cli
 from rdfpg import schema_independent as indep
 from rdfpg.cli import main
+from rdfpg.pg_graph import PropertyGraphSchema
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 from rdfpg.rdf_graph import build_rdf_graph
 from rdfpg.schema_independent import generic_schema
@@ -138,8 +139,13 @@ def test_invert_dep_missing_iri_property_exits_2(tmp_path, capsys):
            "edges": []}
     pg_path = tmp_path / "pg.json"
     pg_path.write_text(json.dumps(doc))
+    # The company schema as the dep route writes it: no edge property types.
+    company = build_company_pg_schema()
+    pg_schema = PropertyGraphSchema(
+        company.node_types, tuple(et._replace(property_types=()) for et in company.edge_types)
+    )
     pgs_path = tmp_path / "pgs.json"
-    pgs_path.write_text(serialize_pg_schema(build_company_pg_schema()))
+    pgs_path.write_text(serialize_pg_schema(pg_schema))
     code = main(["invert", "--mode", "dep", "--pg", str(pg_path),
                  "--pg-schema", str(pgs_path),
                  "--out-rdf", str(tmp_path / "o.ttl"),
@@ -378,6 +384,80 @@ def test_invert_dep_class_conflict_exits_2(tmp_path, capsys):
             "and node http://ex.org/U{iri='http://ex.org/a':String} "
             "give resource http://ex.org/a different classes") in err
     assert not any(p.exists() for p in outs)
+
+
+VOC = "http://www.example.org/voc/"
+
+
+def _since_on_ceo(schema):
+    schema["propertyTypes"].append({"id": "pt-since", "key": VOC + "since", "type": "Date"})
+    schema["edgeTypes"][0]["propertyTypes"] = ["pt-since"]
+
+
+def _name_as_edge_label(schema):
+    schema["edgeTypes"][0]["label"] = VOC + "name"
+
+
+def _invert_dep_files(tmp_path, pg_path, pgs_path):
+    """Runs `invert --mode dep`; returns (code, outputs)."""
+    outs = [tmp_path / "o.ttl", tmp_path / "os.ttl"]
+    code = main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(outs[0]), "--out-rdf-schema", str(outs[1])])
+    return code, outs
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_since_on_ceo, f"error: edge type '{VOC}ceo' has property types"),
+        (_name_as_edge_label, f"error: edge type '{VOC}name' reuses the IRI of an earlier type"),
+    ],
+    ids=["edge-property-type", "key-as-edge-label"],
+)
+def test_invert_dep_refuses_a_schema_no_conversion_produces(tmp_path, capsys, edit, message):
+    _, pgs_path = _dep_pg_docs(tmp_path)
+    schema = json.loads(pgs_path.read_text())
+    edit(schema)
+    edited = tmp_path / "edited-schema.json"
+    edited.write_text(json.dumps(schema))
+    capsys.readouterr()
+    code, outs = _invert_dep_files(tmp_path, tmp_path / "pg.json", edited)
+    assert code == 2
+    assert capsys.readouterr().err == f"{message}, which no conversion produces\n"
+    assert not any(p.exists() for p in outs)
+
+
+def test_invert_dep_edges_that_differ_only_in_properties(tmp_path, capsys):
+    # Both edges become one triple: invalid against the produced schema, and
+    # a schema that declares their property is one no conversion produces.
+    doc, pgs_path = _dep_pg_docs(tmp_path)
+    (edge,) = doc["edges"]
+    doc["edges"] = [
+        {**edge, "id": f"e{i}", "properties": [{"key": VOC + "since", "type": "Date",
+                                                "value": value}]}
+        for i, value in enumerate(("2008-10-01", "2009-01-01"))
+    ]
+    pg_path = tmp_path / "edited.json"
+    pg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    code, outs = _invert_dep_files(tmp_path, pg_path, pgs_path)
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert "input validation: invalid: 2 violation(s)\n  [P2b] " in out
+    assert err == "warning: 2 edge properties have no RDF counterpart and were dropped\n"
+    assert all(p.exists() for p in outs)
+
+    schema = json.loads(pgs_path.read_text())
+    _since_on_ceo(schema)
+    pgs_path.write_text(json.dumps(schema))
+    for p in outs:
+        p.unlink()
+    code, outs = _invert_dep_files(tmp_path, pg_path, pgs_path)
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: edge type '{VOC}ceo' has property types, which no conversion produces\n"
+    assert not any(p.exists() for p in outs)
+
 
 def test_convert_dep_invalid_input_exits_1_with_outputs(tmp_path, capsys):
     mutated = tmp_path / "bad.ttl"

@@ -176,7 +176,7 @@ def test_parse_dangling_endpoint_in_last_edge():
     with pytest.raises(DanglingEdgeEndpoint) as err:
         parse_pg(text)
     assert (err.value.edge_id, err.value.node_id) == ("e2", "nX")
-    assert str(err.value) == "edge e2 references unknown node id nX"
+    assert str(err.value) == "$.edges[2].target: edge e2 references unknown node id nX"
 
 
 def test_parse_duplicate_edge_id_in_last_edge():
@@ -250,7 +250,7 @@ def _breakages():
                 edge_id = doc[section][i]["id"]
                 for end in ("source", "target"):
                     yield (f"{at}-dangling-{end}", update(end, "nowhere"), DanglingEdgeEndpoint,
-                           None, f"edge {edge_id} references unknown node id nowhere")
+                           f"{at}.{end}", f"edge {edge_id} references unknown node id nowhere")
     positions = [
         (section, i, j)
         for section in ("nodes", "edges")

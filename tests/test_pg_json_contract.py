@@ -232,12 +232,12 @@ GRAPH_ERRORS = [
     ),
     pytest.param(
         graph(edges=[edge(source="n9", label=...)]),
-        DanglingEdgeEndpoint, 'edge e0 references unknown node id n9',
+        DanglingEdgeEndpoint, '$.edges[0].source: edge e0 references unknown node id n9',
         id='edge-dangling-before-label',
     ),
     pytest.param(
         graph(edges=[edge(target="n9")]),
-        DanglingEdgeEndpoint, 'edge e0 references unknown node id n9',
+        DanglingEdgeEndpoint, '$.edges[0].target: edge e0 references unknown node id n9',
         id='edge-dangling-target',
     ),
     pytest.param(

@@ -26,7 +26,6 @@ from rdfpg.generator import (
 )
 from rdfpg.rdf_graph import (
     RdfGraph,
-    RdfGraphSchemaBuilder,
     build_rdf_graph,
     build_rdf_schema,
     complete_partial_schema,
@@ -188,8 +187,10 @@ def test_schema_rejects_vocabulary_terms_as_classes():
     ts = TripleSet([Triple(RDF_TYPE, RDF_TYPE, RDFS_CLASS)])
     with pytest.raises(ReservedVocabularyTerm):
         build_rdf_schema(ts)
+    ts = TripleSet([Triple(Iri(VOC + "p"), RDFS_DOMAIN, RDFS_DOMAIN),
+                    Triple(Iri(VOC + "p"), RDFS_RANGE, Iri(VOC + "B"))])
     with pytest.raises(ReservedVocabularyTerm):
-        RdfGraphSchemaBuilder().add_class(RDFS_DOMAIN)
+        build_rdf_schema(ts)
 
 
 # -- complete_partial_schema -------------------------------------------------
