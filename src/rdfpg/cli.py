@@ -104,12 +104,21 @@ def _load_turtle(path: str, skolemize_blanks: bool):
     return parse_turtle(text)
 
 
+def _show_warning(message, *_) -> None:
+    """Print a warning to stderr as one "warning:" line.
+
+    `main` shows every warning of a command with it, in place of Python's
+    form with the source file, line and code.
+    """
+    print(f"{_paint('warning:', '33')} {message}", file=sys.stderr)
+
+
 def _checked(entry_point, *args):
     """Call a dep route entry point; return its result and the ValidityWarnings it emitted.
 
     The entry point checks its own input and reports a failure as a
-    ValidityWarning carrying the report. Other warnings are printed to
-    stderr, each as one "warning:" line.
+    ValidityWarning carrying the report. Other warnings are shown as they
+    are everywhere else, with `_show_warning`.
     """
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", ValidityWarning)
@@ -119,7 +128,7 @@ def _checked(entry_point, *args):
         if issubclass(w.category, ValidityWarning):
             found.append(w.message)
         else:
-            print(f"{_paint('warning:', '33')} {w.message}", file=sys.stderr)
+            _show_warning(w.message)
     return result, found
 
 
@@ -480,18 +489,25 @@ def _check_usage(parser: argparse.ArgumentParser, args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    """Run one command with the cyclic collector off, then put its state back."""
+    """Run one command with the cyclic collector off, then put its state back.
+
+    Each warning the command raises is shown, every time it is raised, as
+    one "warning:" line.
+    """
     was_enabled = gc.isenabled()
     gc.disable()
     try:
         parser = build_parser()
         args = parser.parse_args(argv)
         _check_usage(parser, args)
-        try:
-            return args.handler(args)
-        except (RdfPgError, OSError, ValueError) as exc:
-            print(_paint(f"error: {exc}", "31"), file=sys.stderr)
-            return 2
+        with warnings.catch_warnings():
+            warnings.simplefilter("always")
+            warnings.showwarning = _show_warning
+            try:
+                return args.handler(args)
+            except (RdfPgError, OSError, ValueError) as exc:
+                print(_paint(f"error: {exc}", "31"), file=sys.stderr)
+                return 2
     finally:
         if was_enabled:
             gc.enable()

@@ -169,9 +169,13 @@ def canonical_graph(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
         position[i] = pos
         rank[i] = first
     edges = sorted(edges, key=lambda e: (rank[e.source], e.label, e.properties, rank[e.target]))
+    new = tuple.__new__  # builds each Edge without a call of its Python __new__
     return PropertyGraph(
         tuple(sorted_nodes),
-        tuple(Edge(e.label, position[e.source], position[e.target], e.properties) for e in edges),
+        tuple(
+            new(Edge, (label, position[source], position[target], properties))
+            for label, source, target, properties in edges
+        ),
     )
 
 

@@ -7,6 +7,14 @@ comments. Blank nodes ('_:label' or '[]') are recognized but rejected unless
 parsed in raw mode for skolemization. See docs/turtle-grammar.md for the
 exact grammar.
 
+The reader reads each predicate-object pair, with the whitespace and
+comments before it and the '.', ';' or ',' after it, in one regular
+expression match; one more match reads each object after ',', and one each
+subject or @prefix directive. Each term is resolved once per distinct token
+text. A step that does not match is read again token by token, only to name
+its error: the per-token readers always raise there. A string holding a
+backslash is decoded by the per-token string reader.
+
 Serialization is canonical: prefixes sorted by name, subjects sorted by IRI,
 one predicate per line. Parsing the output of serialize_turtle always yields
 the original triple set. serialize_turtle groups the triples in one pass,
@@ -18,11 +26,12 @@ written and are not held.
 
 from __future__ import annotations
 
+import functools
 import io
 import re
 import warnings
 from dataclasses import dataclass
-from typing import TextIO, Union
+from typing import NoReturn, TextIO, Union
 
 from .errors import BlankNodeUnsupported, TurtleSyntaxError, UnknownPrefix
 from .terms import (
@@ -67,21 +76,69 @@ class RawTurtleDocument:
     prefixes: PrefixMap
 
 
-# Token patterns, each matched at a position in the text. A position is a
-# plain index; line and column are worked out from it only for an error.
-_skip_ws = re.compile(r"\s*(?:#[^\n]*\s*)*").match  # \s is exactly str.isspace()
+# Each step pattern matches one step of the grammar at a position in the
+# text: the whitespace and comments before its tokens, the tokens, and what
+# ends the step. A position is a plain index; line and column are worked out
+# from it only for an error. A term is matched as its token text, which
+# `_Parser._term` turns into the term once per distinct token.
+#
+# \s is exactly str.isspace(). A comment runs to its line end, so that a
+# failed match does not go on to try it split at each '#' in it.
+_WS = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
+_IRI_BODY = r'[^\s<>"{}|^`\\]+'  # IRIREF characters: no whitespace, <>"{}|^`\\
+_IRIREF = "<" + _IRI_BODY + ">"
+_PNAME = r"[A-Za-z0-9_-]*:[A-Za-z0-9_-]*"
+_IRI = "(?:" + _IRIREF + "|(?!_:)" + _PNAME + ")"  # an IRI, never a blank node label
+_TERM = _IRIREF + "|" + _PNAME + r"|\[" + _WS + r"\]"  # a subject or a non-literal object
+_STRING = r'"([^"\\\n]*(?:\\(?:[tbnrf"\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n]*)*)"'
+# An object, then what follows it: ',' or '.', or a run of ';' with the
+# whitespace and comments in it, then the '.' of a statement that ends there.
+_OBJECT_PUNCT = (
+    "(?:(" + _TERM + ")|" + _STRING + r"(?:\^\^" + _WS + "(" + _IRI + "))?)"
+    + _WS + r"(?:([,.])|;[\s;]*(?:#[^\n]*(?![^\n])[\s;]*)*(\.)?)"
+)
+# A statement's subject, an @prefix directive, or the end of the input.
+_HEAD = (
+    _WS + "(?:@prefix" + _WS + "([A-Za-z0-9_-]*):" + _WS + "<(" + _IRI_BODY + ")>" + _WS + r"\."
+    + "|(" + _TERM + r")|\Z)"
+)
+# A predicate-object pair. Its groups are the verb, the IRI object, the
+# string's text, its datatype, then ',' or '.' after the object, or the '.'
+# after a run of ';'.
+_PAIR = _WS + "(" + _IRI + "|a(?![A-Za-z0-9_:-]))" + _WS + _OBJECT_PUNCT
+# An object after ','. The empty first group keeps the groups of `_PAIR`.
+_OBJECT = _WS + "()" + _OBJECT_PUNCT
+
+
+@functools.cache
+def _steps():
+    """The match methods of `_HEAD`, `_PAIR` and `_OBJECT`.
+
+    They are compiled when first asked for, so that a process that reads no
+    Turtle does not pay for them.
+    """
+    return tuple(re.compile(pattern).match for pattern in (_HEAD, _PAIR, _OBJECT))
+
+
+# The token patterns of the per-token readers, each matched at a position.
+_skip_ws = re.compile(_WS).match
 _iri_body = re.compile(r'[^\s<>"{}|^`\\]*').match
 _pname = re.compile(r"([A-Za-z0-9_-]*)(?::([A-Za-z0-9_-]*))?").match
 _string_chars = re.compile(r'[^"\\\n]*').match
 _escape = re.compile(r'\\(?:([tbnrf"\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))').match
+
 _local_name = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*)?\Z").match  # "" or a PN_NAME
+_new = tuple.__new__  # builds an Iri, Literal or Triple without a call of its Python __new__
 
 
 class _Parser:
-    """Single-pass recursive-descent parser over token regexes.
+    """Single-pass reader over the step patterns `_HEAD`, `_PAIR` and `_OBJECT`.
 
-    Each reader takes the position to start at and returns what it read
-    together with the position after it.
+    Each step is one match. Where a step does not match, or names a term
+    that does not resolve, `_refuse` reads it again with the per-token
+    readers, only to raise the error of its first failing check. Each
+    per-token reader takes the position to start at and returns what it
+    read together with the position after it.
     """
 
     def __init__(self, text: str, allow_blanks: bool):
@@ -89,9 +146,8 @@ class _Parser:
         self.text = text[1:] if text.startswith("\ufeff") else text
         self.allow_blanks = allow_blanks
         self.bindings: dict[str, str] = {}
-        # Without blank nodes every raw triple is already a Triple.
-        self._triple = RawTriple if allow_blanks else Triple
-        self.triples: list = []
+        self.triples: list[Triple] = []  # in raw mode, they may hold blank nodes
+        self._terms: dict[str, Union[Iri, BlankNode]] = {}  # token text -> term
         self._iris: dict[str, Iri] = {}  # one Iri per distinct string
         self._anon = 0
 
@@ -118,7 +174,8 @@ class _Parser:
     def _iri(self, value: str) -> Iri:
         iri = self._iris.get(value)
         if iri is None:
-            iri = self._iris[value] = Iri(value)
+            # The patterns of both readers admit only IRI characters: Iri's check would pass.
+            iri = self._iris[value] = _new(Iri, (value,))
         return iri
 
     # -- tokens ----------------------------------------------------------
@@ -216,9 +273,7 @@ class _Parser:
         pos = _skip_ws(self.text, pos + 1).end()
         if not self.text.startswith("]", pos):
             raise self._unexpected(pos, "']' (blank node property lists are not supported)")
-        self._anon += 1
-        # '=' cannot occur in parsed labels, so generated labels never collide.
-        return BlankNode(f"=anon{self._anon}"), pos + 1
+        return BlankNode("[]"), pos + 1  # only `_term` numbers the '[]' it reads
 
     def _read_verb(self, pos: int) -> tuple[Iri, int]:
         pos = _skip_ws(self.text, pos).end()
@@ -257,70 +312,134 @@ class _Parser:
             raise self._unexpected(pos, "an object")
         return self._read_prefixed_or_keyword(pos, keyword_ok=False)
 
-    def _read_statement(self, pos: int) -> int:
-        text, append, triple = self.text, self.triples.append, self._triple
-        subject, pos = self._read_subject(pos)
-        while True:
-            verb, pos = self._read_verb(pos)
-            while True:
-                obj, pos = self._read_object(pos)
-                append(triple(subject, verb, obj))
-                pos = _skip_ws(text, pos).end()
-                if not text.startswith(",", pos):
-                    break
-                pos += 1
-            if not text.startswith(";", pos):
-                break
-            # Tolerate repeated or trailing semicolons.
-            while text.startswith(";", pos):
-                pos = _skip_ws(text, pos + 1).end()
-            if text.startswith(".", pos):
-                break
-        return self._expect(pos, ".", "'.' ending the statement")
-
     def _read_prefix_directive(self, pos: int) -> int:
         text = self.text
         for i, c in enumerate("@prefix"):
             if not text.startswith(c, pos + i):
                 raise self._unexpected(pos + i, "'@prefix'")
         pos = _skip_ws(text, pos + len("@prefix")).end()
-        m = _pname(text, pos)
-        name = m.group(1)
-        pos += len(name)
+        pos += len(_pname(text, pos).group(1))
         if not text.startswith(":", pos):
             raise self._unexpected(pos, "':' after the prefix name")
         pos = _skip_ws(text, pos + 1).end()
         if not text.startswith("<", pos):
             raise self._unexpected(pos, "'<' opening the namespace IRI")
-        ns, pos = self._read_iriref(pos)
-        pos = self._expect(pos, ".", "'.' ending the directive")
-        if name in self.bindings and self.bindings[name] != ns.value:
-            warnings.warn(
-                f"prefix '{name}:' redefined from <{self.bindings[name]}> to <{ns.value}>",
-                stacklevel=4,
-            )
-        self.bindings[name] = ns.value
-        return pos
+        _, pos = self._read_iriref(pos)
+        return self._expect(pos, ".", "'.' ending the directive")
 
-    def parse(self) -> tuple[list, PrefixMap]:
+    def _refuse(self, step, pos: int) -> NoReturn:
+        """Read the step that `step` failed from `pos` again, token by token.
+
+        The per-token readers raise the error of the first failing check,
+        at its position. They always raise: a step they read whole is one
+        its pattern should have matched.
+        """
+        text, start = self.text, pos
+        head, pair, _ = _steps()
+        if step is head:
+            pos = _skip_ws(text, pos).end()
+            if text.startswith("@", pos):
+                self._read_prefix_directive(pos)
+            else:
+                self._read_subject(pos)
+        else:
+            if step is pair:
+                _, pos = self._read_verb(pos)
+            _, pos = self._read_object(pos)
+            pos = _skip_ws(text, pos).end()
+            if not text.startswith((",", ";"), pos):
+                self._expect(pos, ".", "'.' ending the statement")
+        line, column = self._line_col(start)
+        raise AssertionError(f"line {line}, column {column}: the step passed every check")
+
+    def _term(self, token: str, step, pos: int) -> Union[Iri, BlankNode]:
+        """The term that `token`, matched by `step` at `pos`, stands for.
+
+        It is kept for the next time the token is read, except for '[]',
+        which is a new blank node each time. A token that stands for no
+        term here is refused.
+        """
+        c = token[0]
+        if c == "<":
+            term = self._iri(token[1:-1])
+        elif c == "[":
+            if not self.allow_blanks:
+                self._refuse(step, pos)
+            self._anon += 1
+            # '=' cannot occur in parsed labels, so generated labels never collide.
+            return BlankNode(f"=anon{self._anon}")
+        elif token == "a":
+            term = RDF_TYPE
+        else:
+            prefix, _, local = token.partition(":")
+            if prefix == "_":
+                if not self.allow_blanks:
+                    self._refuse(step, pos)
+                term = BlankNode(token)
+            elif prefix in self.bindings:
+                term = self._iri(self.bindings[prefix] + local)
+            else:
+                self._refuse(step, pos)
+        self._terms[token] = term
+        return term
+
+    def _bind(self, name: str, namespace: str) -> None:
+        old = self.bindings.get(name)
+        if old is not None and old != namespace:
+            warnings.warn(
+                f"prefix '{name}:' redefined from <{old}> to <{namespace}>", stacklevel=4
+            )
+            self._terms.clear()  # prefixed names read so far may now mean other IRIs
+        self.bindings[name] = namespace
+
+    def parse(self) -> tuple[list[Triple], PrefixMap]:
         """The triples in document order and the final prefix bindings."""
-        text = self.text
+        text, terms, term = self.text, self._terms, self._term
+        append = self.triples.append
+        head, pair, object_ = _steps()
         pos = 0
         while True:
-            pos = _skip_ws(text, pos).end()
-            if pos == len(text):
-                break
-            if text[pos] == "@":
-                pos = self._read_prefix_directive(pos)
-            else:
-                pos = self._read_statement(pos)
-        return self.triples, PrefixMap(dict(self.bindings))
+            m = head(text, pos)
+            if m is None:
+                self._refuse(head, pos)
+            name, namespace, token = m.groups()
+            if token is None:
+                if namespace is None:  # the end of the input
+                    return self.triples, PrefixMap(dict(self.bindings))
+                self._bind(name, namespace)
+                pos = m.end()
+                continue
+            subject = terms.get(token) or term(token, head, pos)
+            step, pos = pair, m.end()
+            while True:
+                m = step(text, pos)
+                if m is None:
+                    self._refuse(step, pos)
+                token, obj, lexical, datatype, punct, dot = m.groups()
+                if token:  # "" from object_
+                    verb = terms.get(token) or term(token, step, pos)
+                if obj is not None:
+                    obj = terms.get(obj) or term(obj, step, pos)
+                else:
+                    if "\\" in lexical:
+                        lexical, _ = self._read_string(m.start(3) - 1)
+                    if datatype is not None:
+                        datatype = terms.get(datatype) or term(datatype, step, pos)
+                    obj = _new(Literal, (lexical, datatype or XSD_STRING))
+                append(_new(Triple, (subject, verb, obj)))
+                pos = m.end()
+                if punct == ",":
+                    step = object_
+                elif punct or dot:
+                    break
+                else:
+                    step = pair
 
 
 def parse_turtle_raw(text: str) -> RawTurtleDocument:
     """Parse, tolerating blank nodes. Pair with skolemize()."""
     triples, prefixes = _Parser(text, allow_blanks=True).parse()
-    return RawTurtleDocument(tuple(triples), prefixes)
+    return RawTurtleDocument(tuple(RawTriple(*t) for t in triples), prefixes)
 
 
 def parse_turtle(text: str) -> TripleSet:

@@ -427,6 +427,27 @@ def test_invert_dep_refuses_a_schema_no_conversion_produces(tmp_path, capsys, ed
     assert not any(p.exists() for p in outs)
 
 
+REDEFINED = "warning: prefix 'p:' redefined from <http://one.example/> to <http://two.example/>\n"
+
+
+@pytest.mark.parametrize("command, warned", [
+    (["convert", "--mode", "indep", "--rdf", "{i}"], 1),
+    (["convert", "--mode", "dep", "--rdf", "{i}", "--schema", "{s}"], 2),
+    (["validate", "rdf", "--rdf", "{i}", "--schema", "{s}"], 2),
+], ids=["convert-indep", "convert-dep", "validate-rdf"])
+def test_turtle_warnings_are_one_line_each(tmp_path, capsys, command, warned):
+    # Each document binds p: twice; the reader's warning reaches stderr as a
+    # "warning:" line, once per document, without Python's source line.
+    rebind = "@prefix p: <http://one.example/> .\n@prefix p: <http://two.example/> .\n"
+    (tmp_path / "i.ttl").write_text(rebind + "p:a a p:C .\n")
+    (tmp_path / "s.ttl").write_text(rebind + "p:C a <http://www.w3.org/2000/01/rdf-schema#Class> .\n")
+    argv = [arg.format(i=tmp_path / "i.ttl", s=tmp_path / "s.ttl") for arg in command]
+    if argv[0] == "convert":
+        argv += ["--out-pg", str(tmp_path / "pg.json"), "--out-pg-schema", str(tmp_path / "pgs.json")]
+    assert main(argv) == 0
+    assert capsys.readouterr().err == REDEFINED * warned
+
+
 def test_invert_dep_edges_that_differ_only_in_properties(tmp_path, capsys):
     # Both edges become one triple: invalid against the produced schema, and
     # a schema that declares their property is one no conversion produces.

@@ -76,6 +76,14 @@ def test_a_keyword_and_a_as_prefix():
     assert t.s == Iri("http://x.example/b")
 
 
+def test_prefix_and_local_names_as_the_grammar_gives_them():
+    # docs/turtle-grammar.md: PN_PART ::= [A-Za-z0-9_-]*, for prefix and local
+    # name alike; the writer uses a prefixed name only for a PN_NAME.
+    ts = parse_turtle("@prefix 9-: <http://x/> . 9-:1a 9-:-p 9-:2 .")
+    assert ts == TripleSet([Triple(Iri("http://x/1a"), Iri("http://x/-p"), Iri("http://x/2"))])
+    assert serialize_turtle(ts) == "<http://x/1a> <http://x/-p> <http://x/2> .\n"
+
+
 def test_duplicate_triples_collapse():
     ts = parse_turtle(f"<{EX}a> <{VOC}p> <{EX}b> . <{EX}a> <{VOC}p> <{EX}b> .")
     assert len(ts) == 1
