@@ -23,6 +23,7 @@ from rdfpg import schema_independent as indep
 from rdfpg.cypher import export_import_script
 from rdfpg.generator import (
     GeneratorConfig,
+    gen_pg_schema,
     gen_property_graph,
     gen_rdf_database,
     gen_rdf_graph,
@@ -92,12 +93,22 @@ def _pg_digests(pg) -> dict[str, str]:
     return {"pg": _sha(serialize_pg(pg)), "cypher": _sha(export_import_script(pg))}
 
 
+def _pg_schema_digests() -> dict[str, str]:
+    # GOLDEN_CONFIG's schema is small, so seeds 0-49 pin edge property types too.
+    seeds = (gen_pg_schema(GOLDEN_CONFIG.with_seed(seed)) for seed in range(50))
+    return {
+        "pg_schema": _sha(serialize_pg_schema(gen_pg_schema(GOLDEN_CONFIG))),
+        "pg_schema_seeds_0_49": _sha("".join(map(serialize_pg_schema, seeds))),
+    }
+
+
 CASES = {
     "org-dep": lambda: _dep_digests(*_org_database()),
     "org-indep": lambda: _indep_digests(_org_database()[1]),
     "gen-dep": lambda: _dep_digests(*gen_rdf_database(GOLDEN_CONFIG)),
     "gen-indep": lambda: _indep_digests(gen_rdf_graph(GOLDEN_CONFIG)),
     "gen-pg": lambda: _pg_digests(gen_property_graph(GOLDEN_CONFIG)),
+    "gen-pg-schema": _pg_schema_digests,
 }
 
 GOLDEN: dict[str, dict[str, str]] = {
@@ -117,6 +128,10 @@ GOLDEN: dict[str, dict[str, str]] = {
     "gen-pg": {
         "pg": "ea350926b4947cbabee279d04588ca98e7e05cafd31a7875a80b1070fef3f7ba",
         "cypher": "5d22b5c94c82b181d7759e2b134cef14168c1aca9d6ddb1a2555dea0edad5650",
+    },
+    "gen-pg-schema": {
+        "pg_schema": "98fa8677d2facefd77d7a7290507afb779c7c4e7e892dfc9a23fa3d429c1e3ac",
+        "pg_schema_seeds_0_49": "98abf9b5a43bc3cfeda0fa709498664f237ace821639f4a0c65865841a16b98b",
     },
     "org-dep": {
         "pg": "7a0ca8e92e80e93e43195ad8b3e5e0418a6a675c35a8d6d1226e0ccb6dcf3797",
