@@ -22,9 +22,9 @@ from .pg_graph import (
     PgDatatype,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
+    canonical_graph,
+    canonical_schema,
     pg_equal,
     validate_pg,
 )
@@ -73,9 +73,7 @@ __all__ = [
     "PgValue",
     "PrefixMap",
     "PropertyGraph",
-    "PropertyGraphBuilder",
     "PropertyGraphSchema",
-    "PropertyGraphSchemaBuilder",
     "RdfGraph",
     "RdfGraphSchema",
     "RdfPgError",
@@ -85,6 +83,8 @@ __all__ = [
     "Violation",
     "build_rdf_graph",
     "build_rdf_schema",
+    "canonical_graph",
+    "canonical_schema",
     "complete_partial_schema",
     "export_import_script",
     "gen_rdf_database",

@@ -20,13 +20,17 @@ from dataclasses import dataclass, field, replace
 
 from .pg_graph import (
     DATATYPE_KINDS,
+    Edge,
+    EdgeType,
+    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
+    PropertyType,
     STRING,
+    canonical_graph,
+    canonical_schema,
 )
 from .rdf_graph import (
     RdfGraph,
@@ -291,45 +295,45 @@ def gen_property_graph(config: GeneratorConfig) -> PropertyGraph:
     stays well-defined regardless of the rest.
     """
     rng = _rng("pg", config.seed)
-    builder = PropertyGraphBuilder()
     labels = ["Thing", "Item with spaces", "voc:Entity", "größe"]
     keys = ["name", "weird key!", "multi\nline", "n"]
 
-    nodes = []
+    nodes: list[Node] = []
     for i in range(rng.randint(0, config.max_resources)):
-        n = builder.add_node(rng.choice(labels))
-        builder.add_property(n, "uid", PgValue(str(i), STRING))
+        label = rng.choice(labels)
+        properties = [("uid", PgValue(str(i), STRING))]
         for _ in range(rng.randrange(3)):
             datatype = _gen_pg_datatype(rng)
-            builder.add_property(
-                n, rng.choice(keys), PgValue(rng.choice(_STRING_POOL), datatype)
-            )
-        nodes.append(n)
+            properties.append((rng.choice(keys), PgValue(rng.choice(_STRING_POOL), datatype)))
+        nodes.append(Node(label, tuple(sorted(properties))))
+    edges: list[Edge] = []
     if nodes:
         for _ in range(rng.randint(0, config.max_triples)):
-            e = builder.add_edge(rng.choice(labels), rng.choice(nodes), rng.choice(nodes))
+            label = rng.choice(labels)
+            source, target = rng.randrange(len(nodes)), rng.randrange(len(nodes))
+            properties = ()
             if rng.random() < 0.5:
-                builder.add_property(
-                    e, rng.choice(keys), PgValue(rng.choice(_STRING_POOL), _gen_pg_datatype(rng))
-                )
-    return builder.build()
+                key = rng.choice(keys)
+                properties = ((key, PgValue(rng.choice(_STRING_POOL), _gen_pg_datatype(rng))),)
+            edges.append(Edge(label, source, target, properties))
+    return canonical_graph(nodes, edges)
 
 
 def gen_pg_schema(config: GeneratorConfig) -> PropertyGraphSchema:
     """Random property graph schema for JSON round-trip testing."""
     rng = _rng("pgs", config.seed)
-    builder = PropertyGraphSchemaBuilder()
-    node_types = []
+    node_types: dict[str, list[PropertyType]] = {}
     for i in range(rng.randint(0, max(1, config.max_classes))):
-        nt = builder.add_node_type(f"Type{i}")
-        for j in range(rng.randrange(3)):
-            builder.add_property_type(nt, f"key{j}", _gen_pg_datatype(rng))
-        node_types.append(nt)
-    if node_types:
+        node_types[f"Type{i}"] = [
+            (f"key{j}", _gen_pg_datatype(rng)) for j in range(rng.randrange(3))
+        ]
+    labels = list(node_types)
+    edge_types: list[EdgeType] = []
+    if labels:
         for i in range(rng.randint(0, max(1, config.max_properties))):
-            et = builder.add_edge_type(
-                f"rel{i}", rng.choice(node_types), rng.choice(node_types)
-            )
+            source, target = rng.choice(labels), rng.choice(labels)
+            property_types = ()
             if rng.random() < 0.5:
-                builder.add_property_type(et, "since", _gen_pg_datatype(rng))
-    return builder.build()
+                property_types = (("since", _gen_pg_datatype(rng)),)
+            edge_types.append(EdgeType(f"rel{i}", source, target, property_types))
+    return canonical_schema(node_types, edge_types)

@@ -5,7 +5,7 @@ a set of key-value properties. Values carry an explicit datatype so that a
 string "46" and an integer "46" stay distinguishable; nothing is inferred
 from lexical forms. A datatype is the string every document spells it with:
 one of the eight kind names ("String", "Integer", ...) or a custom
-datatype's IRI. Builders refuse an empty one.
+datatype's IRI. The readers refuse an empty one.
 
 A graph is two tuples: its nodes, each a label and properties, and its
 edges, each a label, the positions of its source and target nodes and
@@ -13,16 +13,17 @@ properties. Values, properties, nodes and edge types are named tuples or
 plain tuples, so they compare and sort in C, field by field. One function,
 `canonical_graph`, puts a graph in canonical order, once: nodes sorted,
 then edges sorted by source node, label, properties and target node, with
-elements of equal keys in the order they came in. Both mappings and
-`parse_pg` build their Node and Edge tuples and call it directly;
-`PropertyGraphBuilder.build()` calls it too. An element's id is its
-position, so every consumer (the validator, the serializers, the inverse
-mappings) walks the tuples in order, and graphs compare with ==.
+elements of equal keys in the order they came in. It is the one way to
+build a graph: both mappings, `parse_pg` and the generator build their Node
+and Edge tuples and call it. An element's id is its position, so every
+consumer (the validator, the serializers, the inverse mappings) walks the
+tuples in order, and graphs compare with ==.
 
 A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
-labels. Built schemas are in canonical order and compare with ==. Property
-types constrain what may appear, they do not make properties mandatory.
+labels. One function, `canonical_schema`, puts a schema in canonical order
+and is the one way to build one; schemas compare with ==. Property types
+constrain what may appear, they do not make properties mandatory.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from __future__ import annotations
 import itertools
 from collections import defaultdict
 from dataclasses import dataclass
-from typing import Mapping, NamedTuple
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import AmbiguousCanonicalKey
 from .report import ValidationReport, Violation
@@ -179,93 +180,23 @@ def canonical_graph(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
     )
 
 
-class PropertyGraphBuilder:
-    """Accumulates elements with their checks. Handles are builder-local:
-    build() puts the elements in canonical order with `canonical_graph`."""
+def canonical_schema(
+    node_types: Mapping[str, Iterable[PropertyType]], edge_types: Iterable[EdgeType]
+) -> PropertyGraphSchema:
+    """The schema of `node_types` and `edge_types` in canonical order.
 
-    def __init__(self) -> None:
-        self._ids = itertools.count()
-        self._nodes: dict[int, str] = {}
-        self._edges: dict[int, tuple[str, int, int]] = {}
-        self._props: dict[int, list[Property]] = defaultdict(list)
-
-    def add_node(self, label: str) -> int:
-        n = next(self._ids)
-        self._nodes[n] = label
-        return n
-
-    def add_edge(self, label: str, src: int, dst: int) -> int:
-        if src not in self._nodes or dst not in self._nodes:
-            raise ValueError("edge endpoints must be existing nodes")
-        e = next(self._ids)
-        self._edges[e] = (label, src, dst)
-        return e
-
-    def add_property(self, owner: int, key: str, value: PgValue) -> None:
-        if owner not in self._nodes and owner not in self._edges:
-            raise ValueError("property owner must be an existing node or edge")
-        if not value.datatype:
-            raise ValueError("datatype may not be empty")
-        self._props[owner].append((key, value))
-
-    def build(self) -> PropertyGraph:
-        def props(owner: int) -> tuple[Property, ...]:
-            return tuple(sorted(self._props.get(owner, ())))
-
-        # Handles grow in insertion order, so elements come in the order
-        # they were added.
-        position = {n: i for i, n in enumerate(self._nodes)}
-        return canonical_graph(
-            [Node(label, props(n)) for n, label in self._nodes.items()],
-            [
-                Edge(label, position[src], position[dst], props(e))
-                for e, (label, src, dst) in self._edges.items()
-            ],
-        )
-
-
-class PropertyGraphSchemaBuilder:
-    """Accumulates types with their checks. Handles are builder-local: a node
-    type's handle is its label, an edge type's is its position."""
-
-    def __init__(self) -> None:
-        self._node_types: dict[str, list[PropertyType]] = {}
-        self._edge_types: list[tuple[str, str, str, list[PropertyType]]] = []
-
-    def add_node_type(self, label: str) -> str:
-        if label in self._node_types:
-            raise ValueError(f"duplicate node type label {label!r}")
-        self._node_types[label] = []
-        return label
-
-    def add_edge_type(self, label: str, src: str, dst: str) -> int:
-        if src not in self._node_types or dst not in self._node_types:
-            raise ValueError("edge type endpoints must be existing node types")
-        self._edge_types.append((label, src, dst, []))
-        return len(self._edge_types) - 1
-
-    def add_property_type(self, owner: str | int, key: str, datatype: PgDatatype) -> None:
-        if not datatype:
-            raise ValueError("datatype may not be empty")
-        if owner in self._node_types:
-            self._node_types[owner].append((key, datatype))
-        elif type(owner) is int and 0 <= owner < len(self._edge_types):
-            self._edge_types[owner][3].append((key, datatype))
-        else:
-            raise ValueError("property type owner must be a node or edge type")
-
-    def build(self) -> PropertyGraphSchema:
-        edge_types = [
-            EdgeType(label, src, dst, tuple(sorted(pts)))
-            for label, src, dst, pts in self._edge_types
-        ]
-        return PropertyGraphSchema(
-            node_types={
-                label: tuple(sorted(self._node_types[label]))
-                for label in sorted(self._node_types)
-            },
-            edge_types=tuple(sorted(edge_types)),
-        )
+    `node_types` maps each node type label to its property types, and each
+    edge type names its endpoints by node type label; property types may
+    come in any order. Node type labels are sorted, then each owner's
+    property types, then the edge types. Duplicates are kept.
+    """
+    return PropertyGraphSchema(
+        node_types={label: tuple(sorted(node_types[label])) for label in sorted(node_types)},
+        edge_types=tuple(sorted(
+            EdgeType(label, source, target, tuple(sorted(property_types)))
+            for label, source, target, property_types in edge_types
+        )),
+    )
 
 
 def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> ValidationReport:

@@ -37,12 +37,13 @@ from .errors import DanglingEdgeEndpoint, FormatError
 from .pg_graph import (
     canonical_graph,
     Edge,
+    EdgeType,
     Node,
-    PgDatatype,
     PgValue,
     PropertyGraph,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
+    PropertyType,
+    canonical_schema,
 )
 
 
@@ -347,7 +348,7 @@ _EDGE_TYPE_FIELDS = frozenset({"id", "label", "source", "target", "propertyTypes
 
 def parse_pg_schema(text: str) -> PropertyGraphSchema:
     root = _load(text, _SCHEMA_FIELDS)
-    ptypes: dict[str, tuple[str, PgDatatype]] = {}
+    ptypes: dict[str, PropertyType] = {}  # id -> (key, datatype)
     for i, pt in enumerate(_field(root, "propertyTypes", list, ())):
         where = ("propertyTypes", i)
         _object(pt, _PROPERTY_TYPE_FIELDS, where)
@@ -360,10 +361,11 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
             raise FormatError(_path((*where, "type")), "datatype may not be empty")
         ptypes[pt_id] = (key, datatype)
 
-    builder = PropertyGraphSchemaBuilder()
     referenced: set[str] = set()
 
-    def attach(owner: str | int, element: dict, where: tuple) -> None:
+    def attach(element: dict, where: tuple) -> list[PropertyType]:
+        """The property types that `element` references, each taken off the table."""
+        result = []
         for i, pt_id in enumerate(_field(element, "propertyTypes", list, where)):
             at = (*where, "propertyTypes", i)
             if type(pt_id) is not str:
@@ -375,9 +377,10 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
                     _path(at), f"property type {pt_id!r} is attached to more than one owner"
                 )
             referenced.add(pt_id)
-            key, datatype = ptypes[pt_id]
-            builder.add_property_type(owner, key, datatype)
+            result.append(ptypes[pt_id])
+        return result
 
+    node_types: dict[str, list[PropertyType]] = {}
     nt_by_id: dict[str, str] = {}
     for i, node_type in enumerate(_field(root, "nodeTypes", list, ())):
         where = ("nodeTypes", i)
@@ -386,13 +389,12 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
         if nt_id in nt_by_id:
             raise FormatError(_path(where), f"duplicate node type id {nt_id!r}")
         label = _field(node_type, "label", str, where)
-        try:
-            nt = builder.add_node_type(label)
-        except ValueError as exc:
-            raise FormatError(_path(where), str(exc)) from None
-        nt_by_id[nt_id] = nt
-        attach(nt, node_type, where)
+        if label in node_types:
+            raise FormatError(_path(where), f"duplicate node type label {label!r}")
+        nt_by_id[nt_id] = label
+        node_types[label] = attach(node_type, where)
 
+    edge_types: list[EdgeType] = []
     et_ids: set[str] = set()
     for i, edge_type in enumerate(_field(root, "edgeTypes", list, ())):
         where = ("edgeTypes", i)
@@ -406,14 +408,14 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
         for ref in (source, target):
             if ref not in nt_by_id:
                 raise FormatError(_path(where), f"reference to unknown node type {ref!r}")
-        et = builder.add_edge_type(
-            _field(edge_type, "label", str, where), nt_by_id[source], nt_by_id[target]
+        label = _field(edge_type, "label", str, where)
+        edge_types.append(
+            EdgeType(label, nt_by_id[source], nt_by_id[target], attach(edge_type, where))
         )
-        attach(et, edge_type, where)
 
     unreferenced = sorted(set(ptypes) - referenced)
     if unreferenced:
         raise FormatError(
             "$.propertyTypes", f"property types never referenced: {', '.join(unreferenced)}"
         )
-    return builder.build()
+    return canonical_schema(node_types, edge_types)

@@ -52,12 +52,14 @@ from .errors import (
 from .pg_graph import (
     BOOLEAN,
     canonical_graph,
+    canonical_schema,
     DATATYPE_KINDS,
     DATE,
     DATETIME,
     DECIMAL,
     DOUBLE,
     Edge,
+    EdgeType,
     INT,
     INTEGER,
     IRI_PROPERTY_KEY,
@@ -66,7 +68,7 @@ from .pg_graph import (
     PgValue,
     PropertyGraph,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
+    PropertyType,
     STRING,
     validate_pg,
 )
@@ -120,23 +122,22 @@ assert sorted(RDF_DATATYPE_OF) == sorted(DATATYPE_KINDS)
 
 def map_schema(schema: RdfGraphSchema) -> PropertyGraphSchema:
     """RDF graph schema to property graph schema."""
-    builder = PropertyGraphSchemaBuilder()
-    node_types = schema.class_nodes - EXCLUDED_CLASS_IRIS
-    for iri in node_types:
-        builder.add_node_type(iri.value)
-
+    node_types: dict[str, list[PropertyType]] = {
+        iri.value: [] for iri in schema.class_nodes - EXCLUDED_CLASS_IRIS
+    }
+    edge_types: list[EdgeType] = []
     for prop_iri, domain, range_ in sorted(schema.property_edges):
-        if domain not in node_types:
+        if domain.value not in node_types:
             raise MissingEndpointType(prop_iri.value, domain.value, "domain")
         if range_ in SUPPORTED_DATATYPES:
             if prop_iri.value == IRI_PROPERTY_KEY:
                 raise ReservedVocabularyTerm(IRI_PROPERTY_KEY, "datatype property")
-            builder.add_property_type(domain.value, prop_iri.value, PG_DATATYPE_OF[range_])
+            node_types[domain.value].append((prop_iri.value, PG_DATATYPE_OF[range_]))
         else:
-            if range_ not in node_types:
+            if range_.value not in node_types:
                 raise MissingEndpointType(prop_iri.value, range_.value, "range")
-            builder.add_edge_type(prop_iri.value, domain.value, range_.value)
-    return builder.build()
+            edge_types.append(EdgeType(prop_iri.value, domain.value, range_.value, ()))
+    return canonical_schema(node_types, edge_types)
 
 
 def map_graph(graph: RdfGraph) -> PropertyGraph:

@@ -38,6 +38,7 @@ from .errors import (
 )
 from .pg_graph import (
     canonical_graph,
+    canonical_schema,
     Edge,
     EdgeType,
     IRI_PROPERTY_KEY,
@@ -72,16 +73,15 @@ _OBJECT_EDGE_SHAPE = (OBJECT_PROPERTY_LABEL, TYPE_KEY, STRING, Iri, Iri)
 _DATATYPE_EDGE_SHAPE = (DATATYPE_PROPERTY_LABEL, TYPE_KEY, STRING, Iri, Literal)
 
 
-# Written out in canonical order, as PropertyGraphSchemaBuilder.build() would.
-_GENERIC_SCHEMA = PropertyGraphSchema(
-    node_types={
-        LITERAL_LABEL: ((TYPE_KEY, STRING), (VALUE_KEY, STRING)),
-        RESOURCE_LABEL: ((IRI_PROPERTY_KEY, STRING), (TYPE_KEY, STRING)),
+_GENERIC_SCHEMA = canonical_schema(
+    {
+        RESOURCE_LABEL: [(IRI_PROPERTY_KEY, STRING), (TYPE_KEY, STRING)],
+        LITERAL_LABEL: [(TYPE_KEY, STRING), (VALUE_KEY, STRING)],
     },
-    edge_types=(
-        EdgeType(DATATYPE_PROPERTY_LABEL, RESOURCE_LABEL, LITERAL_LABEL, ((TYPE_KEY, STRING),)),
+    [
         EdgeType(OBJECT_PROPERTY_LABEL, RESOURCE_LABEL, RESOURCE_LABEL, ((TYPE_KEY, STRING),)),
-    ),
+        EdgeType(DATATYPE_PROPERTY_LABEL, RESOURCE_LABEL, LITERAL_LABEL, ((TYPE_KEY, STRING),)),
+    ],
 )
 
 

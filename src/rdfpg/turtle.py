@@ -62,17 +62,11 @@ RawTerm = Union[Iri, Literal, BlankNode]
 
 
 @dataclass(frozen=True)
-class RawTriple:
-    s: Union[Iri, BlankNode]
-    p: Iri
-    o: RawTerm
-
-
-@dataclass(frozen=True)
 class RawTurtleDocument:
-    """Parse result that may still contain blank nodes, in document order."""
+    """Parse result in document order: a triple's subject and object may be
+    BlankNodes here."""
 
-    triples: tuple[RawTriple, ...]
+    triples: tuple[Triple, ...]
     prefixes: PrefixMap
 
 
@@ -439,7 +433,7 @@ class _Parser:
 def parse_turtle_raw(text: str) -> RawTurtleDocument:
     """Parse, tolerating blank nodes. Pair with skolemize()."""
     triples, prefixes = _Parser(text, allow_blanks=True).parse()
-    return RawTurtleDocument(tuple(RawTriple(*t) for t in triples), prefixes)
+    return RawTurtleDocument(tuple(triples), prefixes)
 
 
 def parse_turtle(text: str) -> TripleSet:

@@ -9,12 +9,15 @@ import pytest
 from rdfpg.pg_graph import (
     DATE,
     INTEGER,
+    Edge,
+    EdgeType,
+    Node,
     PgValue,
     PropertyGraph,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
     STRING,
+    canonical_graph,
+    canonical_schema,
 )
 from rdfpg.rdf_graph import RdfGraph, RdfGraphSchema, build_rdf_graph, build_rdf_schema
 from rdfpg.terms import TripleSet
@@ -71,32 +74,25 @@ def build_company_pg(
     edge_prop: tuple[str, PgValue] | None = ("since", PgValue("2003", DATE)),
 ) -> PropertyGraph:
     """The two-company-node example graph, with knobs for mutation tests."""
-    b = PropertyGraphBuilder()
-    org = b.add_node("Organisation")
-    b.add_property(org, "name", PgValue("Tesla, Inc.", STRING))
-    b.add_property(org, "creation", PgValue("2003-07-01", DATE))
-    person = b.add_node(person_label)
-    b.add_property(person, "birthName", PgValue("Elon Musk", STRING))
-    b.add_property(person, "age", PgValue("46", age_type))
+    person = [("age", PgValue("46", age_type)), ("birthName", PgValue("Elon Musk", STRING))]
     if extra_person_prop is not None:
-        b.add_property(person, *extra_person_prop)
-    edge = b.add_edge(edge_label, org, person)
-    if edge_prop is not None:
-        b.add_property(edge, *edge_prop)
-    return b.build()
+        person.append(extra_person_prop)
+    org = Node(
+        "Organisation",
+        (("creation", PgValue("2003-07-01", DATE)), ("name", PgValue("Tesla, Inc.", STRING))),
+    )
+    edge = Edge(edge_label, 0, 1, () if edge_prop is None else (edge_prop,))
+    return canonical_graph([org, Node(person_label, tuple(sorted(person)))], [edge])
 
 
 def build_company_pg_schema() -> PropertyGraphSchema:
-    b = PropertyGraphSchemaBuilder()
-    org = b.add_node_type("Organisation")
-    b.add_property_type(org, "name", STRING)
-    b.add_property_type(org, "creation", DATE)
-    person = b.add_node_type("Person")
-    b.add_property_type(person, "birthName", STRING)
-    b.add_property_type(person, "age", INTEGER)
-    ceo = b.add_edge_type("ceo", org, person)
-    b.add_property_type(ceo, "since", DATE)
-    return b.build()
+    return canonical_schema(
+        {
+            "Organisation": [("creation", DATE), ("name", STRING)],
+            "Person": [("age", INTEGER), ("birthName", STRING)],
+        },
+        [EdgeType("ceo", "Organisation", "Person", (("since", DATE),))],
+    )
 
 
 @pytest.fixture()

@@ -27,13 +27,15 @@ from rdfpg.generator import (
 )
 from rdfpg.pg_graph import (
     DATE,
+    Edge,
     EdgeType,
     INT,
+    Node,
     PgValue,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
     STRING,
+    canonical_graph,
+    canonical_schema,
     pg_equal,
     validate_pg,
 )
@@ -86,29 +88,27 @@ def indep_suite():
 
 
 def _expected_dep_schema():
-    b = PropertyGraphSchemaBuilder()
-    org = b.add_node_type(VOC + "Organisation")
-    b.add_property_type(org, VOC + "name", STRING)
-    b.add_property_type(org, VOC + "creation", DATE)
-    person = b.add_node_type(VOC + "Person")
-    b.add_property_type(person, VOC + "birthName", STRING)
-    b.add_property_type(person, VOC + "age", INT)
-    b.add_edge_type(VOC + "ceo", org, person)
-    return b.build()
+    return canonical_schema(
+        {
+            VOC + "Organisation": [(VOC + "name", STRING), (VOC + "creation", DATE)],
+            VOC + "Person": [(VOC + "birthName", STRING), (VOC + "age", INT)],
+        },
+        [EdgeType(VOC + "ceo", VOC + "Organisation", VOC + "Person", ())],
+    )
 
 
 def _expected_dep_pg():
-    b = PropertyGraphBuilder()
-    org = b.add_node(VOC + "Organisation")
-    b.add_property(org, "iri", PgValue(EX + "Tesla_Inc", STRING))
-    b.add_property(org, VOC + "name", PgValue("Tesla, Inc.", STRING))
-    b.add_property(org, VOC + "creation", PgValue("2003-07-01", DATE))
-    person = b.add_node(VOC + "Person")
-    b.add_property(person, "iri", PgValue(EX + "Elon_Musk", STRING))
-    b.add_property(person, VOC + "birthName", PgValue("Elon Musk", STRING))
-    b.add_property(person, VOC + "age", PgValue("46", INT))
-    b.add_edge(VOC + "ceo", org, person)
-    return b.build()
+    org = Node(VOC + "Organisation", (
+        (VOC + "creation", PgValue("2003-07-01", DATE)),
+        (VOC + "name", PgValue("Tesla, Inc.", STRING)),
+        ("iri", PgValue(EX + "Tesla_Inc", STRING)),
+    ))
+    person = Node(VOC + "Person", (
+        (VOC + "age", PgValue("46", INT)),
+        (VOC + "birthName", PgValue("Elon Musk", STRING)),
+        ("iri", PgValue(EX + "Elon_Musk", STRING)),
+    ))
+    return canonical_graph([org, person], [Edge(VOC + "ceo", 0, 1, ())])
 
 
 def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
@@ -144,37 +144,32 @@ def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
 
 
 def _expected_indep_pg():
-    b = PropertyGraphBuilder()
-
     def resource(iri, type_iri):
-        n = b.add_node("Resource")
-        b.add_property(n, "iri", PgValue(iri, STRING))
-        b.add_property(n, "type", PgValue(type_iri, STRING))
-        return n
+        return Node("Resource", (("iri", PgValue(iri, STRING)), ("type", PgValue(type_iri, STRING))))
 
     def literal(value, type_iri):
-        n = b.add_node("Literal")
-        b.add_property(n, "type", PgValue(type_iri, STRING))
-        b.add_property(n, "value", PgValue(value, STRING))
-        return n
+        return Node("Literal", (("type", PgValue(type_iri, STRING)), ("value", PgValue(value, STRING))))
 
     def edge(label, src, dst, type_iri):
-        e = b.add_edge(label, src, dst)
-        b.add_property(e, "type", PgValue(type_iri, STRING))
-        return e
+        return Edge(label, src, dst, (("type", PgValue(type_iri, STRING)),))
 
-    tesla = resource(EX + "Tesla_Inc", VOC + "Organisation")
-    musk = resource(EX + "Elon_Musk", VOC + "Person")
-    name = literal("Tesla, Inc.", XSD + "string")
-    created = literal("2003-07-01", XSD + "date")
-    birth = literal("Elon Musk", XSD + "string")
-    age = literal("46", XSD + "int")
-    edge("ObjectProperty", tesla, musk, VOC + "ceo")
-    edge("DatatypeProperty", tesla, name, VOC + "name")
-    edge("DatatypeProperty", tesla, created, VOC + "creation")
-    edge("DatatypeProperty", musk, birth, VOC + "birthName")
-    edge("DatatypeProperty", musk, age, VOC + "age")
-    return b.build()
+    tesla, musk, name, created, birth, age = range(6)
+    nodes = [
+        resource(EX + "Tesla_Inc", VOC + "Organisation"),
+        resource(EX + "Elon_Musk", VOC + "Person"),
+        literal("Tesla, Inc.", XSD + "string"),
+        literal("2003-07-01", XSD + "date"),
+        literal("Elon Musk", XSD + "string"),
+        literal("46", XSD + "int"),
+    ]
+    edges = [
+        edge("ObjectProperty", tesla, musk, VOC + "ceo"),
+        edge("DatatypeProperty", tesla, name, VOC + "name"),
+        edge("DatatypeProperty", tesla, created, VOC + "creation"),
+        edge("DatatypeProperty", musk, birth, VOC + "birthName"),
+        edge("DatatypeProperty", musk, age, VOC + "age"),
+    ]
+    return canonical_graph(nodes, edges)
 
 
 def test_a2_schema_independent_example_match(org_instance):

@@ -32,9 +32,12 @@ from rdfpg.pg_graph import (
     DATE,
     INTEGER,
     STRING,
+    Edge,
+    EdgeType,
+    Node,
     PgValue,
-    PropertyGraphBuilder,
-    PropertyGraphSchemaBuilder,
+    canonical_graph,
+    canonical_schema,
     validate_pg,
 )
 from rdfpg.pg_json import serialize_pg, serialize_pg_schema
@@ -156,54 +159,52 @@ def test_golden_digests(case):
 
 def _violation_fixture():
     """A schema and a graph breaking P1a, P1b, P2a and P2b on several elements."""
-    sb = PropertyGraphSchemaBuilder()
-    org = sb.add_node_type("Organisation")
-    sb.add_property_type(org, "name", STRING)
-    person = sb.add_node_type("Person")
-    sb.add_property_type(person, "age", INTEGER)
-    sb.add_property_type(person, "name", STRING)
-    ceo = sb.add_edge_type("ceo", org, person)
-    sb.add_property_type(ceo, "since", DATE)
-    # Two edge types share a signature; P2b reports against the closer one.
-    knows_a = sb.add_edge_type("knows", person, person)
-    sb.add_property_type(knows_a, "since", DATE)
-    knows_b = sb.add_edge_type("knows", person, person)
-    sb.add_property_type(knows_b, "weight", INTEGER)
-    sb.add_property_type(knows_b, "since", STRING)
-    schema = sb.build()
+    schema = canonical_schema(
+        {
+            "Organisation": [("name", STRING)],
+            "Person": [("age", INTEGER), ("name", STRING)],
+        },
+        [
+            EdgeType("ceo", "Organisation", "Person", (("since", DATE),)),
+            # Two edge types share a signature; P2b reports against the closer one.
+            EdgeType("knows", "Person", "Person", (("since", DATE),)),
+            EdgeType("knows", "Person", "Person", (("since", STRING), ("weight", INTEGER))),
+        ],
+    )
 
-    b = PropertyGraphBuilder()
-    acme = b.add_node("Organisation")
-    b.add_property(acme, "name", PgValue("Acme", STRING))
-    b.add_property(acme, "founded", PgValue("1999", INTEGER))
-    b.add_property(acme, "iri", PgValue("http://ex.org/acme", STRING))
-    globex = b.add_node("Organisation")
-    b.add_property(globex, "name", PgValue("Globex", INTEGER))
-    ann = b.add_node("Person")
-    b.add_property(ann, "name", PgValue("Ann", STRING))
-    b.add_property(ann, "age", PgValue("41", STRING))
-    b.add_property(ann, "iri", PgValue("http://ex.org/ann", INTEGER))
-    bob = b.add_node("Person")
-    b.add_property(bob, "name", PgValue("Bob", STRING))
-    b.add_property(bob, "age", PgValue("39", INTEGER))
-    robot = b.add_node("Robot")
-    b.add_property(robot, "name", PgValue("R2", STRING))
-    b.add_node("Alien")
-    e1 = b.add_edge("ceo", acme, ann)
-    b.add_property(e1, "since", PgValue("2001", INTEGER))
-    b.add_property(e1, "until", PgValue("2009", DATE))
-    e2 = b.add_edge("ceo", globex, bob)
-    b.add_property(e2, "since", PgValue("2004-01-01", DATE))
-    e3 = b.add_edge("knows", ann, bob)
-    b.add_property(e3, "weight", PgValue("3", INTEGER))
-    b.add_property(e3, "colour", PgValue("red", "http://dt.example/c"))
-    b.add_property(e3, "since", PgValue("2010", INTEGER))
-    b.add_edge("knows", bob, robot)
-    b.add_edge("ceo", ann, acme)
-    b.add_edge("owns", acme, globex)
-    e4 = b.add_edge("knows", bob, ann)
-    b.add_property(e4, "since", PgValue("2011", DATE))
-    return b.build(), schema
+    acme, globex, ann, bob, robot = range(5)
+    nodes = [
+        Node("Organisation", (
+            ("founded", PgValue("1999", INTEGER)),
+            ("iri", PgValue("http://ex.org/acme", STRING)),
+            ("name", PgValue("Acme", STRING)),
+        )),
+        Node("Organisation", (("name", PgValue("Globex", INTEGER)),)),
+        Node("Person", (
+            ("age", PgValue("41", STRING)),
+            ("iri", PgValue("http://ex.org/ann", INTEGER)),
+            ("name", PgValue("Ann", STRING)),
+        )),
+        Node("Person", (("age", PgValue("39", INTEGER)), ("name", PgValue("Bob", STRING)))),
+        Node("Robot", (("name", PgValue("R2", STRING)),)),
+        Node("Alien", ()),
+    ]
+    edges = [
+        Edge("ceo", acme, ann, (
+            ("since", PgValue("2001", INTEGER)), ("until", PgValue("2009", DATE)),
+        )),
+        Edge("ceo", globex, bob, (("since", PgValue("2004-01-01", DATE)),)),
+        Edge("knows", ann, bob, (
+            ("colour", PgValue("red", "http://dt.example/c")),
+            ("since", PgValue("2010", INTEGER)),
+            ("weight", PgValue("3", INTEGER)),
+        )),
+        Edge("knows", bob, robot, ()),
+        Edge("ceo", ann, acme, ()),
+        Edge("owns", acme, globex, ()),
+        Edge("knows", bob, ann, (("since", PgValue("2011", DATE)),)),
+    ]
+    return canonical_graph(nodes, edges), schema
 
 
 EXPECTED_VIOLATIONS: tuple[tuple[str, str, str], ...] = (

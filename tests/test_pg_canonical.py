@@ -8,29 +8,39 @@ between equal keys fall back to insertion order, for nodes and for edges.
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 
 import pytest
 
 from rdfpg.cypher import export_import_script
 from rdfpg.errors import AmbiguousCanonicalKey
 from rdfpg.generator import GeneratorConfig, gen_property_graph
-from rdfpg.pg_graph import INTEGER, STRING, PgValue, PropertyGraph, PropertyGraphBuilder, pg_equal
+from rdfpg.pg_graph import (
+    INTEGER,
+    STRING,
+    Edge,
+    Node,
+    PgValue,
+    PropertyGraph,
+    canonical_graph,
+    pg_equal,
+)
 from rdfpg.pg_json import parse_pg, serialize_pg
 
 
 def _twins() -> PropertyGraph:
-    b = PropertyGraphBuilder()
-    c = b.add_node("C")
-    b.add_property(c, "k", PgValue("c", STRING))
-    t1 = b.add_node("T")
-    b.add_property(t1, "k", PgValue("x", STRING))
-    t2 = b.add_node("T")
-    b.add_property(t2, "k", PgValue("x", STRING))
-    b.add_edge("r", t2, c)
-    b.add_edge("r", t1, c)
-    e = b.add_edge("s", t1, t2)
-    b.add_property(e, "w", PgValue("1", INTEGER))
-    return b.build()
+    c, t1, t2 = range(3)
+    nodes = [
+        Node("C", (("k", PgValue("c", STRING)),)),
+        Node("T", (("k", PgValue("x", STRING)),)),
+        Node("T", (("k", PgValue("x", STRING)),)),
+    ]
+    edges = [
+        Edge("r", t2, c, ()),
+        Edge("r", t1, c, ()),
+        Edge("s", t1, t2, (("w", PgValue("1", INTEGER)),)),
+    ]
+    return canonical_graph(nodes, edges)
 
 
 def _prop(key: str, datatype: str, value: str) -> str:
@@ -96,30 +106,37 @@ def test_twin_nodes_make_pg_equal_raise():
 
 
 def _rebuild(graph: PropertyGraph, rng: random.Random, drop: int | None = None) -> PropertyGraph:
-    """`graph` built again with nodes, edges and properties added in a shuffled
-    order; `drop` leaves out the property of that index in the shuffled list."""
-    b = PropertyGraphBuilder()
-    handle = {}
+    """`graph` built again from its nodes and edges in a shuffled order, and
+    its properties in a shuffled order, sorted again per element; `drop`
+    leaves out the property of that index in the shuffled list."""
     elements = graph.nodes + graph.edges  # an element's id is its position here
     nodes = list(range(len(graph.nodes)))
     rng.shuffle(nodes)
-    for n in nodes:
-        handle[n] = b.add_node(elements[n].label)
     edges = list(range(len(graph.nodes), len(elements)))
     rng.shuffle(edges)
-    for e in edges:
-        label, src, dst, _ = elements[e]
-        handle[e] = b.add_edge(label, handle[src], handle[dst])
     properties = [
         (owner, key, value)
         for owner, element in enumerate(elements)
         for key, value in element.properties
     ]
     rng.shuffle(properties)
+    kept = defaultdict(list)
     for i, (owner, key, value) in enumerate(properties):
         if i != drop:
-            b.add_property(handle[owner], key, value)
-    return b.build()
+            kept[owner].append((key, value))
+    position = {n: i for i, n in enumerate(nodes)}
+    return canonical_graph(
+        [Node(elements[n].label, tuple(sorted(kept[n]))) for n in nodes],
+        [
+            Edge(
+                elements[e].label,
+                position[elements[e].source],
+                position[elements[e].target],
+                tuple(sorted(kept[e])),
+            )
+            for e in edges
+        ],
+    )
 
 
 @pytest.mark.parametrize("seed", range(60))

@@ -27,9 +27,11 @@ from rdfpg.pg_graph import (
     DOUBLE,
     INT,
     INTEGER,
+    Edge,
+    Node,
     PgValue,
-    PropertyGraphBuilder,
     STRING,
+    canonical_graph,
     pg_equal,
 )
 from rdfpg.pg_json import (
@@ -59,7 +61,7 @@ def test_serialize_company_counts(company_pg):
 
 
 def test_serialize_empty_graph():
-    doc = json.loads(serialize_pg(PropertyGraphBuilder().build()))
+    doc = json.loads(serialize_pg(canonical_graph([], [])))
     assert doc == {"nodes": [], "edges": []}
 
 
@@ -70,16 +72,15 @@ def test_serialize_is_byte_stable(company_pg):
 def test_serialize_is_canonical_across_construction_orders(company_pg):
     from rdfpg.pg_graph import DATE, INTEGER
 
-    b = PropertyGraphBuilder()
-    person = b.add_node("Person")
-    b.add_property(person, "age", PgValue("46", INTEGER))
-    b.add_property(person, "birthName", PgValue("Elon Musk", STRING))
-    org = b.add_node("Organisation")
-    b.add_property(org, "creation", PgValue("2003-07-01", DATE))
-    b.add_property(org, "name", PgValue("Tesla, Inc.", STRING))
-    e = b.add_edge("ceo", org, person)
-    b.add_property(e, "since", PgValue("2003", DATE))
-    scrambled = b.build()
+    person = Node("Person", (
+        ("age", PgValue("46", INTEGER)), ("birthName", PgValue("Elon Musk", STRING)),
+    ))
+    org = Node("Organisation", (
+        ("creation", PgValue("2003-07-01", DATE)), ("name", PgValue("Tesla, Inc.", STRING)),
+    ))
+    scrambled = canonical_graph(
+        [person, org], [Edge("ceo", 1, 0, (("since", PgValue("2003", DATE)),))]
+    )
     assert pg_equal(company_pg, scrambled)
     assert serialize_pg(company_pg) == serialize_pg(scrambled)
 
@@ -428,14 +429,12 @@ def test_export_company_statement_counts(company_pg):
 
 
 def test_export_empty_graph_is_empty():
-    assert export_import_script(PropertyGraphBuilder().build()) == ""
+    assert export_import_script(canonical_graph([], [])) == ""
 
 
 def test_export_escapes_non_identifier_labels():
-    b = PropertyGraphBuilder()
-    n = b.add_node("voc:Organisation Ltd.")
-    b.add_property(n, "weird key!", PgValue("it's", STRING))
-    script = export_import_script(b.build())
+    node = Node("voc:Organisation Ltd.", (("weird key!", PgValue("it's", STRING)),))
+    script = export_import_script(canonical_graph([node], []))
     assert "`voc:Organisation Ltd.`" in script
     assert "`weird key!`" in script
     assert "'it\\'s'" in script
@@ -448,21 +447,20 @@ def test_export_renders_numbers_and_booleans_bare(company_pg):
 
     from rdfpg.pg_graph import BOOLEAN
 
-    b = PropertyGraphBuilder()
-    n = b.add_node("T")
-    b.add_property(n, "flag", PgValue("TRUE", BOOLEAN))
-    b.add_property(n, "ratio", PgValue("1.5E2", DOUBLE))
-    b.add_property(n, "odd", PgValue("not a number", DOUBLE))
-    script = export_import_script(b.build())
+    node = Node("T", (
+        ("flag", PgValue("TRUE", BOOLEAN)),
+        ("odd", PgValue("not a number", DOUBLE)),
+        ("ratio", PgValue("1.5E2", DOUBLE)),
+    ))
+    script = export_import_script(canonical_graph([node], []))
     assert "flag: true" in script
     assert "ratio: 1.5E2" in script
     assert "odd: 'not a number'" in script
 
 
 def _rendered(lexical, datatype):
-    b = PropertyGraphBuilder()
-    b.add_property(b.add_node("T"), "v", PgValue(lexical, datatype))
-    script = export_import_script(b.build())
+    node = Node("T", (("v", PgValue(lexical, datatype)),))
+    script = export_import_script(canonical_graph([node], []))
     prefix, suffix = "CREATE (:T {_rdfpg_id: 0, v: ", "});\n"
     assert script.startswith(prefix) and script.endswith(suffix), script
     return script[len(prefix):-len(suffix)]
@@ -534,18 +532,18 @@ def test_export_numbers_keep_their_value(lexical, datatype, expected):
 
 
 def test_export_pins_the_four_values_that_lost_their_meaning():
-    b = PropertyGraphBuilder()
-    n = b.add_node("T")
-    b.add_property(n, "big", PgValue("123456789012345678901234567890", INTEGER))
-    b.add_property(n, "huge", PgValue("1e400", DOUBLE))
-    b.add_property(n, "pi", PgValue("3.14159265358979323846264338327950288", DECIMAL))
-    assert export_import_script(b.build()) == (
+    properties = (
+        ("big", PgValue("123456789012345678901234567890", INTEGER)),
+        ("huge", PgValue("1e400", DOUBLE)),
+        ("pi", PgValue("3.14159265358979323846264338327950288", DECIMAL)),
+    )
+    assert export_import_script(canonical_graph([Node("T", properties)], [])) == (
         "CREATE (:T {_rdfpg_id: 0, big: '123456789012345678901234567890', huge: '1e400', "
         "pi: '3.14159265358979323846264338327950288'});\n"
     )
-    b.add_property(n, "_rdfpg_id", PgValue("7", INTEGER))
+    properties = (("_rdfpg_id", PgValue("7", INTEGER)), *properties)
     with pytest.raises(RdfPgError) as err:
-        export_import_script(b.build())
+        export_import_script(canonical_graph([Node("T", properties)], []))
     assert str(err.value) == (
         "node T{_rdfpg_id='7':Integer, big='123456789012345678901234567890':Integer, "
         "huge='1e400':Double, pi='3.14159265358979323846264338327950288':Decimal} "

@@ -20,10 +20,13 @@ from rdfpg.generator import GeneratorConfig, gen_pg_schema, gen_property_graph
 from rdfpg.pg_graph import (
     DATE,
     INTEGER,
+    Edge,
+    EdgeType,
+    Node,
     PgValue,
-    PropertyGraphBuilder,
-    PropertyGraphSchemaBuilder,
     STRING,
+    canonical_graph,
+    canonical_schema,
 )
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 
@@ -445,36 +448,34 @@ def _oracle(text: str) -> str:
 
 
 def _awkward_graph():
-    builder = PropertyGraphBuilder()
-    nodes = []
-    for i, text in enumerate(AWKWARD):
-        n = builder.add_node(text)
-        nodes.append(n)
-        builder.add_property(n, text, PgValue(text, STRING))
-        builder.add_property(n, f"k{i}", PgValue(f"{i}", INTEGER))
-        builder.add_property(n, "dt", PgValue(text, f"urn:dt:{text}"))
-    bare = builder.add_node("no properties")
-    for i, text in enumerate(AWKWARD):
-        e = builder.add_edge(text, nodes[i], nodes[i - 1])
-        builder.add_property(e, text, PgValue(text, "http://ex.org/dt"))
-    builder.add_edge("bare edge", bare, bare)
-    return builder.build()
+    nodes = [
+        Node(text, tuple(sorted([
+            (text, PgValue(text, STRING)),
+            (f"k{i}", PgValue(f"{i}", INTEGER)),
+            ("dt", PgValue(text, f"urn:dt:{text}")),
+        ])))
+        for i, text in enumerate(AWKWARD)
+    ]
+    bare = len(nodes)
+    nodes.append(Node("no properties", ()))
+    edges = [
+        Edge(text, i, (i - 1) % len(AWKWARD), ((text, PgValue(text, "http://ex.org/dt")),))
+        for i, text in enumerate(AWKWARD)
+    ]
+    edges.append(Edge("bare edge", bare, bare, ()))
+    return canonical_graph(nodes, edges)
 
 
 def _awkward_schema():
-    builder = PropertyGraphSchemaBuilder()
-    types = []
-    for i, text in enumerate(AWKWARD):
-        nt = builder.add_node_type(text)
-        types.append(nt)
-        builder.add_property_type(nt, text, STRING)
-        builder.add_property_type(nt, f"k{i}", f"urn:dt:{text}")
-    bare = builder.add_node_type("no property types")
-    for i, text in enumerate(AWKWARD):
-        et = builder.add_edge_type(text, types[i], types[i - 1])
-        builder.add_property_type(et, text, DATE)
-    builder.add_edge_type("bare edge type", bare, bare)
-    return builder.build()
+    node_types = {
+        text: [(text, STRING), (f"k{i}", f"urn:dt:{text}")] for i, text in enumerate(AWKWARD)
+    }
+    node_types["no property types"] = []
+    edge_types = [
+        EdgeType(text, text, AWKWARD[i - 1], ((text, DATE),)) for i, text in enumerate(AWKWARD)
+    ]
+    edge_types.append(EdgeType("bare edge type", "no property types", "no property types", ()))
+    return canonical_schema(node_types, edge_types)
 
 
 def test_graph_layout_matches_the_json_module():
@@ -489,8 +490,8 @@ def test_schema_layout_matches_the_json_module():
 
 
 def test_empty_documents_layout():
-    assert serialize_pg(PropertyGraphBuilder().build()) == '{\n  "edges": [],\n  "nodes": []\n}\n'
-    assert serialize_pg_schema(PropertyGraphSchemaBuilder().build()) == (
+    assert serialize_pg(canonical_graph([], [])) == '{\n  "edges": [],\n  "nodes": []\n}\n'
+    assert serialize_pg_schema(canonical_schema({}, [])) == (
         '{\n  "edgeTypes": [],\n  "nodeTypes": [],\n  "propertyTypes": []\n}\n'
     )
 
@@ -517,16 +518,16 @@ _strings = st.text(
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.tuples(_strings, _strings, _strings, _strings), max_size=6))
 def test_layout_holds_for_any_strings(rows):
-    builder = PropertyGraphBuilder()
-    previous = None
-    for label, key, value, datatype in rows:
-        n = builder.add_node(label)
-        builder.add_property(n, key, PgValue(value, "urn:" + datatype))
-        if previous is not None:
-            e = builder.add_edge(label, previous, n)
-            builder.add_property(e, value, PgValue(key, STRING))
-        previous = n
-    text = serialize_pg(builder.build())
+    nodes = [
+        Node(label, ((key, PgValue(value, "urn:" + datatype)),))
+        for label, key, value, datatype in rows
+    ]
+    edges = [
+        Edge(label, n - 1, n, ((value, PgValue(key, STRING)),))
+        for n, (label, key, value, _) in enumerate(rows)
+        if n
+    ]
+    text = serialize_pg(canonical_graph(nodes, edges))
     assert text == _oracle(text)
 
 

@@ -17,9 +17,9 @@ from rdfpg.pg_graph import (
     EdgeType,
     Node,
     PgValue,
-    PropertyGraphBuilder,
-    PropertyGraphSchemaBuilder,
     STRING,
+    canonical_graph,
+    canonical_schema,
     pg_equal,
     validate_pg,
 )
@@ -76,17 +76,8 @@ def test_describe_names_a_node_by_its_properties_and_an_edge_by_its_ends(company
 def test_datatype_tokens():
     # A datatype is its token: a kind name, or a custom datatype's IRI.
     assert DATE == "Date"
-    b = PropertyGraphBuilder()
-    n = b.add_node("T")
-    b.add_property(n, "p", PgValue("x", "http://dt.example/blend"))
-    assert b.build().nodes[0].properties == (("p", PgValue("x", "http://dt.example/blend")),)
-    # Both builders refuse an empty datatype.
-    with pytest.raises(ValueError, match="datatype may not be empty"):
-        b.add_property(n, "q", PgValue("x", ""))
-    sb = PropertyGraphSchemaBuilder()
-    nt = sb.add_node_type("T")
-    with pytest.raises(ValueError, match="datatype may not be empty"):
-        sb.add_property_type(nt, "q", "")
+    properties = (("p", PgValue("x", "http://dt.example/blend")),)
+    assert canonical_graph([Node("T", properties)], []).nodes[0].properties == properties
 
 
 # -- validity -----------------------------------------------------------------
@@ -97,7 +88,7 @@ def test_company_example_is_valid(company_pg, company_pg_schema):
 
 
 def test_empty_graph_is_vacuously_valid(company_pg_schema):
-    empty = PropertyGraphBuilder().build()
+    empty = canonical_graph([], [])
     assert validate_pg(empty, company_pg_schema).valid
 
 
@@ -131,21 +122,18 @@ def test_undeclared_edge_property_violates_p2b(company_pg_schema):
 
 
 def test_p2b_reports_against_the_first_edge_type_leaving_the_fewest_unmatched():
-    sb = PropertyGraphSchemaBuilder()
-    a = sb.add_node_type("A")
-    for keys in (("x",), ("x", "y"), ("y", "z")):  # three edge types, one signature
-        et = sb.add_edge_type("r", a, a)
-        for key in keys:
-            sb.add_property_type(et, key, STRING)
-    schema = sb.build()
+    schema = canonical_schema(
+        {"A": []},
+        [  # three edge types, one signature
+            EdgeType("r", "A", "A", tuple((key, STRING) for key in keys))
+            for keys in (("x",), ("x", "y"), ("y", "z"))
+        ],
+    )
 
     def unmatched_keys(*keys):
-        b = PropertyGraphBuilder()
-        n = b.add_node("A")
-        e = b.add_edge("r", n, n)
-        for key in keys:
-            b.add_property(e, key, PgValue("1", STRING))
-        return [v.message.split("'")[1] for v in validate_pg(b.build(), schema).violations]
+        properties = tuple(sorted((key, PgValue("1", STRING)) for key in keys))
+        graph = canonical_graph([Node("A", ())], [Edge("r", 0, 0, properties)])
+        return [v.message.split("'")[1] for v in validate_pg(graph, schema).violations]
 
     assert unmatched_keys("x", "y") == []
     assert unmatched_keys("x", "y", "z") == ["z"]  # ('x', 'y') leaves one, before ('y', 'z')
@@ -154,9 +142,7 @@ def test_p2b_reports_against_the_first_edge_type_leaving_the_fewest_unmatched():
 
 
 def test_node_without_properties_is_valid(company_pg_schema):
-    b = PropertyGraphBuilder()
-    b.add_node("Person")
-    assert validate_pg(b.build(), company_pg_schema).valid
+    assert validate_pg(canonical_graph([Node("Person", ())], []), company_pg_schema).valid
 
 
 def test_reserved_iri_property_always_allowed(company_pg_schema):
@@ -170,13 +156,8 @@ def test_reserved_iri_property_always_allowed(company_pg_schema):
 def test_validation_is_monotone_under_element_removal(company_pg_schema):
     # same invalid node with and without the (also invalid) edge present
     def graph(with_edge: bool):
-        b = PropertyGraphBuilder()
-        org = b.add_node("Organisation")
-        person = b.add_node("Person")
-        b.add_property(person, "age", PgValue("46", STRING))
-        if with_edge:
-            b.add_edge("boss", org, person)
-        return b.build()
+        nodes = [Node("Organisation", ()), Node("Person", (("age", PgValue("46", STRING)),))]
+        return canonical_graph(nodes, [Edge("boss", 0, 1, ())] if with_edge else [])
 
     full = {(v.rule, v.element) for v in validate_pg(graph(True), company_pg_schema).violations}
     reduced = {(v.rule, v.element) for v in validate_pg(graph(False), company_pg_schema).violations}
@@ -187,16 +168,14 @@ def test_validation_is_monotone_under_element_removal(company_pg_schema):
 
 
 def test_pg_equal_ignores_construction_order(company_pg):
-    b = PropertyGraphBuilder()
-    person = b.add_node("Person")
-    b.add_property(person, "age", PgValue("46", INTEGER))
-    b.add_property(person, "birthName", PgValue("Elon Musk", STRING))
-    org = b.add_node("Organisation")
-    b.add_property(org, "creation", PgValue("2003-07-01", DATE))
-    b.add_property(org, "name", PgValue("Tesla, Inc.", STRING))
-    edge = b.add_edge("ceo", org, person)
-    b.add_property(edge, "since", PgValue("2003", DATE))
-    assert pg_equal(company_pg, b.build())
+    person = Node("Person", (
+        ("age", PgValue("46", INTEGER)), ("birthName", PgValue("Elon Musk", STRING)),
+    ))
+    org = Node("Organisation", (
+        ("creation", PgValue("2003-07-01", DATE)), ("name", PgValue("Tesla, Inc.", STRING)),
+    ))
+    edge = Edge("ceo", 1, 0, (("since", PgValue("2003", DATE)),))
+    assert pg_equal(company_pg, canonical_graph([person, org], [edge]))
 
 
 def test_pg_equal_detects_missing_edge_property(company_pg):
@@ -204,10 +183,7 @@ def test_pg_equal_detects_missing_edge_property(company_pg):
 
 
 def test_pg_equal_requires_distinguishable_nodes():
-    b = PropertyGraphBuilder()
-    b.add_node("Person")
-    b.add_node("Person")
-    twins = b.build()
+    twins = canonical_graph([Node("Person", ()), Node("Person", ())], [])
     with pytest.raises(AmbiguousCanonicalKey):
         pg_equal(twins, twins)
 
@@ -238,41 +214,32 @@ def test_pg_equal_is_an_equivalence_on_converted_graphs():
 
 
 def test_pg_schema_equal_ignores_construction_order(company_pg_schema):
-    b = PropertyGraphSchemaBuilder()
-    person = b.add_node_type("Person")
-    org = b.add_node_type("Organisation")
-    b.add_property_type(person, "age", INTEGER)
-    b.add_property_type(org, "name", STRING)
-    b.add_property_type(org, "creation", DATE)
-    b.add_property_type(person, "birthName", STRING)
-    ceo = b.add_edge_type("ceo", org, person)
-    b.add_property_type(ceo, "since", DATE)
-    assert company_pg_schema == b.build()
+    schema = canonical_schema(
+        {
+            "Person": [("birthName", STRING), ("age", INTEGER)],
+            "Organisation": [("name", STRING), ("creation", DATE)],
+        },
+        [EdgeType("ceo", "Organisation", "Person", (("since", DATE),))],
+    )
+    assert company_pg_schema == schema
 
 
 def test_pg_schema_equal_detects_missing_property_type(company_pg_schema):
-    b = PropertyGraphSchemaBuilder()
-    org = b.add_node_type("Organisation")
-    b.add_property_type(org, "name", STRING)
-    b.add_property_type(org, "creation", DATE)
-    person = b.add_node_type("Person")
-    b.add_property_type(person, "birthName", STRING)
-    b.add_property_type(person, "age", INTEGER)
-    b.add_edge_type("ceo", org, person)  # no "since"
-    assert company_pg_schema != b.build()
+    schema = canonical_schema(
+        {
+            "Organisation": [("creation", DATE), ("name", STRING)],
+            "Person": [("age", INTEGER), ("birthName", STRING)],
+        },
+        [EdgeType("ceo", "Organisation", "Person", ())],  # no "since"
+    )
+    assert company_pg_schema != schema
 
 
 def _duplicates_schema(duplicate_property_type=True, edge_type_count=2, node_order="AB"):
     """Node type A lists ("k", String) twice; edge type r: A -> B appears twice."""
-    b = PropertyGraphSchemaBuilder()
-    handles = {label: b.add_node_type(label) for label in node_order}
-    b.add_property_type(handles["A"], "k", STRING)
-    if duplicate_property_type:
-        b.add_property_type(handles["A"], "k", STRING)
-    for _ in range(edge_type_count):
-        r = b.add_edge_type("r", handles["A"], handles["B"])
-        b.add_property_type(r, "w", INTEGER)
-    return b.build()
+    node_types = {label: [] for label in node_order}
+    node_types["A"] += [("k", STRING)] * (2 if duplicate_property_type else 1)
+    return canonical_schema(node_types, [EdgeType("r", "A", "B", (("w", INTEGER),))] * edge_type_count)
 
 
 # Serialized form of _duplicates_schema(): every duplicate is kept and gets its own id.
@@ -300,13 +267,6 @@ def test_schema_duplicates_are_kept_and_counted():
     assert schema != _duplicates_schema(duplicate_property_type=False)
     assert schema != _duplicates_schema(edge_type_count=1)
     assert schema != _duplicates_schema(edge_type_count=3)
-
-
-def test_duplicate_node_type_labels_rejected():
-    b = PropertyGraphSchemaBuilder()
-    b.add_node_type("Person")
-    with pytest.raises(ValueError):
-        b.add_node_type("Person")
 
 
 def _canonical_property_order(props):

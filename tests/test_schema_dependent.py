@@ -20,6 +20,7 @@ from rdfpg.errors import (
 from rdfpg.generator import GeneratorConfig, gen_rdf_database
 from rdfpg.pg_graph import (
     canonical_graph,
+    canonical_schema,
     DATATYPE_KINDS,
     DATE,
     Edge,
@@ -28,9 +29,7 @@ from rdfpg.pg_graph import (
     INTEGER,
     Node,
     PgValue,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
     STRING,
     validate_pg,
 )
@@ -299,15 +298,12 @@ def test_invert_schema_recovers_org(org_rdf_schema):
 
 
 def test_invert_schema_empty():
-    empty = PropertyGraphSchemaBuilder().build()
+    empty = canonical_schema({}, [])
     assert dep.invert_schema(empty) == EMPTY_RDF_SCHEMA
 
 
 def test_invert_schema_from_bare_labels():
-    b = PropertyGraphSchemaBuilder()
-    person = b.add_node_type("Person")
-    b.add_property_type(person, "age", INTEGER)
-    schema = dep.invert_schema(b.build())
+    schema = dep.invert_schema(canonical_schema({"Person": [("age", INTEGER)]}, []))
     classes = {iri.value for iri in schema.class_nodes}
     assert classes == {"Person", XSD + "integer"}
     (edge,) = schema.property_edges
@@ -319,42 +315,34 @@ def test_invert_graph_recovers_org(org_graph):
 
 
 def test_invert_graph_empty():
-    assert dep.invert_graph(PropertyGraphBuilder().build()) == EMPTY_RDF_GRAPH
+    assert dep.invert_graph(canonical_graph([], [])) == EMPTY_RDF_GRAPH
 
 
 def test_invert_graph_single_node():
-    b = PropertyGraphBuilder()
-    n = b.add_node(VOC + "T")
-    b.add_property(n, "iri", PgValue(EX + "a", STRING))
-    graph = dep.invert_graph(b.build())
+    graph = dep.invert_graph(
+        canonical_graph([Node(VOC + "T", (("iri", PgValue(EX + "a", STRING)),))], [])
+    )
     assert graph.resource_nodes == {Iri(EX + "a"): Iri(VOC + "T")}
     assert not (graph.literal_nodes or graph.object_edges or graph.datatype_edges)
 
 
 def test_invert_graph_requires_iri_property():
-    b = PropertyGraphBuilder()
-    b.add_node(VOC + "T")
     with pytest.raises(MissingIriProperty) as err:
-        dep.invert_graph(b.build())
+        dep.invert_graph(canonical_graph([Node(VOC + "T", ())], []))
     assert str(err.value) == (
         f"node {VOC}T{{}} has no single 'iri' property to recover its IRI from"
     )
 
 
 def test_invert_graph_rejects_unusable_label():
-    b = PropertyGraphBuilder()
-    n = b.add_node("not an iri")
-    b.add_property(n, "iri", PgValue(EX + "a", STRING))
+    node = Node("not an iri", (("iri", PgValue(EX + "a", STRING)),))
     with pytest.raises(NonIriLabel):
-        dep.invert_graph(b.build())
+        dep.invert_graph(canonical_graph([node], []))
 
 
 def _node_with(label=VOC + "T", iri=EX + "a", key=VOC + "p", datatype=STRING):
-    b = PropertyGraphBuilder()
-    n = b.add_node(label)
-    b.add_property(n, "iri", PgValue(iri, STRING))
-    b.add_property(n, key, PgValue("x", datatype))
-    return b.build()
+    properties = sorted([("iri", PgValue(iri, STRING)), (key, PgValue("x", datatype))])
+    return canonical_graph([Node(label, tuple(properties))], [])
 
 
 @pytest.mark.parametrize(
@@ -380,20 +368,16 @@ def test_invert_graph_names_the_node_with_an_unusable_iri(graph, role, value):
 
 
 def test_invert_schema_names_the_type_with_an_unusable_iri():
-    b = PropertyGraphSchemaBuilder()
-    nt = b.add_node_type(VOC + "T")
-    b.add_property_type(nt, VOC + "when", "Dat e")
     with pytest.raises(NonIriLabel) as err:
-        dep.invert_schema(b.build())
+        dep.invert_schema(canonical_schema({VOC + "T": [(VOC + "when", "Dat e")]}, []))
     assert str(err.value) == (
         f"property type '{VOC}when' carries datatype 'Dat e', which is not usable as an IRI"
     )
 
-    b = PropertyGraphSchemaBuilder()
-    nt = b.add_node_type(VOC + "T")
-    b.add_property_type(nt, "a key", STRING)
     with pytest.raises(NonIriLabel) as err:
-        dep.invert_database(b.build(), PropertyGraphBuilder().build())
+        dep.invert_database(
+            canonical_schema({VOC + "T": [("a key", STRING)]}, []), canonical_graph([], [])
+        )
     assert str(err.value) == (
         f"node type '{VOC}T' carries property key 'a key', which is not usable as an IRI"
     )
@@ -455,27 +439,22 @@ def test_invert_graph_keeps_the_errors_of_two_iris_and_of_two_classes(org_graph)
 
 
 def test_invert_graph_drops_edge_properties_with_warning():
-    b = PropertyGraphBuilder()
-    a = b.add_node(VOC + "T")
-    b.add_property(a, "iri", PgValue(EX + "a", STRING))
-    c = b.add_node(VOC + "T")
-    b.add_property(c, "iri", PgValue(EX + "c", STRING))
-    e = b.add_edge(VOC + "p", a, c)
-    b.add_property(e, "since", PgValue("2003", DATE))
+    nodes = [
+        Node(VOC + "T", (("iri", PgValue(EX + "a", STRING)),)),
+        Node(VOC + "T", (("iri", PgValue(EX + "c", STRING)),)),
+    ]
+    edge = Edge(VOC + "p", 0, 1, (("since", PgValue("2003", DATE)),))
     with pytest.warns(UserWarning, match="dropped"):
-        graph = dep.invert_graph(b.build())
+        graph = dep.invert_graph(canonical_graph(nodes, [edge]))
     assert len(graph.object_edges) == 1
 
 
 def test_invert_database_warns_with_the_report_of_a_nonconforming_graph():
-    sb = PropertyGraphSchemaBuilder()
-    sb.add_property_type(sb.add_node_type("http://ex.org/T"), "http://ex.org/p", INTEGER)
-    pg_schema = sb.build()
-    b = PropertyGraphBuilder()
-    n = b.add_node("http://ex.org/X")
-    b.add_property(n, "iri", PgValue("http://ex.org/a", STRING))
-    b.add_property(n, "http://ex.org/p", PgValue("5", INTEGER))
-    pg = b.build()
+    pg_schema = canonical_schema({"http://ex.org/T": [("http://ex.org/p", INTEGER)]}, [])
+    node = Node("http://ex.org/X", (
+        ("http://ex.org/p", PgValue("5", INTEGER)), ("iri", PgValue("http://ex.org/a", STRING)),
+    ))
+    pg = canonical_graph([node], [])
     with pytest.warns(ValidityWarning, match="input PG database is invalid") as caught:
         _, graph = dep.invert_database(pg_schema, pg)
     report = caught.pop(ValidityWarning).message.report

@@ -20,12 +20,14 @@ from rdfpg.errors import (
 )
 from rdfpg.generator import GeneratorConfig, gen_rdf_graph
 from rdfpg.pg_graph import (
+    Edge,
     EdgeType,
+    Node,
     PgValue,
-    PropertyGraphBuilder,
     PropertyGraphSchema,
-    PropertyGraphSchemaBuilder,
     STRING,
+    canonical_graph,
+    canonical_schema,
     validate_pg,
 )
 from rdfpg.rdf_graph import RdfGraph, build_rdf_graph, rdf_equal
@@ -55,17 +57,17 @@ def test_generic_schema_shape():
 
 
 def test_generic_schema_is_in_canonical_order():
-    # The module writes the schema out by hand; the builder's order must match.
-    b = PropertyGraphSchemaBuilder()
-    resource = b.add_node_type("Resource")
-    b.add_property_type(resource, "type", STRING)
-    b.add_property_type(resource, "iri", STRING)
-    literal = b.add_node_type("Literal")
-    b.add_property_type(literal, "value", STRING)
-    b.add_property_type(literal, "type", STRING)
-    b.add_property_type(b.add_edge_type("ObjectProperty", resource, resource), "type", STRING)
-    b.add_property_type(b.add_edge_type("DatatypeProperty", resource, literal), "type", STRING)
-    built = b.build()
+    # canonical_schema orders the same types given in any order.
+    built = canonical_schema(
+        {
+            "Resource": [("type", STRING), ("iri", STRING)],
+            "Literal": [("value", STRING), ("type", STRING)],
+        },
+        [
+            EdgeType("ObjectProperty", "Resource", "Resource", (("type", STRING),)),
+            EdgeType("DatatypeProperty", "Resource", "Literal", (("type", STRING),)),
+        ],
+    )
     schema = indep.generic_schema()
     assert schema == built
     assert list(schema.node_types) == list(built.node_types) == ["Literal", "Resource"]
@@ -77,11 +79,9 @@ def test_generic_schema_is_constant():
 
 def test_require_generic_schema_names_the_first_differing_type():
     indep.require_generic_schema(indep.generic_schema())
-    b = PropertyGraphSchemaBuilder()
-    for label in ("Literal", "Resource"):
-        b.add_property_type(b.add_node_type(label), "type", STRING)
+    types_only = canonical_schema({"Literal": [("type", STRING)], "Resource": [("type", STRING)]}, [])
     with pytest.raises(NotGenericSchema, match="its node type 'Literal' differs"):
-        indep.require_generic_schema(b.build())
+        indep.require_generic_schema(types_only)
     generic = indep.generic_schema()
     edge_types = (generic.edge_types[0], EdgeType("ObjectProperty", "Resource", "Resource", ()))
     with pytest.raises(NotGenericSchema, match="its edge type 'ObjectProperty' differs"):
@@ -149,7 +149,7 @@ def test_invert_recovers_org(org_graph):
 
 
 def test_invert_empty():
-    assert indep.invert_graph(PropertyGraphBuilder().build()) == EMPTY_RDF_GRAPH
+    assert indep.invert_graph(canonical_graph([], [])) == EMPTY_RDF_GRAPH
 
 
 def test_generated_graphs_roundtrip():
@@ -220,26 +220,23 @@ def test_roundtrip_holds_for_arbitrary_graphs(graph):
 
 
 def test_invert_rejects_foreign_labels():
-    b = PropertyGraphBuilder()
-    b.add_node("Widget")
     with pytest.raises(SchemaViolation):
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([Node("Widget", ())], []))
 
 
 def test_invert_requires_bookkeeping_properties():
-    b = PropertyGraphBuilder()
-    b.add_node("Resource")  # conformant but empty: nothing to recover
+    empty = Node("Resource", ())  # conformant but empty: nothing to recover
     with pytest.raises(MissingRequiredProperty) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([empty], []))
     assert err.value.count == 0
 
-    b = PropertyGraphBuilder()
-    n = b.add_node("Resource")
-    b.add_property(n, "iri", PgValue(EX + "a", STRING))
-    b.add_property(n, "iri", PgValue(EX + "b", STRING))
-    b.add_property(n, "type", PgValue(VOC + "T", STRING))
+    two_iris = Node("Resource", (
+        ("iri", PgValue(EX + "a", STRING)),
+        ("iri", PgValue(EX + "b", STRING)),
+        ("type", PgValue(VOC + "T", STRING)),
+    ))
     with pytest.raises(MissingRequiredProperty) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([two_iris], []))
     assert err.value.count == 2
 
 
@@ -255,11 +252,7 @@ def test_invert_requires_bookkeeping_properties():
     ids=["iri-space", "type-tab", "type-empty", "iri-brace", "type-pipe"],
 )
 def test_invert_graph_names_the_node_with_an_unusable_iri(iri, type_iri, role):
-    b = PropertyGraphBuilder()
-    n = b.add_node("Resource")
-    b.add_property(n, "iri", PgValue(iri, STRING))
-    b.add_property(n, "type", PgValue(type_iri, STRING))
-    pg = b.build()
+    pg = canonical_graph([_resource(iri, type_iri)], [])
     with pytest.raises(NonIriLabel) as err:
         indep.invert_graph(pg)
     assert (err.value.element, err.value.role) == (pg.describe(pg.nodes[0]), role)
@@ -267,17 +260,10 @@ def test_invert_graph_names_the_node_with_an_unusable_iri(iri, type_iri, role):
 
 
 def test_invert_graph_names_the_edge_with_an_unusable_iri():
-    b = PropertyGraphBuilder()
-    nodes = []
-    for name in ("a", "b"):
-        n = b.add_node("Resource")
-        b.add_property(n, "iri", PgValue(EX + name, STRING))
-        b.add_property(n, "type", PgValue(VOC + "T", STRING))
-        nodes.append(n)
-    e = b.add_edge("ObjectProperty", *nodes)
-    b.add_property(e, "type", PgValue(VOC + "p q", STRING))
+    nodes = [_resource(EX + "a"), _resource(EX + "b")]
+    edge = Edge("ObjectProperty", 0, 1, (("type", PgValue(VOC + "p q", STRING)),))
     with pytest.raises(NonIriLabel) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph(nodes, [edge]))
     assert str(err.value) == (
         f"edge Resource --ObjectProperty--> Resource carries 'type' value '{VOC}p q', "
         "which is not usable as an IRI"
@@ -287,17 +273,13 @@ def test_invert_graph_names_the_edge_with_an_unusable_iri():
 def test_invert_graph_makes_one_iri_per_type_string():
     """A "type" string shared by many elements is checked once: every element
     gets the same Iri object."""
-    b = PropertyGraphBuilder()
-    nodes = []
-    for name in ("a", "b", "c"):
-        n = b.add_node("Resource")
-        b.add_property(n, "iri", PgValue(EX + name, STRING))
-        b.add_property(n, "type", PgValue(VOC + "T", STRING))
-        nodes.append(n)
-    for src, dst in itertools.permutations(nodes, 2):
-        e = b.add_edge("ObjectProperty", src, dst)
-        b.add_property(e, "type", PgValue(VOC + "knows", STRING))
-    graph = indep.invert_graph(b.build())
+    nodes = [_resource(EX + name) for name in ("a", "b", "c")]
+    knows = (("type", PgValue(VOC + "knows", STRING)),)
+    edges = [
+        Edge("ObjectProperty", src, dst, knows)
+        for src, dst in itertools.permutations(range(3), 2)
+    ]
+    graph = indep.invert_graph(canonical_graph(nodes, edges))
     predicates = [t.p for t in graph.object_edges]
     assert len(predicates) == 6
     assert all(p is predicates[0] for p in predicates)
@@ -308,36 +290,32 @@ def test_invert_graph_makes_one_iri_per_type_string():
 # -- error precedence of the inverse ----------------------------------------------
 
 
-def _resource(b, iri, type_iri=VOC + "T"):
-    n = b.add_node("Resource")
-    b.add_property(n, "iri", PgValue(iri, STRING))
-    b.add_property(n, "type", PgValue(type_iri, STRING))
-    return n
+def _resource(iri, type_iri=VOC + "T") -> Node:
+    return Node("Resource", (("iri", PgValue(iri, STRING)), ("type", PgValue(type_iri, STRING))))
 
 
 def test_schema_violation_outranks_an_unusable_iri_on_an_earlier_node():
-    b = PropertyGraphBuilder()
-    _resource(b, EX + "a b")  # node 0: NonIriLabel on its own
-    b.add_node("Widget")  # sorts after every Resource node
-    pg = b.build()
+    pg = canonical_graph([
+        _resource(EX + "a b"),  # node 0: NonIriLabel on its own
+        Node("Widget", ()),  # sorts after every Resource node
+    ], [])
     assert pg.nodes[0].label == "Resource"
     with pytest.raises(SchemaViolation, match="no node type labeled 'Widget'"):
         indep.invert_graph(pg)
 
 
 def test_schema_violation_outranks_a_class_conflict_on_an_earlier_node():
-    b = PropertyGraphBuilder()
-    _resource(b, EX + "a", VOC + "T")
-    _resource(b, EX + "a", VOC + "U")  # ConflictingResourceClass on its own
-    b.add_node("Widget")
+    nodes = [
+        _resource(EX + "a", VOC + "T"),
+        _resource(EX + "a", VOC + "U"),  # ConflictingResourceClass on its own
+        Node("Widget", ()),
+    ]
     with pytest.raises(SchemaViolation, match="no node type labeled 'Widget'"):
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph(nodes, []))
 
 
 def test_literal_without_value_or_type_names_value_first():
-    b = PropertyGraphBuilder()
-    b.add_node("Literal")
-    pg = b.build()
+    pg = canonical_graph([Node("Literal", ())], [])
     with pytest.raises(MissingRequiredProperty) as err:
         indep.invert_graph(pg)
     assert (err.value.element, err.value.label, err.value.count) == (
@@ -345,10 +323,9 @@ def test_literal_without_value_or_type_names_value_first():
 
 
 def test_edge_without_type_names_the_edge():
-    b = PropertyGraphBuilder()
-    b.add_edge("ObjectProperty", _resource(b, EX + "a"), _resource(b, EX + "b"))
+    nodes = [_resource(EX + "a"), _resource(EX + "b")]
     with pytest.raises(MissingRequiredProperty) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph(nodes, [Edge("ObjectProperty", 0, 1, ())]))
     assert (err.value.element, err.value.label, err.value.count) == (
         "edge Resource --ObjectProperty--> Resource", "type", 0)
 
@@ -356,18 +333,12 @@ def test_edge_without_type_names_the_edge():
 # -- graphs no conversion produces -------------------------------------------------
 
 
-def _literal(b, value="x", type_iri=XSD + "string"):
-    n = b.add_node("Literal")
-    b.add_property(n, "type", PgValue(type_iri, STRING))
-    b.add_property(n, "value", PgValue(value, STRING))
-    return n
+def _literal(value="x", type_iri=XSD + "string") -> Node:
+    return Node("Literal", (("type", PgValue(type_iri, STRING)), ("value", PgValue(value, STRING))))
 
 
 def test_invert_refuses_twin_resource_nodes():
-    b = PropertyGraphBuilder()
-    _resource(b, EX + "a")
-    _resource(b, EX + "a")
-    pg = b.build()
+    pg = canonical_graph([_resource(EX + "a"), _resource(EX + "a")], [])
     with pytest.raises(NotProducedByConversion) as err:
         indep.invert_graph(pg)
     assert err.value.element == pg.describe(pg.nodes[1])
@@ -378,25 +349,20 @@ def test_invert_refuses_twin_resource_nodes():
 
 
 def test_invert_refuses_a_twin_literal_with_an_edge_moved_onto_it():
-    b = PropertyGraphBuilder()
-    a = _resource(b, EX + "a")
-    for literal in (_literal(b), _literal(b)):
-        e = b.add_edge("DatatypeProperty", a, literal)
-        b.add_property(e, "type", PgValue(VOC + "p", STRING))
-    pg = b.build()
+    p = (("type", PgValue(VOC + "p", STRING)),)
+    pg = canonical_graph(
+        [_resource(EX + "a"), _literal(), _literal()],
+        [Edge("DatatypeProperty", 0, literal, p) for literal in (1, 2)],
+    )
     with pytest.raises(NotProducedByConversion, match="repeats the node before it") as err:
         indep.invert_graph(pg)
     assert err.value.element.startswith("node Literal{")
 
 
 def test_invert_refuses_twin_edges():
-    b = PropertyGraphBuilder()
-    a, c = _resource(b, EX + "a"), _resource(b, EX + "c")
-    for _ in range(2):
-        e = b.add_edge("ObjectProperty", a, c)
-        b.add_property(e, "type", PgValue(VOC + "knows", STRING))
+    knows = Edge("ObjectProperty", 0, 1, (("type", PgValue(VOC + "knows", STRING)),))
     with pytest.raises(NotProducedByConversion) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([_resource(EX + "a"), _resource(EX + "c")], [knows] * 2))
     assert str(err.value) == (
         "edge Resource --ObjectProperty--> Resource repeats the edge before it, "
         "which no conversion produces"
@@ -406,10 +372,10 @@ def test_invert_refuses_twin_edges():
 def test_invert_refuses_a_literal_node_with_an_iri():
     # The reserved "iri" property conforms on any node, but a Literal node
     # would lose it.
-    b = PropertyGraphBuilder()
-    n = _literal(b)
-    b.add_property(n, "iri", PgValue(EX + "a", STRING))
-    pg = b.build()
+    literal = _literal()
+    pg = canonical_graph(
+        [Node(literal.label, (("iri", PgValue(EX + "a", STRING)), *literal.properties))], []
+    )
     assert validate_pg(pg, indep.generic_schema()).valid
     with pytest.raises(NotProducedByConversion) as err:
         indep.invert_graph(pg)
@@ -418,19 +384,12 @@ def test_invert_refuses_a_literal_node_with_an_iri():
 
 
 def test_schema_violation_outranks_a_twin():
-    b = PropertyGraphBuilder()
-    _literal(b)
-    _literal(b)
-    b.add_node("Widget")
     with pytest.raises(SchemaViolation):
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([_literal(), _literal(), Node("Widget", ())], []))
 
 
 def test_a_missing_property_outranks_the_reserved_iri_on_a_literal():
-    b = PropertyGraphBuilder()
-    n = b.add_node("Literal")
-    b.add_property(n, "iri", PgValue(EX + "a", STRING))
-    b.add_property(n, "value", PgValue("x", STRING))
+    node = Node("Literal", (("iri", PgValue(EX + "a", STRING)), ("value", PgValue("x", STRING))))
     with pytest.raises(MissingRequiredProperty) as err:
-        indep.invert_graph(b.build())
+        indep.invert_graph(canonical_graph([node], []))
     assert err.value.label == "type"

@@ -21,7 +21,7 @@ from conftest import DATA_DIR, build_company_pg
 from rdfpg import schema_dependent as dep
 from rdfpg import schema_independent as indep
 from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_database, gen_rdf_graph
-from rdfpg.pg_graph import INTEGER, STRING, PgValue, PropertyGraphBuilder
+from rdfpg.pg_graph import INTEGER, STRING, Edge, Node, PgValue, canonical_graph
 from rdfpg.pg_json import serialize_pg
 from rdfpg.rdf_graph import (
     build_rdf_graph,
@@ -55,7 +55,7 @@ def _property_graphs():
         yield dep.map_database(schema, graph)[1]
     yield indep.map_graph(graph)
     yield build_company_pg()
-    yield PropertyGraphBuilder().build()
+    yield canonical_graph([], [])
     for seed in range(20):
         yield gen_property_graph(GeneratorConfig(seed=seed))
         yield indep.map_graph(gen_rdf_graph(GeneratorConfig(seed=seed)))
@@ -86,7 +86,7 @@ def test_serialize_turtle_streams_what_it_returns():
 
 def test_empty_documents_stream_unchanged():
     empty_pg = '{\n  "edges": [],\n  "nodes": []\n}\n'
-    assert _streamed(serialize_pg, PropertyGraphBuilder().build()) == empty_pg
+    assert _streamed(serialize_pg, canonical_graph([], [])) == empty_pg
     assert _streamed(serialize_turtle, TripleSet()) == ""
 
 
@@ -103,17 +103,16 @@ class _CountingSink:
 
 def _large_graph():
     """3,000 nodes in a chain, each with two properties; the edges carry one."""
-    builder = PropertyGraphBuilder()
-    nodes = []
-    for i in range(3000):
-        n = builder.add_node("http://example.org/voc/Thing")
-        builder.add_property(n, "iri", PgValue(f"http://example.org/data/thing{i}", STRING))
-        builder.add_property(n, "http://example.org/voc/rank", PgValue(str(i), INTEGER))
-        nodes.append(n)
-    for a, b in zip(nodes, nodes[1:]):
-        e = builder.add_edge("http://example.org/voc/next", a, b)
-        builder.add_property(e, "weight", PgValue("1", INTEGER))
-    return builder.build()
+    nodes = [
+        Node("http://example.org/voc/Thing", (
+            ("http://example.org/voc/rank", PgValue(str(i), INTEGER)),
+            ("iri", PgValue(f"http://example.org/data/thing{i}", STRING)),
+        ))
+        for i in range(3000)
+    ]
+    weight = (("weight", PgValue("1", INTEGER)),)
+    edges = [Edge("http://example.org/voc/next", i, i + 1, weight) for i in range(2999)]
+    return canonical_graph(nodes, edges)
 
 
 def test_streaming_does_not_hold_the_document():
