@@ -88,7 +88,7 @@ _STRING = r'"([^"\\\n]*(?:\\(?:[tbnrf"\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\
 # An object, then what follows it: ',' or '.', or a run of ';' with the
 # whitespace and comments in it, then the '.' of a statement that ends there.
 _OBJECT_PUNCT = (
-    "(?:(" + _TERM + ")|" + _STRING + r"(?:\^\^" + _WS + "(" + _IRI + "))?)"
+    "(?:(" + _TERM + ")|" + _STRING + "(?:" + _WS + r"\^\^" + _WS + "(" + _IRI + "))?)"
     + _WS + r"(?:([,.])|;[\s;]*(?:#[^\n]*(?![^\n])[\s;]*)*(\.)?)"
 )
 # A statement's subject, an @prefix directive, or the end of the input.
@@ -288,11 +288,12 @@ class _Parser:
             return self._read_iriref(pos)
         if c == '"':
             lexical, pos = self._read_string(pos)
-            if not text.startswith("^", pos):
+            caret = _skip_ws(text, pos).end()
+            if not text.startswith("^", caret):
                 return Literal(lexical, XSD_STRING), pos
-            if not text.startswith("^", pos + 1):
-                raise self._unexpected(pos + 1, "'^^' introducing a datatype")
-            pos = _skip_ws(text, pos + 2).end()
+            if not text.startswith("^", caret + 1):
+                raise self._unexpected(caret + 1, "'^^' introducing a datatype")
+            pos = _skip_ws(text, caret + 2).end()
             if text.startswith("<", pos):
                 datatype, pos = self._read_iriref(pos)
             else:

@@ -5,11 +5,11 @@ the grammar in docs/turtle-grammar.md: comments, tabs and Unicode
 whitespace between tokens (or none where none is needed), repeated and
 trailing ';', ',' object lists, subjects split over several statements,
 <full> and prefixed forms (an empty and a digit-first prefix among them),
-escapes of every kind, whitespace and comments after '^^', 'a', duplicate
-triples, and a prefix bound again to another namespace midway. Reading the
-text must give back exactly the drawn triples. A share of the cases also
-writes blank nodes, '_:label' and '[]', which skolemize must turn into the
-IRIs that their order of first appearance gives.
+escapes of every kind, whitespace and comments on both sides of '^^', 'a',
+duplicate triples, and a prefix bound again to another namespace midway.
+Reading the text must give back exactly the drawn triples. A share of the
+cases also writes blank nodes, '_:label' and '[]', which skolemize must
+turn into the IRIs that their order of first appearance gives.
 """
 
 from __future__ import annotations
@@ -126,7 +126,8 @@ class _Writer:
         text = _string(self.rng, o.lexical)
         if o.datatype == XSD_STRING and self.rng.random() < 0.7:
             return text, o
-        return text + "^^" + _gap(self.rng, "^", "x") + self.iri(o.datatype), o
+        caret = _gap(self.rng, '"', "^") + "^^" + _gap(self.rng, "^", "x")
+        return text + caret + self.iri(o.datatype), o
 
 
 def _draw_triples(rng: random.Random, blanks: bool) -> list[tuple]:
