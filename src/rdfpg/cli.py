@@ -42,6 +42,7 @@ from .rdf_graph import (
     validate_rdf,
 )
 from .report import ValidationReport
+from .terms import TripleSet
 from .turtle import parse_turtle, parse_turtle_raw, serialize_turtle, skolemize
 
 if TYPE_CHECKING:  # the generator is imported by the roundtrip command only
@@ -97,13 +98,6 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
         raise
 
 
-def _load_turtle(path: str, skolemize_blanks: bool):
-    text = _read_text(path)
-    if skolemize_blanks:
-        return skolemize(parse_turtle_raw(text))
-    return parse_turtle(text)
-
-
 def _show_warning(message, *_) -> None:
     """Print a warning to stderr as one "warning:" line.
 
@@ -111,6 +105,26 @@ def _show_warning(message, *_) -> None:
     form with the source file, line and code.
     """
     print(f"{_paint('warning:', '33')} {message}", file=sys.stderr)
+
+
+def _load_turtle(path: str, skolemize_blanks: bool = False) -> TripleSet:
+    """The triples of the Turtle file at `path`.
+
+    The reader's errors and warnings are given with the path in front, so
+    that a command reading two files names the one at fault.
+    """
+    text = _read_text(path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            if skolemize_blanks:
+                return skolemize(parse_turtle_raw(text))
+            return parse_turtle(text)
+        except RdfPgError as exc:
+            raise RdfPgError(f"{path}: {exc}") from exc
+        finally:
+            for w in caught:
+                _show_warning(f"{path}: {w.message}")
 
 
 def _checked(entry_point, *args):
@@ -193,8 +207,8 @@ def _cmd_invert(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.kind == "rdf":
-        schema = build_rdf_schema(complete_partial_schema(parse_turtle(_read_text(args.schema))))
-        graph = build_rdf_graph(parse_turtle(_read_text(args.rdf)), first_type=args.first_type)
+        schema = build_rdf_schema(complete_partial_schema(_load_turtle(args.schema)))
+        graph = build_rdf_graph(_load_turtle(args.rdf), first_type=args.first_type)
         report = validate_rdf(graph, schema)
     else:
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))

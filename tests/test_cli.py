@@ -427,17 +427,18 @@ def test_invert_dep_refuses_a_schema_no_conversion_produces(tmp_path, capsys, ed
     assert not any(p.exists() for p in outs)
 
 
-REDEFINED = "warning: prefix 'p:' redefined from <http://one.example/> to <http://two.example/>\n"
+REDEFINED = "warning: {}: prefix 'p:' redefined from <http://one.example/> to <http://two.example/>\n"
 
 
 @pytest.mark.parametrize("command, warned", [
-    (["convert", "--mode", "indep", "--rdf", "{i}"], 1),
-    (["convert", "--mode", "dep", "--rdf", "{i}", "--schema", "{s}"], 2),
-    (["validate", "rdf", "--rdf", "{i}", "--schema", "{s}"], 2),
+    (["convert", "--mode", "indep", "--rdf", "{i}"], "i"),
+    (["convert", "--mode", "dep", "--rdf", "{i}", "--schema", "{s}"], "is"),
+    (["validate", "rdf", "--rdf", "{i}", "--schema", "{s}"], "si"),
 ], ids=["convert-indep", "convert-dep", "validate-rdf"])
 def test_turtle_warnings_are_one_line_each(tmp_path, capsys, command, warned):
     # Each document binds p: twice; the reader's warning reaches stderr as a
-    # "warning:" line, once per document, without Python's source line.
+    # "warning:" line that names the file, once per document, without
+    # Python's source line.
     rebind = "@prefix p: <http://one.example/> .\n@prefix p: <http://two.example/> .\n"
     (tmp_path / "i.ttl").write_text(rebind + "p:a a p:C .\n")
     (tmp_path / "s.ttl").write_text(rebind + "p:C a <http://www.w3.org/2000/01/rdf-schema#Class> .\n")
@@ -445,7 +446,28 @@ def test_turtle_warnings_are_one_line_each(tmp_path, capsys, command, warned):
     if argv[0] == "convert":
         argv += ["--out-pg", str(tmp_path / "pg.json"), "--out-pg-schema", str(tmp_path / "pgs.json")]
     assert main(argv) == 0
-    assert capsys.readouterr().err == REDEFINED * warned
+    assert capsys.readouterr().err == "".join(
+        REDEFINED.format(tmp_path / f"{name}.ttl") for name in warned
+    )
+
+
+@pytest.mark.parametrize("broken", ["rdf", "schema"])
+def test_turtle_errors_name_their_file(tmp_path, capsys, broken):
+    # convert --mode dep reads two Turtle files; the error names the broken one.
+    paths = {"rdf": tmp_path / "i.ttl", "schema": tmp_path / "s.ttl"}
+    paths["rdf"].write_text("<http://ex.org/a> a <http://ex.org/C> .\n")
+    paths["schema"].write_text("<http://ex.org/C> a <http://www.w3.org/2000/01/rdf-schema#Class> .\n")
+    paths[broken].write_text(paths[broken].read_text() + "%\n")
+    outs = [tmp_path / "pg.json", tmp_path / "pgs.json"]
+    code = main(["convert", "--mode", "dep", "--rdf", str(paths["rdf"]),
+                 "--schema", str(paths["schema"]),
+                 "--out-pg", str(outs[0]), "--out-pg-schema", str(outs[1])])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {paths[broken]}: line 2, column 1: expected an IRI, prefixed name or keyword, "
+        "found '%'\n"
+    )
+    assert not any(p.exists() for p in outs)
 
 
 def test_invert_dep_edges_that_differ_only_in_properties(tmp_path, capsys):
