@@ -74,6 +74,8 @@ def _bare(datatype: str, lexical: str) -> bool:
     if not _FLOAT_LEXICAL.match(lexical):
         return False
     if datatype == DOUBLE:
+        if _INT_LEXICAL.match(lexical):  # read as an integer: it must be the double's value
+            return _bare(INTEGER, lexical) and float(lexical) == int(lexical)
         return math.isfinite(float(lexical))
     # A Decimal: the double's shortest form must be the same number, which
     # also refuses one that overflows or underflows.

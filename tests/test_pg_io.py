@@ -517,6 +517,12 @@ def test_export_numeric_literals(lexical, datatype, expected):
     ("1e400", DOUBLE, "'1e400'"),
     ("-1.5E309", DOUBLE, "'-1.5E309'"),
     ("1.7976931348623157E308", DOUBLE, "1.7976931348623157E308"),
+    # A Double written as an integer is read as one: it must fit and be exact.
+    ("46", DOUBLE, "46"),
+    ("9007199254740992", DOUBLE, "9007199254740992"),
+    ("9007199254740993", DOUBLE, "'9007199254740993'"),
+    ("9223372036854775807", DOUBLE, "'9223372036854775807'"),
+    ("99999999999999999999", DOUBLE, "'99999999999999999999'"),
     ("3.14159265358979323846264338327950288", DOUBLE, "3.14159265358979323846264338327950288"),
     # Decimals: at most 15 significant digits, given back by a double.
     ("3.14159265358979323846264338327950288", DECIMAL,
