@@ -20,7 +20,11 @@ or Edge tuple. An element that fails that test goes to the field helpers
 time and raise the error of the first failing check; they are the error
 path, not a second reader. `parse_pg` drops each decoded element from the
 document once it has read it, so the graph reuses that memory, and puts
-the graph in canonical order with `canonical_graph`.
+the graph in canonical order with `canonical_graph`. `parse_pg_schema`
+gathers each owner's property types in a plain list, refuses a node type
+label given twice, and puts the schema in canonical order with
+`canonical_schema`. Those two functions are the one way to build either
+model, here as everywhere else.
 
 See docs/pg-json-format.md and the JSON-Schema files next to it.
 """

@@ -20,7 +20,9 @@ graph once, and a graph that does not conform is refused with
 mapping to invert. A conforming graph that no conversion produces, with
 twin elements or a Literal node carrying "iri", is refused with
 `NotProducedByConversion`. A PG schema offered alongside such a graph must
-be the generic schema itself (`require_generic_schema`).
+be the generic schema itself (`require_generic_schema`). The generic
+schema is built once, at import, through `canonical_schema` like every
+other PG schema, and `map_graph` builds its graph through `canonical_graph`.
 """
 
 from __future__ import annotations
