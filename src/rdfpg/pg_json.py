@@ -368,7 +368,7 @@ def parse_pg_schema(text: str) -> PropertyGraphSchema:
     referenced: set[str] = set()
 
     def attach(element: dict, where: tuple) -> list[PropertyType]:
-        """The property types that `element` references, each taken off the table."""
+        """The property types that `element` references; each id may be referenced once."""
         result = []
         for i, pt_id in enumerate(_field(element, "propertyTypes", list, where)):
             at = (*where, "propertyTypes", i)

@@ -145,10 +145,14 @@ def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
 
 def _expected_indep_pg():
     def resource(iri, type_iri):
-        return Node("Resource", (("iri", PgValue(iri, STRING)), ("type", PgValue(type_iri, STRING))))
+        return Node("Resource", (
+            ("iri", PgValue(iri, STRING)), ("type", PgValue(type_iri, STRING)),
+        ))
 
     def literal(value, type_iri):
-        return Node("Literal", (("type", PgValue(type_iri, STRING)), ("value", PgValue(value, STRING))))
+        return Node("Literal", (
+            ("type", PgValue(type_iri, STRING)), ("value", PgValue(value, STRING)),
+        ))
 
     def edge(label, src, dst, type_iri):
         return Edge(label, src, dst, (("type", PgValue(type_iri, STRING)),))

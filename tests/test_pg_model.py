@@ -239,7 +239,8 @@ def _duplicates_schema(duplicate_property_type=True, edge_type_count=2, node_ord
     """Node type A lists ("k", String) twice; edge type r: A -> B appears twice."""
     node_types = {label: [] for label in node_order}
     node_types["A"] += [("k", STRING)] * (2 if duplicate_property_type else 1)
-    return canonical_schema(node_types, [EdgeType("r", "A", "B", (("w", INTEGER),))] * edge_type_count)
+    edge_types = [EdgeType("r", "A", "B", (("w", INTEGER),))] * edge_type_count
+    return canonical_schema(node_types, edge_types)
 
 
 # Serialized form of _duplicates_schema(): every duplicate is kept and gets its own id.

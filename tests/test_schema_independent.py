@@ -79,7 +79,9 @@ def test_generic_schema_is_constant():
 
 def test_require_generic_schema_names_the_first_differing_type():
     indep.require_generic_schema(indep.generic_schema())
-    types_only = canonical_schema({"Literal": [("type", STRING)], "Resource": [("type", STRING)]}, [])
+    types_only = canonical_schema(
+        {"Literal": [("type", STRING)], "Resource": [("type", STRING)]}, []
+    )
     with pytest.raises(NotGenericSchema, match="its node type 'Literal' differs"):
         indep.require_generic_schema(types_only)
     generic = indep.generic_schema()
