@@ -25,7 +25,6 @@ from .pg_graph import (
     PropertyGraphSchema,
     canonical_graph,
     canonical_schema,
-    pg_equal,
     validate_pg,
 )
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
@@ -93,7 +92,6 @@ __all__ = [
     "parse_pg_schema",
     "parse_turtle",
     "parse_turtle_raw",
-    "pg_equal",
     "rdf_equal",
     "rdf_graph_to_triples",
     "rdf_schema_to_triples",

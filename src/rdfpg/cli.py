@@ -7,7 +7,6 @@ Subcommands:
   roundtrip  generate databases, convert, invert and compare
 
 Exit codes: 0 success, 1 validation problems, 2 usage or processing errors.
-Set RDFPG_COLOR=1 to colorize diagnostics.
 
 The cyclic garbage collector is off while a command runs: no command makes
 cyclic garbage, and every model value is a tuple the collector would walk
@@ -49,25 +48,6 @@ if TYPE_CHECKING:  # the generator is imported by the roundtrip command only
     from .generator import GeneratorConfig
 
 
-def _color_enabled() -> bool:
-    return os.environ.get("RDFPG_COLOR", "").lower() in ("1", "true", "yes", "always")
-
-
-def _paint(text: str, code: str) -> str:
-    if _color_enabled():
-        return f"\x1b[{code}m{text}\x1b[0m"
-    return text
-
-
-def _print_report(report: ValidationReport, out) -> None:
-    if report.valid:
-        print(_paint("valid", "32"), file=out)
-    else:
-        print(_paint(f"invalid: {len(report.violations)} violation(s)", "31"), file=out)
-        for v in report.violations:
-            print(f"  {_paint('[' + v.rule + ']', '31')} {v.element}: {v.message}", file=out)
-
-
 def _read_text(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
         return handle.read()
@@ -104,7 +84,7 @@ def _show_warning(message, *_) -> None:
     `main` shows every warning of a command with it, in place of Python's
     form with the source file, line and code.
     """
-    print(f"{_paint('warning:', '33')} {message}", file=sys.stderr)
+    print(f"warning: {message}", file=sys.stderr)
 
 
 def _load_turtle(path: str, skolemize_blanks: bool = False) -> TripleSet:
@@ -153,11 +133,10 @@ def _print_input_validation(found: list[ValidityWarning]) -> int:
     cannot hold, so it fails the command as a violation does.
     """
     report = next((w.report for w in found if w.report is not None), ValidationReport())
-    print("input validation:", end=" ")
-    _print_report(report, sys.stdout)
+    print("input validation:", report.summary())
     unplaced = [w for w in found if w.report is None]
     for w in unplaced:
-        print(f"{_paint('warning:', '33')} {w}")
+        print(f"warning: {w}")
     return 0 if report.valid and not unplaced else 1
 
 
@@ -214,7 +193,7 @@ def _cmd_validate(args) -> int:
         pg_schema = parse_pg_schema(_read_text(args.pg_schema))
         pg = parse_pg(_read_text(args.pg))
         report = validate_pg(pg, pg_schema)
-    _print_report(report, sys.stdout)
+    print(report.summary())
     return 0 if report.valid else 1
 
 
@@ -520,7 +499,7 @@ def main(argv: list[str] | None = None) -> int:
             try:
                 return args.handler(args)
             except (RdfPgError, OSError, ValueError) as exc:
-                print(_paint(f"error: {exc}", "31"), file=sys.stderr)
+                print(f"error: {exc}", file=sys.stderr)
                 return 2
     finally:
         if was_enabled:

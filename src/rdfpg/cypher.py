@@ -4,12 +4,13 @@ The export is a plain script, one statement per element: first a CREATE per
 node, then a MATCH...CREATE per edge. Each node receives a synthetic
 `_rdfpg_id` property (its canonical index) so edge statements can find their
 endpoints without relying on data properties being unique; a node that
-holds a property of that key is refused. Statement order follows the
-canonical element order used by the JSON serializer, so the script is
-deterministic. A number is written bare only where openCypher reads back
-the same value: a 64-bit integer, a finite double, or a decimal that a
-double holds exactly to its digits. See docs/cypher-export.md for the
-dialect notes.
+holds a property of that key is refused. An openCypher map holds one value
+per key, so a node or edge with two values for one key is refused too.
+Statement order follows the canonical element order used by the JSON
+serializer, so the script is deterministic. A number is written bare only
+where openCypher reads back the same value: a 64-bit integer, a finite
+double, or a decimal that a double holds exactly to its digits. See
+docs/cypher-export.md for the dialect notes.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import re
 from decimal import Decimal
 
 from .errors import RdfPgError
-from .pg_graph import BOOLEAN, DECIMAL, DOUBLE, INT, INTEGER, PgValue, PropertyGraph
+from .pg_graph import BOOLEAN, DECIMAL, DOUBLE, INT, INTEGER, Edge, Node, PgValue, PropertyGraph
 
 NODE_ID_KEY = "_rdfpg_id"
 
@@ -99,10 +100,28 @@ def _property_map(pairs: list[tuple[str, str]]) -> str:
     return "{" + inner + "}"
 
 
+def _pairs(graph: PropertyGraph, element: Node | Edge) -> list[tuple[str, str]]:
+    """Each property of `element` as its key and its rendered value.
+
+    Raises RdfPgError for a key that holds two values: an openCypher map
+    keeps one value per key, so the import would lose the others.
+    """
+    pairs: list[tuple[str, str]] = []
+    for key, value in element.properties:
+        if pairs and pairs[-1][0] == key:  # properties are sorted by key
+            raise RdfPgError(
+                f"{graph.describe(element)} holds two values for {key!r}, "
+                "and an openCypher map keeps one value per key"
+            )
+        pairs.append((key, _value(value)))
+    return pairs
+
+
 def export_import_script(graph: PropertyGraph) -> str:
     """CREATE statements for every node, then every edge. Empty graph, empty script.
 
-    Raises RdfPgError for a node that holds a property keyed `_rdfpg_id`.
+    Raises RdfPgError for a node that holds a property keyed `_rdfpg_id`,
+    and for a node or edge that holds two values for one key.
     """
     statements: list[str] = []
     for i, node in enumerate(graph.nodes):
@@ -111,11 +130,10 @@ def export_import_script(graph: PropertyGraph) -> str:
                 f"{graph.describe(node)} holds a property keyed {NODE_ID_KEY!r}, "
                 "which the export reserves for its node ids"
             )
-        pairs = [(NODE_ID_KEY, str(i))]
-        pairs += [(k, _value(v)) for k, v in node.properties]
+        pairs = [(NODE_ID_KEY, str(i)), *_pairs(graph, node)]
         statements.append(f"CREATE (:{_name(node.label)} {_property_map(pairs)});")
     for edge in graph.edges:
-        pairs = [(k, _value(v)) for k, v in edge.properties]
+        pairs = _pairs(graph, edge)
         props = f" {_property_map(pairs)}" if pairs else ""
         statements.append(
             f"MATCH (a {{{_name(NODE_ID_KEY)}: {edge.source}}}), "

@@ -200,14 +200,6 @@ class DanglingEdgeEndpoint(RdfPgError):
         super().__init__(f"{path}: edge {edge_id} references unknown node id {node_id}")
 
 
-class AmbiguousCanonicalKey(RdfPgError):
-    """Two distinct elements share a canonical key, so id-free comparison is undefined."""
-
-    def __init__(self, key: str):
-        self.key = key
-        super().__init__(f"two distinct nodes share the canonical key {key}")
-
-
 class ValidityWarning(UserWarning):
     """Emitted when a mapping is applied to a database outside its checked domain.
 

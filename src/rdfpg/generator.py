@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .pg_graph import (
     DATATYPE_KINDS,
@@ -91,6 +91,7 @@ _STRING_POOL = (
     "ünïcødé ✓",
     "46",
 )
+_DATATYPE_POOL = tuple(sorted(SUPPORTED_DATATYPES))
 
 
 def _rng(label: str, seed: int) -> random.Random:
@@ -107,17 +108,11 @@ class GeneratorConfig:
     max_properties: int = 15
     max_resources: int = 30
     max_triples: int = 100
-    datatype_pool: tuple[Iri, ...] = field(
-        default_factory=lambda: tuple(sorted(SUPPORTED_DATATYPES))
-    )
 
     def __post_init__(self) -> None:
         for name in ("max_classes", "max_properties", "max_resources", "max_triples"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
-        unsupported = [dt.value for dt in self.datatype_pool if dt not in SUPPORTED_DATATYPES]
-        if unsupported:
-            raise ValueError(f"datatype_pool must stay within the supported set: {unsupported}")
 
     def with_seed(self, seed: int) -> "GeneratorConfig":
         return replace(self, seed=seed)
@@ -156,9 +151,8 @@ def gen_schema_triples(config: GeneratorConfig) -> TripleSet:
         triples.append(Triple(prop, RDF_TYPE, RDF_PROPERTY))
         if classes and rng.random() < 0.85:
             triples.append(Triple(prop, RDFS_DOMAIN, rng.choice(classes)))
-        make_datatype = config.datatype_pool and (not classes or rng.random() < 0.5)
-        if make_datatype:
-            triples.append(Triple(prop, RDFS_RANGE, rng.choice(config.datatype_pool)))
+        if not classes or rng.random() < 0.5:
+            triples.append(Triple(prop, RDFS_RANGE, rng.choice(_DATATYPE_POOL)))
         elif classes and rng.random() < 0.85:
             triples.append(Triple(prop, RDFS_RANGE, rng.choice(classes)))
         # else: no range triple; completion fills in rdfs:Resource
@@ -227,7 +221,7 @@ def gen_rdf_graph(config: GeneratorConfig) -> RdfGraph:
     class_pool = [Iri(VOC_NS + f"Class{i}") for i in range(max(1, config.max_classes))]
     class_pool.append(RDFS_RESOURCE)
     prop_pool = [Iri(VOC_NS + f"prop{i}") for i in range(max(1, config.max_properties))]
-    datatype_pool = list(config.datatype_pool) or [XSD_STRING]
+    datatype_pool = list(_DATATYPE_POOL)
     datatype_pool += [Iri(CUSTOM_DT_NS + name) for name in ("temperature", "colour")]
 
     resources = {
@@ -263,8 +257,7 @@ def gen_triple_set(config: GeneratorConfig) -> TripleSet:
     other_iris = [
         Iri(f"http://other.example.net/items#x{i}") for i in range(3)
     ] + [Iri(VOC_NS + "versioned/v1.2")]
-    datatypes = list(config.datatype_pool) or [XSD_STRING]
-    datatypes.append(Iri(CUSTOM_DT_NS + "blend"))
+    datatypes = [*_DATATYPE_POOL, Iri(CUSTOM_DT_NS + "blend")]
 
     triples: list[Triple] = []
     for _ in range(rng.randint(0, config.max_triples)):

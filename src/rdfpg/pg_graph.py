@@ -28,12 +28,10 @@ constrain what may appear, they do not make properties mandatory.
 
 from __future__ import annotations
 
-import itertools
 from collections import defaultdict
 from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
-from .errors import AmbiguousCanonicalKey
 from .report import ValidationReport, Violation
 
 PgDatatype = str  # a kind name below, or a custom datatype's IRI
@@ -268,20 +266,3 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
             for key, value in best_unmatched
         ]
     return ValidationReport(tuple(violations))
-
-
-def pg_equal(a: PropertyGraph, b: PropertyGraph) -> bool:
-    """Identity-free equality of property graphs: a == b, once both are known
-    to have distinguishable nodes.
-
-    Nodes must be distinguishable by (label, properties); graphs produced by
-    the mappings always are, since every node carries an identifying
-    property. Raises AmbiguousCanonicalKey otherwise. Equal nodes are
-    adjacent in canonical order.
-    """
-    for graph in (a, b):
-        for previous, node in itertools.pairwise(graph.nodes):
-            if node == previous:
-                key = (node.label, tuple((k, *v) for k, v in node.properties))
-                raise AmbiguousCanonicalKey(repr(key))
-    return a == b

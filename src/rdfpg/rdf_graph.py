@@ -36,7 +36,6 @@ from .terms import (
     COMMON_PREFIXES,
     Iri,
     Literal,
-    PrefixMap,
     RDF_PROPERTY,
     RDF_TYPE,
     RDFS_CLASS,
@@ -142,7 +141,7 @@ def complete_partial_schema(triples: TripleSet) -> TripleSet:
     additions += [Triple(pc, RDFS_RANGE, RDFS_RESOURCE) for pc in declared - with_range]
     if not additions:
         return triples
-    return triples.with_triples(additions)
+    return TripleSet(triples.triples.union(additions), triples.prefixes)
 
 
 def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
@@ -216,18 +215,17 @@ def validate_rdf(graph: RdfGraph, schema: RdfGraphSchema) -> ValidationReport:
     return ValidationReport(tuple(violations))
 
 
-def rdf_graph_to_triples(graph: RdfGraph, prefixes: PrefixMap | None = None) -> TripleSet:
+def rdf_graph_to_triples(graph: RdfGraph) -> TripleSet:
     """Inverse of build_rdf_graph. Nodes classed rdfs:Resource emit no type triple."""
     types = [
         Triple(iri, RDF_TYPE, cls)
         for iri, cls in graph.resource_nodes.items()
         if cls != RDFS_RESOURCE
     ]
-    return TripleSet(graph.object_edges.union(graph.datatype_edges, types),
-                     prefixes or COMMON_PREFIXES)
+    return TripleSet(graph.object_edges.union(graph.datatype_edges, types), COMMON_PREFIXES)
 
 
-def rdf_schema_to_triples(schema: RdfGraphSchema, prefixes: PrefixMap | None = None) -> TripleSet:
+def rdf_schema_to_triples(schema: RdfGraphSchema) -> TripleSet:
     """Inverse of build_rdf_schema.
 
     Datatype classes are left implicit: they reappear as range objects, so a
@@ -239,7 +237,7 @@ def rdf_schema_to_triples(schema: RdfGraphSchema, prefixes: PrefixMap | None = N
         triples.append(Triple(prop, RDF_TYPE, RDF_PROPERTY))
         triples.append(Triple(prop, RDFS_DOMAIN, dom))
         triples.append(Triple(prop, RDFS_RANGE, rng))
-    return TripleSet(triples, prefixes or COMMON_PREFIXES)
+    return TripleSet(triples, COMMON_PREFIXES)
 
 
 def rdf_equal(a, b) -> bool:

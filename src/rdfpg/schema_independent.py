@@ -27,12 +27,9 @@ other PG schema, and `map_graph` builds its graph through `canonical_graph`.
 
 from __future__ import annotations
 
-from functools import partial
-
 from .errors import (
     ConflictingResourceClass,
     MissingRequiredProperty,
-    NonIriLabel,
     NotGenericSchema,
     NotProducedByConversion,
     RdfPgError,
@@ -52,7 +49,7 @@ from .pg_graph import (
     validate_pg,
 )
 from .rdf_graph import RdfGraph
-from .terms import Iri, Literal, Triple, iri_for
+from .terms import Iri, Literal, Triple, iri_cache, iri_for
 
 RESOURCE_LABEL = "Resource"
 LITERAL_LABEL = "Literal"
@@ -211,41 +208,39 @@ def invert_graph(pg: PropertyGraph) -> RdfGraph:
 def _read(pg: PropertyGraph) -> RdfGraph:
     """The RDF graph of `pg`, read in one pass; raises at the first element
     out of `map_graph`'s shape, or one that cannot be inverted."""
+    iri = iri_cache()  # "type" strings repeat across elements
     resources: dict[Iri, Iri] = {}
     literals: list[Literal] = []
     term_of: list[Iri | Literal] = []  # by node position
-    type_iris: dict[str, Iri] = {}  # "type" strings repeat across elements
 
-    # terms.iri_cache takes a describe callable per call; this one makes it
-    # only for a string not seen before.
-    def type_iri(value: str, element: Node | Edge) -> Iri:
-        found = type_iris.get(value)
-        if found is None:
-            found = type_iris[value] = iri_for(value, partial(pg.describe, element), _TYPE_VALUE)
-        return found
+    # Error texts name the element being read. These read the loop variables
+    # when they are called, which is only on the way to raising, so nothing
+    # is built per element for an error that does not happen.
+    def describe_node() -> str:
+        return pg.describe(node)
+
+    def describe_edge() -> str:
+        return pg.describe(edge)
 
     previous = None
     for node in pg.nodes:
         if node == previous:  # twins are adjacent in canonical order
-            raise NotProducedByConversion(pg.describe(node), "repeats the node before it")
+            raise NotProducedByConversion(describe_node(), "repeats the node before it")
         previous = node
         label, properties = node
         if len(properties) == 2:
             (key1, (value1, datatype1)), (key2, (value2, datatype2)) = properties
             shape = (label, key1, datatype1, key2, datatype2)
             if shape == _RESOURCE_SHAPE:
-                try:
-                    resource = Iri(value1)
-                except ValueError:
-                    raise NonIriLabel(pg.describe(node), value1, _IRI_VALUE) from None
-                cls = type_iri(value2, node)
+                resource = iri_for(value1, describe_node, _IRI_VALUE)
+                cls = iri(value2, describe_node, _TYPE_VALUE)
                 if resources.setdefault(resource, cls) != cls:
                     first = pg.nodes[term_of.index(resource)]
-                    raise ConflictingResourceClass(value1, pg.describe(first), pg.describe(node))
+                    raise ConflictingResourceClass(value1, pg.describe(first), describe_node())
                 term_of.append(resource)
                 continue
             if shape == _LITERAL_SHAPE:
-                literal = Literal(value2, type_iri(value1, node))
+                literal = Literal(value2, iri(value1, describe_node, _TYPE_VALUE))
                 literals.append(literal)
                 term_of.append(literal)
                 continue
@@ -256,7 +251,7 @@ def _read(pg: PropertyGraph) -> RdfGraph:
     previous = None
     for edge in pg.edges:
         if edge == previous:
-            raise NotProducedByConversion(pg.describe(edge), "repeats the edge before it")
+            raise NotProducedByConversion(describe_edge(), "repeats the edge before it")
         previous = edge
         label, source, target, properties = edge
         if len(properties) == 1:
@@ -264,10 +259,10 @@ def _read(pg: PropertyGraph) -> RdfGraph:
             s, o = term_of[source], term_of[target]
             shape = (label, key, datatype, type(s), type(o))
             if shape == _OBJECT_EDGE_SHAPE:
-                object_edges.append(Triple(s, type_iri(value, edge), o))
+                object_edges.append(Triple(s, iri(value, describe_edge, _TYPE_VALUE), o))
                 continue
             if shape == _DATATYPE_EDGE_SHAPE:
-                datatype_edges.append(Triple(s, type_iri(value, edge), o))
+                datatype_edges.append(Triple(s, iri(value, describe_edge, _TYPE_VALUE), o))
                 continue
         raise _shape_error(pg, edge)
     return RdfGraph(

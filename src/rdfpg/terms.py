@@ -218,6 +218,3 @@ class TripleSet:
 
     def __repr__(self) -> str:
         return f"TripleSet({len(self.triples)} triples)"
-
-    def with_triples(self, extra) -> "TripleSet":
-        return TripleSet(self.triples | frozenset(extra), self.prefixes)

@@ -442,8 +442,8 @@ def parse_turtle(text: str) -> TripleSet:
     return TripleSet(*_Parser(text, allow_blanks=False).parse())
 
 
-def skolemize(doc: RawTurtleDocument, base: str = DEFAULT_SKOLEM_BASE) -> TripleSet:
-    """Replace blank nodes with IRIs minted under `base`.
+def skolemize(doc: RawTurtleDocument) -> TripleSet:
+    """Replace blank nodes with IRIs minted under DEFAULT_SKOLEM_BASE.
 
     Labels are numbered from zero in order of first appearance, so the result
     is deterministic for a given document. Blank-free documents pass through
@@ -455,7 +455,7 @@ def skolemize(doc: RawTurtleDocument, base: str = DEFAULT_SKOLEM_BASE) -> Triple
         if not isinstance(term, BlankNode):
             return term
         if term.label not in assignment:
-            assignment[term.label] = Iri(f"{base}{len(assignment)}")
+            assignment[term.label] = Iri(f"{DEFAULT_SKOLEM_BASE}{len(assignment)}")
         return assignment[term.label]
 
     triples = []

@@ -36,7 +36,6 @@ from rdfpg.pg_graph import (
     STRING,
     canonical_graph,
     canonical_schema,
-    pg_equal,
     validate_pg,
 )
 from rdfpg.pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
@@ -132,7 +131,7 @@ def test_a1_schema_dependent_example_match(org_instance, org_schema_triples):
         len(pg.nodes) == 2,
         len(pg.edges) == 1,
         sum(len(element.properties) for element in pg.nodes + pg.edges) == 6,
-        pg_equal(pg, expected_pg),
+        pg == expected_pg,
         elapsed < EXAMPLE_BUDGET_SECONDS,
     ]
     _announce(
@@ -185,7 +184,7 @@ def test_a2_schema_independent_example_match(org_instance):
         len(pg.nodes) == 6,
         len(pg.edges) == 5,
         sum(len(element.properties) for element in pg.nodes + pg.edges) == 17,
-        pg_equal(pg, _expected_indep_pg()),
+        pg == _expected_indep_pg(),
         elapsed < EXAMPLE_BUDGET_SECONDS,
     ]
     _announce(
@@ -318,7 +317,7 @@ def test_a7_io_roundtrips(org_instance, org_schema_triples):
         graph = gen_property_graph(GeneratorConfig(seed=seed))
         text = serialize_pg(graph)
         rebuilt = gen_property_graph(GeneratorConfig(seed=seed))
-        if pg_equal(parse_pg(text), graph) and serialize_pg(rebuilt) == text:
+        if parse_pg(text) == graph and serialize_pg(rebuilt) == text:
             json_cases += 1
         schema = gen_pg_schema(GeneratorConfig(seed=seed))
         stext = serialize_pg_schema(schema)

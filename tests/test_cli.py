@@ -682,19 +682,6 @@ def test_roundtrip_zero_count_is_usage_error(capsys):
     assert exc.value.code == 2
 
 
-def test_color_env_var_controls_ansi(tmp_path, capsys, monkeypatch):
-    mutated = tmp_path / "bad.ttl"
-    mutated.write_text(
-        Path(INSTANCE).read_text(encoding="utf-8").replace("voc:Organisation", "voc:Company")
-    )
-    monkeypatch.setenv("RDFPG_COLOR", "1")
-    main(["validate", "rdf", "--rdf", str(mutated), "--schema", SCHEMA])
-    assert "\x1b[31m" in capsys.readouterr().out
-    monkeypatch.delenv("RDFPG_COLOR")
-    main(["validate", "rdf", "--rdf", str(mutated), "--schema", SCHEMA])
-    assert "\x1b[" not in capsys.readouterr().out
-
-
 def test_convert_output_is_deterministic(tmp_path):
     outputs = []
     for run in ("one", "two"):

@@ -11,7 +11,10 @@ script order, so a key written twice is read twice.
 
 The seeded property test reads the script of every graph back: each node
 and edge in order, each value equal to the graph's either as the quoted
-string or as a number.
+string or as a number. A graph with a node or edge that holds two values
+for one key must be refused instead: an openCypher map keeps one value per
+key. About 3 in 5 `gen_property_graph` graphs have such an element; the
+mappings never write one, so 1,191 of the 1,500 graphs read back.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ import pytest
 from rdfpg import schema_dependent as dep
 from rdfpg import schema_independent as indep
 from rdfpg.cypher import NODE_ID_KEY, export_import_script
+from rdfpg.errors import RdfPgError
 from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_database, gen_rdf_graph
 from rdfpg.pg_graph import (
     BOOLEAN,
@@ -38,7 +42,7 @@ from rdfpg.pg_graph import (
     canonical_graph,
 )
 
-SEEDS = range(400)  # three graphs each: 1,200 cases
+SEEDS = range(500)  # three graphs each: 1,500 cases
 
 _TOKEN = re.compile(
     r"""[ \n]*(?:
@@ -204,13 +208,29 @@ def _assert_reads_back(graph: PropertyGraph) -> None:
         assert _same_pairs(edge.properties, read), (edge, read)
 
 
+def _reads_back_or_is_refused(graph: PropertyGraph) -> bool:
+    """Whether the script of `graph` reads back; False if it is refused for
+    an element that holds two values for one key, as it must be."""
+    if any(
+        len({key for key, _ in element.properties}) < len(element.properties)
+        for element in graph.nodes + graph.edges
+    ):
+        with pytest.raises(RdfPgError, match="holds two values for"):
+            export_import_script(graph)
+        return False
+    _assert_reads_back(graph)
+    return True
+
+
 @pytest.mark.parametrize("chunk", range(4))
 def test_every_script_reads_back_as_its_graph(chunk):
+    read_back = 0
     for seed in SEEDS[chunk::4]:
         config = GeneratorConfig(seed=seed)
-        _assert_reads_back(gen_property_graph(config))
-        _assert_reads_back(dep.map_graph(gen_rdf_database(config)[1]))
-        _assert_reads_back(indep.map_graph(gen_rdf_graph(config)))
+        read_back += _reads_back_or_is_refused(gen_property_graph(config))
+        read_back += _reads_back_or_is_refused(dep.map_graph(gen_rdf_database(config)[1]))
+        read_back += _reads_back_or_is_refused(indep.map_graph(gen_rdf_graph(config)))
+    assert read_back >= 250  # at least 1,000 over the four chunks
 
 
 # Each lexical form under each datatype, with the awkward cases of the range

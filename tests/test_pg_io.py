@@ -32,7 +32,6 @@ from rdfpg.pg_graph import (
     PgValue,
     STRING,
     canonical_graph,
-    pg_equal,
 )
 from rdfpg.pg_json import (
     parse_pg,
@@ -81,7 +80,7 @@ def test_serialize_is_canonical_across_construction_orders(company_pg):
     scrambled = canonical_graph(
         [person, org], [Edge("ceo", 1, 0, (("since", PgValue("2003", DATE)),))]
     )
-    assert pg_equal(company_pg, scrambled)
+    assert company_pg == scrambled
     assert serialize_pg(company_pg) == serialize_pg(scrambled)
 
 
@@ -93,7 +92,7 @@ def test_values_stay_strings_in_json(company_pg):
 
 
 def test_parse_roundtrip(company_pg):
-    assert pg_equal(parse_pg(serialize_pg(company_pg)), company_pg)
+    assert parse_pg(serialize_pg(company_pg)) == company_pg
 
 
 def test_parse_rejects_missing_fields():
@@ -340,7 +339,7 @@ def test_generated_graph_documents_roundtrip():
         graph = gen_property_graph(GeneratorConfig(seed=seed))
         text = serialize_pg(graph)
         parsed = parse_pg(text)
-        assert pg_equal(parsed, graph), seed
+        assert parsed == graph, seed
         assert serialize_pg(parsed) == text, seed
 
 
@@ -561,6 +560,28 @@ def test_export_refuses_the_dep_route_node_that_holds_the_id_key():
     pg = dep.map_graph(build_rdf_graph(parse_turtle('<http://ex.org/a> <_rdfpg_id> "7" .')))
     with pytest.raises(RdfPgError, match="holds a property keyed '_rdfpg_id'"):
         export_import_script(pg)
+
+
+def test_export_refuses_an_element_with_two_values_for_one_key():
+    twice = (("n", PgValue("46", STRING)), ("n", PgValue("47", INTEGER)))
+    with pytest.raises(RdfPgError) as err:
+        export_import_script(canonical_graph([Node("T", twice)], []))
+    assert str(err.value) == (
+        "node T{n='46':String, n='47':Integer} holds two values for 'n', "
+        "and an openCypher map keeps one value per key"
+    )
+    nodes = [Node("A", ()), Node("B", ())]
+    with pytest.raises(RdfPgError) as err:
+        export_import_script(canonical_graph(nodes, [Edge("r", 0, 1, twice)]))
+    assert str(err.value) == (
+        "edge A --r--> B holds two values for 'n', "
+        "and an openCypher map keeps one value per key"
+    )
+    once = (("m", PgValue("1", INTEGER)), ("n", PgValue("46", STRING)))
+    assert export_import_script(canonical_graph(nodes, [Edge("r", 0, 1, once)])) == (
+        "CREATE (:A {_rdfpg_id: 0});\nCREATE (:B {_rdfpg_id: 1});\n"
+        "MATCH (a {_rdfpg_id: 0}), (b {_rdfpg_id: 1}) CREATE (a)-[:r {m: 1, n: '46'}]->(b);\n"
+    )
 
 
 def test_export_generated_numeric_lexicals_stay_bare():

@@ -2,13 +2,11 @@
 
 from __future__ import annotations
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import build_company_pg
 
-from rdfpg.errors import AmbiguousCanonicalKey
 from rdfpg.generator import GeneratorConfig, gen_property_graph, gen_rdf_graph
 from rdfpg.pg_graph import (
     DATE,
@@ -20,7 +18,6 @@ from rdfpg.pg_graph import (
     STRING,
     canonical_graph,
     canonical_schema,
-    pg_equal,
     validate_pg,
 )
 from rdfpg.pg_json import parse_pg_schema, serialize_pg_schema
@@ -164,7 +161,7 @@ def test_validation_is_monotone_under_element_removal(company_pg_schema):
     assert reduced <= full
 
 
-# -- pg_equal -----------------------------------------------------------------
+# -- graph equality -----------------------------------------------------------
 
 
 def test_pg_equal_ignores_construction_order(company_pg):
@@ -175,22 +172,16 @@ def test_pg_equal_ignores_construction_order(company_pg):
         ("creation", PgValue("2003-07-01", DATE)), ("name", PgValue("Tesla, Inc.", STRING)),
     ))
     edge = Edge("ceo", 1, 0, (("since", PgValue("2003", DATE)),))
-    assert pg_equal(company_pg, canonical_graph([person, org], [edge]))
+    assert company_pg == canonical_graph([person, org], [edge])
 
 
 def test_pg_equal_detects_missing_edge_property(company_pg):
-    assert not pg_equal(company_pg, build_company_pg(edge_prop=None))
-
-
-def test_pg_equal_requires_distinguishable_nodes():
-    twins = canonical_graph([Node("Person", ()), Node("Person", ())], [])
-    with pytest.raises(AmbiguousCanonicalKey):
-        pg_equal(twins, twins)
+    assert company_pg != build_company_pg(edge_prop=None)
 
 
 def test_pg_equal_same_conversion_twice():
     graph = gen_rdf_graph(GeneratorConfig(seed=11))
-    assert pg_equal(indep_map_graph(graph), indep_map_graph(graph))
+    assert indep_map_graph(graph) == indep_map_graph(graph)
 
 
 def test_pg_equal_is_an_equivalence_on_converted_graphs():
@@ -201,13 +192,13 @@ def test_pg_equal_is_an_equivalence_on_converted_graphs():
         indep_map_graph(gen_rdf_graph(GeneratorConfig(seed=s))) for s in range(6)
     ]
     for g, c in zip(graphs, copies):
-        assert pg_equal(g, g)
-        assert pg_equal(g, c) == pg_equal(c, g)
+        assert g == g
+        assert (g == c) == (c == g)
     for a in graphs[:3]:
         for b in copies[:3]:
             for c in graphs[:3]:
-                if pg_equal(a, b) and pg_equal(b, c):
-                    assert pg_equal(a, c)
+                if a == b and b == c:
+                    assert a == c
 
 
 # -- schema equality -----------------------------------------------------------

@@ -492,10 +492,8 @@ def test_empty_database_roundtrips():
 
 
 def test_mapping_is_deterministic(org_rdf_schema, org_graph):
-    from rdfpg.pg_graph import pg_equal
-
     assert dep.map_schema(org_rdf_schema) == dep.map_schema(org_rdf_schema)
-    assert pg_equal(dep.map_graph(org_graph), dep.map_graph(org_graph))
+    assert dep.map_graph(org_graph) == dep.map_graph(org_graph)
 
 
 def test_generated_databases_roundtrip_exactly():

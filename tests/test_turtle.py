@@ -183,12 +183,12 @@ def test_skolemize_shared_label_consistent():
     doc = parse_turtle_raw(
         f"_:b0 <{VOC}p> <{EX}a> .\n_:b0 <{VOC}q> _:b1 .\n<{EX}c> <{VOC}r> _:b0 ."
     )
-    ts = skolemize(doc, base="http://sk.example/")
+    ts = skolemize(doc)
     by_pred = {t.p.value: t for t in ts}
     s0 = by_pred[VOC + "p"].s
     assert by_pred[VOC + "q"].s == s0
     assert by_pred[VOC + "r"].o == s0
-    assert by_pred[VOC + "q"].o == Iri("http://sk.example/1")
+    assert by_pred[VOC + "q"].o == Iri("urn:skolem:1")
 
 
 def test_skolemize_anonymous_blanks_distinct():
