@@ -8,6 +8,11 @@ Subcommands:
 
 Exit codes: 0 success, 1 validation problems, 2 usage or processing errors.
 
+Every input file is read by `_load`: an error or warning of its reader
+starts with the file's path, and a byte that is not UTF-8 is named by its
+line and column. A blank node in Turtle without `--skolemize` is refused
+with the flag named.
+
 The cyclic garbage collector is off while a command runs: no command makes
 cyclic garbage, and every model value is a tuple the collector would walk
 again at each collection. `main` puts the collector's state back when it
@@ -28,7 +33,7 @@ from typing import TYPE_CHECKING, Callable, TextIO
 
 from . import schema_dependent as dep
 from . import schema_independent as indep
-from .errors import RdfPgError, SchemaViolation, ValidityWarning
+from .errors import BlankNodeUnsupported, RdfPgError, SchemaViolation, ValidityWarning
 from .pg_graph import validate_pg
 from .pg_json import parse_pg, parse_pg_schema, serialize_pg, serialize_pg_schema
 from .rdf_graph import (
@@ -41,16 +46,10 @@ from .rdf_graph import (
     validate_rdf,
 )
 from .report import ValidationReport
-from .terms import TripleSet
 from .turtle import parse_turtle, parse_turtle_raw, serialize_turtle, skolemize
 
 if TYPE_CHECKING:  # the generator is imported by the roundtrip command only
     from .generator import GeneratorConfig
-
-
-def _read_text(path: str) -> str:
-    with open(path, encoding="utf-8") as handle:
-        return handle.read()
 
 
 def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> None:
@@ -87,43 +86,55 @@ def _show_warning(message, *_) -> None:
     print(f"warning: {message}", file=sys.stderr)
 
 
-def _load_turtle(path: str, skolemize_blanks: bool = False) -> TripleSet:
-    """The triples of the Turtle file at `path`.
+def _recorded(call, *args, path: str | None = None):
+    """Return `call(*args)` and the ValidityWarnings it emitted.
 
-    The reader's errors and warnings are given with the path in front, so
-    that a command reading two files names the one at fault.
+    Each other warning is shown as one "warning:" line. With `path`, those
+    lines and an RdfPgError raised again start with it, so that a command
+    reading several files names the one at fault.
     """
-    text = _read_text(path)
+    prefix = "" if path is None else f"{path}: "
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            if skolemize_blanks:
-                return skolemize(parse_turtle_raw(text))
-            return parse_turtle(text)
+            result = call(*args)
+        except BlankNodeUnsupported as exc:
+            raise RdfPgError(
+                f"{prefix}line {exc.line}, column {exc.column}: blank nodes are not "
+                "supported; rdfpg convert --skolemize replaces them with IRIs"
+            ) from exc
         except RdfPgError as exc:
-            raise RdfPgError(f"{path}: {exc}") from exc
+            if path is None:
+                raise
+            raise RdfPgError(f"{prefix}{exc}") from exc
         finally:
             for w in caught:
-                _show_warning(f"{path}: {w.message}")
+                if not issubclass(w.category, ValidityWarning):
+                    _show_warning(f"{prefix}{w.message}")
+    return result, [w.message for w in caught if issubclass(w.category, ValidityWarning)]
 
 
-def _checked(entry_point, *args):
-    """Call a dep route entry point; return its result and the ValidityWarnings it emitted.
+def _load(path: str, parse: Callable[[str], object]):
+    """`parse` of the UTF-8 text of the file at `path`, recorded with the path.
 
-    The entry point checks its own input and reports a failure as a
-    ValidityWarning carrying the report. Other warnings are shown as they
-    are everywhere else, with `_show_warning`.
+    Every command reads each of its input files here. Text mode reads with
+    universal newlines, so `parse` sees each line ending as a line feed. A
+    byte that is not UTF-8 is named by its line and column, counted in code
+    points as the readers count them.
     """
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always", ValidityWarning)
-        result = entry_point(*args)
-    found = []
-    for w in caught:
-        if issubclass(w.category, ValidityWarning):
-            found.append(w.message)
-        else:
-            _show_warning(w.message)
-    return result, found
+    try:
+        with open(path, encoding="utf-8") as handle:
+            text = handle.read()
+    except UnicodeDecodeError as exc:
+        # The whole file was decoded in one call, so exc.start is its offset.
+        with open(path, "rb") as handle:
+            data = handle.read()
+        before = data[:exc.start].decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
+        line, column = before.count("\n") + 1, len(before) - before.rfind("\n")
+        raise RdfPgError(
+            f"{path}: line {line}, column {column}: byte 0x{data[exc.start]:02x} is not UTF-8"
+        ) from None
+    return _recorded(parse, text, path=path)[0]
 
 
 def _print_input_validation(found: list[ValidityWarning]) -> int:
@@ -141,12 +152,13 @@ def _print_input_validation(found: list[ValidityWarning]) -> int:
 
 
 def _cmd_convert(args) -> int:
-    instance_triples = _load_turtle(args.rdf, args.skolemize)
+    read = (lambda text: skolemize(parse_turtle_raw(text))) if args.skolemize else parse_turtle
+    instance_triples = _load(args.rdf, read)
     if args.mode == "dep":
-        schema_triples = _load_turtle(args.schema, args.skolemize)
+        schema_triples = _load(args.schema, read)
         schema = build_rdf_schema(complete_partial_schema(schema_triples))
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
-        (pg_schema, pg), found = _checked(dep.map_database, schema, graph)
+        (pg_schema, pg), found = _recorded(dep.map_database, schema, graph)
     else:
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
         found = None
@@ -163,10 +175,10 @@ def _cmd_convert(args) -> int:
 
 
 def _cmd_invert(args) -> int:
-    pg = parse_pg(_read_text(args.pg))
+    pg = _load(args.pg, parse_pg)
     if args.mode == "dep":
-        pg_schema = parse_pg_schema(_read_text(args.pg_schema))
-        (schema, graph), found = _checked(dep.invert_database, pg_schema, pg)
+        pg_schema = _load(args.pg_schema, parse_pg_schema)
+        (schema, graph), found = _recorded(dep.invert_database, pg_schema, pg)
         _write_outputs([
             (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
             (args.out_rdf_schema,
@@ -175,7 +187,7 @@ def _cmd_invert(args) -> int:
         print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
         return _print_input_validation(found)
     if args.pg_schema:
-        indep.require_generic_schema(parse_pg_schema(_read_text(args.pg_schema)))
+        indep.require_generic_schema(_load(args.pg_schema, parse_pg_schema))
     graph = indep.invert_graph(pg)
     _write_outputs([
         (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
@@ -186,12 +198,12 @@ def _cmd_invert(args) -> int:
 
 def _cmd_validate(args) -> int:
     if args.kind == "rdf":
-        schema = build_rdf_schema(complete_partial_schema(_load_turtle(args.schema)))
-        graph = build_rdf_graph(_load_turtle(args.rdf), first_type=args.first_type)
+        schema = build_rdf_schema(complete_partial_schema(_load(args.schema, parse_turtle)))
+        graph = build_rdf_graph(_load(args.rdf, parse_turtle), first_type=args.first_type)
         report = validate_rdf(graph, schema)
     else:
-        pg_schema = parse_pg_schema(_read_text(args.pg_schema))
-        pg = parse_pg(_read_text(args.pg))
+        pg_schema = _load(args.pg_schema, parse_pg_schema)
+        pg = _load(args.pg, parse_pg)
         report = validate_pg(pg, pg_schema)
     print(report.summary())
     return 0 if report.valid else 1
@@ -353,13 +365,7 @@ def _split_over_cpus(status: Callable[[int], int], count: int) -> list[int | Non
     return statuses
 
 
-def run_roundtrip(
-    mode: str,
-    seed: int,
-    count: int,
-    config: GeneratorConfig | None = None,
-    out=None,
-) -> RoundtripResult:
+def run_roundtrip(mode: str, seed: int, count: int, out=None) -> RoundtripResult:
     """Generate `count` databases, convert, invert and compare each one.
 
     Case i is generated from seed `seed + i` and checked by `_roundtrip_case`.
@@ -375,10 +381,9 @@ def run_roundtrip(
     from .generator import GeneratorConfig
 
     out = out if out is not None else sys.stdout
-    base = config or GeneratorConfig()
 
     def status(index: int) -> int:
-        ok, semantics_ok = _roundtrip_case(mode, base.with_seed(seed + index))
+        ok, semantics_ok = _roundtrip_case(mode, GeneratorConfig(seed=seed + index))
         return ok | semantics_ok << 1
 
     passed = failed = semantics_failures = 0
@@ -393,22 +398,13 @@ def run_roundtrip(
         failed += 1
         if failed == 1:
             print(f"case {index} (seed {seed + index}) failed; dumps follow", file=out)
-            _roundtrip_case(mode, base.with_seed(seed + index), out)
+            _roundtrip_case(mode, GeneratorConfig(seed=seed + index), out)
     print(f"{passed}/{count} round-trips passed", file=out)
     return RoundtripResult(passed, failed, semantics_failures)
 
 
 def _cmd_roundtrip(args) -> int:
-    from .generator import GeneratorConfig
-
-    config = GeneratorConfig(
-        max_classes=args.max_classes,
-        max_properties=args.max_properties,
-        max_resources=args.max_resources,
-        max_triples=args.max_triples,
-    )
-    result = run_roundtrip(args.mode, args.seed, args.count, config)
-    return 0 if result.ok else 1
+    return 0 if run_roundtrip(args.mode, args.seed, args.count).ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -453,10 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     roundtrip.add_argument("--mode", choices=("dep", "indep"), required=True)
     roundtrip.add_argument("--seed", type=int, default=0)
     roundtrip.add_argument("--count", type=int, required=True)
-    roundtrip.add_argument("--max-classes", type=int, default=10)
-    roundtrip.add_argument("--max-properties", type=int, default=15)
-    roundtrip.add_argument("--max-resources", type=int, default=30)
-    roundtrip.add_argument("--max-triples", type=int, default=100)
     roundtrip.set_defaults(handler=_cmd_roundtrip)
     return parser
 

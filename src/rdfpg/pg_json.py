@@ -183,10 +183,12 @@ def _reject_surrogates(value: Any, where: tuple) -> None:
 def _load(text: str, fields: frozenset[str]) -> dict:
     try:
         payload = json.loads(text)
+        if _surrogate_escape(text):
+            _reject_surrogates(payload, ())
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"not valid JSON: {exc}") from None
-    if _surrogate_escape(text):
-        _reject_surrogates(payload, ())
+    except RecursionError:
+        raise FormatError("$", "arrays or objects nested too deeply to read") from None
     return _object(payload, fields, ())
 
 

@@ -72,17 +72,17 @@ class _Null:
 
 @pytest.fixture(scope="module")
 def dep_suite():
+    assert ROUNDTRIP_BOUNDS == GeneratorConfig()  # the bounds run_roundtrip draws within
     started = time.perf_counter()
-    result = run_roundtrip("dep", seed=42, count=ROUNDTRIP_COUNT,
-                           config=ROUNDTRIP_BOUNDS, out=_Null())
+    result = run_roundtrip("dep", seed=42, count=ROUNDTRIP_COUNT, out=_Null())
     return result, time.perf_counter() - started
 
 
 @pytest.fixture(scope="module")
 def indep_suite():
+    assert ROUNDTRIP_BOUNDS == GeneratorConfig()  # the bounds run_roundtrip draws within
     started = time.perf_counter()
-    result = run_roundtrip("indep", seed=42, count=ROUNDTRIP_COUNT,
-                           config=ROUNDTRIP_BOUNDS, out=_Null())
+    result = run_roundtrip("indep", seed=42, count=ROUNDTRIP_COUNT, out=_Null())
     return result, time.perf_counter() - started
 
 

@@ -470,6 +470,73 @@ def test_turtle_errors_name_their_file(tmp_path, capsys, broken):
     assert not any(p.exists() for p in outs)
 
 
+@pytest.mark.parametrize("command, data, where", [
+    (["convert", "--mode", "indep", "--rdf", "{bad}", "--out-pg", "{o}", "--out-pg-schema", "{os}"],
+     b'@prefix ex: <http://ex.org/> .\r\nex:a ex:p "caf\xc3\xa9 \xff" .\n',
+     "line 2, column 17: byte 0xff is not UTF-8"),
+    (["invert", "--mode", "indep", "--pg", "{bad}", "--out-rdf", "{o}"],
+     b'{"nodes": [],\r\n "edges": [{"id": "\xc3\xa9\xfe"}]}',
+     "line 2, column 21: byte 0xfe is not UTF-8"),
+], ids=["turtle", "pg"])
+def test_undecodable_bytes_name_their_file_line_and_column(tmp_path, capsys, command, data, where):
+    # The column counts code points, and a CRLF line ending is one line break.
+    bad = tmp_path / "bad"
+    bad.write_bytes(data)
+    paths = {"bad": bad, "o": tmp_path / "o", "os": tmp_path / "os"}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {where}\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["bad"]
+
+
+def test_invert_pg_errors_name_their_file(tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"nodes": 1}')
+    out = tmp_path / "o.ttl"
+    assert main(["invert", "--mode", "indep", "--pg", str(bad), "--out-rdf", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {bad}: $.nodes: expected a list, got int\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, deep", [
+    (["invert", "--mode", "dep", "--pg", "{deep}", "--pg-schema", "{pgs}",
+      "--out-rdf", "{o}", "--out-rdf-schema", "{os}"], "pg"),
+    (["invert", "--mode", "dep", "--pg", "{pg}", "--pg-schema", "{deep}",
+      "--out-rdf", "{o}", "--out-rdf-schema", "{os}"], "pg-schema"),
+    (["invert", "--mode", "indep", "--pg", "{deep}", "--out-rdf", "{o}"], "pg"),
+    (["validate", "pg", "--pg", "{deep}", "--pg-schema", "{pgs}"], "pg"),
+    (["validate", "pg", "--pg", "{pg}", "--pg-schema", "{deep}"], "pg-schema"),
+], ids=["invert-dep-pg", "invert-dep-pg-schema", "invert-indep-pg", "validate-pg",
+        "validate-pg-schema"])
+def test_deeply_nested_pg_input_exits_2_naming_its_file(tmp_path, capsys, command, deep):
+    doc, pgs_path = _dep_pg_docs(tmp_path)
+    deep_path = tmp_path / "deep.json"
+    deep_path.write_text("[" * 200_000)
+    paths = {"deep": deep_path, "pg": tmp_path / "pg.json", "pgs": pgs_path,
+             "o": tmp_path / "o.ttl", "os": tmp_path / "os.ttl"}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {deep_path}: $: arrays or objects nested too deeply to read\n"
+    )
+    assert not paths["o"].exists() and not paths["os"].exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["convert", "--mode", "indep", "--rdf", "{blank}", "--out-pg", "{o}", "--out-pg-schema", "{os}"],
+    ["validate", "rdf", "--rdf", "{blank}", "--schema", SCHEMA],
+], ids=["convert", "validate-rdf"])
+def test_blank_node_error_names_the_skolemize_flag(tmp_path, capsys, command):
+    blank = tmp_path / "blank.ttl"
+    blank.write_text('@prefix voc: <http://www.example.org/voc/> .\n_:b voc:p "x" .\n')
+    paths = {"blank": blank, "o": tmp_path / "o.json", "os": tmp_path / "os.json"}
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {blank}: line 2, column 1: blank nodes are not supported; "
+        "rdfpg convert --skolemize replaces them with IRIs\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["blank.ttl"]
+
+
 def test_invert_dep_edges_that_differ_only_in_properties(tmp_path, capsys):
     # Both edges become one triple: invalid against the produced schema, and
     # a schema that declares their property is one no conversion produces.

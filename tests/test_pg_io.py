@@ -105,6 +105,18 @@ def test_parse_rejects_missing_fields():
         parse_pg("not json")
 
 
+@pytest.mark.parametrize("reader", [parse_pg, parse_pg_schema])
+@pytest.mark.parametrize("document", [
+    "[" * 200_000,
+    # a lone surrogate near the stack limit: the decoder or the surrogate walk gives out
+    '{"nodes": ' + "[" * 990 + '"\\ud800"' + "]" * 990 + "}",
+], ids=["deep-arrays", "deep-surrogate"])
+def test_parse_refuses_deep_nesting_at_the_root(reader, document):
+    with pytest.raises(FormatError) as err:
+        reader(document)
+    assert str(err.value) == "$: arrays or objects nested too deeply to read"
+
+
 def test_parse_error_paths_point_at_offender():
     bad = {
         "nodes": [
