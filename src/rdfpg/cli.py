@@ -28,8 +28,7 @@ import gc
 import os
 import sys
 import warnings
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, TextIO
+from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
 
 from . import schema_dependent as dep
 from . import schema_independent as indep
@@ -58,8 +57,13 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
     Each `write` is called with a UTF-8 text stream on a fresh file next to
     its `path`. The files are renamed over their targets only once all of
     them are written, so a failed run, an encoding error midway included,
-    creates no file and keeps any existing one intact.
+    creates no file and keeps any existing one intact; then the paths are
+    printed. Two outputs on one file are refused before any is staged.
     """
+    targets = [os.path.realpath(path) for path, _ in outputs]
+    for (path, _), target in zip(outputs, targets):
+        if targets.count(target) > 1:
+            raise RdfPgError(f"{path}: given for two outputs; each output needs its own file")
     staged: list[tuple[str, str]] = []
     try:
         for path, write in outputs:
@@ -75,6 +79,7 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
             with contextlib.suppress(OSError):
                 os.remove(tmp)
         raise
+    print("wrote", " and ".join(path for path, _ in outputs))
 
 
 def _show_warning(message, *_) -> None:
@@ -155,8 +160,7 @@ def _cmd_convert(args) -> int:
     read = (lambda text: skolemize(parse_turtle_raw(text))) if args.skolemize else parse_turtle
     instance_triples = _load(args.rdf, read)
     if args.mode == "dep":
-        schema_triples = _load(args.schema, read)
-        schema = build_rdf_schema(complete_partial_schema(schema_triples))
+        schema = build_rdf_schema(complete_partial_schema(_load(args.schema, read)))
         graph = build_rdf_graph(instance_triples, first_type=args.first_type)
         (pg_schema, pg), found = _recorded(dep.map_database, schema, graph)
     else:
@@ -167,7 +171,6 @@ def _cmd_convert(args) -> int:
         (args.out_pg, lambda out: serialize_pg(pg, out)),
         (args.out_pg_schema, lambda out: out.write(serialize_pg_schema(pg_schema))),
     ])
-    print(f"wrote {args.out_pg} and {args.out_pg_schema}")
     if found is None:
         print("input validation: skipped (no schema in this mode)")
         return 0
@@ -179,21 +182,17 @@ def _cmd_invert(args) -> int:
     if args.mode == "dep":
         pg_schema = _load(args.pg_schema, parse_pg_schema)
         (schema, graph), found = _recorded(dep.invert_database, pg_schema, pg)
-        _write_outputs([
-            (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
-            (args.out_rdf_schema,
-             lambda out: serialize_turtle(rdf_schema_to_triples(schema), out)),
-        ])
-        print(f"wrote {args.out_rdf} and {args.out_rdf_schema}")
-        return _print_input_validation(found)
-    if args.pg_schema:
-        indep.require_generic_schema(_load(args.pg_schema, parse_pg_schema))
-    graph = indep.invert_graph(pg)
+        schema_output = [(args.out_rdf_schema,
+                          lambda out: serialize_turtle(rdf_schema_to_triples(schema), out))]
+    else:
+        if args.pg_schema:
+            indep.require_generic_schema(_load(args.pg_schema, parse_pg_schema))
+        graph, found, schema_output = indep.invert_graph(pg), None, []
     _write_outputs([
         (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
+        *schema_output,
     ])
-    print(f"wrote {args.out_rdf}")
-    return 0
+    return 0 if found is None else _print_input_validation(found)
 
 
 def _cmd_validate(args) -> int:
@@ -209,8 +208,7 @@ def _cmd_validate(args) -> int:
     return 0 if report.valid else 1
 
 
-@dataclass
-class RoundtripResult:
+class RoundtripResult(NamedTuple):
     passed: int
     failed: int
     semantics_failures: int = 0

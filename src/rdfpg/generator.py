@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import random
-from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 from .pg_graph import (
     DATATYPE_KINDS,
@@ -101,21 +101,30 @@ def _rng(label: str, seed: int) -> random.Random:
     return random.Random(int.from_bytes(digest[:8], "big"))
 
 
-@dataclass(frozen=True)
-class GeneratorConfig:
+class _GeneratorBounds(NamedTuple):
     seed: int = 0
     max_classes: int = 10
     max_properties: int = 15
     max_resources: int = 30
     max_triples: int = 100
 
-    def __post_init__(self) -> None:
+
+class GeneratorConfig(_GeneratorBounds):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> "GeneratorConfig":
+        self = super().__new__(cls, *args, **kwargs)
         for name in ("max_classes", "max_properties", "max_resources", "max_triples"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        return self
+
+    @classmethod
+    def _make(cls, iterable) -> "GeneratorConfig":  # so that _replace checks the bounds too
+        return cls(*iterable)
 
     def with_seed(self, seed: int) -> "GeneratorConfig":
-        return replace(self, seed=seed)
+        return self._replace(seed=seed)
 
 
 def _lexical_for(rng: random.Random, datatype: Iri) -> str:

@@ -23,13 +23,14 @@ A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
 labels. One function, `canonical_schema`, puts a schema in canonical order
 and is the one way to build one; schemas compare with ==. Property types
-constrain what may appear, they do not make properties mandatory.
+constrain what may appear, they do not make properties mandatory. A graph
+and a schema are named tuples too, each equal to the plain tuple of its
+fields; a caller replaces a field with `_replace`.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from typing import Iterable, Mapping, NamedTuple
 
 from .report import ValidationReport, Violation
@@ -86,8 +87,7 @@ class Edge(NamedTuple):
     properties: tuple[Property, ...]
 
 
-@dataclass(frozen=True)
-class PropertyGraph:
+class PropertyGraph(NamedTuple):
     """A property graph in canonical order; compare with ==.
 
     `nodes` is sorted, and `edges` is sorted by source node, label,
@@ -131,8 +131,7 @@ class EdgeType(NamedTuple):
     property_types: tuple[PropertyType, ...]
 
 
-@dataclass(frozen=True)
-class PropertyGraphSchema:
+class PropertyGraphSchema(NamedTuple):
     """A property graph schema keyed by its own labels; compare with ==.
 
     `node_types` maps each node type label to its property types. It, the

@@ -181,6 +181,7 @@ def _reject_surrogates(value: Any, where: tuple) -> None:
 
 
 def _load(text: str, fields: frozenset[str]) -> dict:
+    text = text[1:] if text.startswith("\ufeff") else text  # RFC 8259 lets a reader skip a BOM
     try:
         payload = json.loads(text)
         if _surrogate_escape(text):

@@ -11,8 +11,10 @@ element is the term that identifies it:
   * an edge is its triple, and its class is the predicate.
 
 A schema holds its class IRIs and its property edges as (property, domain,
-range) IRI triples. Both are immutable values that compare with ==. Each is
-built in one pass by whoever reads its source: `build_rdf_graph` and
+range) IRI triples. Both are immutable named tuples that compare with ==;
+each equals the plain tuple of its fields, and a caller replaces a field
+with `_replace`. A graph holds a dict, so it does not hash. Each is built
+in one pass by whoever reads its source: `build_rdf_graph` and
 `build_rdf_schema` from triples, the inverse mappings from a property graph
 or its schema. Every schema maker refuses reserved vocabulary terms as
 classes or properties with `refuse_vocabulary_terms`.
@@ -21,9 +23,8 @@ classes or properties with `refuse_vocabulary_terms`.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass
 from operator import attrgetter
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, NamedTuple
 
 from .errors import (
     ConflictingDomain,
@@ -55,8 +56,7 @@ def _values(iris: Iterable[Iri]) -> tuple[str, ...]:
     return tuple(sorted(iri.value for iri in iris))
 
 
-@dataclass(frozen=True)
-class RdfGraph:
+class RdfGraph(NamedTuple):
     """Graph form of an RDF instance: resource IRIs with their classes,
     literals, and the non-type triples split into object and datatype edges."""
 
@@ -66,8 +66,7 @@ class RdfGraph:
     datatype_edges: frozenset[Triple]
 
 
-@dataclass(frozen=True)
-class RdfGraphSchema:
+class RdfGraphSchema(NamedTuple):
     """Graph form of an RDF schema: class nodes and property edges."""
 
     class_nodes: frozenset[Iri]

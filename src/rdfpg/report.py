@@ -6,15 +6,17 @@ Rule identifiers:
   R3       every datatype edge matches a declared property and its endpoint classes
   P1a/P1b  property-graph node label / node property conformance
   P2a/P2b  property-graph edge label+endpoints / edge property conformance
+
+Both records are named tuples, each equal to the plain tuple of its fields;
+a caller replaces a field with `_replace`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     element: str
     message: str
@@ -23,8 +25,7 @@ class Violation:
         return f"[{self.rule}] {self.element}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     violations: tuple[Violation, ...] = ()
 
     @property

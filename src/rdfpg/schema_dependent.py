@@ -79,6 +79,7 @@ from .rdf_graph import (
     refuse_vocabulary_terms,
     validate_rdf,
 )
+from .report import ValidationReport
 from .terms import (
     Iri,
     Literal,
@@ -193,6 +194,13 @@ def _refuse_datatype_edges(graph: RdfGraph) -> NoReturn:
     raise AssertionError("every datatype edge can be mapped")
 
 
+def _warn_if_invalid(report: ValidationReport, model: str, doing: str) -> None:
+    """Warn the caller of an entry point that its input database failed `report`."""
+    if not report.valid:
+        message = f"input {model} database is invalid ({len(report.violations)} violation(s))"
+        warnings.warn(ValidityWarning(f"{message}; {doing} anyway", report), stacklevel=3)
+
+
 def map_database(
     schema: RdfGraphSchema, graph: RdfGraph
 ) -> tuple[PropertyGraphSchema, PropertyGraph]:
@@ -209,15 +217,7 @@ def map_database(
     report, and the output check is skipped.
     """
     input_report = validate_rdf(graph, schema)
-    if not input_report.valid:
-        warnings.warn(
-            ValidityWarning(
-                f"input RDF database is invalid ({len(input_report.violations)} violation(s)); "
-                "converting anyway",
-                input_report,
-            ),
-            stacklevel=2,
-        )
+    _warn_if_invalid(input_report, "RDF", "converting")
     excluded_classed = sorted(
         iri.value for iri, cls in graph.resource_nodes.items() if cls in EXCLUDED_CLASS_IRIS
     )
@@ -407,14 +407,5 @@ def invert_database(
     An input graph that does not conform to its schema is still inverted,
     with a warning, as `map_database` converts an invalid RDF database.
     """
-    report = validate_pg(pg, pg_schema)
-    if not report.valid:
-        warnings.warn(
-            ValidityWarning(
-                f"input PG database is invalid ({len(report.violations)} violation(s)); "
-                "inverting anyway",
-                report,
-            ),
-            stacklevel=2,
-        )
+    _warn_if_invalid(validate_pg(pg, pg_schema), "PG", "inverting")
     return invert_schema(pg_schema), invert_graph(pg)

@@ -1,13 +1,14 @@
 """Core RDF value types: IRIs, literals, triples, prefix maps and triple sets.
 
 Everything here is immutable. IRIs are always stored in full form; prefixed
-names exist only at the Turtle layer.
+names exist only at the Turtle layer. Literals, triples and prefix maps are
+named tuples: each equals the plain tuple of its fields, and a caller
+replaces a field with `_replace`.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import Callable, Iterator, Mapping, NamedTuple, Union
 
@@ -160,11 +161,13 @@ SUPPORTED_DATATYPES = frozenset(
 assert not (VOCABULARY_TERMS & SUPPORTED_DATATYPES)
 
 
-@dataclass(frozen=True)
-class PrefixMap:
+class PrefixMap(NamedTuple("PrefixMap", [("bindings", Mapping[str, str])])):
     """Prefix-to-namespace bindings used when reading and writing Turtle."""
 
-    bindings: Mapping[str, str] = field(default_factory=dict)
+    __slots__ = ()
+
+    def __new__(cls, bindings: Mapping[str, str] | None = None) -> "PrefixMap":
+        return super().__new__(cls, {} if bindings is None else bindings)  # a dict per map
 
     def namespace(self, prefix: str) -> str | None:
         return self.bindings.get(prefix)

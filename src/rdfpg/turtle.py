@@ -30,8 +30,7 @@ import functools
 import io
 import re
 import warnings
-from dataclasses import dataclass
-from typing import NoReturn, TextIO, Union
+from typing import NamedTuple, NoReturn, TextIO, Union
 
 from .errors import BlankNodeUnsupported, TurtleSyntaxError, UnknownPrefix
 from .terms import (
@@ -51,9 +50,9 @@ _ESCAPE_IN = {"t": "\t", "b": "\b", "n": "\n", "r": "\r", "f": "\f", '"': '"', "
 _ESCAPE_OUT = str.maketrans({"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"})
 
 
-@dataclass(frozen=True)
-class BlankNode:
-    """A blank node label, only reachable through raw-mode parsing."""
+class BlankNode(NamedTuple):
+    """A blank node label, only reachable through raw-mode parsing. It equals
+    (label,), and so an Iri of that string: `skolemize` tells them by type."""
 
     label: str
 
@@ -61,8 +60,7 @@ class BlankNode:
 RawTerm = Union[Iri, Literal, BlankNode]
 
 
-@dataclass(frozen=True)
-class RawTurtleDocument:
+class RawTurtleDocument(NamedTuple):
     """Parse result in document order: a triple's subject and object may be
     BlankNodes here."""
 

@@ -521,6 +521,24 @@ def test_deeply_nested_pg_input_exits_2_naming_its_file(tmp_path, capsys, comman
     assert not paths["o"].exists() and not paths["os"].exists()
 
 
+def test_pg_inputs_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    _dep_pg_docs(tmp_path)
+    assert main(["convert", "--mode", "indep", "--rdf", INSTANCE, "--out-pg",
+                 str(tmp_path / "ipg.json"), "--out-pg-schema", str(tmp_path / "generic.json")]) == 0
+    for name in ("pg.json", "pgs.json", "ipg.json"):
+        (tmp_path / f"bom-{name}").write_bytes(b"\xef\xbb\xbf" + (tmp_path / name).read_bytes())
+    for prefix in ("", "bom-"):
+        pg, pgs, ipg, o, os_, i = (str(tmp_path / (prefix + name)) for name in (
+            "pg.json", "pgs.json", "ipg.json", "o.ttl", "os.ttl", "i.ttl"))
+        assert main(["invert", "--mode", "dep", "--pg", pg, "--pg-schema", pgs,
+                     "--out-rdf", o, "--out-rdf-schema", os_]) == 0
+        assert main(["invert", "--mode", "indep", "--pg", ipg, "--out-rdf", i]) == 0
+        assert main(["validate", "pg", "--pg", pg, "--pg-schema", pgs]) == 0
+    for name in ("o.ttl", "os.ttl", "i.ttl"):
+        assert (tmp_path / f"bom-{name}").read_bytes() == (tmp_path / name).read_bytes()
+    assert capsys.readouterr().err == ""
+
+
 @pytest.mark.parametrize("command", [
     ["convert", "--mode", "indep", "--rdf", "{blank}", "--out-pg", "{o}", "--out-pg-schema", "{os}"],
     ["validate", "rdf", "--rdf", "{blank}", "--schema", SCHEMA],
@@ -863,6 +881,37 @@ def test_convert_unwritable_second_output_keeps_first(tmp_path):
     assert code == 2
     assert out_pg.read_text() == "old graph"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["pg.json"]
+
+
+@pytest.mark.parametrize("command", [
+    ["convert", "--mode", "dep", "--rdf", INSTANCE, "--schema", SCHEMA,
+     "--out-pg", "{same}", "--out-pg-schema", "{also}"],
+    ["invert", "--mode", "dep", "--pg", "{pg}", "--pg-schema", "{pgs}",
+     "--out-rdf", "{same}", "--out-rdf-schema", "{also}"],
+], ids=["convert", "invert"])
+def test_two_outputs_on_one_file_are_refused(tmp_path, capsys, command):
+    _, pgs_path = _dep_pg_docs(tmp_path)
+    same = tmp_path / "same.out"
+    paths = {"pg": tmp_path / "pg.json", "pgs": pgs_path, "same": same}
+    (tmp_path / "link").symlink_to(tmp_path)
+    for also in (same, f"{tmp_path}/./same.out", tmp_path / "link" / "same.out"):
+        capsys.readouterr()
+        assert main([arg.format(also=also, **paths) for arg in command]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {same}: given for two outputs; each output needs its own file\n"
+        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["link", "pg.json", "pgs.json"]
+
+
+def test_an_output_may_replace_an_input(tmp_path):
+    _, pgs_path = _dep_pg_docs(tmp_path)
+    pg_path = tmp_path / "pg.json"
+    back = tmp_path / "back.ttl"
+    assert main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(back), "--out-rdf-schema", str(tmp_path / "bs.ttl")]) == 0
+    assert main(["invert", "--mode", "dep", "--pg", str(pg_path), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(pg_path), "--out-rdf-schema", str(tmp_path / "bs.ttl")]) == 0
+    assert pg_path.read_bytes() == back.read_bytes()
 
 
 def test_invert_unencodable_output_writes_nothing(tmp_path, capsys):

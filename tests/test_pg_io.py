@@ -117,6 +117,18 @@ def test_parse_refuses_deep_nesting_at_the_root(reader, document):
     assert str(err.value) == "$: arrays or objects nested too deeply to read"
 
 
+def test_parse_skips_one_leading_byte_order_mark(company_pg, company_pg_schema):
+    for reader, model, text in [
+        (parse_pg, company_pg, serialize_pg(company_pg)),
+        (parse_pg_schema, company_pg_schema, serialize_pg_schema(company_pg_schema)),
+    ]:
+        assert reader("\ufeff" + text) == reader(text) == model
+        # RFC 8259 lets a reader ignore the mark at the start only.
+        for misplaced in ("\ufeff\ufeff" + text, " \ufeff" + text, text + "\ufeff"):
+            with pytest.raises(FormatError, match=r"^\$: not valid JSON: "):
+                reader(misplaced)
+
+
 def test_parse_error_paths_point_at_offender():
     bad = {
         "nodes": [

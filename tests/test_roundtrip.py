@@ -7,7 +7,6 @@ cases fail whichever process runs them.
 
 from __future__ import annotations
 
-import dataclasses
 import errno
 import io
 import os
@@ -68,8 +67,7 @@ def _inject_failures(monkeypatch, mode: str) -> None:
             raise SchemaViolation("injected failure")
         graph = real_invert(pg)
         if _loses_information(pg):  # one extra literal always makes the graphs differ
-            return dataclasses.replace(
-                graph, literal_nodes=graph.literal_nodes | {Literal.plain("injected")})
+            return graph._replace(literal_nodes=graph.literal_nodes | {Literal.plain("injected")})
         return graph
 
     monkeypatch.setattr(route, "invert_graph", invert_graph)

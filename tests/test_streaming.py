@@ -159,11 +159,12 @@ def test_cli_import_loads_neither_generator_nor_cypher():
         "print(sorted(m for m in ('rdfpg.generator', 'rdfpg.cypher') if m in sys.modules))\n"
         "from rdfpg import export_import_script, gen_rdf_graph\n"
         "print(gen_rdf_graph.__module__, export_import_script.__module__)\n"
+        "print('dataclasses' in sys.modules)\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script], check=True, capture_output=True, text=True
     )
-    assert result.stdout.splitlines() == ["[]", "rdfpg.generator rdfpg.cypher"]
+    assert result.stdout.splitlines() == ["[]", "rdfpg.generator rdfpg.cypher", "False"]
 
 
 def test_package_exports_every_listed_name():
