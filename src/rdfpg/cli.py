@@ -58,12 +58,9 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
     its `path`. The files are renamed over their targets only once all of
     them are written, so a failed run, an encoding error midway included,
     creates no file and keeps any existing one intact; then the paths are
-    printed. Two outputs on one file are refused before any is staged.
+    printed. `main` has refused two outputs on one file before any input
+    was read.
     """
-    targets = [os.path.realpath(path) for path, _ in outputs]
-    for (path, _), target in zip(outputs, targets):
-        if targets.count(target) > 1:
-            raise RdfPgError(f"{path}: given for two outputs; each output needs its own file")
     staged: list[tuple[str, str]] = []
     try:
         for path, write in outputs:
@@ -80,6 +77,19 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
                 os.remove(tmp)
         raise
     print("wrote", " and ".join(path for path, _ in outputs))
+
+
+def _refuse_shared_output(args) -> None:
+    """Refuse two of a command's `--out-*` paths that name one file.
+
+    Each path is resolved with `os.path.realpath`, so a link or a `.` does
+    not hide a shared file; the first path given twice is named.
+    """
+    paths = [path for name, path in vars(args).items() if name.startswith("out_") and path]
+    targets = [os.path.realpath(path) for path in paths]
+    for path, target in zip(paths, targets):
+        if targets.count(target) > 1:
+            raise RdfPgError(f"{path}: given for two outputs; each output needs its own file")
 
 
 def _show_warning(message, *_) -> None:
@@ -188,6 +198,10 @@ def _cmd_invert(args) -> int:
         if args.pg_schema:
             indep.require_generic_schema(_load(args.pg_schema, parse_pg_schema))
         graph, found, schema_output = indep.invert_graph(pg), None, []
+    stray = graph.literal_nodes.difference(t.o for t in graph.datatype_edges)
+    if stray:
+        raise RdfPgError(f"{args.pg}: literal {min(stray)} is on no edge, "
+                         "so Turtle cannot hold it")
     _write_outputs([
         (args.out_rdf, lambda out: serialize_turtle(rdf_graph_to_triples(graph), out)),
         *schema_output,
@@ -285,43 +299,22 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     return ok, semantics_ok
 
 
-def _fork_worker(status: Callable[[int], int], indices: range) -> tuple[int, int]:
-    """Fork a child that computes `status` of each index; return (pid, read end).
-
-    The child writes one status byte per index, in order, to a pipe, or
-    nothing if an index raises, and leaves through `os._exit`: it never
-    returns into the caller's stack nor flushes the caller's buffers. What
-    arrives is a prefix of the share, short if the child died.
-    """
-    read_end, write_end = os.pipe()
-    try:
-        pid = os.fork()
-    except BaseException:
-        os.close(read_end)
-        os.close(write_end)
-        raise
-    if pid == 0:
-        try:
-            report = bytes(status(index) for index in indices)
-            while report:
-                report = report[os.write(write_end, report):]
-        finally:
-            os._exit(0)
-    os.close(write_end)
-    return pid, read_end
+_NO_STATUS = 255  # in the map of `_split_over_cpus`; a roundtrip status is 0 to 3
 
 
 def _split_over_cpus(status: Callable[[int], int], count: int) -> list[int | None]:
     """`status(index)` for each index below `count`, as far as the workers got.
 
     Index i goes to worker i % k, with one worker per CPU this process may
-    run on. Worker 0 is this process; the others are forked children that
-    report over a pipe. An index whose worker raised, died or could not be
-    started is None, for the caller to compute in index order, so that the
-    first exception is the one a serial run raises. With one worker, every
-    index is None: nothing runs here, and the caller's loop is the serial
-    run.
+    run on. Worker 0 is this process; it starts its share once the others
+    are forked. Each worker writes each index's status into its byte of one
+    shared anonymous map, and a forked child leaves through `os._exit`, so
+    it never returns into the caller's stack nor flushes its buffers. An
+    index whose worker raised, died or could not be started is None, for the
+    caller to compute in index order, so that the first exception is the one
+    a serial run raises. With one worker or no map, every index is None.
     """
+    import mmap
     import threading  # loaded at interpreter startup already
 
     # One worker, so no fork, where the platform cannot fork or report its
@@ -330,37 +323,44 @@ def _split_over_cpus(status: Callable[[int], int], count: int) -> list[int | Non
     k = 1
     if hasattr(os, "fork") and hasattr(os, "sched_getaffinity") and threading.active_count() == 1:
         k = min(count, len(os.sched_getaffinity(0)))
-    statuses: list[int | None] = [None] * count
     if k <= 1:
-        return statuses
-    children: dict[int, tuple[int, int]] = {}  # worker -> (pid, read end)
+        return [None] * count
     try:
-        for worker in range(1, k):
-            try:
-                children[worker] = _fork_worker(status, range(worker, count, k))
-            except OSError:  # no process or pipe to spare: the caller runs the rest
-                break
-        own = []
-        with contextlib.suppress(Exception):  # the caller reruns what is not reported
-            for index in range(0, count, k):
-                own.append(status(index))
-        reports = {0: own}
-        for worker, (_, fd) in children.items():
-            with open(fd, "rb", closefd=False) as pipe:
-                reports[worker] = pipe.read()
-    except BaseException:
-        import signal
+        shared = mmap.mmap(-1, count)
+    except OSError:  # no memory to spare: the caller runs every case
+        return [None] * count
+    with shared:
+        shared[:] = bytes([_NO_STATUS]) * count
 
-        for pid, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, fd in children.values():
-            os.close(fd)
-            os.waitpid(pid, 0)
-    for worker, report in reports.items():
-        statuses[worker:worker + len(report) * k:k] = report
-    return statuses
+        def run(worker: int) -> None:
+            for index in range(worker, count, k):
+                shared[index] = status(index)
+
+        children: list[int] = []
+        try:
+            for worker in range(1, k):
+                try:
+                    pid = os.fork()
+                except OSError:  # no process to spare: the caller runs the rest
+                    break
+                if pid == 0:
+                    try:
+                        run(worker)
+                    finally:
+                        os._exit(0)
+                children.append(pid)
+            with contextlib.suppress(Exception):  # the caller reruns what is not reported
+                run(0)
+        except BaseException:
+            import signal
+
+            for pid in children:
+                os.kill(pid, signal.SIGKILL)
+            raise
+        finally:
+            for pid in children:
+                os.waitpid(pid, 0)
+        return [None if byte == _NO_STATUS else byte for byte in shared[:]]
 
 
 def run_roundtrip(mode: str, seed: int, count: int, out=None) -> RoundtripResult:
@@ -475,7 +475,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector off, then put its state back.
 
     Each warning the command raises is shown, every time it is raised, as
-    one "warning:" line.
+    one "warning:" line. Two outputs on one file are refused before any
+    input is read.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -487,6 +488,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
             try:
+                _refuse_shared_output(args)
                 return args.handler(args)
             except (RdfPgError, OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

@@ -215,13 +215,23 @@ def validate_rdf(graph: RdfGraph, schema: RdfGraphSchema) -> ValidationReport:
 
 
 def rdf_graph_to_triples(graph: RdfGraph) -> TripleSet:
-    """Inverse of build_rdf_graph. Nodes classed rdfs:Resource emit no type triple."""
+    """Inverse of build_rdf_graph, for every resource node.
+
+    A node classed rdfs:Resource emits no type triple when an edge mentions
+    it, since build_rdf_graph gives that class to every untyped subject and
+    object; one that no edge mentions emits `x rdf:type rdfs:Resource`, the
+    only triple that can carry it. Every other node emits its type triple.
+    A literal that no datatype edge holds is in no triple, so it is lost:
+    `rdfpg invert` refuses such a graph.
+    """
+    edges = graph.object_edges.union(graph.datatype_edges)
+    mentioned = {t.s for t in edges}.union(t.o for t in graph.object_edges)
     types = [
         Triple(iri, RDF_TYPE, cls)
         for iri, cls in graph.resource_nodes.items()
-        if cls != RDFS_RESOURCE
+        if cls != RDFS_RESOURCE or iri not in mentioned
     ]
-    return TripleSet(graph.object_edges.union(graph.datatype_edges, types), COMMON_PREFIXES)
+    return TripleSet(edges.union(types), COMMON_PREFIXES)
 
 
 def rdf_schema_to_triples(schema: RdfGraphSchema) -> TripleSet:

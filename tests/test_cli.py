@@ -928,3 +928,76 @@ def test_invert_unencodable_output_writes_nothing(tmp_path, capsys):
     assert code == 2
     assert existing.read_text() == "old turtle"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["existing.ttl", "pg.json"]
+
+
+_RDFS_RESOURCE = "<http://www.w3.org/2000/01/rdf-schema#Resource>"
+
+
+def _convert_then_invert(tmp_path, mode, instance, schema=None):
+    """Write `instance` (and `schema`), convert and invert them; return the Turtle written back."""
+    rdf = tmp_path / "in.ttl"
+    rdf.write_text(instance)
+    paths = {name: str(tmp_path / name) for name in ("pg.json", "pgs.json", "out.ttl", "outs.ttl")}
+    convert = ["convert", "--mode", mode, "--rdf", str(rdf),
+               "--out-pg", paths["pg.json"], "--out-pg-schema", paths["pgs.json"]]
+    invert = ["invert", "--mode", mode, "--pg", paths["pg.json"], "--out-rdf", paths["out.ttl"]]
+    if schema is not None:
+        (tmp_path / "schema.ttl").write_text(schema)
+        convert += ["--schema", str(tmp_path / "schema.ttl")]
+        invert += ["--pg-schema", paths["pgs.json"], "--out-rdf-schema", paths["outs.ttl"]]
+    assert main(convert) == 0
+    assert main(invert) == 0
+    return parse_turtle((tmp_path / "out.ttl").read_text())
+
+
+def test_invert_indep_keeps_a_resource_that_no_edge_mentions(tmp_path):
+    instance = (f"<http://e.x/b> a {_RDFS_RESOURCE} .\n"
+                '<http://e.x/a> <http://e.x/p> "x" .\n')
+    assert _convert_then_invert(tmp_path, "indep", instance) == parse_turtle(instance)
+
+
+def test_invert_dep_keeps_a_resource_that_no_edge_mentions(tmp_path, capsys):
+    instance = f"<http://e.x/b> a {_RDFS_RESOURCE} .\n"
+    schema = "<http://e.x/p> a <http://www.w3.org/1999/02/22-rdf-syntax-ns#Property> .\n"
+    assert _convert_then_invert(tmp_path, "dep", instance, schema) == parse_turtle(instance)
+    assert capsys.readouterr().out.count("input validation: valid\n") == 2
+
+
+def test_invert_refuses_a_literal_on_no_edge(tmp_path, capsys):
+    doc = _indep_pg_doc(tmp_path)
+    doc["nodes"].append({"id": "n99", "label": "Literal", "properties": [
+        {"key": "type", "type": "String", "value": "http://www.w3.org/2001/XMLSchema#string"},
+        {"key": "value", "type": "String", "value": "alone"},
+    ]})
+    pg_path = tmp_path / "edited.json"
+    pg_path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    out = tmp_path / "o.ttl"
+    assert main(["invert", "--mode", "indep", "--pg", str(pg_path), "--out-rdf", str(out)]) == 2
+    assert capsys.readouterr().err == (
+        f'error: {pg_path}: literal "alone"^^http://www.w3.org/2001/XMLSchema#string '
+        "is on no edge, so Turtle cannot hold it\n"
+    )
+    assert not out.exists()
+
+
+def test_two_outputs_on_one_file_are_refused_before_any_input_is_read(tmp_path, capsys):
+    same = tmp_path / "same.json"
+    assert main(["convert", "--mode", "indep", "--rdf", str(tmp_path / "absent.ttl"),
+                 "--out-pg", str(same), "--out-pg-schema", str(same)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {same}: given for two outputs; each output needs its own file\n"
+    )
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["invert", "--mode", "dep", "--pg", "pg.json", "--out-rdf", "back.ttl"],
+     "invert --mode dep requires --pg-schema and --out-rdf-schema"),
+    (["validate", "pg", "--pg", "pg.json"], "validate pg requires --pg and --pg-schema"),
+], ids=["invert-dep", "validate-pg"])
+def test_usage_errors_name_the_options_a_command_requires(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith(f"rdfpg: error: {message}\n")

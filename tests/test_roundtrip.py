@@ -297,3 +297,39 @@ def test_no_fork_while_another_thread_runs(monkeypatch):
         stop.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
+
+
+def test_every_fork_comes_before_this_process_computes_a_case(monkeypatch):
+    serial = _run("dep", 3, COUNT, cpus={0})
+    parent = os.getpid()
+    events = []  # filled in this process only: each child appends to its own copy
+    real_fork, real_case = os.fork, cli._roundtrip_case
+
+    def fork():
+        events.append("fork")
+        return real_fork()
+
+    def roundtrip_case(*args):
+        if os.getpid() == parent:
+            events.append("case")
+        return real_case(*args)
+
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(cli, "_roundtrip_case", roundtrip_case)
+    assert _run("dep", 3, COUNT, cpus=THREE_WORKERS) == serial
+    assert events[:3] == ["fork", "fork", "case"]
+    assert events.count("fork") == 2
+
+
+def test_failed_map_leaves_the_cases_to_this_process_without_a_fork(monkeypatch):
+    import mmap
+
+    serial = _run("indep", 3, COUNT, cpus={0})
+
+    def no_map(*args):
+        raise OSError(errno.ENOMEM, os.strerror(errno.ENOMEM))
+
+    monkeypatch.setattr(mmap, "mmap", no_map)
+    forked = _spy_on_fork(monkeypatch)
+    assert _run("indep", 3, COUNT, cpus=THREE_WORKERS) == serial
+    assert forked == []

@@ -34,6 +34,7 @@ from rdfpg.pg_graph import (
     validate_pg,
 )
 from rdfpg.rdf_graph import (
+    RdfGraphSchema,
     build_rdf_graph,
     build_rdf_schema,
     complete_partial_schema,
@@ -519,3 +520,13 @@ def test_completed_schema_still_roundtrips(org_schema_triples, org_graph):
         schema_back, graph_back = dep.invert_database(pgs, pg)
     assert rdf_equal(schema_back, schema)
     assert rdf_equal(graph_back, org_graph)
+
+
+def test_map_schema_range_without_a_node_type_rejected():
+    p, a, b = Iri(VOC + "p"), Iri(VOC + "A"), Iri(VOC + "B")  # B is no class of the schema
+    with pytest.raises(MissingEndpointType) as err:
+        dep.map_schema(RdfGraphSchema(frozenset({a}), frozenset({(p, a, b)})))
+    assert str(err.value) == (
+        f"property {p}: range class {b} is excluded from node types, "
+        "so the property cannot be placed"
+    )
