@@ -35,6 +35,7 @@ import io
 import json
 import operator
 import re
+from collections import Counter
 from typing import Any, NoReturn, TextIO
 
 from .errors import DanglingEdgeEndpoint, FormatError
@@ -157,14 +158,18 @@ def _field(obj: dict, name: str, kind: type, where: tuple) -> Any:
     return value
 
 
-# json.loads turns a \u escape of an unpaired UTF-16 surrogate into a lone
-# surrogate, which no UTF-8 output can hold. Documents are searched for such
-# an escape first; only one that has it is walked string by string.
+# json.loads keeps the last value of a name that an object gives twice, and it
+# decodes the \u escape of an unpaired UTF-16 surrogate to a lone surrogate,
+# which no UTF-8 output can hold. Only a document with either is walked.
 _surrogate_escape = re.compile(r"\\u[dD][89a-fA-F]").search
 
 
-def _reject_surrogates(value: Any, where: tuple) -> None:
-    """FormatError at the first string in `value`, in document order, with a lone surrogate."""
+class _Repeated(str):
+    """Stands in a decoded document for an object that gives this name twice."""
+
+
+def _reject_lost(value: Any, where: tuple) -> None:
+    """FormatError at the first repeated name or lone surrogate in `value`, in document order."""
     if type(value) is str:
         if value.isascii():
             return
@@ -173,19 +178,31 @@ def _reject_surrogates(value: Any, where: tuple) -> None:
                 raise FormatError(_path(where), f"lone surrogate U+{ord(c):04X} in a string")
     elif type(value) is list:
         for i, item in enumerate(value):
-            _reject_surrogates(item, (*where, i))
+            _reject_lost(item, (*where, i))
+    elif type(value) is _Repeated:
+        raise FormatError(_path(where), f"repeated name {str(value)!r}")
     elif type(value) is dict:
         for name, item in value.items():
-            _reject_surrogates(name, where)
-            _reject_surrogates(item, (*where, name))
+            _reject_lost(name, where)
+            _reject_lost(item, (*where, name))
 
 
 def _load(text: str, fields: frozenset[str]) -> dict:
     text = text[1:] if text.startswith("\ufeff") else text  # RFC 8259 lets a reader skip a BOM
+    repeats = []  # this document's objects that give a name twice, as _Repeated
+
+    def pairs_hook(pairs: list) -> dict | _Repeated:
+        obj = dict(pairs)
+        if len(obj) < len(pairs):
+            counts = Counter(name for name, _ in pairs)
+            obj = _Repeated(next(name for name, n in counts.items() if n > 1))
+            repeats.append(obj)
+        return obj
+
     try:
-        payload = json.loads(text)
-        if _surrogate_escape(text):
-            _reject_surrogates(payload, ())
+        payload = json.loads(text, object_pairs_hook=pairs_hook)
+        if repeats or _surrogate_escape(text):
+            _reject_lost(payload, ())
     except json.JSONDecodeError as exc:
         raise FormatError("$", f"not valid JSON: {exc}") from None
     except RecursionError:

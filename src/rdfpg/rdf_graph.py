@@ -97,7 +97,7 @@ def build_rdf_graph(triples: TripleSet, first_type: str | None = None) -> RdfGra
     literals: set[Literal] = set()
     object_edges: list[Triple] = []
     datatype_edges: list[Triple] = []
-    for t in triples.triples:
+    for t in triples:
         resources[t.s] = RDFS_RESOURCE
         o = t.o
         if isinstance(o, Iri):
@@ -129,7 +129,7 @@ def complete_partial_schema(triples: TripleSet) -> TripleSet:
     declared: set[Iri] = set()
     with_domain: set[Iri] = set()
     with_range: set[Iri] = set()
-    for t in triples.triples:
+    for t in triples:
         if t.p == RDF_TYPE and t.o == RDF_PROPERTY:
             declared.add(t.s)
         elif t.p == RDFS_DOMAIN:
@@ -140,7 +140,7 @@ def complete_partial_schema(triples: TripleSet) -> TripleSet:
     additions += [Triple(pc, RDFS_RANGE, RDFS_RESOURCE) for pc in declared - with_range]
     if not additions:
         return triples
-    return TripleSet(triples.triples.union(additions), triples.prefixes)
+    return TripleSet(triples.union(additions), triples.prefixes)
 
 
 def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
@@ -153,7 +153,7 @@ def build_rdf_schema(triples: TripleSet) -> RdfGraphSchema:
     classes: set[Iri] = set()
     domains: dict[Iri, list[Iri]] = defaultdict(list)
     ranges: dict[Iri, list[Iri]] = defaultdict(list)
-    for t in triples.triples:
+    for t in triples:
         if t.p == RDF_TYPE and t.o == RDFS_CLASS:
             classes.add(t.s)
         elif t.p == RDFS_DOMAIN and isinstance(t.o, Iri):

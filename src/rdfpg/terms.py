@@ -3,14 +3,14 @@
 Everything here is immutable. IRIs are always stored in full form; prefixed
 names exist only at the Turtle layer. Literals, triples and prefix maps are
 named tuples: each equals the plain tuple of its fields, and a caller
-replaces a field with `_replace`.
+replaces a field with `_replace`. A TripleSet is a frozenset of triples.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
-from typing import Callable, Iterator, Mapping, NamedTuple, Union
+from typing import Callable, Mapping, NamedTuple, Union
 
 from .errors import NonIriLabel
 
@@ -111,11 +111,6 @@ class Triple(NamedTuple):
     o: RdfObject
 
 
-def triple_sort_key(t: Triple) -> tuple:
-    """Natural order, except that IRI objects sort before literal ones."""
-    return t.s, t.p, type(t.o) is Literal, t.o
-
-
 # Namespaces used throughout.
 RDF_NS = "http://www.w3.org/1999/02/22-rdf-syntax-ns#"
 RDFS_NS = "http://www.w3.org/2000/01/rdf-schema#"
@@ -185,39 +180,25 @@ COMMON_PREFIXES = PrefixMap(
 )
 
 
-class TripleSet:
-    """An immutable set of triples plus the prefix map they were read with.
+class TripleSet(frozenset):
+    """A frozenset of triples, with `prefixes`, the prefix map they were read
+    with. It equals any set of the same triples, iterates in set order, and
+    gives a plain frozenset from a set operator."""
 
-    Equality and hashing consider the triples only; prefixes are presentation
-    metadata. Iteration is in sorted order so downstream behavior never
-    depends on hash ordering; each pass sorts.
-    """
+    __slots__ = ("prefixes",)
 
-    __slots__ = ("triples", "prefixes")
-
-    def __init__(self, triples=(), prefixes: PrefixMap | None = None):
-        object.__setattr__(self, "triples", frozenset(triples))
+    def __new__(cls, triples=(), prefixes: PrefixMap | None = None) -> "TripleSet":
+        self = frozenset.__new__(cls, triples)
         object.__setattr__(self, "prefixes", prefixes or PrefixMap())
+        return self
 
     def __setattr__(self, name, value):
         raise AttributeError("TripleSet is immutable")
 
-    def __iter__(self) -> Iterator[Triple]:
-        return iter(sorted(self.triples, key=triple_sort_key))
+    def __reduce__(self):
+        return TripleSet, (frozenset(self), self.prefixes)
 
-    def __len__(self) -> int:
-        return len(self.triples)
-
-    def __contains__(self, t: Triple) -> bool:
-        return t in self.triples
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, TripleSet):
-            return NotImplemented
-        return self.triples == other.triples
-
-    def __hash__(self) -> int:
-        return hash(self.triples)
+    __iter__ = frozenset.__iter__  # the set's own, named here for a tracer to wrap
 
     def __repr__(self) -> str:
-        return f"TripleSet({len(self.triples)} triples)"
+        return f"TripleSet({len(self)} triples)"

@@ -499,7 +499,7 @@ def serialize_turtle(ts: TripleSet, out: TextIO | None = None) -> str | None:
     # there: its prefix counts as used only where it is a term.
     text: dict[Iri, str] = {}
     by_subject: dict[Iri, dict[Iri, list]] = {}
-    for s, p, o in ts.triples:
+    for s, p, o in ts:
         predicates = by_subject.get(s)
         if predicates is None:
             predicates = by_subject[s] = {}

@@ -16,6 +16,18 @@ expect() {
   got=0; "$@" || got=$?
   if [ "$got" -ne "$want" ]; then echo "exit $got, expected $want: $*"; exit 1; fi
 }
+# A refusal: the command exits 2 and leaves no file at any path it was given
+# with an --out-* option.
+refused() {
+  expect 2 "$@"
+  option=
+  for arg in "$@"; do
+    case "$option" in
+      --out-*) if [ -e "$arg" ]; then echo "refused, yet $arg exists: $*"; exit 1; fi ;;
+    esac
+    option="$arg"
+  done
+}
 expect 0 rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
   --out-pg pg.json --out-pg-schema pg-schema.json
 expect 0 rdfpg invert --mode dep --pg pg.json --pg-schema pg-schema.json \
@@ -48,13 +60,11 @@ expect 0 rdfpg invert --mode dep --pg bom-pg.json --pg-schema bom-pg-schema.json
 cmp back.ttl bom-back.ttl
 cmp back-schema.ttl bom-back-schema.ttl
 # Two outputs on one file are refused: exit 2, no file written.
-expect 2 rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
+refused rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
   --out-pg same.json --out-pg-schema same.json
-test ! -e same.json
 # ... and refused before any input is read: a missing input is not reached.
-expect 2 rdfpg convert --mode indep --rdf absent.ttl --out-pg same.json --out-pg-schema ./same.json \
+refused rdfpg convert --mode indep --rdf absent.ttl --out-pg same.json --out-pg-schema ./same.json \
   2> same.err
-test ! -e same.json
 grep -qx "error: same.json: given for two outputs; each output needs its own file" same.err \
   || { cat same.err; exit 1; }
 expect 0 rdfpg convert --mode indep --rdf "$data/org-instance.ttl" \
@@ -70,7 +80,7 @@ python -c '
 import json, sys
 from rdfpg import Literal, parse_turtle
 with open(sys.argv[1], encoding="utf-8") as f:
-    triples = sorted(parse_turtle(f.read()).triples, reverse=True)
+    triples = sorted(parse_turtle(f.read()), reverse=True)
 with open("relaid.ttl", "w", encoding="utf-8") as f:
     f.write("# one triple per statement\n")
     for s, p, o in triples:
@@ -90,26 +100,28 @@ cmp indep-pg.json relaid-indep-pg.json
 cmp generic.json relaid-generic.json
 # A Turtle error names the file it is in: exit 2, no file written.
 { cat "$data/org-schema.ttl"; echo "%"; } > broken-schema.ttl
-expect 2 rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema broken-schema.ttl \
+refused rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema broken-schema.ttl \
   --out-pg broken-pg.json --out-pg-schema broken-pg-schema.json 2> broken.err
-test ! -e broken-pg.json && test ! -e broken-pg-schema.json
 grep -q "^error: broken-schema.ttl: line " broken.err || { cat broken.err; exit 1; }
 # So does a PG JSON error: a truncated document, exit 2, no file written.
 head -c 200 pg.json > broken-pg.json
-expect 2 rdfpg invert --mode dep --pg broken-pg.json --pg-schema pg-schema.json \
+refused rdfpg invert --mode dep --pg broken-pg.json --pg-schema pg-schema.json \
   --out-rdf broken-back.ttl --out-rdf-schema broken-back-schema.ttl 2> broken-pg.err
-test ! -e broken-back.ttl && test ! -e broken-back-schema.ttl
 grep -q "^error: broken-pg.json: " broken-pg.err || { cat broken-pg.err; exit 1; }
-expect 2 rdfpg invert --mode indep --pg indep-pg.json --pg-schema pg-schema.json \
+# A name given twice in one object is refused at that object's path; it is not
+# read as its last value. Exit 2, no file written.
+sed 's/"value": "Tesla, Inc."/&, "value": "Edison"/' pg.json > dup.json
+refused rdfpg invert --mode dep --pg dup.json --pg-schema pg-schema.json \
+  --out-rdf dup.ttl --out-rdf-schema dup-schema.ttl 2> dup.err
+grep -qx "error: dup.json: \$.nodes\[0\].properties\[1\]: repeated name 'value'" dup.err \
+  || { cat dup.err; exit 1; }
+refused rdfpg invert --mode indep --pg indep-pg.json --pg-schema pg-schema.json \
   --out-rdf indep-back.ttl
-test ! -e indep-back.ttl
 # The generic route reads and writes no RDF schema, so these options are refused.
-expect 2 rdfpg convert --mode indep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
+refused rdfpg convert --mode indep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
   --out-pg refused-pg.json --out-pg-schema refused-generic.json
-test ! -e refused-pg.json && test ! -e refused-generic.json
-expect 2 rdfpg invert --mode indep --pg indep-pg.json --out-rdf indep-back.ttl \
+refused rdfpg invert --mode indep --pg indep-pg.json --out-rdf indep-back.ttl \
   --out-rdf-schema indep-back-schema.ttl
-test ! -e indep-back.ttl && test ! -e indep-back-schema.ttl
 expect 1 rdfpg validate pg --pg indep-pg.json --pg-schema pg-schema.json
 # PGs that no conversion produces, edited from the indep output: a twin
 # edge, a twin Resource node, a Resource node without "type". Exit 2, no file.
@@ -129,8 +141,7 @@ else:
 with open(edit + ".json", "w") as f:
     json.dump(doc, f)
 ' "$edit"
-  expect 2 rdfpg invert --mode indep --pg "$edit.json" --out-rdf "$edit.ttl"
-  test ! -e "$edit.ttl"
+  refused rdfpg invert --mode indep --pg "$edit.json" --out-rdf "$edit.ttl"
 done
 # PGs that no conversion produces, edited from the dep output: a twin node,
 # a twin edge, a second value for one key. Exit 2, no file.
@@ -151,9 +162,8 @@ else:
 with open(edit + ".json", "w") as f:
     json.dump(doc, f)
 ' "$edit"
-  expect 2 rdfpg invert --mode dep --pg "$edit.json" --pg-schema pg-schema.json \
+  refused rdfpg invert --mode dep --pg "$edit.json" --pg-schema pg-schema.json \
     --out-rdf "$edit.ttl" --out-rdf-schema "$edit-schema.ttl"
-  test ! -e "$edit.ttl" && test ! -e "$edit-schema.ttl"
 done
 # PG schemas that no conversion produces, edited from the dep output: an edge
 # type with a property type, a key reused as an edge label. Exit 2, no file.
@@ -172,9 +182,8 @@ else:
 with open(edit + ".json", "w") as f:
     json.dump(schema, f)
 ' "$edit"
-  expect 2 rdfpg invert --mode dep --pg pg.json --pg-schema "$edit.json" \
+  refused rdfpg invert --mode dep --pg pg.json --pg-schema "$edit.json" \
     --out-rdf "$edit.ttl" --out-rdf-schema "$edit-schema.ttl"
-  test ! -e "$edit.ttl" && test ! -e "$edit-schema.ttl"
 done
 # Two dep edges that differ only in an edge property would merge into one
 # triple: against the produced schema they are invalid (exit 1, the dropped
@@ -195,10 +204,11 @@ with open("since-edges.json", "w") as f:
 '
 expect 1 rdfpg invert --mode dep --pg since-edges.json --pg-schema pg-schema.json \
   --out-rdf since.ttl --out-rdf-schema since-schema.ttl 2> since-1.err
-test -e since.ttl && test -e since-schema.ttl && rm since.ttl since-schema.ttl
-expect 2 rdfpg invert --mode dep --pg since-edges.json --pg-schema edge-property-type.json \
+test -e since.ttl
+test -e since-schema.ttl
+rm since.ttl since-schema.ttl
+refused rdfpg invert --mode dep --pg since-edges.json --pg-schema edge-property-type.json \
   --out-rdf since.ttl --out-rdf-schema since-schema.ttl 2> since-2.err
-test ! -e since.ttl && test ! -e since-schema.ttl
 if grep -q UserWarning since-1.err since-2.err; then cat since-1.err since-2.err; exit 1; fi
 # Valid inputs with elements the PG schema cannot hold: both files, exit 1.
 rdfs="<http://www.w3.org/2000/01/rdf-schema#"
@@ -210,7 +220,8 @@ printf '%s\n' '<http://ex.org/a> a <http://ex.org/A> ; <http://ex.org/p> "x"^^<h
 for k in 1 2; do
   expect 1 rdfpg convert --mode dep --rdf "i$k.ttl" --schema "s$k.ttl" \
     --out-pg "u$k.json" --out-pg-schema "us$k.json"
-  test -e "u$k.json" && test -e "us$k.json"
+  test -e "u$k.json"
+  test -e "us$k.json"
 done
 # Spellings the dep route cannot invert back: exit 2 and no file.
 printf '%s\n' "<http://ex.org/p> ${rdfs}domain> <http://ex.org/A> ; ${rdfs}range> <Integer> ." \
@@ -220,9 +231,8 @@ printf '%s\n' "<http://ex.org/C> a ${rdfs}Class> ." \
   "<iri> ${rdfs}domain> <http://ex.org/C> ; ${rdfs}range> <http://www.w3.org/2001/XMLSchema#string> ." > s4.ttl
 printf '%s\n' '<http://ex.org/a> a <http://ex.org/C> ; <iri> "http://ex.org/b" .' > i4.ttl
 for k in 3 4; do
-  expect 2 rdfpg convert --mode dep --rdf "i$k.ttl" --schema "s$k.ttl" \
+  refused rdfpg convert --mode dep --rdf "i$k.ttl" --schema "s$k.ttl" \
     --out-pg "u$k.json" --out-pg-schema "us$k.json"
-  test ! -e "u$k.json" && test ! -e "us$k.json"
 done
 # A custom PG datatype spelled as a supported XSD IRI would invert to the
 # same literal as the kind name "Integer".
@@ -233,9 +243,8 @@ printf '{"nodes": [{"id": "n0", "label": "http://ex.org/T", "properties": [%s, %
 printf '{"nodeTypes": [%s], "edgeTypes": [], "propertyTypes": [%s]}\n' \
   '{"id": "nt0", "label": "http://ex.org/T", "propertyTypes": ["pt0"]}' \
   "{\"id\": \"pt0\", \"key\": \"http://ex.org/p\", \"type\": \"$xsd_integer\"}" > ps5.json
-expect 2 rdfpg invert --mode dep --pg p5.json --pg-schema ps5.json \
+refused rdfpg invert --mode dep --pg p5.json --pg-schema ps5.json \
   --out-rdf b5.ttl --out-rdf-schema bs5.ttl
-test ! -e b5.ttl && test ! -e bs5.ttl
 # A resource that no edge mentions comes back on both routes: on the dep route
 # under a schema whose completion declares rdfs:Resource.
 printf '%s\n' "<http://ex.org/b> a ${rdfs}Resource> ." > r1.ttl
@@ -268,8 +277,7 @@ doc["nodes"].append({"id": "n-alone", "label": "Literal", "properties": [
 with open("edgeless-literal.json", "w") as f:
     json.dump(doc, f)
 '
-expect 2 rdfpg invert --mode indep --pg edgeless-literal.json --out-rdf edgeless.ttl 2> edgeless.err
-test ! -e edgeless.ttl
+refused rdfpg invert --mode indep --pg edgeless-literal.json --out-rdf edgeless.ttl 2> edgeless.err
 grep -q '^error: edgeless-literal.json: literal "alone"^^' edgeless.err || { cat edgeless.err; exit 1; }
 # The check splits its cases over the CPUs it may use; on one CPU it runs
 # them serially, and its output must not change.

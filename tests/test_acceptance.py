@@ -238,7 +238,7 @@ def test_a6_validity_relations_and_mutations(org_instance, org_schema_triples, o
     )
 
     def rdf_mutation(drop: Triple, add: Triple) -> set[str]:
-        mutated = TripleSet((org_instance.triples - {drop}) | {add}, org_instance.prefixes)
+        mutated = TripleSet((org_instance - {drop}) | {add}, org_instance.prefixes)
         return validate_rdf(build_rdf_graph(mutated), org_rdf_schema).rules_violated()
 
     # 1. wrong node class
@@ -335,7 +335,7 @@ def test_a7_io_roundtrips(org_instance, org_schema_triples):
 
 def test_a8_partial_schema_completion(org_instance, org_schema_triples):
     removed = Triple(Iri(VOC + "ceo"), RDFS_RANGE, Iri(VOC + "Person"))
-    partial = TripleSet(org_schema_triples.triples - {removed}, org_schema_triples.prefixes)
+    partial = TripleSet(org_schema_triples - {removed}, org_schema_triples.prefixes)
     schema = build_rdf_schema(complete_partial_schema(partial))
     graph = build_rdf_graph(org_instance)
     with pytest.warns(ValidityWarning):

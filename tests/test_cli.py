@@ -914,6 +914,27 @@ def test_an_output_may_replace_an_input(tmp_path):
     assert pg_path.read_bytes() == back.read_bytes()
 
 
+def test_invert_refuses_a_repeated_name_and_writes_nothing(tmp_path, capsys):
+    _, pgs_path = _dep_pg_docs(tmp_path)
+    text = (tmp_path / "pg.json").read_text()
+    assert text.count('"value": "Tesla, Inc."') == 1
+    dup = tmp_path / "dup.json"
+    dup.write_text(text.replace('"value": "Tesla, Inc."', '"value": "Tesla, Inc.", "value": "Edison"'))
+    back, back_schema = tmp_path / "back.ttl", tmp_path / "back-schema.ttl"
+    code = main(["invert", "--mode", "dep", "--pg", str(dup), "--pg-schema", str(pgs_path),
+                 "--out-rdf", str(back), "--out-rdf-schema", str(back_schema)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {dup}: $.nodes[0].properties[1]: repeated name 'value'\n"
+    assert not back.exists() and not back_schema.exists()
+    dup_schema = tmp_path / "dup-schema.json"
+    dup_schema.write_text(pgs_path.read_text().replace('"id": "pt0",', '"id": "pt0", "id": "pt0",'))
+    assert main(["validate", "pg", "--pg", str(tmp_path / "pg.json"),
+                 "--pg-schema", str(dup_schema)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {dup_schema}: $.propertyTypes[0]: repeated name 'id'\n")
+
+
 def test_invert_unencodable_output_writes_nothing(tmp_path, capsys):
     pg_path = tmp_path / "pg.json"
     pg_path.write_text(_surrogate_pg_json())

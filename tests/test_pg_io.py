@@ -117,6 +117,35 @@ def test_parse_refuses_deep_nesting_at_the_root(reader, document):
     assert str(err.value) == "$: arrays or objects nested too deeply to read"
 
 
+_NODE = '{"id": "n0", "label": "A", "properties": [{"key": "k", "type": "String", "value": "v"}]}'
+
+
+@pytest.mark.parametrize("reader, document, error", [
+    (parse_pg, '{"nodes": [], "edges": [], "nodes": []}', "$: repeated name 'nodes'"),
+    (parse_pg, '{"nodes": [' + _NODE.replace('"value": "v"', '"value": "v", "value": "w"')
+     + '], "edges": []}', "$.nodes[0].properties[0]: repeated name 'value'"),
+    # The first in document order: an object comes before the objects in it,
+    # even one in a value that the repeat replaced ...
+    (parse_pg, '{"nodes": [{"a": 1, "a": 2}], "edges": [], "nodes": []}',
+     "$: repeated name 'nodes'"),
+    (parse_pg, '{"nodes": [' + _NODE.replace('"id": "n0"', '"id": "n0", "id": "n1"').replace(
+        '"key": "k"', '"key": "k", "key": "j"') + '], "edges": []}', "$.nodes[0]: repeated name 'id'"),
+    # ... and a lone surrogate before a later repeat is named first.
+    (parse_pg, '{"nodes": [' + _NODE.replace('"A"', '"\\ud800"') + ', '
+     + _NODE.replace('"label": "A"', '"label": "A", "label": "A"') + '], "edges": []}',
+     "$.nodes[0].label: lone surrogate U+D800 in a string"),
+    (parse_pg_schema, '{"nodeTypes": [], "edgeTypes": [], "propertyTypes": [], "edgeTypes": []}',
+     "$: repeated name 'edgeTypes'"),
+    (parse_pg_schema, '{"nodeTypes": [{"id": "nt0", "label": "A", "propertyTypes": [], '
+     '"label": "B"}], "edgeTypes": [], "propertyTypes": []}', "$.nodeTypes[0]: repeated name 'label'"),
+], ids=["root", "property", "replaced-value", "outer-object", "surrogate-first", "schema-root",
+        "node-type"])
+def test_parse_refuses_a_repeated_name_at_its_object(reader, document, error):
+    with pytest.raises(FormatError) as err:
+        reader(document)
+    assert str(err.value) == error
+
+
 def test_parse_skips_one_leading_byte_order_mark(company_pg, company_pg_schema):
     for reader, model, text in [
         (parse_pg, company_pg, serialize_pg(company_pg)),

@@ -37,6 +37,7 @@ from rdfpg.rdf_graph import (
 from rdfpg.terms import (
     Iri,
     Literal,
+    PrefixMap,
     RDF_PROPERTY,
     RDF_TYPE,
     RDFS_CLASS,
@@ -45,7 +46,6 @@ from rdfpg.terms import (
     RDFS_RESOURCE,
     Triple,
     TripleSet,
-    triple_sort_key,
 )
 from rdfpg.turtle import parse_turtle
 
@@ -198,10 +198,10 @@ def test_schema_rejects_vocabulary_terms_as_classes():
 
 def test_completion_adds_missing_range(org_schema_triples):
     removed = Triple(Iri(VOC + "ceo"), RDFS_RANGE, Iri(VOC + "Person"))
-    partial = TripleSet(org_schema_triples.triples - {removed}, org_schema_triples.prefixes)
+    partial = TripleSet(org_schema_triples - {removed}, org_schema_triples.prefixes)
     completed = complete_partial_schema(partial)
     assert Triple(Iri(VOC + "ceo"), RDFS_RANGE, RDFS_RESOURCE) in completed
-    assert partial.triples < completed.triples
+    assert partial < completed
 
 
 def test_completion_is_fixpoint_on_complete_schema(org_schema_triples):
@@ -229,7 +229,7 @@ def test_validate_empty_graph_is_vacuously_valid(org_rdf_schema):
 def test_validate_relabeled_edge_violates_r2(org_instance, org_rdf_schema):
     ceo = Triple(Iri(EX + "Tesla_Inc"), Iri(VOC + "ceo"), Iri(EX + "Elon_Musk"))
     mutated = TripleSet(
-        (org_instance.triples - {ceo})
+        (org_instance - {ceo})
         | {Triple(Iri(EX + "Tesla_Inc"), Iri(VOC + "creation"), Iri(EX + "Elon_Musk"))},
         org_instance.prefixes,
     )
@@ -241,7 +241,7 @@ def test_validate_relabeled_edge_violates_r2(org_instance, org_rdf_schema):
 def test_validate_unknown_class_violates_r1(org_instance, org_rdf_schema):
     typed = Triple(Iri(EX + "Tesla_Inc"), RDF_TYPE, Iri(VOC + "Organisation"))
     mutated = TripleSet(
-        (org_instance.triples - {typed})
+        (org_instance - {typed})
         | {Triple(Iri(EX + "Tesla_Inc"), RDF_TYPE, Iri(VOC + "Company"))},
         org_instance.prefixes,
     )
@@ -252,7 +252,7 @@ def test_validate_unknown_class_violates_r1(org_instance, org_rdf_schema):
 def test_validate_retyped_literal_violates_r3(org_instance, org_rdf_schema):
     aged = Triple(Iri(EX + "Elon_Musk"), Iri(VOC + "age"), Literal("46", Iri(XSD + "int")))
     mutated = TripleSet(
-        (org_instance.triples - {aged})
+        (org_instance - {aged})
         | {Triple(Iri(EX + "Elon_Musk"), Iri(VOC + "age"), Literal("46", Iri(XSD + "string")))},
         org_instance.prefixes,
     )
@@ -328,7 +328,7 @@ def test_rdf_equal_ignores_internal_ids(org_graph):
 
 def test_rdf_equal_detects_missing_edge(org_instance, org_graph):
     smaller = TripleSet(
-        org_instance.triples
+        org_instance
         - {Triple(Iri(EX + "Elon_Musk"), Iri(VOC + "age"), Literal("46", Iri(XSD + "int")))},
         org_instance.prefixes,
     )
@@ -358,7 +358,7 @@ def test_generated_graph_elements_are_the_input_terms():
         assert (schema, graph) == gen_rdf_database(config), seed
 
         typed = {t for t in triples if t.p == RDF_TYPE and isinstance(t.o, Iri)}
-        data = triples.triples - typed
+        data = triples - typed
         assert graph.object_edges == {t for t in data if isinstance(t.o, Iri)}, seed
         assert graph.datatype_edges == {t for t in data if isinstance(t.o, Literal)}, seed
         assert graph.literal_nodes == {t.o for t in graph.datatype_edges}, seed
@@ -430,6 +430,22 @@ def test_iri_has_no_unvalidated_constructor():
             pickle.loads(data.replace(b"data/a", b"data/ "))
 
 
+def test_triple_set_is_a_frozenset_that_copies_and_pickles_with_its_prefixes(org_instance):
+    assert org_instance.prefixes.namespace("voc") == VOC
+    pickled = [pickle.dumps(org_instance, protocol)
+               for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+    for copied in [copy.copy(org_instance), copy.deepcopy(org_instance),
+                   *map(pickle.loads, pickled)]:
+        assert type(copied) is TripleSet and copied == org_instance
+        assert copied.prefixes == org_instance.prefixes
+    with pytest.raises(AttributeError, match="TripleSet is immutable"):
+        org_instance.prefixes = PrefixMap()
+    assert hash(org_instance) == hash(frozenset(org_instance))
+    # It equals any set of the same triples; set operators give a plain frozenset.
+    assert org_instance == set(org_instance) and org_instance == TripleSet(org_instance)
+    assert type(org_instance - set()) is frozenset
+
+
 def test_terms_are_tuples_that_never_equal_strings():
     iri = Iri(EX + "a")
     literal = Literal("46", Iri(XSD + "int"))
@@ -474,6 +490,3 @@ def test_natural_order_is_the_string_order(iris, literals, edges):
     for same_kind in (Iri, Literal):
         homogeneous = [t for t in triples if isinstance(t.o, same_kind)]
         assert sorted(homogeneous) == sorted(homogeneous, key=_string_key)
-    # A mixed set keeps IRI objects before literal ones.
-    assert sorted(triples, key=triple_sort_key) == sorted(triples, key=_string_key)
-    assert list(TripleSet(triples)) == sorted(triples, key=_string_key)

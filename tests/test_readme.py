@@ -50,3 +50,12 @@ def test_readme_command_examples_run(tmp_path):
     run = subprocess.run(["bash", str(EXAMPLES)], cwd=work, env=env,
                          stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True)
     assert run.returncode == 0, run.stdout
+
+
+def test_readme_command_script_chains_no_test_with_and():
+    # Under `set -e` a failing command before `&&` does not stop the script, so
+    # only the last test of such a chain could fail it.
+    chained = [f"{number}: {line}"
+               for number, line in enumerate(EXAMPLES.read_text().splitlines(), 1)
+               if not line.lstrip().startswith("#") and re.search(r"\btest\b.*&&|&&\s*test\b", line)]
+    assert chained == []

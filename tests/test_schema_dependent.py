@@ -509,7 +509,7 @@ def test_generated_databases_roundtrip_exactly():
 
 def test_completed_schema_still_roundtrips(org_schema_triples, org_graph):
     removed = Triple(Iri(VOC + "ceo"), RDFS_RANGE, Iri(VOC + "Person"))
-    partial = TripleSet(org_schema_triples.triples - {removed}, org_schema_triples.prefixes)
+    partial = TripleSet(org_schema_triples - {removed}, org_schema_triples.prefixes)
     schema = build_rdf_schema(complete_partial_schema(partial))
     assert RDFS_RESOURCE in schema.class_nodes
     # the instance no longer matches the widened schema, so expect a warning
