@@ -58,8 +58,8 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
     its `path`. The files are renamed over their targets only once all of
     them are written, so a failed run, an encoding error midway included,
     creates no file and keeps any existing one intact; then the paths are
-    printed. `main` has refused two outputs on one file before any input
-    was read.
+    printed. `main` has refused a directory as an output, and two outputs
+    on one file, before any input was read.
     """
     staged: list[tuple[str, str]] = []
     try:
@@ -79,15 +79,18 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
     print("wrote", " and ".join(path for path, _ in outputs))
 
 
-def _refuse_shared_output(args) -> None:
-    """Refuse two of a command's `--out-*` paths that name one file.
+def _refuse_outputs(args) -> None:
+    """Refuse a command's `--out-*` path that names a directory, and two
+    that name one file.
 
     Each path is resolved with `os.path.realpath`, so a link or a `.` does
-    not hide a shared file; the first path given twice is named.
+    not hide a shared file; the first path at fault is named.
     """
     paths = [path for name, path in vars(args).items() if name.startswith("out_") and path]
     targets = [os.path.realpath(path) for path in paths]
     for path, target in zip(paths, targets):
+        if os.path.isdir(target):
+            raise RdfPgError(f"{path}: is a directory; each output needs a file")
         if targets.count(target) > 1:
             raise RdfPgError(f"{path}: given for two outputs; each output needs its own file")
 
@@ -475,8 +478,8 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector off, then put its state back.
 
     Each warning the command raises is shown, every time it is raised, as
-    one "warning:" line. Two outputs on one file are refused before any
-    input is read.
+    one "warning:" line. An output path that names a directory, and two
+    outputs on one file, are refused before any input is read.
     """
     was_enabled = gc.isenabled()
     gc.disable()
@@ -488,7 +491,7 @@ def main(argv: list[str] | None = None) -> int:
             warnings.simplefilter("always")
             warnings.showwarning = _show_warning
             try:
-                _refuse_shared_output(args)
+                _refuse_outputs(args)
                 return args.handler(args)
             except (RdfPgError, OSError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)

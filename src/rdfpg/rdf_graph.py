@@ -110,11 +110,14 @@ def build_rdf_graph(triples: TripleSet, first_type: str | None = None) -> RdfGra
             literals.add(o)
             datatype_edges.append(t)
 
-    for subject in sorted(types):
-        classes = types[subject]
-        if len(classes) > 1 and first_type != "lexicographic":
-            raise MultipleTypes(subject.value, _values(classes))
+    several = []  # the subjects with several types, which only an error sorts
+    for subject, classes in types.items():
+        if len(classes) > 1:
+            several.append(subject)
         resources[subject] = min(classes)
+    if several and first_type != "lexicographic":
+        subject = min(several)
+        raise MultipleTypes(subject.value, _values(types[subject]))
     return RdfGraph(resources, frozenset(literals), frozenset(object_edges),
                     frozenset(datatype_edges))
 

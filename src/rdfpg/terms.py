@@ -1,22 +1,30 @@
 """Core RDF value types: IRIs, literals, triples, prefix maps and triple sets.
 
 Everything here is immutable. IRIs are always stored in full form; prefixed
-names exist only at the Turtle layer. Literals, triples and prefix maps are
-named tuples: each equals the plain tuple of its fields, and a caller
-replaces a field with `_replace`. A TripleSet is a frozenset of triples.
+names exist only at the Turtle layer. `IRI_CHAR` is the one definition of
+the characters an IRI may hold: `Iri` checks with it, and the Turtle reader
+reads every IRI body with it. Literals, triples and prefix maps are named
+tuples: each equals the plain tuple of its fields, and a caller replaces a
+field with `_replace`. A prefix map holds a read-only copy of its bindings.
+A TripleSet is a frozenset of triples.
 """
 
 from __future__ import annotations
 
 import re
 from operator import itemgetter
+from types import MappingProxyType
 from typing import Callable, Mapping, NamedTuple, Union
 
 from .errors import NonIriLabel
 
-# Characters RFC 3987 keeps out of IRIs: whitespace (for every code point, \s
-# matches exactly what str.isspace() accepts) and <>"{}|^`\.
-_forbidden_char = re.compile(r'[\s<>"{}|^`\\]').search
+# The characters an IRI may hold, as a regular-expression class: those of
+# W3C Turtle's IRIREF, which admits no U+0000-U+0020 and none of <>"{}|^`\,
+# less the other characters that str.isspace() accepts, as the Turtle reader
+# takes them for separators. For every code point, \s matches exactly what
+# str.isspace() accepts.
+IRI_CHAR = r'[^\x00-\x20\s<>"{}|^`\\]'
+_iri_chars = re.compile(IRI_CHAR + "*").match
 
 
 class Iri(tuple):
@@ -32,9 +40,9 @@ class Iri(tuple):
     def __new__(cls, value: str) -> "Iri":
         if not value:
             raise ValueError("IRI must be non-empty")
-        m = _forbidden_char(value)
-        if m:
-            raise ValueError(f"IRI may not contain {m.group()!r}: {value!r}")
+        end = _iri_chars(value).end()
+        if end < len(value):
+            raise ValueError(f"IRI may not contain {value[end]!r}: {value!r}")
         return tuple.__new__(cls, (value,))
 
     value = property(itemgetter(0))
@@ -54,7 +62,8 @@ def iri_for(value: str, element: Callable[[], str], role: str = "label") -> Iri:
     """`value` as an Iri, for a string read from a property graph.
 
     Raises NonIriLabel naming the element, described by calling `element`,
-    when `value` is empty or holds whitespace or one of <>"{}|^`\\.
+    when `value` is empty or holds a character that `IRI_CHAR` excludes:
+    one of U+0000-U+0020, other whitespace, or one of <>"{}|^`\\.
     """
     try:
         return Iri(value)
@@ -157,12 +166,26 @@ assert not (VOCABULARY_TERMS & SUPPORTED_DATATYPES)
 
 
 class PrefixMap(NamedTuple("PrefixMap", [("bindings", Mapping[str, str])])):
-    """Prefix-to-namespace bindings used when reading and writing Turtle."""
+    """Prefix-to-namespace bindings used when reading and writing Turtle.
+
+    `bindings` is a read-only view of the map's own copy of the bindings it
+    was given, so that no holder of a map can change it for the others.
+    """
 
     __slots__ = ()
 
     def __new__(cls, bindings: Mapping[str, str] | None = None) -> "PrefixMap":
-        return super().__new__(cls, {} if bindings is None else bindings)  # a dict per map
+        return super().__new__(cls, MappingProxyType(dict(bindings or {})))
+
+    @classmethod
+    def _make(cls, iterable) -> "PrefixMap":  # so that `_replace` copies too
+        return cls(*iterable)
+
+    def __repr__(self) -> str:
+        return f"PrefixMap(bindings={dict(self.bindings)!r})"
+
+    def __reduce__(self):  # a mappingproxy does not pickle
+        return PrefixMap, (dict(self.bindings),)
 
     def namespace(self, prefix: str) -> str | None:
         return self.bindings.get(prefix)

@@ -10,10 +10,14 @@ exact grammar.
 The reader reads each predicate-object pair, with the whitespace and
 comments before it and the '.', ';' or ',' after it, in one regular
 expression match; one more match reads each object after ',', and one each
-subject or @prefix directive. Each term is resolved once per distinct token
-text. A step that does not match is read again token by token, only to name
-its error: the per-token readers always raise there. A string holding a
-backslash is decoded by the per-token string reader.
+subject or @prefix directive. Each token class (an IRI body, a PN_PART, a
+string's characters, an escape) is spelled once, and the IRI characters
+are `terms.IRI_CHAR`, the set `Iri` checks with. One step, `_Parser._term`,
+turns a token into its term, once per distinct token text, and refuses an
+unknown prefix or a blank node at the token's own position. A step that
+does not match is read again token by token, only to name its error: the
+per-token readers always raise there. A string holding a backslash is
+decoded by the per-token string reader.
 
 Serialization is canonical: prefixes sorted by name, subjects sorted by IRI,
 one predicate per line. Parsing the output of serialize_turtle always yields
@@ -34,6 +38,7 @@ from typing import NamedTuple, NoReturn, TextIO, Union
 
 from .errors import BlankNodeUnsupported, TurtleSyntaxError, UnknownPrefix
 from .terms import (
+    IRI_CHAR,
     Iri,
     Literal,
     PrefixMap,
@@ -72,32 +77,39 @@ class RawTurtleDocument(NamedTuple):
 # text: the whitespace and comments before its tokens, the tokens, and what
 # ends the step. A position is a plain index; line and column are worked out
 # from it only for an error. A term is matched as its token text, which
-# `_Parser._term` turns into the term once per distinct token.
+# `_Parser._term` turns into the term once per distinct token. Each token
+# class is spelled once, below, and both the step patterns and the
+# per-token patterns are built from these spellings.
 #
 # \s is exactly str.isspace(). A comment runs to its line end, so that a
 # failed match does not go on to try it split at each '#' in it.
-_WS = r"\s*(?:#[^\n]*(?![^\n])\s*)*"
-_IRI_BODY = r'[^\s<>"{}|^`\\]+'  # IRIREF characters: no whitespace, <>"{}|^`\\
-_IRIREF = "<" + _IRI_BODY + ">"
-_PNAME = r"[A-Za-z0-9_-]*:[A-Za-z0-9_-]*"
+_COMMENT = r"#[^\n]*(?![^\n])"
+_WS = r"\s*(?:" + _COMMENT + r"\s*)*"
+_IRIREF = "<" + IRI_CHAR + "+>"
+_PN_CHAR = "[A-Za-z0-9_-]"
+_PN_PART = _PN_CHAR + "*"
+_PNAME = _PN_PART + ":" + _PN_PART
+_STRING_CHARS = r'[^"\\\n]*'
+_ESCAPE = r'\\(?:[tbnrf"\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})'  # ECHAR or UCHAR
+
 _IRI = "(?:" + _IRIREF + "|(?!_:)" + _PNAME + ")"  # an IRI, never a blank node label
 _TERM = _IRIREF + "|" + _PNAME + r"|\[" + _WS + r"\]"  # a subject or a non-literal object
-_STRING = r'"([^"\\\n]*(?:\\(?:[tbnrf"\\]|u[0-9A-Fa-f]{4}|U[0-9A-Fa-f]{8})[^"\\\n]*)*)"'
+_STRING = '"(' + _STRING_CHARS + "(?:" + _ESCAPE + _STRING_CHARS + ')*)"'
 # An object, then what follows it: ',' or '.', or a run of ';' with the
 # whitespace and comments in it, then the '.' of a statement that ends there.
 _OBJECT_PUNCT = (
     "(?:(" + _TERM + ")|" + _STRING + "(?:" + _WS + r"\^\^" + _WS + "(" + _IRI + "))?)"
-    + _WS + r"(?:([,.])|;[\s;]*(?:#[^\n]*(?![^\n])[\s;]*)*(\.)?)"
+    + _WS + r"(?:([,.])|;[\s;]*(?:" + _COMMENT + r"[\s;]*)*(\.)?)"
 )
 # A statement's subject, an @prefix directive, or the end of the input.
 _HEAD = (
-    _WS + "(?:@prefix" + _WS + "([A-Za-z0-9_-]*):" + _WS + "<(" + _IRI_BODY + ")>" + _WS + r"\."
-    + "|(" + _TERM + r")|\Z)"
+    _WS + "(?:@prefix" + _WS + "(" + _PN_PART + "):" + _WS + "<(" + IRI_CHAR + "+)>" + _WS
+    + r"\.|(" + _TERM + r")|\Z)"
 )
 # A predicate-object pair. Its groups are the verb, the IRI object, the
 # string's text, its datatype, then ',' or '.' after the object, or the '.'
 # after a run of ';'.
-_PAIR = _WS + "(" + _IRI + "|a(?![A-Za-z0-9_:-]))" + _WS + _OBJECT_PUNCT
+_PAIR = _WS + "(" + _IRI + "|a(?!" + _PN_CHAR + "|:))" + _WS + _OBJECT_PUNCT
 # An object after ','. The empty first group keeps the groups of `_PAIR`.
 _OBJECT = _WS + "()" + _OBJECT_PUNCT
 
@@ -114,23 +126,25 @@ def _steps():
 
 # The token patterns of the per-token readers, each matched at a position.
 _skip_ws = re.compile(_WS).match
-_iri_body = re.compile(r'[^\s<>"{}|^`\\]*').match
-_pname = re.compile(r"([A-Za-z0-9_-]*)(?::([A-Za-z0-9_-]*))?").match
-_string_chars = re.compile(r'[^"\\\n]*').match
-_escape = re.compile(r'\\(?:([tbnrf"\\])|u([0-9A-Fa-f]{4})|U([0-9A-Fa-f]{8}))').match
+_iri_body = re.compile(IRI_CHAR + "*").match
+_pname = re.compile("(" + _PN_PART + ")(?::(" + _PN_PART + "))?").match
+_string_chars = re.compile(_STRING_CHARS).match
+_escape = re.compile(_ESCAPE).match
 
-_local_name = re.compile(r"(?:[A-Za-z_][A-Za-z0-9_-]*)?\Z").match  # "" or a PN_NAME
+_local_name = re.compile("(?:[A-Za-z_]" + _PN_PART + r")?\Z").match  # "" or a PN_NAME
 _new = tuple.__new__  # builds an Iri, Literal or Triple without a call of its Python __new__
 
 
 class _Parser:
     """Single-pass reader over the step patterns `_HEAD`, `_PAIR` and `_OBJECT`.
 
-    Each step is one match. Where a step does not match, or names a term
-    that does not resolve, `_refuse` reads it again with the per-token
-    readers, only to raise the error of its first failing check. Each
-    per-token reader takes the position to start at and returns what it
-    read together with the position after it.
+    Each step is one match, and `_term` turns each token it holds into its
+    term, refusing an unknown prefix or a blank node outside raw mode at the
+    token's own position. Where a step does not match, `_refuse` reads it
+    again with the per-token readers, only to raise the error of its first
+    failing check. Each per-token reader takes the position to start at and
+    returns what it read together with the position after it; it resolves
+    its terms through `_term` too.
     """
 
     def __init__(self, text: str, allow_blanks: bool):
@@ -163,12 +177,39 @@ class _Parser:
             raise self._unexpected(pos, expected)
         return pos + 1
 
-    def _iri(self, value: str) -> Iri:
-        iri = self._iris.get(value)
-        if iri is None:
-            # The patterns of both readers admit only IRI characters: Iri's check would pass.
-            iri = self._iris[value] = _new(Iri, (value,))
-        return iri
+    def _term(self, token: str, pos: int) -> Union[Iri, BlankNode]:
+        """The term that `token`, read at `pos`, stands for: `token` is an
+        IRIREF, a prefixed name, a blank node label, 'a', or a '[]' ('[' is
+        enough). The term is kept for the next time the token is read,
+        except for '[]', which is a new blank node each time. An unknown
+        prefix, or a blank node outside raw mode, is refused at `pos`.
+        """
+        c = token[0]
+        if c == "[" or token.startswith("_:"):
+            if not self.allow_blanks:
+                raise BlankNodeUnsupported(*self._line_col(pos))
+            if c == "[":
+                self._anon += 1
+                # '=' cannot occur in parsed labels, so generated labels never collide.
+                return BlankNode(f"=anon{self._anon}")
+            term = BlankNode(token)
+        elif token == "a":
+            term = RDF_TYPE
+        else:
+            if c == "<":
+                value = token[1:-1]
+            else:
+                prefix, _, local = token.partition(":")
+                namespace = self.bindings.get(prefix)
+                if namespace is None:
+                    raise UnknownPrefix(prefix, *self._line_col(pos))
+                value = namespace + local
+            term = self._iris.get(value)  # one Iri per distinct string
+            if term is None:
+                # IRI bodies and local names are read as IRI_CHARs: Iri's check would pass.
+                term = self._iris[value] = _new(Iri, (value,))
+        self._terms[token] = term
+        return term
 
     # -- tokens ----------------------------------------------------------
 
@@ -182,26 +223,18 @@ class _Parser:
             raise self._fail(end + 1, "an IRI character", repr(text[end]))
         if end == start:
             raise self._fail(start, "a non-empty IRI")
-        return self._iri(text[start:end]), end + 1
+        return self._term(text[pos : end + 1], pos), end + 1
 
-    def _read_prefixed_or_keyword(self, pos: int, keyword_ok: bool) -> tuple:
-        """Reads an Iri, a BlankNode, or the string 'a' for the type keyword."""
+    def _read_name(self, pos: int, keyword_ok: bool) -> tuple:
+        """Reads a prefixed name or a blank node label, or with `keyword_ok`
+        the keyword 'a'."""
         m = _pname(self.text, pos)
         name, local = m.groups()
-        if local is not None:
-            if name == "_":
-                if not self.allow_blanks:
-                    raise BlankNodeUnsupported(*self._line_col(pos))
-                return BlankNode("_:" + local), m.end()
-            ns = self.bindings.get(name)
-            if ns is None:
-                raise UnknownPrefix(name, *self._line_col(pos))
-            return self._iri(ns + local), m.end()
-        if keyword_ok and name == "a":
-            return "a", m.end()
-        if not name:
-            raise self._unexpected(pos, "an IRI, prefixed name or keyword")
-        raise self._fail(pos, "':' to complete the prefixed name", repr(name))
+        if local is None and not (keyword_ok and name == "a"):
+            if not name:
+                raise self._unexpected(pos, "an IRI, prefixed name or keyword")
+            raise self._fail(pos, "':' to complete the prefixed name", repr(name))
+        return self._term(m.group(), pos), m.end()
 
     def _read_string(self, pos: int) -> tuple[str, int]:
         text = self.text
@@ -236,14 +269,14 @@ class _Parser:
             if len(digits) < width:
                 raise self._unexpected(len(text), f"{width} hex digits")
             raise self._fail(pos + 2 + width, f"{width} hex digits", repr(digits))
-        simple, short, long = m.groups()
-        if simple:
-            return _ESCAPE_IN[simple], m.end()
-        digits = short or long
+        escape = m.group()
+        if len(escape) == 2:
+            return _ESCAPE_IN[escape[1]], m.end()
+        digits = escape[2:]
         code = int(digits, 16)
         # XSD strings hold Unicode scalar values only, never surrogates.
         if 0xD800 <= code <= 0xDFFF:
-            raise self._fail(pos, "an escape outside U+D800-U+DFFF", m.group()[:2] + digits)
+            raise self._fail(pos, "an escape outside U+D800-U+DFFF", escape)
         if code > 0x10FFFF:
             raise self._fail(m.end(), f"{len(digits)} hex digits", repr(digits))
         return chr(code), m.end()
@@ -257,23 +290,20 @@ class _Parser:
             return self._read_iriref(pos)
         if c == "[":
             return self._read_anon(pos)
-        return self._read_prefixed_or_keyword(pos, keyword_ok=False)
+        return self._read_name(pos, keyword_ok=False)
 
     def _read_anon(self, pos: int) -> tuple[BlankNode, int]:
-        if not self.allow_blanks:
-            raise BlankNodeUnsupported(*self._line_col(pos))
+        term = self._term("[", pos)
         pos = _skip_ws(self.text, pos + 1).end()
         if not self.text.startswith("]", pos):
             raise self._unexpected(pos, "']' (blank node property lists are not supported)")
-        return BlankNode("[]"), pos + 1  # only `_term` numbers the '[]' it reads
+        return term, pos + 1
 
     def _read_verb(self, pos: int) -> tuple[Iri, int]:
         pos = _skip_ws(self.text, pos).end()
         if self.text.startswith("<", pos):
             return self._read_iriref(pos)
-        term, pos = self._read_prefixed_or_keyword(pos, keyword_ok=True)
-        if term == "a":
-            return RDF_TYPE, pos
+        term, pos = self._read_name(pos, keyword_ok=True)
         if isinstance(term, BlankNode):
             raise self._fail(pos, "a predicate IRI", "blank node")
         return term, pos
@@ -295,7 +325,7 @@ class _Parser:
             if text.startswith("<", pos):
                 datatype, pos = self._read_iriref(pos)
             else:
-                datatype, pos = self._read_prefixed_or_keyword(pos, keyword_ok=False)
+                datatype, pos = self._read_name(pos, keyword_ok=False)
                 if not isinstance(datatype, Iri):
                     raise self._unexpected(pos, "a datatype IRI")
             return Literal(lexical, datatype), pos
@@ -303,7 +333,7 @@ class _Parser:
             return self._read_anon(pos)
         if not c:
             raise self._unexpected(pos, "an object")
-        return self._read_prefixed_or_keyword(pos, keyword_ok=False)
+        return self._read_name(pos, keyword_ok=False)
 
     def _read_prefix_directive(self, pos: int) -> int:
         text = self.text
@@ -321,7 +351,7 @@ class _Parser:
         return self._expect(pos, ".", "'.' ending the directive")
 
     def _refuse(self, step, pos: int) -> NoReturn:
-        """Read the step that `step` failed from `pos` again, token by token.
+        """Read the step that `step` did not match at `pos` again, token by token.
 
         The per-token readers raise the error of the first failing check,
         at its position. They always raise: a step they read whole is one
@@ -345,37 +375,6 @@ class _Parser:
         line, column = self._line_col(start)
         raise AssertionError(f"line {line}, column {column}: the step passed every check")
 
-    def _term(self, token: str, step, pos: int) -> Union[Iri, BlankNode]:
-        """The term that `token`, matched by `step` at `pos`, stands for.
-
-        It is kept for the next time the token is read, except for '[]',
-        which is a new blank node each time. A token that stands for no
-        term here is refused.
-        """
-        c = token[0]
-        if c == "<":
-            term = self._iri(token[1:-1])
-        elif c == "[":
-            if not self.allow_blanks:
-                self._refuse(step, pos)
-            self._anon += 1
-            # '=' cannot occur in parsed labels, so generated labels never collide.
-            return BlankNode(f"=anon{self._anon}")
-        elif token == "a":
-            term = RDF_TYPE
-        else:
-            prefix, _, local = token.partition(":")
-            if prefix == "_":
-                if not self.allow_blanks:
-                    self._refuse(step, pos)
-                term = BlankNode(token)
-            elif prefix in self.bindings:
-                term = self._iri(self.bindings[prefix] + local)
-            else:
-                self._refuse(step, pos)
-        self._terms[token] = term
-        return term
-
     def _bind(self, name: str, namespace: str) -> None:
         old = self.bindings.get(name)
         if old is not None and old != namespace:
@@ -398,11 +397,11 @@ class _Parser:
             name, namespace, token = m.groups()
             if token is None:
                 if namespace is None:  # the end of the input
-                    return self.triples, PrefixMap(dict(self.bindings))
+                    return self.triples, PrefixMap(self.bindings)
                 self._bind(name, namespace)
                 pos = m.end()
                 continue
-            subject = terms.get(token) or term(token, head, pos)
+            subject = terms.get(token) or term(token, m.start(3))
             step, pos = pair, m.end()
             while True:
                 m = step(text, pos)
@@ -410,14 +409,14 @@ class _Parser:
                     self._refuse(step, pos)
                 token, obj, lexical, datatype, punct, dot = m.groups()
                 if token:  # "" from object_
-                    verb = terms.get(token) or term(token, step, pos)
+                    verb = terms.get(token) or term(token, m.start(1))
                 if obj is not None:
-                    obj = terms.get(obj) or term(obj, step, pos)
+                    obj = terms.get(obj) or term(obj, m.start(2))
                 else:
                     if "\\" in lexical:
                         lexical, _ = self._read_string(m.start(3) - 1)
                     if datatype is not None:
-                        datatype = terms.get(datatype) or term(datatype, step, pos)
+                        datatype = terms.get(datatype) or term(datatype, m.start(4))
                     obj = _new(Literal, (lexical, datatype or XSD_STRING))
                 append(_new(Triple, (subject, verb, obj)))
                 pos = m.end()

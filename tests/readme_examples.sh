@@ -67,6 +67,18 @@ refused rdfpg convert --mode indep --rdf absent.ttl --out-pg same.json --out-pg-
   2> same.err
 grep -qx "error: same.json: given for two outputs; each output needs its own file" same.err \
   || { cat same.err; exit 1; }
+# An output that names a directory is refused before any input is read: exit 2,
+# the other output is not written and the directory is left as it was.
+mkdir outdir
+expect 2 rdfpg convert --mode indep --rdf absent.ttl --out-pg dir-pg.json --out-pg-schema outdir \
+  2> outdir.err
+test ! -e dir-pg.json
+test -z "$(ls -A outdir)"
+grep -qx "error: outdir: is a directory; each output needs a file" outdir.err \
+  || { cat outdir.err; exit 1; }
+expect 2 rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
+  --out-pg dir-pg.json --out-pg-schema outdir
+test ! -e dir-pg.json
 expect 0 rdfpg convert --mode indep --rdf "$data/org-instance.ttl" \
   --out-pg indep-pg.json --out-pg-schema generic.json
 expect 0 rdfpg invert --mode indep --pg indep-pg.json --out-rdf indep-back.ttl
@@ -279,6 +291,25 @@ with open("edgeless-literal.json", "w") as f:
 '
 refused rdfpg invert --mode indep --pg edgeless-literal.json --out-rdf edgeless.ttl 2> edgeless.err
 grep -q '^error: edgeless-literal.json: literal "alone"^^' edgeless.err || { cat edgeless.err; exit 1; }
+# W3C Turtle's IRIREF holds no U+0000-U+0020: an iri value with a control
+# character is refused by invert, and Turtle holding one by convert.
+python -c '
+import json
+with open("indep-pg.json") as f:
+    doc = json.load(f)
+resource = next(n for n in doc["nodes"] if n["label"] == "Resource")
+next(p for p in resource["properties"] if p["key"] == "iri")["value"] = "http://e.x/a\u0001b"
+with open("control-iri.json", "w") as f:
+    json.dump(doc, f)
+'
+refused rdfpg invert --mode indep --pg control-iri.json --out-rdf control-back.ttl 2> control.err
+grep -qF "carries 'iri' value 'http://e.x/a\\x01b', which is not usable as an IRI" control.err \
+  || { cat control.err; exit 1; }
+printf '<http://e.x/s> <http://e.x/p> <http://e.x/a\001b> .\n' > control-iri.ttl
+refused rdfpg convert --mode indep --rdf control-iri.ttl --out-pg control-pg.json \
+  --out-pg-schema control-generic.json 2> control.err
+grep -qxF "error: control-iri.ttl: line 1, column 45: expected an IRI character, found '\\x01'" \
+  control.err || { cat control.err; exit 1; }
 # The check splits its cases over the CPUs it may use; on one CPU it runs
 # them serially, and its output must not change.
 for mode in dep indep; do

@@ -214,8 +214,9 @@ def test_invert_dep_refuses_a_custom_datatype_spelled_as_an_xsd_iri(tmp_path, ca
     assert _invert_dep_with(tmp_path, datatype=kind)[0] == 0
 
 
-# Characters RFC 3987 keeps out of IRIs besides whitespace.
-FORBIDDEN_IRI_CHARS = list('<>"{}|^`\\')
+# Characters RFC 3987 keeps out of IRIs besides whitespace, and control
+# characters that W3C Turtle's IRIREF cannot hold.
+FORBIDDEN_IRI_CHARS = list('<>"{}|^`\\') + ["\x00", "\x01"]
 
 
 @pytest.mark.parametrize("char", FORBIDDEN_IRI_CHARS)
@@ -1010,6 +1011,29 @@ def test_two_outputs_on_one_file_are_refused_before_any_input_is_read(tmp_path, 
         f"error: {same}: given for two outputs; each output needs its own file\n"
     )
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", [
+    ["convert", "--mode", "dep", "--rdf", INSTANCE, "--schema", SCHEMA,
+     "--out-pg", "{file}", "--out-pg-schema", "{directory}"],
+    ["invert", "--mode", "dep", "--pg", "{pg}", "--pg-schema", "{pgs}",
+     "--out-rdf", "{file}", "--out-rdf-schema", "{directory}"],
+    ["convert", "--mode", "indep", "--rdf", "{absent}",
+     "--out-pg", "{file}", "--out-pg-schema", "{directory}"],
+], ids=["convert", "invert", "before-any-input"])
+def test_an_output_that_names_a_directory_is_refused(tmp_path, capsys, command):
+    _, pgs_path = _dep_pg_docs(tmp_path)
+    directory = tmp_path / "outdir"
+    directory.mkdir()
+    paths = {"pg": tmp_path / "pg.json", "pgs": pgs_path, "absent": tmp_path / "absent.ttl",
+             "file": tmp_path / "out.file", "directory": directory}
+    capsys.readouterr()
+    assert main([arg.format(**paths) for arg in command]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {directory}: is a directory; each output needs a file\n"
+    )
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "pg.json", "pgs.json"]
+    assert list(directory.iterdir()) == []
 
 
 @pytest.mark.parametrize("argv, message", [

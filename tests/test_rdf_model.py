@@ -19,10 +19,12 @@ from rdfpg.errors import (
     ReservedVocabularyTerm,
 )
 from rdfpg.generator import (
+    GENERATOR_PREFIXES,
     GeneratorConfig,
     gen_instance_triples,
     gen_rdf_database,
     gen_schema_triples,
+    gen_triple_set,
 )
 from rdfpg.rdf_graph import (
     RdfGraph,
@@ -35,6 +37,7 @@ from rdfpg.rdf_graph import (
     validate_rdf,
 )
 from rdfpg.terms import (
+    COMMON_PREFIXES,
     Iri,
     Literal,
     PrefixMap,
@@ -110,6 +113,37 @@ def test_build_graph_multiple_types_rejected():
         build_rdf_graph(ts)
     graph = build_rdf_graph(ts, first_type="lexicographic")
     assert _iri_labels(graph) == {EX + "a": VOC + "A"}
+
+
+def test_multiple_types_names_the_smallest_subject_at_fault():
+    # Subjects in reverse order, each with two types: the error names the
+    # smallest, whatever order the triples come in.
+    triples = [Triple(Iri(EX + "c"), RDF_TYPE, Iri(VOC + "B"))] + [
+        Triple(Iri(EX + name), RDF_TYPE, Iri(VOC + cls)) for name in "ba" for cls in "BA"
+    ]
+    with pytest.raises(MultipleTypes) as caught:
+        build_rdf_graph(triples)
+    assert str(caught.value) == (
+        f"subject {EX}a has 2 type declarations ({VOC}A, {VOC}B); "
+        "pass first_type='lexicographic' to tie-break"
+    )
+    assert _iri_labels(build_rdf_graph(triples, first_type="lexicographic")) == {
+        EX + "a": VOC + "A", EX + "b": VOC + "A", EX + "c": VOC + "B",
+    }
+
+
+def test_prefix_maps_are_read_only(org_graph):
+    given = {"ex": EX}
+    own = PrefixMap(given)
+    given["zz"] = "urn:zz:"  # the map keeps its own copy
+    for prefixes in (own, own._replace(bindings=given),
+                     rdf_graph_to_triples(org_graph).prefixes,
+                     gen_triple_set(GeneratorConfig(seed=1)).prefixes,
+                     parse_turtle(f"@prefix ex: <{EX}> .").prefixes):
+        with pytest.raises(TypeError):
+            prefixes.bindings["zz"] = "urn:zz:"
+    assert "zz" not in own.bindings
+    assert "zz" not in COMMON_PREFIXES.bindings and "zz" not in GENERATOR_PREFIXES.bindings
 
 
 def test_build_graph_same_lexical_different_datatype():
@@ -461,7 +495,9 @@ def test_terms_are_tuples_that_never_equal_strings():
 # wider strategy adds arbitrary non-ASCII text.
 _iri_values = st.one_of(
     st.text(st.sampled_from("a/:\u00e9\u00ff\u4e2d\U0001f600"), min_size=1, max_size=4),
-    st.text(min_size=1, max_size=8).filter(lambda v: not re.search(r'[\s<>"{}|^`\\]', v)),
+    st.text(min_size=1, max_size=8).filter(
+        lambda v: not re.search(r'[\x00-\x20\s<>"{}|^`\\]', v)
+    ),
 )
 _iris = _iri_values.map(Iri)
 _literals = st.builds(Literal, st.text(st.sampled_from("0a\u00e9\U0001f600\n"), max_size=3)

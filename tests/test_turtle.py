@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import string
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -236,6 +238,37 @@ def test_generated_triple_sets_roundtrip():
     for seed in range(100):
         ts = gen_triple_set(GeneratorConfig(seed=seed))
         assert parse_turtle(serialize_turtle(ts)) == ts, f"seed {seed}"
+
+
+def test_iri_and_the_reader_accept_the_same_code_points():
+    code_points = [chr(i) for i in range(0x110000) if not 0xD800 <= i <= 0xDFFF]
+    kept, refused = [], []
+    for c in code_points:
+        try:
+            Iri(c)
+        except ValueError:
+            refused.append(c)
+        else:
+            kept.append(c)
+    accepted = "".join(kept)
+    # W3C Turtle's IRIREF: no U+0000-U+0020 and none of <>"{}|^`\. The
+    # other str.isspace() characters separate tokens.
+    assert set(refused) == {chr(i) for i in range(0x21)} | set('<>"{}|^`\\') | {
+        c for c in code_points if c.isspace()
+    }
+    # The reader takes every accepted code point in one IRI, and refuses
+    # each other one where an IRI character is expected.
+    (triple,) = parse_turtle(f"<{accepted}> <urn:p> <urn:o> .")
+    assert triple.s == Iri(accepted)
+    for c in refused:
+        with pytest.raises(TurtleSyntaxError) as caught:
+            parse_turtle(f"<urn:a{c}> <urn:p> <urn:o> .")
+        if c != ">":  # '>' ends the IRI
+            at = "line 2, column 1" if c == "\n" else "line 1, column 8"
+            assert str(caught.value) == f"{at}: expected an IRI character, found {c!r}"
+    # A local name is made of IRI characters too, so a prefixed name always
+    # reads as an IRI that Iri accepts.
+    assert set(string.ascii_letters + string.digits + "_-") <= set(accepted)
 
 
 def test_leading_byte_order_mark_tolerated(org_instance_text):

@@ -1,7 +1,9 @@
 """The Turtle reader's error contract: class, line, column and message per raise site.
 
 Every expected value below was recorded from the reader before its lexer was
-rewritten, so the table pins that positions and messages did not move.
+rewritten, so the table pins that positions and messages did not move. The
+pins of a control character in an IRI came with the IRI set of W3C Turtle's
+IRIREF; the reader accepted those characters before.
 Lines and columns are 1-based and count code points; a leading byte order
 mark is skipped; only '\n' starts a new line.
 """
@@ -278,6 +280,63 @@ ERRORS = [
         TurtleSyntaxError, 3, 3,
         "line 3, column 3: expected an IRI, prefixed name or keyword, found '^'",
         id='comment-then-error',
+    ),
+    # A term in a step that matched, refused at the token's own position.
+    pytest.param(
+        False, f"{S} foo:p {O} .",
+        UnknownPrefix, 1, 19,
+        "line 1, column 19: unknown prefix 'foo:'",
+        id='prefix-unknown-verb',
+    ),
+    pytest.param(
+        False, f'{S} {P} "x"^^foo:d .',
+        UnknownPrefix, 1, 42,
+        "line 1, column 42: unknown prefix 'foo:'",
+        id='prefix-unknown-datatype',
+    ),
+    pytest.param(
+        False, f"{S} {P} {O}, foo:o .",
+        UnknownPrefix, 1, 56,
+        "line 1, column 56: unknown prefix 'foo:'",
+        id='prefix-unknown-object-after-comma',
+    ),
+    pytest.param(
+        False, f"{S} {P} {O} ;\n  {P} foo:o .",
+        UnknownPrefix, 2, 21,
+        "line 2, column 21: unknown prefix 'foo:'",
+        id='prefix-unknown-object-after-semicolon',
+    ),
+    pytest.param(
+        False, f"{S} {P} {O} ;; foo:p {O} .",
+        UnknownPrefix, 1, 58,
+        "line 1, column 58: unknown prefix 'foo:'",
+        id='prefix-unknown-verb-after-semicolons',
+    ),
+    pytest.param(
+        False, f"[] {P} {O} .",
+        BlankNodeUnsupported, 1, 1,
+        'line 1, column 1: blank nodes are not supported; re-parse in raw mode and skolemize to convert them to IRIs',
+        id='blank-anon-subject-strict',
+    ),
+    pytest.param(
+        False, f"{S} {P} {O} .\n[ ] {P} {O} .",
+        BlankNodeUnsupported, 2, 1,
+        'line 2, column 1: blank nodes are not supported; re-parse in raw mode and skolemize to convert them to IRIs',
+        id='blank-anon-spaced-subject-strict',
+    ),
+    # W3C Turtle's IRIREF admits no U+0000-U+0020. As for every IRI
+    # character error, the column is the one after the character.
+    pytest.param(
+        False, f"{S} {P} <http://e.x/a\x00b> .",
+        TurtleSyntaxError, 1, 51,
+        "line 1, column 51: expected an IRI character, found '\\x00'",
+        id='iri-nul',
+    ),
+    pytest.param(
+        False, f"{S} {P} <http://e.x/a\x01b> .",
+        TurtleSyntaxError, 1, 51,
+        "line 1, column 51: expected an IRI character, found '\\x01'",
+        id='iri-control',
     ),
 ]
 
