@@ -26,6 +26,7 @@ import argparse
 import contextlib
 import gc
 import os
+import stat
 import sys
 import warnings
 from typing import TYPE_CHECKING, Callable, NamedTuple, TextIO
@@ -58,8 +59,9 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
     its `path`. The files are renamed over their targets only once all of
     them are written, so a failed run, an encoding error midway included,
     creates no file and keeps any existing one intact; then the paths are
-    printed. `main` has refused a directory as an output, and two outputs
-    on one file, before any input was read.
+    printed. `main` has refused an output that is not a regular file or
+    whose directory does not exist, and two outputs on one file, before any
+    input was read.
     """
     staged: list[tuple[str, str]] = []
     try:
@@ -80,17 +82,28 @@ def _write_outputs(outputs: list[tuple[str, Callable[[TextIO], object]]]) -> Non
 
 
 def _refuse_outputs(args) -> None:
-    """Refuse a command's `--out-*` path that names a directory, and two
-    that name one file.
+    """Refuse a command's `--out-*` path that names something other than a
+    regular file, or a file in a directory that does not exist, and two
+    paths that name one file.
 
-    Each path is resolved with `os.path.realpath`, so a link or a `.` does
-    not hide a shared file; the first path at fault is named.
+    `_write_outputs` renames a new file over each target, so it would turn
+    a FIFO or a device into a regular file. Each path is resolved with
+    `os.path.realpath`, so a link or a `.` does not hide a shared file; the
+    first path at fault is named.
     """
     paths = [path for name, path in vars(args).items() if name.startswith("out_") and path]
     targets = [os.path.realpath(path) for path in paths]
     for path, target in zip(paths, targets):
-        if os.path.isdir(target):
-            raise RdfPgError(f"{path}: is a directory; each output needs a file")
+        try:
+            mode = os.stat(target).st_mode
+        except (FileNotFoundError, NotADirectoryError):
+            if not os.path.isdir(os.path.dirname(target)):
+                raise RdfPgError(f"{path}: its directory does not exist") from None
+        else:
+            if stat.S_ISDIR(mode):
+                raise RdfPgError(f"{path}: is a directory; each output needs a file")
+            if not stat.S_ISREG(mode):
+                raise RdfPgError(f"{path}: is not a regular file; each output needs a file")
         if targets.count(target) > 1:
             raise RdfPgError(f"{path}: given for two outputs; each output needs its own file")
 
@@ -190,6 +203,11 @@ def _cmd_convert(args) -> int:
     return _print_input_validation(found)
 
 
+def _literals_on_no_edge(graph) -> frozenset:
+    """The literals of an RDF graph that no edge holds, which Turtle cannot."""
+    return graph.literal_nodes.difference(t.o for t in graph.datatype_edges)
+
+
 def _cmd_invert(args) -> int:
     pg = _load(args.pg, parse_pg)
     if args.mode == "dep":
@@ -201,7 +219,7 @@ def _cmd_invert(args) -> int:
         if args.pg_schema:
             indep.require_generic_schema(_load(args.pg_schema, parse_pg_schema))
         graph, found, schema_output = indep.invert_graph(pg), None, []
-    stray = graph.literal_nodes.difference(t.o for t in graph.datatype_edges)
+    stray = _literals_on_no_edge(graph)
     if stray:
         raise RdfPgError(f"{args.pg}: literal {min(stray)} is on no edge, "
                          "so Turtle cannot hold it")
@@ -247,7 +265,8 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
     that read is the semantics check; a graph out of shape is validated and
     fails it with SchemaViolation. An RdfPgError from either inverse fails
     the case. With `out`, a failing case writes what failed, the error and
-    both serializations there, for diffing.
+    both serializations there, for diffing; each instance's literals that
+    no edge holds, which its Turtle cannot show, follow it as comments.
     """
     from .generator import gen_rdf_database, gen_rdf_graph
 
@@ -288,11 +307,14 @@ def _roundtrip_case(mode: str, case: GeneratorConfig, out=None) -> tuple[bool, b
         print("produced graph does not validate against produced schema", file=out)
     if error is not None:
         print(f"inverse raised {type(error).__name__}: {error}", file=out)
-    print("--- original instance ---", file=out)
-    print(serialize_turtle(rdf_graph_to_triples(graph)), file=out)
-    if graph_back is not None:
-        print("--- recovered instance ---", file=out)
-        print(serialize_turtle(rdf_graph_to_triples(graph_back)), file=out)
+    for title, instance in (("original", graph), ("recovered", graph_back)):
+        if instance is None:
+            continue
+        print(f"--- {title} instance ---", file=out)
+        print(serialize_turtle(rdf_graph_to_triples(instance)), file=out)
+        # repr keeps a line break in a lexical form from ending its comment.
+        for literal in sorted(_literals_on_no_edge(instance)):
+            print(f"# literal on no edge: {literal.lexical!r}^^<{literal.datatype}>", file=out)
     if mode == "dep":
         print("--- original schema ---", file=out)
         print(serialize_turtle(rdf_schema_to_triples(schema)), file=out)
@@ -478,8 +500,9 @@ def main(argv: list[str] | None = None) -> int:
     """Run one command with the cyclic collector off, then put its state back.
 
     Each warning the command raises is shown, every time it is raised, as
-    one "warning:" line. An output path that names a directory, and two
-    outputs on one file, are refused before any input is read.
+    one "warning:" line. An output path that names anything but a regular
+    file, or a file in a missing directory, and two outputs on one file,
+    are refused before any input is read.
     """
     was_enabled = gc.isenabled()
     gc.disable()

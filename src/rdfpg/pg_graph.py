@@ -209,7 +209,10 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
     conversion machinery stamps it on every node it creates, and schemas
     derived from RDF schemas have no place to declare it.
     """
-    allowed_by_node_type = {label: frozenset(pts) for label, pts in schema.node_types.items()}
+    allowed_by_node_type = {
+        label: frozenset((*pts, (IRI_PROPERTY_KEY, STRING)))
+        for label, pts in schema.node_types.items()
+    }
     # Edge types that share a (label, source, target) signature, in canonical order.
     allowed_by_signature: dict[tuple[str, str, str], list[frozenset]] = defaultdict(list)
     for et in schema.edge_types:
@@ -232,7 +235,6 @@ def validate_pg(graph: PropertyGraph, schema: PropertyGraphSchema) -> Validation
             )
             for key, value in node.properties
             if (key, value.datatype) not in allowed
-            and not (key == IRI_PROPERTY_KEY and value.datatype == STRING)
         ]
 
     for edge in graph.edges:

@@ -143,8 +143,11 @@ class _Parser:
     token's own position. Where a step does not match, `_refuse` reads it
     again with the per-token readers, only to raise the error of its first
     failing check. Each per-token reader takes the position to start at and
-    returns what it read together with the position after it; it resolves
-    its terms through `_term` too.
+    returns the position after what it read; it checks its terms through
+    `_term` too. `_read_string` also returns the string it decoded, for the
+    steps whose string holds an escape. An error names the first character
+    of what it reports as found, or where nothing is found, the place where
+    the expected text should start.
     """
 
     def __init__(self, text: str, allow_blanks: bool):
@@ -213,19 +216,20 @@ class _Parser:
 
     # -- tokens ----------------------------------------------------------
 
-    def _read_iriref(self, pos: int) -> tuple[Iri, int]:
+    def _read_iriref(self, pos: int) -> int:
         text = self.text
         start = pos + 1  # after '<'
         end = _iri_body(text, start).end()
         if end == len(text):
             raise self._fail(start, "'>' closing the IRI")
         if text[end] != ">":
-            raise self._fail(end + 1, "an IRI character", repr(text[end]))
+            raise self._unexpected(end, "an IRI character")
         if end == start:
             raise self._fail(start, "a non-empty IRI")
-        return self._term(text[pos : end + 1], pos), end + 1
+        self._term(text[pos : end + 1], pos)
+        return end + 1
 
-    def _read_name(self, pos: int, keyword_ok: bool) -> tuple:
+    def _read_name(self, pos: int, keyword_ok: bool = False) -> int:
         """Reads a prefixed name or a blank node label, or with `keyword_ok`
         the keyword 'a'."""
         m = _pname(self.text, pos)
@@ -234,7 +238,8 @@ class _Parser:
             if not name:
                 raise self._unexpected(pos, "an IRI, prefixed name or keyword")
             raise self._fail(pos, "':' to complete the prefixed name", repr(name))
-        return self._term(m.group(), pos), m.end()
+        self._term(m.group(), pos)
+        return m.end()
 
     def _read_string(self, pos: int) -> tuple[str, int]:
         text = self.text
@@ -258,17 +263,17 @@ class _Parser:
         """Decodes the escape whose backslash is at `pos`."""
         text = self.text
         m = _escape(text, pos)
-        if m is None:
+        if m is None:  # pos + 1 is the escape letter, pos + 2 the first hex digit
             c = text[pos + 1 : pos + 2]
             if not c:
                 raise self._unexpected(pos + 1, "an escape character")
             if c not in "uU":
-                raise self._fail(pos + 2, "a valid escape (tbnrf\"\\ or u/U)", repr(c))
+                raise self._unexpected(pos + 1, "a valid escape (tbnrf\"\\ or u/U)")
             width = 4 if c == "u" else 8
             digits = text[pos + 2 : pos + 2 + width]
             if len(digits) < width:
                 raise self._unexpected(len(text), f"{width} hex digits")
-            raise self._fail(pos + 2 + width, f"{width} hex digits", repr(digits))
+            raise self._fail(pos + 2, f"{width} hex digits", repr(digits))
         escape = m.group()
         if len(escape) == 2:
             return _ESCAPE_IN[escape[1]], m.end()
@@ -278,62 +283,48 @@ class _Parser:
         if 0xD800 <= code <= 0xDFFF:
             raise self._fail(pos, "an escape outside U+D800-U+DFFF", escape)
         if code > 0x10FFFF:
-            raise self._fail(m.end(), f"{len(digits)} hex digits", repr(digits))
+            raise self._fail(pos + 2, f"{len(digits)} hex digits", repr(digits))
         return chr(code), m.end()
 
     # -- grammar ---------------------------------------------------------
 
-    def _read_subject(self, pos: int) -> tuple:
-        pos = _skip_ws(self.text, pos).end()
-        c = self.text[pos : pos + 1]
-        if c == "<":
+    def _read_node(self, pos: int) -> int:
+        """Reads a subject, or an object that is not a literal: an IRI, a
+        blank node label or a '[]'."""
+        text = self.text
+        if text.startswith("<", pos):
             return self._read_iriref(pos)
-        if c == "[":
-            return self._read_anon(pos)
-        return self._read_name(pos, keyword_ok=False)
-
-    def _read_anon(self, pos: int) -> tuple[BlankNode, int]:
-        term = self._term("[", pos)
-        pos = _skip_ws(self.text, pos + 1).end()
-        if not self.text.startswith("]", pos):
+        if not text.startswith("[", pos):
+            return self._read_name(pos)
+        self._term("[", pos)
+        pos = _skip_ws(text, pos + 1).end()
+        if not text.startswith("]", pos):
             raise self._unexpected(pos, "']' (blank node property lists are not supported)")
-        return term, pos + 1
+        return pos + 1
 
-    def _read_verb(self, pos: int) -> tuple[Iri, int]:
-        pos = _skip_ws(self.text, pos).end()
+    def _read_iri(self, pos: int, expected: str, keyword_ok: bool = False) -> int:
+        """Reads a predicate or a datatype: an IRI, or with `keyword_ok` the
+        keyword 'a'. A blank node label is refused, as not `expected`."""
         if self.text.startswith("<", pos):
             return self._read_iriref(pos)
-        term, pos = self._read_name(pos, keyword_ok=True)
-        if isinstance(term, BlankNode):
-            raise self._fail(pos, "a predicate IRI", "blank node")
-        return term, pos
+        if self.text.startswith("_:", pos):
+            raise self._fail(pos, expected, "blank node")
+        return self._read_name(pos, keyword_ok)
 
-    def _read_object(self, pos: int) -> tuple:
+    def _read_object(self, pos: int) -> int:
         text = self.text
         pos = _skip_ws(text, pos).end()
-        c = text[pos : pos + 1]
-        if c == "<":
-            return self._read_iriref(pos)
-        if c == '"':
-            lexical, pos = self._read_string(pos)
-            caret = _skip_ws(text, pos).end()
-            if not text.startswith("^", caret):
-                return Literal(lexical, XSD_STRING), pos
-            if not text.startswith("^", caret + 1):
-                raise self._unexpected(caret + 1, "'^^' introducing a datatype")
-            pos = _skip_ws(text, caret + 2).end()
-            if text.startswith("<", pos):
-                datatype, pos = self._read_iriref(pos)
-            else:
-                datatype, pos = self._read_name(pos, keyword_ok=False)
-                if not isinstance(datatype, Iri):
-                    raise self._unexpected(pos, "a datatype IRI")
-            return Literal(lexical, datatype), pos
-        if c == "[":
-            return self._read_anon(pos)
-        if not c:
+        if pos == len(text):
             raise self._unexpected(pos, "an object")
-        return self._read_name(pos, keyword_ok=False)
+        if not text.startswith('"', pos):
+            return self._read_node(pos)
+        _, pos = self._read_string(pos)
+        caret = _skip_ws(text, pos).end()
+        if not text.startswith("^", caret):
+            return pos
+        if not text.startswith("^", caret + 1):
+            raise self._unexpected(caret + 1, "'^^' introducing a datatype")
+        return self._read_iri(_skip_ws(text, caret + 2).end(), "a datatype IRI")
 
     def _read_prefix_directive(self, pos: int) -> int:
         text = self.text
@@ -347,8 +338,7 @@ class _Parser:
         pos = _skip_ws(text, pos + 1).end()
         if not text.startswith("<", pos):
             raise self._unexpected(pos, "'<' opening the namespace IRI")
-        _, pos = self._read_iriref(pos)
-        return self._expect(pos, ".", "'.' ending the directive")
+        return self._expect(self._read_iriref(pos), ".", "'.' ending the directive")
 
     def _refuse(self, step, pos: int) -> NoReturn:
         """Read the step that `step` did not match at `pos` again, token by token.
@@ -364,12 +354,11 @@ class _Parser:
             if text.startswith("@", pos):
                 self._read_prefix_directive(pos)
             else:
-                self._read_subject(pos)
+                self._read_node(pos)
         else:
             if step is pair:
-                _, pos = self._read_verb(pos)
-            _, pos = self._read_object(pos)
-            pos = _skip_ws(text, pos).end()
+                pos = self._read_iri(_skip_ws(text, pos).end(), "a predicate IRI", keyword_ok=True)
+            pos = _skip_ws(text, self._read_object(pos)).end()
             if not text.startswith((",", ";"), pos):
                 self._expect(pos, ".", "'.' ending the statement")
         line, column = self._line_col(start)

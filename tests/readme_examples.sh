@@ -79,6 +79,20 @@ grep -qx "error: outdir: is a directory; each output needs a file" outdir.err \
 expect 2 rdfpg convert --mode dep --rdf "$data/org-instance.ttl" --schema "$data/org-schema.ttl" \
   --out-pg dir-pg.json --out-pg-schema outdir
 test ! -e dir-pg.json
+# So is an output that is not a regular file, such as a FIFO, which stays a
+# FIFO, and an output whose directory does not exist.
+mkfifo fifo
+expect 2 rdfpg convert --mode indep --rdf "$data/org-instance.ttl" --out-pg fifo \
+  --out-pg-schema fifo-generic.json 2> fifo.err
+test -p fifo
+test ! -e fifo-generic.json
+grep -qx "error: fifo: is not a regular file; each output needs a file" fifo.err \
+  || { cat fifo.err; exit 1; }
+rm fifo
+refused rdfpg convert --mode indep --rdf "$data/org-instance.ttl" --out-pg nodir/pg.json \
+  --out-pg-schema nodir-generic.json 2> nodir.err
+grep -qx "error: nodir/pg.json: its directory does not exist" nodir.err \
+  || { cat nodir.err; exit 1; }
 expect 0 rdfpg convert --mode indep --rdf "$data/org-instance.ttl" \
   --out-pg indep-pg.json --out-pg-schema generic.json
 expect 0 rdfpg invert --mode indep --pg indep-pg.json --out-rdf indep-back.ttl
@@ -308,7 +322,7 @@ grep -qF "carries 'iri' value 'http://e.x/a\\x01b', which is not usable as an IR
 printf '<http://e.x/s> <http://e.x/p> <http://e.x/a\001b> .\n' > control-iri.ttl
 refused rdfpg convert --mode indep --rdf control-iri.ttl --out-pg control-pg.json \
   --out-pg-schema control-generic.json 2> control.err
-grep -qxF "error: control-iri.ttl: line 1, column 45: expected an IRI character, found '\\x01'" \
+grep -qxF "error: control-iri.ttl: line 1, column 44: expected an IRI character, found '\\x01'" \
   control.err || { cat control.err; exit 1; }
 # The check splits its cases over the CPUs it may use; on one CPU it runs
 # them serially, and its output must not change.

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -1034,6 +1036,32 @@ def test_an_output_that_names_a_directory_is_refused(tmp_path, capsys, command):
     )
     assert sorted(p.name for p in tmp_path.iterdir()) == ["outdir", "pg.json", "pgs.json"]
     assert list(directory.iterdir()) == []
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs on this platform")
+@pytest.mark.parametrize("rdf", [INSTANCE, "{absent}"], ids=["input", "before-any-input"])
+def test_an_output_that_is_not_a_regular_file_is_refused(tmp_path, capsys, rdf):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    assert main(["convert", "--mode", "indep", "--rdf", rdf.format(absent=tmp_path / "absent.ttl"),
+                 "--out-pg", str(fifo), "--out-pg-schema", str(tmp_path / "pgs.json")]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {fifo}: is not a regular file; each output needs a file\n"
+    )
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]
+    assert stat.S_ISFIFO(os.stat(fifo).st_mode)
+
+
+@pytest.mark.parametrize("parent", ["nodir", "file.txt"])
+@pytest.mark.parametrize("rdf", [INSTANCE, "{absent}"], ids=["input", "before-any-input"])
+def test_an_output_in_a_missing_directory_is_refused(tmp_path, capsys, rdf, parent):
+    (tmp_path / "file.txt").write_text("kept\n")
+    out = tmp_path / parent / "pg.json"
+    assert main(["convert", "--mode", "indep", "--rdf", rdf.format(absent=tmp_path / "absent.ttl"),
+                 "--out-pg", str(tmp_path / "pg.json"), "--out-pg-schema", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {out}: its directory does not exist\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["file.txt"]
+    assert (tmp_path / "file.txt").read_text() == "kept\n"
 
 
 @pytest.mark.parametrize("argv, message", [

@@ -132,7 +132,7 @@ def test_injected_failures_are_counted_and_the_first_is_dumped(
     semantics = sum(kind[1] for kind in kinds)
     assert 0 < semantics < len(failing) < COUNT
     first = failing[0]
-    bad_input, broken, _ = kinds[first]
+    bad_input, broken, lost = kinds[first]
     assert first_kind == ("input" if bad_input else "semantics" if broken else "information")
 
     _inject_failures(monkeypatch, mode)
@@ -153,6 +153,11 @@ def test_injected_failures_are_counted_and_the_first_is_dumped(
     assert ("--- recovered instance ---" in lines) == (mode == "dep" or not broken)
     assert ("--- original schema ---" in lines) == (mode == "dep")
     assert ("--- recovered schema ---" in lines) == (mode == "dep")
+    # Turtle cannot hold the injected literal, so a comment after the dump names it.
+    injected = "# literal on no edge: 'injected'^^<http://www.w3.org/2001/XMLSchema#string>"
+    original, _, recovered = text.partition("--- recovered instance ---")
+    assert injected not in original.splitlines()
+    assert (injected in recovered.splitlines()) == lost
 
 
 @pytest.mark.parametrize("mode", ["dep", "indep"])

@@ -1,15 +1,18 @@
 """The Turtle reader's error contract: class, line, column and message per raise site.
 
-Every expected value below was recorded from the reader before its lexer was
-rewritten, so the table pins that positions and messages did not move. The
-pins of a control character in an IRI came with the IRI set of W3C Turtle's
-IRIREF; the reader accepted those characters before.
+An error names the first character of the text it reports as found, and
+"end of input" one column past the last character; an error that reports
+nothing found names the place where the expected text should start. The
+pins of IRI character errors, escape errors and a blank node where an IRI
+belongs were re-recorded when the reader was made to follow this rule;
+every other pin has held since the reader's lexer was rewritten.
 Lines and columns are 1-based and count code points; a leading byte order
 mark is skipped; only '\n' starts a new line.
 """
 
 from __future__ import annotations
 
+import ast
 import inspect
 import warnings
 
@@ -31,20 +34,20 @@ ERRORS = [
     ),
     pytest.param(
         False, f"{S} {P} <http://ex.org/a b> .",
-        TurtleSyntaxError, 1, 54,
-        "line 1, column 54: expected an IRI character, found ' '",
+        TurtleSyntaxError, 1, 53,
+        "line 1, column 53: expected an IRI character, found ' '",
         id='iri-space',
     ),
     pytest.param(
         False, f"{S} {P} <http://ex.org/a{{b}}> .",
-        TurtleSyntaxError, 1, 54,
-        "line 1, column 54: expected an IRI character, found '{'",
+        TurtleSyntaxError, 1, 53,
+        "line 1, column 53: expected an IRI character, found '{'",
         id='iri-brace',
     ),
     pytest.param(
         False, f"{S} {P} <http://ex.org/a\nb> .",
-        TurtleSyntaxError, 2, 1,
-        "line 2, column 1: expected an IRI character, found '\\n'",
+        TurtleSyntaxError, 1, 53,
+        "line 1, column 53: expected an IRI character, found '\\n'",
         id='iri-newline',
     ),
     pytest.param(
@@ -55,8 +58,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f'{S} {P} "a\\qb" .',
-        TurtleSyntaxError, 1, 41,
-        'line 1, column 41: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
+        TurtleSyntaxError, 1, 40,
+        'line 1, column 40: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
         id='echar-bad',
     ),
     pytest.param(
@@ -67,8 +70,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f'{S} {P} "\\u41" .',
-        TurtleSyntaxError, 1, 44,
-        'line 1, column 44: expected 4 hex digits, found \'41" \'',
+        TurtleSyntaxError, 1, 40,
+        'line 1, column 40: expected 4 hex digits, found \'41" \'',
         id='uchar-short',
     ),
     pytest.param(
@@ -85,8 +88,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f'{S} {P} "\\U00110000" .',
-        TurtleSyntaxError, 1, 48,
-        "line 1, column 48: expected 8 hex digits, found '00110000'",
+        TurtleSyntaxError, 1, 40,
+        "line 1, column 40: expected 8 hex digits, found '00110000'",
         id='uchar-too-large',
     ),
     pytest.param(
@@ -139,14 +142,26 @@ ERRORS = [
     ),
     pytest.param(
         True, f"{S} _:p {O} .",
-        TurtleSyntaxError, 1, 22,
-        'line 1, column 22: expected a predicate IRI, found blank node',
+        TurtleSyntaxError, 1, 19,
+        'line 1, column 19: expected a predicate IRI, found blank node',
         id='blank-predicate-raw',
     ),
     pytest.param(
+        False, f"{S} _:p {O} .",
+        TurtleSyntaxError, 1, 19,
+        'line 1, column 19: expected a predicate IRI, found blank node',
+        id='blank-predicate-strict',
+    ),
+    pytest.param(
+        False, f'{S} {P} "x"^^_:d .',
+        TurtleSyntaxError, 1, 42,
+        'line 1, column 42: expected a datatype IRI, found blank node',
+        id='blank-datatype-strict',
+    ),
+    pytest.param(
         True, f'{S} {P} "x"^^_:d .',
-        TurtleSyntaxError, 1, 45,
-        "line 1, column 45: expected a datatype IRI, found ' '",
+        TurtleSyntaxError, 1, 42,
+        'line 1, column 42: expected a datatype IRI, found blank node',
         id='blank-datatype-raw',
     ),
     pytest.param(
@@ -229,8 +244,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f"\ufeff{S} {P} \"a\\qb\" .",
-        TurtleSyntaxError, 1, 41,
-        'line 1, column 41: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
+        TurtleSyntaxError, 1, 40,
+        'line 1, column 40: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
         id='bom-then-error',
     ),
     pytest.param(
@@ -241,8 +256,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f"{S} {P} {O} .\r\n{S} {P} {O} .\r\n{S} {P} \"a\\qb\" .\r\n",
-        TurtleSyntaxError, 3, 41,
-        'line 3, column 41: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
+        TurtleSyntaxError, 3, 40,
+        'line 3, column 40: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
         id='crlf-lines',
     ),
     pytest.param(
@@ -253,8 +268,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f"{S} {P} \"h\u00e9llo w\u00f6rld \U0001F600\", \"\\q\" .",
-        TurtleSyntaxError, 1, 57,
-        'line 1, column 57: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
+        TurtleSyntaxError, 1, 56,
+        'line 1, column 56: expected a valid escape (tbnrf"\\ or u/U), found \'q\'',
         id='non-ascii-before-error',
     ),
     pytest.param(
@@ -265,8 +280,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f"{S} {P} <http://ex.org/a\u2003b> .",
-        TurtleSyntaxError, 1, 54,
-        "line 1, column 54: expected an IRI character, found '\\u2003'",
+        TurtleSyntaxError, 1, 53,
+        "line 1, column 53: expected an IRI character, found '\\u2003'",
         id='iri-unicode-space',
     ),
     pytest.param(
@@ -324,18 +339,17 @@ ERRORS = [
         'line 2, column 1: blank nodes are not supported; re-parse in raw mode and skolemize to convert them to IRIs',
         id='blank-anon-spaced-subject-strict',
     ),
-    # W3C Turtle's IRIREF admits no U+0000-U+0020. As for every IRI
-    # character error, the column is the one after the character.
+    # W3C Turtle's IRIREF admits no U+0000-U+0020.
     pytest.param(
         False, f"{S} {P} <http://e.x/a\x00b> .",
-        TurtleSyntaxError, 1, 51,
-        "line 1, column 51: expected an IRI character, found '\\x00'",
+        TurtleSyntaxError, 1, 50,
+        "line 1, column 50: expected an IRI character, found '\\x00'",
         id='iri-nul',
     ),
     pytest.param(
         False, f"{S} {P} <http://e.x/a\x01b> .",
-        TurtleSyntaxError, 1, 51,
-        "line 1, column 51: expected an IRI character, found '\\x01'",
+        TurtleSyntaxError, 1, 50,
+        "line 1, column 50: expected an IRI character, found '\\x01'",
         id='iri-control',
     ),
 ]
@@ -348,6 +362,32 @@ def test_error_class_position_and_message(raw, text, error, line, column, messag
     assert type(caught.value) is error
     assert (caught.value.line, caught.value.column) == (line, column)
     assert str(caught.value) == message
+
+
+def _found_char(message: str) -> str | None:
+    """The one character an error message names as found, "" for the end of
+    the input, or None where it names neither."""
+    _, sep, found = message.rpartition(", found ")
+    if sep and found == "end of input":
+        return ""
+    if sep and found.startswith("'"):
+        char = ast.literal_eval(found)
+        if len(char) == 1:
+            return char
+    return None
+
+
+@pytest.mark.parametrize(
+    "raw, text, error, line, column, message",
+    [p for p in ERRORS if _found_char(p.values[-1]) is not None],
+)
+def test_a_found_character_is_at_the_pinned_position(raw, text, error, line, column, message):
+    text = text.removeprefix("\ufeff")
+    at = sum(len(before) + 1 for before in text.split("\n")[: line - 1]) + column - 1
+    char = _found_char(message)
+    assert text[at : at + 1] == char
+    if not char:
+        assert at == len(text)
 
 
 REDEFINITION = (
