@@ -20,9 +20,7 @@ from typing import NamedTuple
 
 from .pg_graph import (
     DATATYPE_KINDS,
-    Edge,
     EdgeType,
-    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
@@ -300,15 +298,15 @@ def gen_property_graph(config: GeneratorConfig) -> PropertyGraph:
     labels = ["Thing", "Item with spaces", "voc:Entity", "größe"]
     keys = ["name", "weird key!", "multi\nline", "n"]
 
-    nodes: list[Node] = []
+    nodes: list[tuple] = []
     for i in range(rng.randint(0, config.max_resources)):
         label = rng.choice(labels)
         properties = [("uid", PgValue(str(i), STRING))]
         for _ in range(rng.randrange(3)):
             datatype = _gen_pg_datatype(rng)
             properties.append((rng.choice(keys), PgValue(rng.choice(_STRING_POOL), datatype)))
-        nodes.append(Node(label, tuple(sorted(properties))))
-    edges: list[Edge] = []
+        nodes.append((label, properties))
+    edges: list[tuple] = []
     if nodes:
         for _ in range(rng.randint(0, config.max_triples)):
             label = rng.choice(labels)
@@ -317,7 +315,7 @@ def gen_property_graph(config: GeneratorConfig) -> PropertyGraph:
             if rng.random() < 0.5:
                 key = rng.choice(keys)
                 properties = ((key, PgValue(rng.choice(_STRING_POOL), _gen_pg_datatype(rng))),)
-            edges.append(Edge(label, source, target, properties))
+            edges.append((label, source, target, properties))
     return canonical_graph(nodes, edges)
 
 

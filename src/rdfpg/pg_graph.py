@@ -11,13 +11,14 @@ A graph is two tuples: its nodes, each a label and properties, and its
 edges, each a label, the positions of its source and target nodes and
 properties. Values, properties, nodes and edge types are named tuples or
 plain tuples, so they compare and sort in C, field by field. One function,
-`canonical_graph`, puts a graph in canonical order, once: nodes sorted,
-then edges sorted by source node, label, properties and target node, with
-elements of equal keys in the order they came in. It is the one way to
-build a graph: both mappings, `parse_pg` and the generator build their Node
-and Edge tuples and call it. An element's id is its position, so every
-consumer (the validator, the serializers, the inverse mappings) walks the
-tuples in order, and graphs compare with ==.
+`canonical_graph`, owns an element's canonical form and a graph's canonical
+order: it sorts each element's properties, builds each Node and Edge, then
+sorts the nodes, then the edges by source node, label, properties and
+target node, with elements of equal keys in the order they came in. It is
+the one way to build a graph: both mappings, `parse_pg` and the generator
+pass it plain tuples, with properties in any order. An element's id is its
+position, so every consumer (the validator, the serializers, the inverse
+mappings) walks the tuples in order, and graphs compare with ==.
 
 A schema is keyed by its own labels: a node type is its label and the
 (key, datatype) property types it allows; an edge type adds its endpoint
@@ -144,18 +145,25 @@ class PropertyGraphSchema(NamedTuple):
     edge_types: tuple[EdgeType, ...]
 
 
-def canonical_graph(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
+def canonical_graph(nodes: Iterable[tuple], edges: Iterable[tuple]) -> PropertyGraph:
     """The graph of `nodes` and `edges` in canonical order.
 
-    Each element's properties must already be sorted, and each edge's
-    `source` and `target` are positions in `nodes`. Nodes are sorted once;
-    equal nodes ("twins") keep the order they came in. Edges are sorted by
-    source node, label, properties and target node, an endpoint compared by
-    its rank: the canonical position of the first node equal to it. Ranks
-    order as the nodes do and twins share one, so this is the order of the
-    nodes themselves, ties included, compared as ints. Edges of equal keys
-    keep the order they came in.
+    Each node is a (label, properties) tuple and each edge a (label, source,
+    target, properties) tuple, a Node or an Edge included; properties may
+    come in any order, in any iterable, and each edge's `source` and
+    `target` are positions in `nodes`. `nodes` and `edges` are read once, so
+    generators spare the caller a second copy of the elements.
+
+    Each element's properties are sorted, then the nodes, once; equal nodes
+    ("twins") keep the order they came in. Edges are sorted by source node,
+    label, properties and target node, an endpoint compared by its rank: the
+    canonical position of the first node equal to it. Ranks order as the
+    nodes do and twins share one, so this is the order of the nodes
+    themselves, ties included, compared as ints. Edges of equal keys keep
+    the order they came in.
     """
+    new = tuple.__new__  # builds each Node and Edge without a call of its Python __new__
+    nodes = [new(Node, (label, tuple(sorted(properties)))) for label, properties in nodes]
     order = sorted(range(len(nodes)), key=nodes.__getitem__)
     sorted_nodes = [nodes[i] for i in order]
     position = [0] * len(nodes)
@@ -166,8 +174,11 @@ def canonical_graph(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
             first = pos
         position[i] = pos
         rank[i] = first
-    edges = sorted(edges, key=lambda e: (rank[e.source], e.label, e.properties, rank[e.target]))
-    new = tuple.__new__  # builds each Edge without a call of its Python __new__
+    edges = sorted(
+        ((label, source, target, tuple(sorted(properties)))
+         for label, source, target, properties in edges),
+        key=lambda e: (rank[e[1]], e[0], e[3], rank[e[2]]),
+    )
     return PropertyGraph(
         tuple(sorted_nodes),
         tuple(

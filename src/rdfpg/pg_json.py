@@ -14,17 +14,17 @@ JSON strings, preserving lexical forms exactly.
 `serialize_pg` writes a graph document to a text stream one node or edge at
 a time, or returns it as a string when given no stream. `parse_pg` reads
 each element in one step: it tests that the element is an object of exactly
-its fields, takes them at once and tests their types, then builds its Node
-or Edge tuple. An element that fails that test goes to the field helpers
-(`_object`, `_field`, `_read_properties`), which check it one field at a
-time and raise the error of the first failing check; they are the error
-path, not a second reader. `parse_pg` drops each decoded element from the
-document once it has read it, so the graph reuses that memory, and puts
-the graph in canonical order with `canonical_graph`. `parse_pg_schema`
-gathers each owner's property types in a plain list, refuses a node type
-label given twice, and puts the schema in canonical order with
-`canonical_schema`. Those two functions are the one way to build either
-model, here as everywhere else.
+its fields, takes them at once and tests their types, then keeps it as a
+plain tuple, its properties in document order. An element that fails that
+test goes to the field helpers (`_object`, `_field`, `_read_properties`),
+which check it one field at a time and raise the error of the first
+failing check; they are the error path, not a second reader. `parse_pg`
+drops each decoded element from the document once it has read it, so the
+graph reuses that memory, and builds the graph in canonical order with
+`canonical_graph`. `parse_pg_schema` gathers each owner's property types
+in a plain list, refuses a node type label given twice, and puts the
+schema in canonical order with `canonical_schema`. Those two functions are
+the one way to build either model, here as everywhere else.
 
 See docs/pg-json-format.md and the JSON-Schema files next to it.
 """
@@ -41,9 +41,7 @@ from typing import Any, NoReturn, TextIO
 from .errors import DanglingEdgeEndpoint, FormatError
 from .pg_graph import (
     canonical_graph,
-    Edge,
     EdgeType,
-    Node,
     PgValue,
     PropertyGraph,
     PropertyGraphSchema,
@@ -216,18 +214,14 @@ _EDGE_FIELDS = frozenset({"id", "label", "source", "target", "properties"})
 _PROPERTY_FIELDS = frozenset({"key", "value", "type"})
 
 
-def _read_properties(element: dict, where: tuple) -> list[tuple[str, PgValue]]:
-    result = []
+def _read_properties(element: dict, where: tuple) -> None:
     for i, prop in enumerate(_field(element, "properties", list, where)):
         at = (*where, "properties", i)
         _object(prop, _PROPERTY_FIELDS, at)
-        key = _field(prop, "key", str, at)
-        value = _field(prop, "value", str, at)
-        datatype = _field(prop, "type", str, at)
-        if not datatype:
+        _field(prop, "key", str, at)
+        _field(prop, "value", str, at)
+        if not _field(prop, "type", str, at):
             raise FormatError(_path((*at, "type")), "datatype may not be empty")
-        result.append((key, PgValue(value, datatype)))
-    return result
 
 
 # parse_pg reads an element in one step: an exact-size dict, its fields taken
@@ -267,7 +261,7 @@ _new = tuple.__new__  # builds a named tuple without a call of its Python __new_
 
 
 def _properties(items: Any, element: dict, where: tuple) -> tuple[tuple[str, PgValue], ...]:
-    """An element's properties, sorted; `items` is its "properties" list."""
+    """An element's properties in document order; `items` is its "properties" list."""
     result = []
     for prop in items:
         if type(prop) is dict and len(prop) == 3:
@@ -280,14 +274,13 @@ def _properties(items: Any, element: dict, where: tuple) -> tuple[tuple[str, PgV
                 continue
         _read_properties(element, where)
         raise AssertionError(f"{_path(where)} passed every check")
-    result.sort()
-    return tuple(result)
+    return tuple(result)  # smaller than the list while the graph is built
 
 
 def parse_pg(text: str) -> PropertyGraph:
     root = _load(text, _GRAPH_FIELDS)
     node_by_id: dict[str, int] = {}  # id -> position in `nodes`
-    nodes: list[Node] = []
+    nodes: list[tuple] = []
     # Each decoded element is dropped from its list once it is read, so the
     # graph's memory grows as the document's shrinks.
     node_objects = _field(root, "nodes", list, ())
@@ -303,11 +296,11 @@ def parse_pg(text: str) -> PropertyGraph:
                 and node_id not in node_by_id
             ):
                 node_by_id[node_id] = len(nodes)
-                nodes.append(_new(Node, (label, _properties(items, node, ("nodes", i)))))
+                nodes.append((label, _properties(items, node, ("nodes", i))))
                 continue
         _refuse_node(node, ("nodes", i), node_by_id)
     edge_ids: set[str] = set()
-    edges: list[Edge] = []
+    edges: list[tuple] = []
     edge_objects = _field(root, "edges", list, ())
     for i, edge in enumerate(edge_objects):
         edge_objects[i] = None
@@ -323,9 +316,7 @@ def parse_pg(text: str) -> PropertyGraph:
             ):
                 edge_ids.add(edge_id)
                 properties = _properties(items, edge, ("edges", i)) if items else ()
-                edges.append(
-                    _new(Edge, (label, node_by_id[source], node_by_id[target], properties))
-                )
+                edges.append((label, node_by_id[source], node_by_id[target], properties))
                 continue
         _refuse_edge(edge, ("edges", i), edge_ids, node_by_id)
     del root  # the decoded document is not needed while the graph is sorted

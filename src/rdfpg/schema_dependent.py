@@ -58,12 +58,10 @@ from .pg_graph import (
     DATETIME,
     DECIMAL,
     DOUBLE,
-    Edge,
     EdgeType,
     INT,
     INTEGER,
     IRI_PROPERTY_KEY,
-    Node,
     PgDatatype,
     PgValue,
     PropertyGraph,
@@ -146,8 +144,9 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
 
     Node properties are keyed by label, so a resource holding two values for
     the same datatype property cannot be represented here; that case needs
-    the schema-independent mapping. Nodes and edges are built in the
-    graph's own order; `canonical_graph` puts them in canonical order.
+    the schema-independent mapping. Nodes and edges are given in the
+    graph's own order, each node's properties by key as they are read;
+    `canonical_graph` builds them in canonical order.
     """
     resources = graph.resource_nodes
     node_of = {iri: n for n, iri in enumerate(resources)}
@@ -166,12 +165,10 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
             _refuse_datatype_edges(graph)
         node_props[key] = PgValue(t.o.lexical, datatype)
 
-    nodes = [
-        Node(cls.value, tuple(sorted(node_props.items())))
-        for cls, node_props in zip(resources.values(), props)
-    ]
-    edges = [Edge(t.p.value, node_of[t.s], node_of[t.o], ()) for t in graph.object_edges]
-    return canonical_graph(nodes, edges)
+    return canonical_graph(
+        ((cls.value, node_props.items()) for cls, node_props in zip(resources.values(), props)),
+        ((t.p.value, node_of[t.s], node_of[t.o], ()) for t in graph.object_edges),
+    )
 
 
 def _refuse_datatype_edges(graph: RdfGraph) -> NoReturn:

@@ -27,6 +27,8 @@ other PG schema, and `map_graph` builds its graph through `canonical_graph`.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .errors import (
     ConflictingResourceClass,
     MissingRequiredProperty,
@@ -133,23 +135,17 @@ def map_graph(graph: RdfGraph) -> PropertyGraph:
         *(t.p for _, triples in edges_by_label for t in triples),
     }
     type_of = {iri: (TYPE_KEY, PgValue(iri.value, STRING)) for iri in type_iris}
-    # Each element's properties are written out in key order.
-    nodes = [
-        Node(
-            RESOURCE_LABEL,
-            ((IRI_PROPERTY_KEY, PgValue(iri.value, STRING)), type_of[graph.resource_nodes[iri]]),
-        )
-        for iri in resources
-    ]
-    nodes += [
-        Node(LITERAL_LABEL, (type_of[lit.datatype], (VALUE_KEY, PgValue(lit.lexical, STRING))))
-        for lit in literals
-    ]
-    edges = [
-        Edge(label, node_of[t.s], node_of[t.o], (type_of[t.p],))
+    nodes = chain(
+        ((RESOURCE_LABEL, ((IRI_PROPERTY_KEY, PgValue(iri.value, STRING)), type_of[cls]))
+         for iri, cls in graph.resource_nodes.items()),
+        ((LITERAL_LABEL, (type_of[lit.datatype], (VALUE_KEY, PgValue(lit.lexical, STRING))))
+         for lit in literals),
+    )
+    edges = (
+        (label, node_of[t.s], node_of[t.o], (type_of[t.p],))
         for label, triples in edges_by_label
         for t in triples
-    ]
+    )
     return canonical_graph(nodes, edges)
 
 

@@ -221,7 +221,7 @@ class _Parser:
         start = pos + 1  # after '<'
         end = _iri_body(text, start).end()
         if end == len(text):
-            raise self._fail(start, "'>' closing the IRI")
+            raise self._unexpected(end, "'>' closing the IRI")
         if text[end] != ">":
             raise self._unexpected(end, "an IRI character")
         if end == start:
@@ -254,8 +254,6 @@ class _Parser:
             if c == "\\":
                 char, pos = self._read_escape(end)
                 chunks.append(char)
-            elif c == "\n":
-                raise self._fail(end + 1, "'\"' before the end of the line")
             else:
                 raise self._unexpected(end, "'\"' closing the string")
 

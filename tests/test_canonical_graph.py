@@ -1,9 +1,12 @@
-"""`canonical_graph` is the one owner of canonical order.
+"""`canonical_graph` is the one owner of an element's canonical form and of
+canonical order.
 
-Its order is pinned against a reference kept here: the sort that compares
-edge endpoints as whole nodes, not as ranks. Both mappings and `parse_pg`
-build their Node and Edge tuples themselves and call it; each must give the
-graph that the reference gives for the same elements in a shuffled order.
+Its order is pinned against a reference kept here: each element's
+properties sorted, then the sort that compares edge endpoints as whole
+nodes, not as ranks. The elements drawn are plain tuples or named tuples
+with their properties in any order. Both mappings and `parse_pg` pass it
+plain tuples; each must give the graph that the reference gives for the
+same elements, and their properties, in a shuffled order.
 """
 
 from __future__ import annotations
@@ -32,9 +35,12 @@ from rdfpg.pg_json import parse_pg, serialize_pg
 SEEDS = range(300)
 
 
-def _reference(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
-    """Canonical order with endpoints compared as nodes: nodes sorted, then
-    edges by (source node, label, properties, target node), both stable."""
+def _reference(nodes: list[tuple], edges: list[tuple]) -> PropertyGraph:
+    """Canonical order with endpoints compared as nodes: each element's
+    properties sorted, then nodes sorted, then edges by (source node, label,
+    properties, target node), both stable."""
+    nodes = [Node(label, tuple(sorted(properties))) for label, properties in nodes]
+    edges = [Edge(label, s, t, tuple(sorted(properties))) for label, s, t, properties in edges]
     order = sorted(range(len(nodes)), key=nodes.__getitem__)
     position = {n: i for i, n in enumerate(order)}
     edges = sorted(edges, key=lambda e: (nodes[e.source], e.label, e.properties, nodes[e.target]))
@@ -45,23 +51,26 @@ def _reference(nodes: list[Node], edges: list[Edge]) -> PropertyGraph:
 
 
 # Few labels, keys and values, so that twin nodes, edges between twins and
-# duplicate edges are common.
+# duplicate edges are common. Properties come in the order drawn, as a list
+# or a tuple, and elements as plain tuples or named tuples.
 _properties = st.lists(
     st.tuples(
         st.sampled_from("ab"),
         st.builds(PgValue, st.sampled_from("xy"), st.sampled_from((STRING, INTEGER))),
     ),
-    max_size=2,
-).map(lambda ps: tuple(sorted(ps)))
+    max_size=3,
+).flatmap(lambda ps: st.sampled_from((ps, tuple(ps))))
 
 
 @st.composite
-def _elements(draw) -> tuple[list[Node], list[Edge]]:
-    nodes = draw(st.lists(st.builds(Node, st.sampled_from("AB"), _properties), max_size=8))
+def _elements(draw) -> tuple[list[tuple], list[tuple]]:
+    node = st.tuples(st.sampled_from("AB"), _properties)
+    nodes = draw(st.lists(st.one_of(node, node.map(Node._make)), max_size=8))
     if not nodes:
         return nodes, []
     ends = st.integers(0, len(nodes) - 1)
-    edges = draw(st.lists(st.builds(Edge, st.sampled_from("rs"), ends, ends, _properties), max_size=12))
+    edge = st.tuples(st.sampled_from("rs"), ends, ends, _properties)
+    edges = draw(st.lists(st.one_of(edge, edge.map(Edge._make)), max_size=12))
     return nodes, edges
 
 
@@ -102,24 +111,26 @@ def test_canonical_graph_of_nothing_is_the_empty_graph():
 # -- the producers ---------------------------------------------------------------
 
 
-def _dep_elements(graph, rng: random.Random) -> tuple[list[Node], list[Edge]]:
-    """The schema-dependent mapping's nodes and edges, in a shuffled order."""
+def _dep_elements(graph, rng: random.Random) -> tuple[list[tuple], list[tuple]]:
+    """The schema-dependent mapping's nodes and edges, and each node's
+    properties, in a shuffled order."""
     iris = rng.sample(sorted(graph.resource_nodes), len(graph.resource_nodes))
     properties = {iri: [(IRI_PROPERTY_KEY, PgValue(iri.value, STRING))] for iri in iris}
     for t in rng.sample(sorted(graph.datatype_edges), len(graph.datatype_edges)):
         datatype = dep.PG_DATATYPE_OF.get(t.o.datatype, t.o.datatype.value)
         properties[t.s].append((t.p.value, PgValue(t.o.lexical, datatype)))
-    nodes = [Node(graph.resource_nodes[iri].value, tuple(sorted(properties[iri]))) for iri in iris]
+    nodes = [(graph.resource_nodes[iri].value, properties[iri]) for iri in iris]
     node_of = {iri: n for n, iri in enumerate(iris)}
     edges = [
-        Edge(t.p.value, node_of[t.s], node_of[t.o], ())
+        (t.p.value, node_of[t.s], node_of[t.o], ())
         for t in rng.sample(sorted(graph.object_edges), len(graph.object_edges))
     ]
     return nodes, edges
 
 
-def _indep_elements(graph, rng: random.Random) -> tuple[list[Node], list[Edge]]:
-    """The schema-independent mapping's nodes and edges, in a shuffled order."""
+def _indep_elements(graph, rng: random.Random) -> tuple[list[tuple], list[tuple]]:
+    """The schema-independent mapping's nodes and edges in a shuffled order,
+    each node's properties out of key order."""
     elements = [(iri, True) for iri in graph.resource_nodes]
     elements += [(lit, False) for lit in graph.literal_nodes]
     nodes = []
@@ -127,19 +138,19 @@ def _indep_elements(graph, rng: random.Random) -> tuple[list[Node], list[Edge]]:
     for element, is_resource in rng.sample(elements, len(elements)):
         node_of[element] = len(nodes)
         if is_resource:
-            nodes.append(Node(indep.RESOURCE_LABEL, (
-                (IRI_PROPERTY_KEY, PgValue(element.value, STRING)),
+            nodes.append((indep.RESOURCE_LABEL, (
                 (indep.TYPE_KEY, PgValue(graph.resource_nodes[element].value, STRING)),
+                (IRI_PROPERTY_KEY, PgValue(element.value, STRING)),
             )))
         else:
-            nodes.append(Node(indep.LITERAL_LABEL, (
-                (indep.TYPE_KEY, PgValue(element.datatype.value, STRING)),
+            nodes.append((indep.LITERAL_LABEL, (
                 (indep.VALUE_KEY, PgValue(element.lexical, STRING)),
+                (indep.TYPE_KEY, PgValue(element.datatype.value, STRING)),
             )))
     labeled = [(t, indep.DATATYPE_PROPERTY_LABEL) for t in graph.datatype_edges]
     labeled += [(t, indep.OBJECT_PROPERTY_LABEL) for t in graph.object_edges]
     edges = [
-        Edge(label, node_of[t.s], node_of[t.o], ((indep.TYPE_KEY, PgValue(t.p.value, STRING)),))
+        (label, node_of[t.s], node_of[t.o], ((indep.TYPE_KEY, PgValue(t.p.value, STRING)),))
         for t, label in rng.sample(labeled, len(labeled))
     ]
     return nodes, edges

@@ -13,6 +13,7 @@ from collections import defaultdict
 import pytest
 
 from rdfpg.cypher import export_import_script
+from rdfpg.errors import RdfPgError
 from rdfpg.generator import GeneratorConfig, gen_property_graph
 from rdfpg.pg_graph import (
     INTEGER,
@@ -95,9 +96,8 @@ def test_twin_nodes_cypher_export():
 
 
 def _rebuild(graph: PropertyGraph, rng: random.Random, drop: int | None = None) -> PropertyGraph:
-    """`graph` built again from its nodes and edges in a shuffled order, and
-    its properties in a shuffled order, sorted again per element; `drop`
-    leaves out the property of that index in the shuffled list."""
+    """`graph` built again from its nodes, edges and properties in a shuffled
+    order; `drop` leaves out the property of that index in the shuffled list."""
     elements = graph.nodes + graph.edges  # an element's id is its position here
     nodes = list(range(len(graph.nodes)))
     rng.shuffle(nodes)
@@ -115,14 +115,9 @@ def _rebuild(graph: PropertyGraph, rng: random.Random, drop: int | None = None) 
             kept[owner].append((key, value))
     position = {n: i for i, n in enumerate(nodes)}
     return canonical_graph(
-        [Node(elements[n].label, tuple(sorted(kept[n]))) for n in nodes],
+        [(elements[n].label, kept[n]) for n in nodes],
         [
-            Edge(
-                elements[e].label,
-                position[elements[e].source],
-                position[elements[e].target],
-                tuple(sorted(kept[e])),
-            )
+            (elements[e].label, position[elements[e].source], position[elements[e].target], kept[e])
             for e in edges
         ],
     )
@@ -138,3 +133,22 @@ def test_generated_graphs_compare_with_eq(seed):
     dropped = _rebuild(graph, rng, drop=0)
     if any(element.properties for element in graph.nodes + graph.edges):
         assert dropped != graph
+
+
+def test_properties_in_any_order_give_one_element():
+    """Two nodes given with their properties in different orders are twins,
+    and the graph reads back from its document and refuses an openCypher
+    export that would keep one of a key's two values."""
+    one, zero, two = PgValue("1", STRING), PgValue("0", STRING), PgValue("2", STRING)
+    nodes = [("A", [("k", one), ("j", zero), ("k", two)]),
+             Node("A", (("k", two), ("j", zero), ("k", one)))]
+    graph = canonical_graph(nodes, [])
+    first, second = graph.nodes
+    assert first == second == Node("A", (("j", zero), ("k", one), ("k", two)))
+    assert parse_pg(serialize_pg(graph)) == graph
+    with pytest.raises(RdfPgError) as caught:
+        export_import_script(graph)
+    assert str(caught.value) == (
+        "node A{j='0':String, k='1':String, k='2':String} holds two values for 'k', "
+        "and an openCypher map keeps one value per key"
+    )

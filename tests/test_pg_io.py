@@ -285,6 +285,12 @@ def _breakages():
                     return lambda d: d[section][i].pop(field)
                 return lambda d: d[section][i].__setitem__(field, value)
 
+            def rename(field, section=section, i=i):
+                """The element keeps its size, with `field` renamed to "color"."""
+                def mutate(d):
+                    d[section][i]["color"] = d[section][i].pop(field)
+                return mutate
+
             yield f"{at}-not-an-object", put(7), FormatError, at, "expected an object, got int"
             yield (f"{at}-unknown-field", update("color", "red"), FormatError, at,
                    "unknown field(s): color")
@@ -294,6 +300,8 @@ def _breakages():
                 expected = "a list" if field == "properties" else "a string"
                 yield (f"{at}-{field}-not-{expected[2:]}", update(field, 7), FormatError,
                        f"{at}.{field}", f"expected {expected}, got int")
+                yield (f"{at}-{field}-renamed", rename(field), FormatError, at,
+                       "unknown field(s): color")
             # The repeat is found at the later of the two elements.
             other = 1 if i == 0 else 0
             other_id = doc[section][other]["id"]
@@ -321,6 +329,13 @@ def _breakages():
                 return lambda d: d[section][i]["properties"][j].pop(field)
             return lambda d: d[section][i]["properties"][j].__setitem__(field, value)
 
+        def rename(field, section=section, i=i, j=j):
+            """The property keeps its size, with `field` renamed to "lang"."""
+            def mutate(d):
+                prop = d[section][i]["properties"][j]
+                prop["lang"] = prop.pop(field)
+            return mutate
+
         yield f"{at}-not-an-object", put("x"), FormatError, at, "expected an object, got str"
         yield (f"{at}-unknown-field", update("lang", "en"), FormatError, at,
                "unknown field(s): lang")
@@ -329,6 +344,8 @@ def _breakages():
                    f"missing required field {field!r}")
             yield (f"{at}-{field}-not-a-string", update(field, ["x"]), FormatError,
                    f"{at}.{field}", "expected a string, got list")
+            yield (f"{at}-{field}-renamed", rename(field), FormatError, at,
+                   "unknown field(s): lang")
         yield (f"{at}-empty-type", update("type", ""), FormatError, f"{at}.type",
                "datatype may not be empty")
     for section in ("nodes", "edges"):

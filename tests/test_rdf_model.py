@@ -115,6 +115,19 @@ def test_build_graph_multiple_types_rejected():
     assert _iri_labels(graph) == {EX + "a": VOC + "A"}
 
 
+@pytest.mark.parametrize("policy", ["alphabetical", "Lexicographic", ""])
+def test_an_unknown_first_type_policy_is_refused(policy):
+    # A caller's mistake, not a fault of the input: refused before any triple is read.
+    def unread():
+        raise AssertionError("a triple was read")
+        yield
+
+    with pytest.raises(ValueError) as caught:
+        build_rdf_graph(unread(), first_type=policy)
+    assert type(caught.value) is ValueError
+    assert str(caught.value) == f"unknown first_type policy {policy!r}"
+
+
 def test_multiple_types_names_the_smallest_subject_at_fault():
     # Subjects in reverse order, each with two types: the error names the
     # smallest, whatever order the triples come in.

@@ -4,8 +4,10 @@ An error names the first character of the text it reports as found, and
 "end of input" one column past the last character; an error that reports
 nothing found names the place where the expected text should start. The
 pins of IRI character errors, escape errors and a blank node where an IRI
-belongs were re-recorded when the reader was made to follow this rule;
-every other pin has held since the reader's lexer was rewritten.
+belongs were re-recorded when the reader was made to follow this rule, and
+those of an unclosed IRI and of a string that a line end interrupts when it
+lost its last two exceptions; every other pin has held since the reader's
+lexer was rewritten.
 Lines and columns are 1-based and count code points; a leading byte order
 mark is skipped; only '\n' starts a new line.
 """
@@ -28,8 +30,8 @@ O = "<http://ex.org/o>"
 ERRORS = [
     pytest.param(
         False, f"{S} {P} <http://ex.org/o",
-        TurtleSyntaxError, 1, 38,
-        "line 1, column 38: expected '>' closing the IRI",
+        TurtleSyntaxError, 1, 53,
+        "line 1, column 53: expected '>' closing the IRI, found end of input",
         id='iri-unterminated',
     ),
     pytest.param(
@@ -94,8 +96,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f'{S} {P} "one\ntwo" .',
-        TurtleSyntaxError, 2, 1,
-        'line 2, column 1: expected \'"\' before the end of the line',
+        TurtleSyntaxError, 1, 41,
+        'line 1, column 41: expected \'"\' closing the string, found \'\\n\'',
         id='string-newline',
     ),
     pytest.param(
@@ -262,8 +264,8 @@ ERRORS = [
     ),
     pytest.param(
         False, f"{S} {P} \"one\r\ntwo\" .",
-        TurtleSyntaxError, 2, 1,
-        'line 2, column 1: expected \'"\' before the end of the line',
+        TurtleSyntaxError, 1, 42,
+        'line 1, column 42: expected \'"\' closing the string, found \'\\n\'',
         id='crlf-newline-in-string',
     ),
     pytest.param(
